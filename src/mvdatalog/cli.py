@@ -42,6 +42,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _rule_numbers(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated rule numbers, got {text!r}") from None
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     ap = _Parser(prog="mvdatalog",
                  description="Multivalued Datalog evaluator and knowledge-base engine")
@@ -52,27 +72,31 @@ def _build_argparser() -> argparse.ArgumentParser:
         sp.add_argument("--prox", help="proximity file (background knowledge)")
         sp.add_argument("--phi", help="function-set file")
         sp.add_argument("--mode", choices=("det", "nondet"), default="nondet")
-        sp.add_argument("--max-iters", type=int, default=10000)
+        sp.add_argument("--max-iters", type=_int_at_least(1), default=10000)
         sp.add_argument("--safety", choices=("strict", "paper-examples"), default="strict")
         sp.add_argument("--strict-values", action="store_true")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--order", help="evaluation order, e.g. 2,3,1")
+        sp.add_argument("--order", type=_rule_numbers, help="evaluation order, e.g. 2,3,1")
         if name == "query":
             sp.add_argument("--goal", required=True, help='goal atom, e.g. "li(M, X)"')
             sp.add_argument("--at-least", help='minimum answer level, e.g. "(0.4, 0.5)"')
-            sp.add_argument("--depth-limit", type=int, default=64)
+            sp.add_argument("--depth-limit", type=_int_at_least(3), default=64)
     return ap
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
 def _load_kb(args):
     program = parse_program(_read(args.program), safety=args.safety)
     if args.order:
-        program.order_directive = [int(x) for x in args.order.split(",")]
+        program.order_directive = args.order
         n = len(program.proper_rules())
         if sorted(program.order_directive) != list(range(1, n + 1)):
             raise ParseError(f"--order must be a permutation of 1..{n}")

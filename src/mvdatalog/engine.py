@@ -11,17 +11,21 @@ Evaluation runs stratum by stratum to saturation and repeats the whole
 sweep until a full pass changes nothing, so a converged report really is a
 fixed point of the complete program.  Strata order rules so that predicates
 consumed under negation are fully derived first; facts always form an
-implicit leading stratum.
+implicit leading stratum.  The sweep is semi-naive over the lattice: after
+a stratum's first round, the step operators only see the ground instances
+whose body holds an atom whose level rose, which yields the same fixed
+point, step count and diagnostics as rescanning every instance.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import Atom, GroundRule, Program, ground, herbrand
+from .lang import Atom, GroundRule, Program, ground
 
 
 class Interpretation:
@@ -293,24 +297,111 @@ def order_from_directive(indices) -> EvalOrder:
 # Fixed points
 # ----------------------------------------------------------------------
 
+def _body_index(rules):
+    """Ground atom -> ascending positions of the rules whose body (positive
+    or negated) contains it, once per literal."""
+    index = {}
+    for pos, rule in enumerate(rules):
+        for lit in rule.body:
+            index.setdefault(lit.atom, []).append(pos)
+    return index
+
+
+def _touching(index, atoms):
+    """Ascending positions of the rules whose body contains one of atoms."""
+    out = set()
+    for atom in atoms:
+        out.update(index.get(atom, ()))
+    return sorted(out)
+
+
+def _parallel_rounds(rules, step_fn, index, todo, interp, iterations, max_iters,
+                     diagnostics, log):
+    """Saturate a parallel stratum.  Each round applies the step to the rules
+    in todo only; the next round's todo are the rules whose body holds an
+    atom the round changed.  Returns (interp, iterations, converged)."""
+    while True:
+        if iterations >= max_iters:
+            return interp, iterations, False
+        if not todo:
+            return interp, iterations, True
+        sub = rules if len(todo) == len(rules) else [rules[pos] for pos in todo]
+        new = step_fn(sub, interp, diagnostics)
+        old = interp.entries
+        # join_in stores a new value object exactly when the entry rose
+        changed = [atom for atom, value in new.entries.items() if old.get(atom) is not value]
+        if not changed:
+            return interp, iterations, True
+        interp = new
+        iterations += 1
+        log.extend(changed)
+        todo = _touching(index, changed)
+
+
+def _sequential_steps(rules, step_fn, index, todo, interp, iterations, max_iters,
+                      diagnostics, log):
+    """Saturate a sequential stratum.  A step tries the candidate rules in
+    ascending position, one at a time, and stops at the first that changes
+    the interpretation; the rules whose body holds its head become
+    candidates.  Returns (interp, iterations, converged)."""
+    heap = list(todo)            # ascending, hence already a heap
+    queued = bytearray(len(rules))
+    for pos in heap:
+        queued[pos] = 1
+    while True:
+        if iterations >= max_iters:
+            return interp, iterations, False
+        while heap:
+            pos = heapq.heappop(heap)
+            queued[pos] = 0
+            new = step_fn([rules[pos]], interp, diagnostics)
+            if new is not interp:
+                break
+        else:
+            return interp, iterations, True
+        interp = new
+        iterations += 1
+        head = rules[pos].head
+        log.append(head)
+        for touched in index.get(head, ()):
+            if not queued[touched]:
+                queued[touched] = 1
+                heapq.heappush(heap, touched)
+
+
 def _sweep_to_fixpoint(strata_steps, interp, max_iters, diagnostics):
     """Saturate each (rules, step) stratum in order, repeat the sweep until a
-    full pass is quiet.  Returns (interp, productive_steps, converged)."""
+    full pass is quiet.  Returns (interp, productive_steps, converged).
+
+    A rule's result depends only on its body atoms, and rising atoms never
+    make a rule's contribution fall, so after a stratum's first visit only
+    the rules whose body holds an atom that changed since need another
+    look.  One log records every atom whose stored value changed; each
+    stratum remembers the log length at which it last went quiet.  The
+    sequential step `nt_step` is applied one candidate at a time in rule
+    order, so it still applies the first rising instance of the full list;
+    every other step is applied to the candidate sub-list in rule order.
+    """
+    log = []
+    indexes = [None] * len(strata_steps)
+    quiet_at = [0] * len(strata_steps)
     iterations = 0
     while True:
-        changed_in_pass = False
-        for rules, step_fn in strata_steps:
-            while True:
-                if iterations >= max_iters:
-                    diagnostics.append(f"iteration limit reached ({max_iters})")
-                    return interp, iterations, False
-                new = step_fn(rules, interp, diagnostics)
-                if new.same_as(interp, tol=1e-12):
-                    break
-                interp = new
-                iterations += 1
-                changed_in_pass = True
-        if not changed_in_pass:
+        pass_start = len(log)
+        for k, (rules, step_fn) in enumerate(strata_steps):
+            if indexes[k] is None:
+                indexes[k] = _body_index(rules)
+                todo = range(len(rules))
+            else:
+                todo = _touching(indexes[k], log[quiet_at[k]:])
+            saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
+            interp, iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
+                                                     iterations, max_iters, diagnostics, log)
+            if not converged:
+                diagnostics.append(f"iteration limit reached ({max_iters})")
+                return interp, iterations, False
+            quiet_at[k] = len(log)
+        if len(log) == pass_start:
             return interp, iterations, True
 
 
@@ -344,8 +435,7 @@ def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] 
         else:
             order = stratify(program)
     diagnostics = list(order.warnings)
-    universe, _ = herbrand(program)
-    grounded = ground(program, universe)
+    grounded = ground(program)
     lists = _stratum_rule_lists(program, grounded, order)
     step_fn = dt_step if mode == "det" else nt_step
     # the fact base has no bodies to race on; both modes load it in one

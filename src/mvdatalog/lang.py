@@ -23,6 +23,7 @@ reparsing a program reproduces it exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -86,6 +87,19 @@ class Atom:
         if not self.args:
             return self.pred
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+
+    def __hash__(self):
+        # atoms key every interpretation and index: hash once per object
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.pred, self.args))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        # string hashes differ between processes, so the cache is not pickled
+        return {"pred": self.pred, "args": self.args}
 
     @property
     def functor(self):
@@ -551,29 +565,92 @@ def substitute(atom: Atom, theta: dict) -> Atom:
                                  for t in atom.args))
 
 
+class _Grounder:
+    """Builds ground instances from per-rule templates.
+
+    One grounder serves one `ground` call: every equal ground atom (and
+    literal) it builds is the same object, so dictionary lookups on ground
+    atoms succeed on identity.  A template reads an atom's key off
+    `combo + constants`, where combo is the substitution (one constant name
+    per rule variable) and constants are the rule's own constant names.  A
+    key is the argument name for a unary atom and the tuple of argument
+    names otherwise; the arity of a predicate is fixed, so the keys of one
+    predicate never mix the two forms.
+    """
+
+    def __init__(self, universe):
+        self.names = sorted(universe)
+        self.consts = {n: Constant(n) for n in self.names}
+        self.atoms = {}       # pred -> {key: Atom}
+        self.literals = {}    # (pred, negated) -> {key: Literal}
+
+    def _atom(self, pred, key):
+        table = self.atoms.setdefault(pred, {})
+        atom = table.get(key)
+        if atom is None:
+            names = (key,) if isinstance(key, str) else key
+            args = []
+            for n in names:
+                c = self.consts.get(n)
+                if c is None:
+                    c = self.consts[n] = Constant(n)
+                args.append(c)
+            atom = table[key] = Atom(pred, tuple(args))
+        return atom
+
+    def rule(self, rule: Rule, rule_pos: int):
+        variables = rule.variables()
+        if variables and not self.names:
+            return []
+        slot = {v: i for i, v in enumerate(variables)}
+        rule_constants = []
+
+        def key_of(atom):
+            positions = []
+            for t in atom.args:
+                if isinstance(t, Variable):
+                    positions.append(slot[t])
+                else:
+                    positions.append(len(variables) + len(rule_constants))
+                    rule_constants.append(t.name)
+            return operator.itemgetter(*positions) if positions else (lambda full: ())
+
+        head_key = key_of(rule.head)
+        head_pred = rule.head.pred
+        head_table = self.atoms.setdefault(head_pred, {})
+        body = [(key_of(lit.atom), self.literals.setdefault((lit.atom.pred, lit.negated), {}),
+                 lit.atom.pred, lit.negated) for lit in rule.body]
+        constants = tuple(rule_constants)
+        impl, level = rule.impl, rule.level
+        out = []
+        for combo in itertools.product(self.names, repeat=len(variables)):
+            full = combo + constants
+            key = head_key(full)
+            head = head_table.get(key) or self._atom(head_pred, key)
+            lits = []
+            for body_key, table, pred, negated in body:
+                key = body_key(full)
+                lit = table.get(key)
+                if lit is None:
+                    lit = table[key] = Literal(self._atom(pred, key), negated)
+                lits.append(lit)
+            out.append(GroundRule(head, tuple(lits), impl, level, rule_pos))
+        return out
+
+
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
     """All ground instances, ordered lexicographically by substitution (the
     rule's variables in first-occurrence order, constants sorted by name)."""
-    variables = rule.variables()
-    if not variables:
-        return [GroundRule(rule.head, rule.body, rule.impl, rule.level, rule_pos)]
-    consts = [Constant(c) for c in sorted(universe)]
-    if not consts:
-        return []
-    out = []
-    for combo in itertools.product(consts, repeat=len(variables)):
-        theta = dict(zip(variables, combo))
-        head = substitute(rule.head, theta)
-        body = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
-        out.append(GroundRule(head, body, rule.impl, rule.level, rule_pos))
-    return out
+    return _Grounder(universe).rule(rule, rule_pos)
 
 
 def ground(program: Program, universe=None):
-    """Ground instances per rule, in rule order."""
+    """Ground instances per rule, in rule order; equal ground atoms are
+    shared across all of them."""
     if universe is None:
         universe = program.constants()
-    return [ground_rule(r, universe, pos) for pos, r in enumerate(program.rules)]
+    grounder = _Grounder(universe)
+    return [grounder.rule(r, pos) for pos, r in enumerate(program.rules)]
 
 
 # ----------------------------------------------------------------------

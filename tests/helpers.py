@@ -116,3 +116,27 @@ def grid(step: float = 0.05):
 def valid_pairs(system: str, step: float = 0.05):
     pts = grid(step)
     return [(a, b) for a in pts for b in pts if V.validate(system, (a, b)) is None]
+
+
+def reference_sweep(strata_steps, interp, max_iters, diagnostics):
+    """The full-rescan sweep that the delta-driven `engine._sweep_to_fixpoint`
+    replaced, kept verbatim as the reference for differential tests.
+
+    Saturate each (rules, step) stratum in order, repeat the sweep until a
+    full pass is quiet.  Returns (interp, productive_steps, converged)."""
+    iterations = 0
+    while True:
+        changed_in_pass = False
+        for rules, step_fn in strata_steps:
+            while True:
+                if iterations >= max_iters:
+                    diagnostics.append(f"iteration limit reached ({max_iters})")
+                    return interp, iterations, False
+                new = step_fn(rules, interp, diagnostics)
+                if new.same_as(interp, tol=1e-12):
+                    break
+                interp = new
+                iterations += 1
+                changed_in_pass = True
+        if not changed_in_pass:
+            return interp, iterations, True

@@ -150,3 +150,34 @@ def test_strict_values_passes_clean_programs(capsys):
                         "--prox", DATA / "ex23.prox", "--phi", DATA / "ex23.phi",
                         "--strict-values")
     assert code == 0
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        run([str(a) for a in argv])
+    return e.value.code, capsys.readouterr().err
+
+
+def test_zero_max_iters_is_usage_error(capsys):
+    for command in ("fixpoint", "consequence"):
+        code, err = _usage_error(capsys, command, DATA / "ex12i.mvd", "--max-iters", "0")
+        assert code == 1 and "error: argument --max-iters: must be at least 1" in err
+
+
+def test_non_numeric_order_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "fixpoint", DATA / "ex1.mvd",
+                             "--safety", "paper-examples", "--order", "a,b")
+    assert code == 1 and "error: argument --order" in err
+
+
+def test_small_depth_limit_is_usage_error(capsys):
+    code, err = _usage_error(capsys, "query", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox",
+                             "--goal", "li(M, X)", "--depth-limit", "1")
+    assert code == 1 and "error: argument --depth-limit: must be at least 3" in err
+
+
+def test_non_utf8_program_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.mvd"
+    bad.write_bytes("%system fuzzy.\nfact p(a) = 0.5.  # café\n".encode("latin-1"))
+    code, _, err = invoke(capsys, "fixpoint", bad)
+    assert code == 2 and err.startswith("error: ") and "not valid UTF-8" in err

@@ -1,0 +1,59 @@
+"""Differential test: the delta-driven sweep against the full-rescan
+reference sweep, on seeded random programs and knowledge bases.
+
+Both sweeps drive the same reference step operators, so every report must
+agree exactly: entries (levels compared with ==), iteration counts,
+convergence and the diagnostics list in order."""
+
+import random
+
+from mvdatalog import engine, kb
+from mvdatalog import values as V
+from mvdatalog.kb import build_kb, consequence
+from mvdatalog.engine import fixpoint
+
+from helpers import random_bk, random_phi, random_program, reference_sweep
+
+SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
+MAX_ITERS = (1, 2, 3, 7, 10000)
+TRIALS = 80
+
+
+def _report(rep):
+    return (rep.interpretation.entries, rep.iterations, rep.converged, rep.diagnostics)
+
+
+def _runs(rng, program):
+    """(name, thunk) pairs of every evaluation to compare on one program."""
+    knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
+    for max_iters in MAX_ITERS:
+        for mode in ("det", "nondet"):
+            yield (f"{mode}/{max_iters}",
+                   lambda m=mode, n=max_iters: fixpoint(program, mode=m, max_iters=n))
+        yield (f"consequence/{max_iters}",
+               lambda n=max_iters: consequence(knowledge, max_iters=n))
+
+
+def _shuffled_order(rng, program):
+    order = list(range(1, len(program.proper_rules()) + 1))
+    rng.shuffle(order)
+    return order
+
+
+def test_delta_sweep_matches_reference_sweep(monkeypatch):
+    rng = random.Random(7)
+    compared = 0
+    for trial in range(TRIALS):
+        system = SYSTEMS[trial % len(SYSTEMS)]
+        program = random_program(rng, system, allow_negation=trial % 2 == 1)
+        for directive in (None, _shuffled_order(rng, program)):
+            program.order_directive = directive
+            for name, run in _runs(rng, program):
+                delta = _report(run())
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "_sweep_to_fixpoint", reference_sweep)
+                    patch.setattr(kb, "_sweep_to_fixpoint", reference_sweep)
+                    expected = _report(run())
+                assert delta == expected, (trial, directive, name)
+                compared += 1
+    assert compared == TRIALS * 2 * len(MAX_ITERS) * 3
