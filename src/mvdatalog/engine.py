@@ -14,7 +14,9 @@ consumed under negation are fully derived first; facts always form an
 implicit leading stratum.  The sweep is semi-naive over the lattice: after
 a stratum's first round, the step operators only see the ground instances
 whose body holds an atom whose level rose, which yields the same fixed
-point, step count and diagnostics as rescanning every instance.
+point, step count and diagnostics as rescanning every instance.  Only the
+instances whose body atoms are all derivable are grounded at all (see
+`lang.ground`); no other instance can ever be applicable.
 """
 
 from __future__ import annotations
@@ -418,6 +420,11 @@ def _stratum_rule_lists(program: Program, grounded, order: EvalOrder):
     return lists
 
 
+def _unwidened(pred, names):
+    """Head widening for `ground`: the plain engine derives only the head."""
+    return ((pred, names),)
+
+
 def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] = None,
              max_iters: int = 10000) -> FixpointReport:
     """Least fixed point of the program's consequence transformation.
@@ -435,7 +442,7 @@ def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] 
         else:
             order = stratify(program)
     diagnostics = list(order.warnings)
-    grounded = ground(program)
+    grounded = ground(program, widen=_unwidened)
     lists = _stratum_rule_lists(program, grounded, order)
     step_fn = dt_step if mode == "det" else nt_step
     # the fact base has no bodies to race on; both modes load it in one

@@ -22,6 +22,7 @@ Function-set file: lines `phi ident "/" arity "=" ("meet"|"meet-product"|"produc
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,10 +47,22 @@ class ProximityRelation:
     system: Optional[str] = None
     pairs: dict = field(default_factory=dict)   # canonical (min, max) key
     symbols: set = field(default_factory=set)
+    # symbol -> {other symbol: value}, in pair insertion order; mirrors pairs
+    neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.reindex()
 
     @staticmethod
     def _key(a: str, b: str):
         return (a, b) if a <= b else (b, a)
+
+    def reindex(self) -> None:
+        """Rebuild the neighbour map; call after replacing pairs."""
+        self.neighbours = {}
+        for (a, b), v in self.pairs.items():
+            self.neighbours.setdefault(a, {})[b] = v
+            self.neighbours.setdefault(b, {})[a] = v
 
     def set_pair(self, a: str, b: str, value) -> None:
         self.symbols.add(a)
@@ -57,6 +70,9 @@ class ProximityRelation:
         if a == b:
             return  # reflexive entries are implicit and fixed at top
         self.pairs[self._key(a, b)] = value
+        # an overwritten pair keeps its place, in pairs and here alike
+        self.neighbours.setdefault(a, {})[b] = value
+        self.neighbours.setdefault(b, {})[a] = value
 
     def value_of(self, a: str, b: str, system: str):
         if a == b:
@@ -91,15 +107,12 @@ def is_similarity(rel: ProximityRelation, system: str) -> bool:
 
 
 def proximity_set(rel: ProximityRelation, d: str, system: str):
-    """All (d_i, lambda_i) with R(d, d_i) above bottom, including (d, top)."""
+    """All (d_i, lambda_i) with R(d, d_i) above bottom: (d, top) first, then
+    the others in the order their pairs were first set."""
     out = [(d, V.top(system))]
-    for (a, b), v in rel.pairs.items():
-        if V.is_bottom(system, v):
-            continue
-        if a == d:
-            out.append((b, v))
-        elif b == d:
-            out.append((a, v))
+    for other, v in rel.neighbours.get(d, {}).items():
+        if not V.is_bottom(system, v):
+            out.append((other, v))
     return out
 
 
@@ -128,7 +141,6 @@ class KnowledgeBase:
     bk: BackgroundKnowledge
     program: Program
     phi: PhiSpec
-    connector: str = "modNT"
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +205,7 @@ def parse_phi_file(text: str) -> PhiSpec:
             raise ParseError(f"expected 'phi', found {kw.text!r}", kw.line, kw.col)
         name = p.expect("ident").text
         p.expect("punct", "/")
-        arity = int(p.expect("num").text)
+        arity = p.integer()
         p.expect("punct", "=")
         which = p.expect("ident")
         if which.text not in _PHI_FILE_NAMES:
@@ -228,6 +240,7 @@ def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
     # drop bottom-valued proximity entries: they cannot produce stored atoms
     for rel in (bk.term_prox, bk.pred_prox):
         rel.pairs = {k: v for k, v in rel.pairs.items() if not V.is_bottom(sys, v)}
+        rel.reindex()
     return KnowledgeBase(bk, program, phi)
 
 
@@ -295,19 +308,21 @@ def mod_nt_step(kb: KnowledgeBase, interp: Interpretation, rules=None,
 def _expand_head(kb: KnowledgeBase, head: Atom, alpha, out: Interpretation) -> None:
     sys = kb.program.system
     phi_id = kb.phi.phi_for(head.pred, len(head.args))
-    pred_options = proximity_set(kb.bk.pred_prox, head.pred, sys)
-    arg_options = [proximity_set(kb.bk.term_prox, t.name, sys) for t in head.args]
-    for q, lam_q in pred_options:
-        _expand_args(kb, sys, phi_id, q, alpha, lam_q, arg_options, (), out)
-
-
-def _expand_args(kb, sys, phi_id, q, alpha, lam_q, arg_options, chosen, out):
-    if len(chosen) == len(arg_options):
+    for q, lam_q, chosen in _synonyms(kb, head.pred, [t.name for t in head.args]):
         value = phi_apply(phi_id, sys, alpha, lam_q, [lam for _, lam in chosen])
         out.join_in(Atom(q, tuple(Constant(s) for s, _ in chosen)), value)
-        return
-    for s, lam in arg_options[len(chosen)]:
-        _expand_args(kb, sys, phi_id, q, alpha, lam_q, arg_options, chosen + ((s, lam),), out)
+
+
+def _synonyms(kb: KnowledgeBase, pred: str, names):
+    """Every synonym of pred(names) as (q, lambda_q, ((s_1, lambda_1), ..)):
+    q over the proximity set of pred, outermost, then each s_i over that of
+    names[i], the first argument varying slowest."""
+    sys = kb.program.system
+    pred_options = proximity_set(kb.bk.pred_prox, pred, sys)
+    arg_options = [proximity_set(kb.bk.term_prox, n, sys) for n in names]
+    for q, lam_q in pred_options:
+        for chosen in itertools.product(*arg_options):
+            yield q, lam_q, chosen
 
 
 def modified_universe(kb: KnowledgeBase):
@@ -339,7 +354,8 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
     """Least fixed point of the modified transformation: the knowledge-base
     consequence.  Facts are proximity-expanded before any proper rule can
     fire, since they are always-applicable empty-body rules in the leading
-    stratum."""
+    stratum.  Grounding keeps the instances whose body atoms are derivable
+    when every derived head is widened over its synonyms."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     program = kb.program
@@ -349,7 +365,12 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
         else:
             order = stratify(program)
     diagnostics = list(order.warnings)
-    grounded = ground(program, modified_universe(kb))
+
+    def widen(pred, names):
+        # the atoms _expand_head may store for a derived head
+        return [(q, tuple(s for s, _ in chosen)) for q, _, chosen in _synonyms(kb, pred, names)]
+
+    grounded = ground(program, modified_universe(kb), widen=widen)
     lists = _stratum_rule_lists(program, grounded, order)
 
     def step(rules, interp, diags):

@@ -313,6 +313,12 @@ class _Parser:
             raise ParseError("numbers carry at most 9 decimal places", t.line, t.col)
         return round(float(t.text), 9)
 
+    def integer(self) -> int:
+        t = self.expect("num")
+        if not t.text.isdigit():
+            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
+        return int(t.text)
+
     def level(self):
         if self.at("punct", "("):
             self.next()
@@ -407,10 +413,10 @@ def parse_program(text: str, safety: str = "strict") -> Program:
             continue
         if t.kind == "directive" and t.text == "%order":
             p.next()
-            order = [int(p.expect("num").text)]
+            order = [p.integer()]
             while p.at("punct", ","):
                 p.next()
-                order.append(int(p.expect("num").text))
+                order.append(p.integer())
             p.expect("punct", ".")
             continue
         if t.kind == "ident" and t.text == "fact":
@@ -598,10 +604,14 @@ class _Grounder:
             atom = table[key] = Atom(pred, tuple(args))
         return atom
 
-    def rule(self, rule: Rule, rule_pos: int):
+    def rule(self, rule: Rule, rule_pos: int, combos=None):
+        """Instances for the given substitutions (tuples of constant names,
+        one per rule variable); by default every one over the universe."""
         variables = rule.variables()
         if variables and not self.names:
             return []
+        if combos is None:
+            combos = itertools.product(self.names, repeat=len(variables))
         slot = {v: i for i, v in enumerate(variables)}
         rule_constants = []
 
@@ -623,7 +633,7 @@ class _Grounder:
         constants = tuple(rule_constants)
         impl, level = rule.impl, rule.level
         out = []
-        for combo in itertools.product(self.names, repeat=len(variables)):
+        for combo in combos:
             full = combo + constants
             key = head_key(full)
             head = head_table.get(key) or self._atom(head_pred, key)
@@ -638,19 +648,215 @@ class _Grounder:
         return out
 
 
+def _picker(positions):
+    """Function reading the tuple of seq[i] for i in positions."""
+    if not positions:
+        return lambda seq: ()
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*positions)
+
+
+class _Relations:
+    """Crisp relations: per predicate a set of argument-name tuples, with an
+    index per pattern of bound argument positions, built on first use and
+    kept up to date by `add`."""
+
+    def __init__(self):
+        self.rows = {}      # pred -> {name tuple}
+        self.indexes = {}   # pred -> {positions: (pick, {key: [name tuple]})}
+
+    def add(self, pred, names) -> bool:
+        rows = self.rows.setdefault(pred, set())
+        if names in rows:
+            return False
+        rows.add(names)
+        for pick, index in self.indexes.get(pred, {}).values():
+            index.setdefault(pick(names), []).append(names)
+        return True
+
+    def lookup(self, pred, positions, key):
+        """The rows of pred whose values at positions equal key."""
+        if not positions:
+            return self.rows.get(pred, ())
+        patterns = self.indexes.setdefault(pred, {})
+        entry = patterns.get(positions)
+        if entry is None:
+            pick = _picker(positions)
+            index = {}
+            for names in self.rows.get(pred, ()):
+                index.setdefault(pick(names), []).append(names)
+            entry = patterns[positions] = (pick, index)
+        return entry[1].get(key, ())
+
+
+class _RuleJoin:
+    """Joins over the body atoms of one rule, negated ones included.
+
+    A binding is a list holding one constant name per rule variable (in
+    `Rule.variables` order), then the rule's own constant names.  A plan
+    visits the body atoms in a given order; each step looks its atom up by
+    the positions already bound and binds the rest, so a binding reaches
+    the end exactly when every body atom it names is in the relations.
+    Variables that no body atom binds range over the whole universe.
+    """
+
+    def __init__(self, rule: Rule, universe: set, names: list):
+        variables = rule.variables()
+        slot = {v: i for i, v in enumerate(variables)}
+        constants = []
+
+        def slots(atom):
+            out = []
+            for t in atom.args:
+                if isinstance(t, Variable):
+                    out.append(slot[t])
+                else:
+                    out.append(len(variables) + len(constants))
+                    constants.append(t.name)
+            return out
+
+        self.head_pred = rule.head.pred
+        self.head_names = _picker(slots(rule.head))
+        self.atoms = [(lit.atom.pred, slots(lit.atom)) for lit in rule.body]
+        self.nvars = len(variables)
+        self.constants = constants
+        self.universe = universe
+        self.names = names
+        n = len(self.atoms)
+        self.full_plan = self._plan(range(n))
+        # semi-naive: atom i read from the delta first, the others after it
+        self.delta_plans = [self._plan([i] + [k for k in range(n) if k != i])
+                            for i in range(n)]
+
+    def _plan(self, order):
+        bound = set(range(self.nvars, self.nvars + len(self.constants)))
+        steps = []
+        for i in order:
+            pred, slots = self.atoms[i]
+            positions, sources, frees, repeats = [], [], [], []
+            first = {}
+            for pos, s in enumerate(slots):
+                if s in bound:
+                    positions.append(pos)
+                    sources.append(s)
+                elif s in first:
+                    repeats.append((pos, first[s]))
+                else:
+                    first[s] = pos
+                    frees.append((pos, s))
+            bound.update(first)
+            steps.append((pred, tuple(positions), _picker(sources), tuple(frees),
+                          tuple(repeats)))
+        rest = [s for s in range(self.nvars) if s not in bound]
+        return steps, rest
+
+    def solve(self, plan, relations, emit):
+        """Call emit(binding) for every complete binding; step k of the plan
+        reads relations[k]."""
+        steps, rest = plan
+        binding = [None] * self.nvars + self.constants
+        universe = self.universe
+        last = len(steps)
+
+        def extend(k):
+            if k == last:
+                if not rest:
+                    emit(binding)
+                    return
+                for combo in itertools.product(self.names, repeat=len(rest)):
+                    for s, name in zip(rest, combo):
+                        binding[s] = name
+                    emit(binding)
+                return
+            pred, positions, probe, frees, repeats = steps[k]
+            for row in relations[k].lookup(pred, positions, probe(binding)):
+                if repeats and any(row[p] != row[q] for p, q in repeats):
+                    continue
+                for pos, s in frees:
+                    name = row[pos]
+                    if name not in universe:
+                        break
+                    binding[s] = name
+                else:
+                    extend(k + 1)
+
+        extend(0)
+
+
+def _derivable_substitutions(program: Program, names: list, widen):
+    """Per rule, the ascending substitutions whose body atoms are all
+    derivable (see `ground`), found by a semi-naive pass over crisp
+    relations followed by one join per rule."""
+    universe = set(names)
+    joins = [_RuleJoin(r, universe, names) for r in program.rules]
+    derivable = _Relations()
+    widened = set()
+    found = []          # atoms derived in the current round
+
+    def head_emitter(join):
+        pred, head_names = join.head_pred, join.head_names
+
+        def emit(binding):
+            atom = (pred, head_names(binding))
+            if atom not in widened:
+                widened.add(atom)
+                found.extend(widen(*atom))
+        return emit
+
+    emitters = [head_emitter(j) for j in joins]
+    for join, emit in zip(joins, emitters):
+        if not join.atoms:
+            join.solve(join.full_plan, [], emit)
+    while found:
+        delta = _Relations()
+        for pred, atom_names in found:
+            if derivable.add(pred, atom_names):
+                delta.add(pred, atom_names)
+        found.clear()
+        for join, emit in zip(joins, emitters):
+            for i, (pred, _) in enumerate(join.atoms):
+                if pred in delta.rows:
+                    plan = join.delta_plans[i]
+                    join.solve(plan, [delta] + [derivable] * (len(plan[0]) - 1), emit)
+
+    out = []
+    for join in joins:
+        combos = []
+        nvars = join.nvars
+        join.solve(join.full_plan, [derivable] * len(join.atoms),
+                   lambda binding: combos.append(tuple(binding[:nvars])))
+        combos.sort()
+        out.append(combos)
+    return out
+
+
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
     """All ground instances, ordered lexicographically by substitution (the
     rule's variables in first-occurrence order, constants sorted by name)."""
     return _Grounder(universe).rule(rule, rule_pos)
 
 
-def ground(program: Program, universe=None):
+def ground(program: Program, universe=None, widen=None):
     """Ground instances per rule, in rule order; equal ground atoms are
-    shared across all of them."""
+    shared across all of them.
+
+    Without widen, every instance over the universe.  With widen, only the
+    instances whose every body atom, negated ones included, is derivable:
+    in the least set that holds the atoms widen(pred, names) returns for
+    each fact head and for the head of each instance whose body atoms are
+    derivable.  widen returns (pred, names) pairs, the head itself among
+    them.  An instance with an underivable body atom is never applicable,
+    so it changes no evaluation; the survivors keep their relative order.
+    """
     if universe is None:
         universe = program.constants()
     grounder = _Grounder(universe)
-    return [grounder.rule(r, pos) for pos, r in enumerate(program.rules)]
+    if widen is None:
+        return [grounder.rule(r, pos) for pos, r in enumerate(program.rules)]
+    combos = _derivable_substitutions(program, grounder.names, widen)
+    return [grounder.rule(r, pos, c) for (pos, r), c in zip(enumerate(program.rules), combos)]
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ and keeps the harvested starting facts complete.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -194,7 +195,7 @@ class _TreeBuilder:
                     domains.append(members)
             if not ok:
                 continue
-            for combo in _product(domains):
+            for combo in itertools.product(*domains):
                 if combo not in seen:
                     seen.add(combo)
                     candidates.append(Atom(node.atom.pred,
@@ -214,13 +215,6 @@ class _TreeBuilder:
             return True
         self.expanded.add(key)
         return False
-
-
-def _product(domains):
-    out = [()]
-    for d in domains:
-        out = [c + (x,) for c in out for x in d]
-    return out
 
 
 def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTree:

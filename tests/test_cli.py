@@ -181,3 +181,20 @@ def test_non_utf8_program_is_parse_error(tmp_path, capsys):
     bad.write_bytes("%system fuzzy.\nfact p(a) = 0.5.  # café\n".encode("latin-1"))
     code, _, err = invoke(capsys, "fixpoint", bad)
     assert code == 2 and err.startswith("error: ") and "not valid UTF-8" in err
+
+
+def test_fractional_order_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "order.mvd"
+    bad.write_text("%system fuzzy.\n%order 1.5.\nfact p(a) = 0.5.\n"
+                   "rule q(X) <- p(X) : godel, 1.0.\n")
+    code, _, err = invoke(capsys, "fixpoint", bad)
+    assert code == 2
+    assert err == "error: line 2, col 8: expected an integer, found '1.5'\n"
+
+
+def test_fractional_phi_arity_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "arity.phi"
+    bad.write_text("phi p/1.5 = meet.\n")
+    code, _, err = invoke(capsys, "consequence", DATA / "ex23.mvd", "--phi", bad)
+    assert code == 2
+    assert err == "error: line 1, col 7: expected an integer, found '1.5'\n"

@@ -89,6 +89,34 @@ def test_proximity_set_cases(ex23_kb, ex17_kb):
     assert ps17 == {"a": (1.0, 0.0), "b": (0.7, 0.2)}
 
 
+def _scanned_proximity_set(rel, d, system):
+    """proximity_set as a scan over every pair: the reference for its order."""
+    out = [(d, V.top(system))]
+    for (a, b), v in rel.pairs.items():
+        if not V.is_bottom(system, v) and d in (a, b):
+            out.append((b if a == d else a, v))
+    return out
+
+
+def test_proximity_set_follows_pair_order():
+    rel = ProximityRelation("terms", V.FUZZY)
+    for a, b, v in (("b", "a", 0.5), ("a", "c", 0.0), ("d", "a", 0.7),
+                    ("c", "b", 0.4), ("a", "b", 0.6)):
+        rel.set_pair(a, b, v)
+    # the overwritten a ~ b keeps its first place; the bottom a ~ c is skipped
+    assert proximity_set(rel, "a", V.FUZZY) == [("a", 1.0), ("b", 0.6), ("d", 0.7)]
+    rebuilt = ProximityRelation("terms", V.FUZZY, dict(rel.pairs), set(rel.symbols))
+    assert rebuilt.neighbours == rel.neighbours
+    symbols = sorted(rel.symbols) + ["z"]
+    for d in symbols:
+        assert proximity_set(rel, d, V.FUZZY) == _scanned_proximity_set(rel, d, V.FUZZY)
+    build_kb(parse_program("%system fuzzy.\nfact p(a) = 0.5.\n"),
+             BackgroundKnowledge(rel, ProximityRelation("predicates")))
+    assert ("a", "c") not in rel.pairs and "c" not in rel.neighbours["a"]
+    for d in symbols:
+        assert proximity_set(rel, d, V.FUZZY) == _scanned_proximity_set(rel, d, V.FUZZY)
+
+
 def test_arity_mismatch_rejected():
     prog = parse_program("%system fuzzy.\nfact p(a) = 0.5.\nfact r(a, b) = 0.5.\n")
     pred_prox = ProximityRelation("predicates", V.FUZZY)

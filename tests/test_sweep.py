@@ -1,13 +1,14 @@
-"""Differential test: the delta-driven sweep against the full-rescan
-reference sweep, on seeded random programs and knowledge bases.
+"""Differential tests on seeded random programs and knowledge bases: the
+delta-driven sweep against the full-rescan reference sweep, and the pruned
+grounding against full Herbrand grounding.
 
-Both sweeps drive the same reference step operators, so every report must
+Both sides drive the same reference step operators, so every report must
 agree exactly: entries (levels compared with ==), iteration counts,
 convergence and the diagnostics list in order."""
 
 import random
 
-from mvdatalog import engine, kb
+from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
 from mvdatalog.kb import build_kb, consequence
 from mvdatalog.engine import fixpoint
@@ -57,3 +58,27 @@ def test_delta_sweep_matches_reference_sweep(monkeypatch):
                 assert delta == expected, (trial, directive, name)
                 compared += 1
     assert compared == TRIALS * 2 * len(MAX_ITERS) * 3
+
+
+def _full_ground(program, universe=None, widen=None):
+    return lang.ground(program, universe)
+
+
+def test_pruned_grounding_matches_full_grounding(monkeypatch, ex1):
+    rng = random.Random(11)
+    programs = [ex1] + [random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
+                                       allow_negation=trial % 2 == 1)
+                        for trial in range(TRIALS)]
+    compared = 0
+    for index, program in enumerate(programs):
+        for directive in (None, _shuffled_order(rng, program)):
+            program.order_directive = directive
+            for name, run in _runs(rng, program):
+                pruned = _report(run())
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "ground", _full_ground)
+                    patch.setattr(kb, "ground", _full_ground)
+                    expected = _report(run())
+                assert pruned == expected, (index, directive, name)
+                compared += 1
+    assert compared == len(programs) * 2 * len(MAX_ITERS) * 3
