@@ -22,7 +22,7 @@ import sys
 from . import values as V
 from .lang import ParseError, SafetyError, parse_program
 from .engine import fixpoint, stratify
-from .implications import CLOSED_BIPOLAR_PAIRS
+from .implications import ALWAYS_CLOSED, CLOSED_BIPOLAR_PAIRS
 from .kb import (BackgroundKnowledge, PhiSpec, build_kb, consequence,
                  parse_phi_file, parse_proximity_file)
 from .query import Goal, answer, parse_goal, parse_level
@@ -141,9 +141,6 @@ def _finish(args, system, report) -> int:
     return EXIT_OK
 
 
-_CLOSED_IMPLS = {"godel", "lukasiewicz", "kleene", "fg2", "vg2"}
-
-
 def _run_check(args) -> int:
     kb = _load_kb(args)
     program = kb.program
@@ -155,7 +152,7 @@ def _run_check(args) -> int:
     for n, _, rule in program.proper_rules():
         impl = rule.impl
         closed = (impl in CLOSED_BIPOLAR_PAIRS if isinstance(impl, tuple)
-                  else impl in _CLOSED_IMPLS)
+                  else impl in ALWAYS_CLOSED)
         if not closed:
             name = f"({impl[0]}, {impl[1]})" if isinstance(impl, tuple) else impl
             diagnostics.append(

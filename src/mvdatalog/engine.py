@@ -36,6 +36,7 @@ class Interpretation:
 
     def __init__(self, system: str, entries: Optional[dict] = None):
         self.system = system
+        self.lattice = V.lattice(system)
         self.entries = dict(entries or {})
 
     def get(self, atom: Atom):
@@ -45,15 +46,17 @@ class Interpretation:
         return Interpretation(self.system, self.entries)
 
     def join_in(self, atom: Atom, value) -> bool:
-        """Merge a derived value by lattice join; True when the entry rose."""
-        if V.is_bottom(self.system, value):
+        """Merge a derived value by lattice join; True when the entry rose.
+        The value must have the system's shape; it is not checked here."""
+        lattice = self.lattice
+        if lattice.is_bottom(value):
             return False
         old = self.entries.get(atom)
         if old is None:
             self.entries[atom] = value
             return True
-        new = V.join(self.system, old, value)
-        if V.values_equal(self.system, new, old, tol=1e-12):
+        new = lattice.join(old, value)
+        if lattice.equal(new, old, 1e-12):
             return False
         self.entries[atom] = new
         return True

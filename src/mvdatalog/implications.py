@@ -44,6 +44,8 @@ from .values import EPS
 FUZZY_IMPLICATIONS = ("godel", "lukasiewicz", "kleene")
 IFS_IMPLICATIONS = ("fk", "fl", "fg1", "fg2")
 IVS_IMPLICATIONS = ("vk", "vl", "vg1", "vg2")
+# implications whose derived levels always stay inside their system
+ALWAYS_CLOSED = FUZZY_IMPLICATIONS + ("fg2", "vg2")
 
 ImplId = Union[str, Tuple[str, str]]
 
@@ -251,9 +253,7 @@ def closure_check(impl: ImplId, alpha, beta) -> bool:
     """
     if isinstance(impl, tuple):
         return tuple(impl) in CLOSED_BIPOLAR_PAIRS
-    if impl in FUZZY_IMPLICATIONS:
-        return True
-    if impl in ("fg2", "vg2"):
+    if impl in ALWAYS_CLOSED:
         return True
     if impl == "fg1" or impl == "vg1":
         return alpha[0] > beta[0] + EPS

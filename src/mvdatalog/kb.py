@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import values as V
 from .lang import (Atom, Constant, ParseError, Program, _Parser, _SYSTEM_NAMES,
-                   ground, herbrand)
+                   ground)
 from .engine import (EvalOrder, FixpointReport, Interpretation, applicable,
                      _head_level, _stratum_rule_lists, _sweep_to_fixpoint,
                      order_from_directive, stratify)
@@ -258,20 +258,8 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     meet takes the lattice meet of all arguments; meet_product replaces the
     argument lambdas by their pairwise product; product multiplies
     everything (interval-valued programs only).  All three are identity at
-    top and monotone in every argument.
+    top and monotone in every argument.  The values are not shape-checked.
     """
-    if phi_id == PHI_MEET:
-        return V.meet_all(system, [alpha, lambda_pred] + list(lambda_args))
-    if phi_id == PHI_MEET_PRODUCT:
-        # the pairwise product's neutral element is (1, 1), which is not the
-        # ifs lattice top; fold the argument lambdas only
-        args = [alpha, lambda_pred]
-        if lambda_args:
-            prod = lambda_args[0]
-            for lam in lambda_args[1:]:
-                prod = lam * prod if system == V.FUZZY else _pair_product(lam, prod)
-            args.append(prod)
-        return V.meet_all(system, args)
     if phi_id == PHI_PRODUCT:
         if system != V.IVS:
             raise ValueError("the product uncertainty function is only valid "
@@ -280,73 +268,117 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
         for lam in lambda_args:
             out = _pair_product(out, lam)
         return out
-    raise ValueError(f"unknown uncertainty function {phi_id!r}")
+    if phi_id == PHI_MEET_PRODUCT:
+        # the pairwise product's neutral element is (1, 1), which is not the
+        # ifs lattice top; fold the argument lambdas only
+        if lambda_args:
+            prod = lambda_args[0]
+            for lam in lambda_args[1:]:
+                prod = lam * prod if system == V.FUZZY else _pair_product(lam, prod)
+            lambda_args = (prod,)
+    elif phi_id != PHI_MEET:
+        raise ValueError(f"unknown uncertainty function {phi_id!r}")
+    lattice = V.lattice(system)
+    meet = lattice.meet
+    # top, then alpha, lambda_pred and the arguments: the operand order of
+    # the checked meet_all fold, so levels stay bit-for-bit the same
+    out = meet(meet(lattice.top, alpha), lambda_pred)
+    for lam in lambda_args:
+        out = meet(out, lam)
+    return out
 
 
 # ----------------------------------------------------------------------
 # Modified consequence transformation
 # ----------------------------------------------------------------------
 
+class _Spread:
+    """The proximity fan-out of derived heads, for one `consequence` call.
+
+    The proximity set of each predicate and term symbol is fetched once, and
+    each synonym atom is built once, keyed by (pred, argument names); atoms
+    adopted through `share` (the ground atoms) are used as they are, so a
+    synonym that is also a body atom is the same object.  A synonym of
+    p(t1..tn) is q(s1..sn) with q over the proximity set of p, outermost,
+    then each s_i over that of t_i, the first argument varying slowest.
+    """
+
+    def __init__(self, kb: KnowledgeBase):
+        self.kb = kb
+        self.system = kb.program.system
+        self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
+        self.term_options = {}   # constant name -> the same for it
+        self.atoms = {}          # (pred, names) -> Atom
+        self.constants = {}      # name -> Constant
+
+    def share(self, rules) -> None:
+        """Adopt the head and body atoms of these ground rules."""
+        atoms = self.atoms
+        for rule in rules:
+            for atom in (rule.head, *(lit.atom for lit in rule.body)):
+                atoms.setdefault((atom.pred, tuple(t.name for t in atom.args)), atom)
+
+    def _options(self, table, rel, symbol):
+        options = table.get(symbol)
+        if options is None:
+            pairs = proximity_set(rel, symbol, self.system)
+            options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
+        return options
+
+    def _synonyms(self, pred, names):
+        """(q, lambda_q, (s_1, ..), (lambda_1, ..)) per synonym of pred(names)."""
+        term_prox, term_options = self.kb.bk.term_prox, self.term_options
+        args = [self._options(term_options, term_prox, n) for n in names]
+        arg_names = [symbols for symbols, _ in args]
+        arg_lambdas = [lambdas for _, lambdas in args]
+        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
+        for q, lam_q in zip(qs, lam_qs):
+            for chosen, lambdas in zip(itertools.product(*arg_names),
+                                       itertools.product(*arg_lambdas)):
+                yield q, lam_q, chosen, lambdas
+
+    def widen(self, pred, names):
+        """The (pred, names) of every synonym of pred(names), for `ground`."""
+        return [(q, chosen) for q, _, chosen, _ in self._synonyms(pred, names)]
+
+    def _new_atom(self, pred, names) -> Atom:
+        consts = self.constants
+        args = tuple(consts.get(n) or consts.setdefault(n, Constant(n)) for n in names)
+        self.atoms[(pred, names)] = atom = Atom(pred, args)
+        return atom
+
+    def fire(self, head: Atom, alpha, out: Interpretation) -> None:
+        """Join every synonym of a head derived at level alpha into out."""
+        system, atoms, join_in = self.system, self.atoms, out.join_in
+        phi_id = self.kb.phi.phi_for(head.pred, len(head.args))
+        for q, lam_q, chosen, lambdas in self._synonyms(head.pred, [t.name for t in head.args]):
+            atom = atoms.get((q, chosen)) or self._new_atom(q, chosen)
+            join_in(atom, phi_apply(phi_id, system, alpha, lam_q, lambdas))
+
+
 def mod_nt_step(kb: KnowledgeBase, interp: Interpretation, rules=None,
-                diagnostics: Optional[list] = None) -> Interpretation:
+                diagnostics: Optional[list] = None,
+                spread: Optional[_Spread] = None) -> Interpretation:
     """One modified step: every applicable rule fires and its head is
-    spread over the proximity sets of its predicate and arguments."""
+    spread over the proximity sets of its predicate and arguments.  Without
+    a spread, one is built for this step alone."""
     sys = kb.program.system
     if rules is None:
         universe = modified_universe(kb)
         rules = [g for rs in ground(kb.program, universe) for g in rs]
+    if spread is None:
+        spread = _Spread(kb)
     out = interp.copy()
     for rule in rules:
         body = applicable(rule, interp)
         if body is None:
             continue
-        alpha = _head_level(rule, body, diagnostics, sys)
-        _expand_head(kb, rule.head, alpha, out)
+        spread.fire(rule.head, _head_level(rule, body, diagnostics, sys), out)
     return out
-
-
-def _expand_head(kb: KnowledgeBase, head: Atom, alpha, out: Interpretation) -> None:
-    sys = kb.program.system
-    phi_id = kb.phi.phi_for(head.pred, len(head.args))
-    for q, lam_q, chosen in _synonyms(kb, head.pred, [t.name for t in head.args]):
-        value = phi_apply(phi_id, sys, alpha, lam_q, [lam for _, lam in chosen])
-        out.join_in(Atom(q, tuple(Constant(s) for s, _ in chosen)), value)
-
-
-def _synonyms(kb: KnowledgeBase, pred: str, names):
-    """Every synonym of pred(names) as (q, lambda_q, ((s_1, lambda_1), ..)):
-    q over the proximity set of pred, outermost, then each s_i over that of
-    names[i], the first argument varying slowest."""
-    sys = kb.program.system
-    pred_options = proximity_set(kb.bk.pred_prox, pred, sys)
-    arg_options = [proximity_set(kb.bk.term_prox, n, sys) for n in names]
-    for q, lam_q in pred_options:
-        for chosen in itertools.product(*arg_options):
-            yield q, lam_q, chosen
 
 
 def modified_universe(kb: KnowledgeBase):
     return set(kb.program.constants()) | set(kb.bk.term_prox.symbols)
-
-
-def modified_base(kb: KnowledgeBase):
-    """Herbrand base over the modified universe, including predicates that
-    occur only in the background knowledge (arity inherited through the
-    proximity pairs)."""
-    arities = dict(kb.program.predicates())
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in kb.bk.pred_prox.pairs:
-            if a in arities and b not in arities:
-                arities[b] = arities[a]
-                changed = True
-            elif b in arities and a not in arities:
-                arities[a] = arities[b]
-                changed = True
-    extra = [(n, a) for n, a in arities.items() if n not in kb.program.predicates()]
-    return herbrand(kb.program, extra_constants=kb.bk.term_prox.symbols,
-                    extra_predicates=extra)[1]
 
 
 def consequence(kb: KnowledgeBase, max_iters: int = 10000,
@@ -355,7 +387,8 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
     consequence.  Facts are proximity-expanded before any proper rule can
     fire, since they are always-applicable empty-body rules in the leading
     stratum.  Grounding keeps the instances whose body atoms are derivable
-    when every derived head is widened over its synonyms."""
+    when every derived head is widened over its synonyms.  One spread serves
+    the widening and every step of the call."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     program = kb.program
@@ -366,15 +399,13 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
             order = stratify(program)
     diagnostics = list(order.warnings)
 
-    def widen(pred, names):
-        # the atoms _expand_head may store for a derived head
-        return [(q, tuple(s for s, _ in chosen)) for q, _, chosen in _synonyms(kb, pred, names)]
-
-    grounded = ground(program, modified_universe(kb), widen=widen)
+    spread = _Spread(kb)
+    grounded = ground(program, modified_universe(kb), widen=spread.widen)
+    spread.share(g for rules in grounded for g in rules)
     lists = _stratum_rule_lists(program, grounded, order)
 
     def step(rules, interp, diags):
-        return mod_nt_step(kb, interp, rules, diags)
+        return mod_nt_step(kb, interp, rules, diags, spread)
 
     interp = Interpretation(program.system)
     strata_steps = [(rules, step) for rules in lists]

@@ -61,20 +61,12 @@ def _check_shape(system: str, v: Value) -> None:
 
 def bottom(system: str) -> Value:
     _check_system(system)
-    if system == FUZZY:
-        return 0.0
-    if system in _IFS_LIKE:
-        return (0.0, 1.0)
-    return (0.0, 0.0)
+    return LATTICES[system].bottom
 
 
 def top(system: str) -> Value:
     _check_system(system)
-    if system == FUZZY:
-        return 1.0
-    if system in _IFS_LIKE:
-        return (1.0, 0.0)
-    return (1.0, 1.0)
+    return LATTICES[system].top
 
 
 def validate(system: str, v: Value) -> Optional[str]:
@@ -134,22 +126,14 @@ def meet(system: str, a: Value, b: Value) -> Value:
     _check_system(system)
     _check_shape(system, a)
     _check_shape(system, b)
-    if system == FUZZY:
-        return min(a, b)
-    if system in _IFS_LIKE:
-        return (min(a[0], b[0]), max(a[1], b[1]))
-    return (min(a[0], b[0]), min(a[1], b[1]))
+    return LATTICES[system].meet(a, b)
 
 
 def join(system: str, a: Value, b: Value) -> Value:
     _check_system(system)
     _check_shape(system, a)
     _check_shape(system, b)
-    if system == FUZZY:
-        return max(a, b)
-    if system in _IFS_LIKE:
-        return (max(a[0], b[0]), min(a[1], b[1]))
-    return (max(a[0], b[0]), max(a[1], b[1]))
+    return LATTICES[system].join(a, b)
 
 
 def meet_all(system: str, values) -> Value:
@@ -194,15 +178,75 @@ def ivs_to_ifs(a: Value) -> Value:
 
 
 def values_equal(system: str, a: Value, b: Value, tol: float = EPS) -> bool:
+    _check_system(system)
     _check_shape(system, a)
     _check_shape(system, b)
-    if system == FUZZY:
-        return abs(a - b) <= tol
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+    return LATTICES[system].equal(a, b, tol)
 
 
 def is_bottom(system: str, a: Value) -> bool:
     return values_equal(system, a, bottom(system))
+
+
+# ----------------------------------------------------------------------
+# Bound lattices: the formulas behind the checked functions above, for
+# callers that hold values of a known shape (the evaluator's inner loops).
+# Inputs are validated where they enter: the parser, build_kb, parse_level.
+# ----------------------------------------------------------------------
+
+def _scalar_equal(a: float, b: float, tol: float = EPS) -> bool:
+    return abs(a - b) <= tol
+
+
+def _pair_equal(a, b, tol: float = EPS) -> bool:
+    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+
+
+def _ifs_meet(a, b):
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _ifs_join(a, b):
+    return (max(a[0], b[0]), min(a[1], b[1]))
+
+
+def _ivs_meet(a, b):
+    return (min(a[0], b[0]), min(a[1], b[1]))
+
+
+def _ivs_join(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+class Lattice:
+    """One value system's lattice with its operations bound; none of them
+    checks its input.  meet(a, b), join(a, b), equal(a, b, tol=EPS)."""
+
+    __slots__ = ("top", "bottom", "meet", "join", "equal")
+
+    def __init__(self, top: Value, bottom: Value, meet, join, equal):
+        self.top = top
+        self.bottom = bottom
+        self.meet = meet
+        self.join = join
+        self.equal = equal
+
+    def is_bottom(self, a: Value) -> bool:
+        return self.equal(a, self.bottom)
+
+
+LATTICES = {
+    FUZZY: Lattice(1.0, 0.0, min, max, _scalar_equal),
+    **{s: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal)
+       for s in _IFS_LIKE},
+    **{s: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal)
+       for s in _IVS_LIKE},
+}
+
+
+def lattice(system: str) -> Lattice:
+    _check_system(system)
+    return LATTICES[system]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Seeded generators for the randomized property suites."""
 
+import itertools
 import random
 
 from mvdatalog import values as V
+from mvdatalog.engine import _head_level, applicable
 from mvdatalog.lang import (Atom, Constant, Literal, Program, Rule, Variable,
-                            _default_impl)
-from mvdatalog.kb import BackgroundKnowledge, PhiSpec, ProximityRelation
+                            _default_impl, ground)
+from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
+                          BackgroundKnowledge, PhiSpec, ProximityRelation,
+                          _pair_product, modified_universe, proximity_set)
 
 CONSTS = ["a", "b", "c", "d", "e", "f"]
 PRED_POOL = [("p", 1), ("q", 1), ("r", 2), ("s", 2)]
@@ -140,3 +144,68 @@ def reference_sweep(strata_steps, interp, max_iters, diagnostics):
                 changed_in_pass = True
         if not changed_in_pass:
             return interp, iterations, True
+
+
+def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None):
+    """The modified step that the per-call spreader `kb._Spread` replaced,
+    kept verbatim (with its checked, meet_all-based phi) as the reference
+    for differential tests; spread is accepted and ignored.
+
+    One modified step: every applicable rule fires and its head is
+    spread over the proximity sets of its predicate and arguments."""
+    sys = kb.program.system
+    if rules is None:
+        universe = modified_universe(kb)
+        rules = [g for rs in ground(kb.program, universe) for g in rs]
+    out = interp.copy()
+    for rule in rules:
+        body = applicable(rule, interp)
+        if body is None:
+            continue
+        alpha = _head_level(rule, body, diagnostics, sys)
+        _reference_expand_head(kb, rule.head, alpha, out)
+    return out
+
+
+def _reference_expand_head(kb, head, alpha, out):
+    sys = kb.program.system
+    phi_id = kb.phi.phi_for(head.pred, len(head.args))
+    for q, lam_q, chosen in _reference_synonyms(kb, head.pred, [t.name for t in head.args]):
+        value = _reference_phi_apply(phi_id, sys, alpha, lam_q, [lam for _, lam in chosen])
+        out.join_in(Atom(q, tuple(Constant(s) for s, _ in chosen)), value)
+
+
+def _reference_synonyms(kb, pred, names):
+    """Every synonym of pred(names) as (q, lambda_q, ((s_1, lambda_1), ..)):
+    q over the proximity set of pred, outermost, then each s_i over that of
+    names[i], the first argument varying slowest."""
+    sys = kb.program.system
+    pred_options = proximity_set(kb.bk.pred_prox, pred, sys)
+    arg_options = [proximity_set(kb.bk.term_prox, n, sys) for n in names]
+    for q, lam_q in pred_options:
+        for chosen in itertools.product(*arg_options):
+            yield q, lam_q, chosen
+
+
+def _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambda_args):
+    if phi_id == PHI_MEET:
+        return V.meet_all(system, [alpha, lambda_pred] + list(lambda_args))
+    if phi_id == PHI_MEET_PRODUCT:
+        # the pairwise product's neutral element is (1, 1), which is not the
+        # ifs lattice top; fold the argument lambdas only
+        args = [alpha, lambda_pred]
+        if lambda_args:
+            prod = lambda_args[0]
+            for lam in lambda_args[1:]:
+                prod = lam * prod if system == V.FUZZY else _pair_product(lam, prod)
+            args.append(prod)
+        return V.meet_all(system, args)
+    if phi_id == PHI_PRODUCT:
+        if system != V.IVS:
+            raise ValueError("the product uncertainty function is only valid "
+                             "in the interval-valued case")
+        out = _pair_product(alpha, lambda_pred)
+        for lam in lambda_args:
+            out = _pair_product(out, lam)
+        return out
+    raise ValueError(f"unknown uncertainty function {phi_id!r}")

@@ -105,6 +105,15 @@ def test_numpy_tables_match_scalar_tables():
             assert abs(vec - I._fuzzy_implication(impl, a, g)) < 1e-12
 
 
+def test_always_closed_implications():
+    assert set(I.ALWAYS_CLOSED) == set(I.FUZZY_IMPLICATIONS) | {"fg2", "vg2"}
+    rng = random.Random(9)
+    pairs = [(rng.random(), rng.random()) for _ in range(200)]
+    for impl in I.IFS_IMPLICATIONS + I.IVS_IMPLICATIONS:
+        verdicts = {I.closure_check(impl, a, b) for a in pairs for b in pairs[:20]}
+        assert verdicts == ({True} if impl in I.ALWAYS_CLOSED else {True, False}), impl
+
+
 def test_oracle_agreement_coarse():
     """Quick 0.2-grid agreement; the full 0.05/0.001 sweep runs in the
     acceptance suite."""

@@ -58,6 +58,48 @@ def test_shape_mismatch_rejected():
         V.meet(V.IFS, 0.5, (0.5, 0.5))
 
 
+def test_checked_functions_reject_what_lattices_accept():
+    with pytest.raises(ValueError):
+        V.join(V.IVS, (0.5, 0.5), 0.5)
+    with pytest.raises(ValueError):
+        V.values_equal(V.FUZZY, (0.5, 0.5), 0.5)
+    with pytest.raises(ValueError):
+        V.is_bottom(V.IFS, 0.0)
+    with pytest.raises(ValueError):
+        V.lattice("boolean")
+
+
+# derived values outside the lattice constraints (non-G2 operators, bipolar)
+OUT_OF_LATTICE = {
+    V.FUZZY: [1.2, -0.1, 1.0 + 1e-10],
+    V.IFS: [(0.8, 0.8), (0.6, 0.5), (1.0, 1.0)],
+    V.IVS: [(0.6, 0.4), (1.0, 0.0), (0.3, 0.2999999999)],
+    V.BIPOLAR_A: [(0.9, 0.9), (0.7, 0.6)],
+    V.BIPOLAR_B: [(0.9, 0.9), (0.7, 0.6)],
+}
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_bound_lattice_agrees_with_checked_functions(system):
+    lat = V.LATTICES[system]
+    assert V.lattice(system) is lat
+    assert lat.top == V.top(system) and lat.bottom == V.bottom(system)
+    pts = system_grid(system) + OUT_OF_LATTICE[system]
+    for a, b in itertools.product(pts, pts):
+        assert lat.meet(a, b) == V.meet(system, a, b)
+        assert lat.join(a, b) == V.join(system, a, b)
+        assert lat.equal(a, b) == V.values_equal(system, a, b)
+        assert lat.equal(a, b, 0.1) == V.values_equal(system, a, b, tol=0.1)
+    for a in pts:
+        assert lat.is_bottom(a) == V.is_bottom(system, a)
+    grid_pts = system_grid(system)
+    for a in grid_pts:
+        assert lat.meet(a, lat.top) == a and lat.join(a, lat.bottom) == a
+    # leq has a formula of its own
+    for a, b in itertools.product(grid_pts, grid_pts):
+        assert V.leq(system, a, b) == (lat.meet(a, b) == a) == (lat.join(a, b) == b)
+
+
 def test_conversion_cases():
     assert V.ifs_to_ivs((0.6, 0.3)) == (0.6, 0.7)
     assert V.ifs_to_ivs((0.0, 1.0)) == (0.0, 0.0)
