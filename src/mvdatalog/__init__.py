@@ -5,7 +5,7 @@ from .values import (FUZZY, IFS, IVS, BIPOLAR_A, BIPOLAR_B, SYSTEMS,
                      bottom, top, leq, meet, join, negate, validate,
                      ifs_to_ivs, ivs_to_ifs, fmt)
 from .implications import (apply_implication, level_fn, bipolar_level,
-                           closure_check, oracle_level_fn, LevelResult)
+                           closure_check, LevelResult)
 from .lang import (Atom, Constant, Variable, ProximityRef, Literal, Rule,
                    Program, ParseError, SafetyError, parse_program,
                    print_program, check_safety, herbrand, ground, unify)

@@ -128,8 +128,7 @@ def _render(args, system, atoms, converged, iterations, diagnostics) -> str:
     return "\n".join(lines)
 
 
-def _finish(args, system, report) -> int:
-    atoms = report.interpretation.sorted_items()
+def _finish(args, system, atoms, report) -> int:
     print(_render(args, system, atoms, report.converged, report.iterations,
                   report.diagnostics))
     if args.strict_values and _closure_violations(report.diagnostics):
@@ -180,25 +179,18 @@ def run(argv=None) -> int:
             for w in order.warnings:
                 print(f"error: {w}", file=sys.stderr)
             return EXIT_SAFETY
+        system = kb.program.system
+        if args.command == "query":
+            goal_atom = parse_goal(args.goal, kb.program)
+            level = parse_level(args.at_least, system) if args.at_least else None
+            result = answer(kb, Goal(goal_atom, level),
+                            depth_limit=args.depth_limit, max_iters=args.max_iters)
+            return _finish(args, system, result.answers, result.report)
         if args.command == "fixpoint":
             report = fixpoint(kb.program, mode=args.mode, max_iters=args.max_iters)
-            return _finish(args, kb.program.system, report)
-        if args.command == "consequence":
+        else:
             report = consequence(kb, max_iters=args.max_iters)
-            return _finish(args, kb.program.system, report)
-        # query
-        goal_atom = parse_goal(args.goal, kb.program)
-        level = parse_level(args.at_least, kb.program.system) if args.at_least else None
-        result = answer(kb, Goal(goal_atom, level),
-                        depth_limit=args.depth_limit, max_iters=args.max_iters)
-        print(_render(args, kb.program.system, result.answers,
-                      result.report.converged, result.report.iterations,
-                      result.report.diagnostics))
-        if args.strict_values and _closure_violations(result.report.diagnostics):
-            return EXIT_VALUES
-        if not result.report.converged:
-            return EXIT_LIMIT
-        return EXIT_OK
+        return _finish(args, system, report.interpretation.sorted_items(), report)
     except SafetyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAFETY

@@ -48,28 +48,23 @@ class Interpretation:
     def join_in(self, atom: Atom, value) -> bool:
         """Merge a derived value by lattice join; True when the entry rose.
         The value must have the system's shape; it is not checked here."""
-        lattice = self.lattice
-        if lattice.is_bottom(value):
-            return False
-        old = self.entries.get(atom)
-        if old is None:
-            self.entries[atom] = value
-            return True
-        new = lattice.join(old, value)
-        if lattice.equal(new, old, 1e-12):
+        new = self._raised(atom, value)
+        if new is None:
             return False
         self.entries[atom] = new
         return True
 
-    def would_rise(self, atom: Atom, value) -> bool:
-        """Whether join_in(atom, value) would change this interpretation."""
-        if V.is_bottom(self.system, value):
-            return False
+    def _raised(self, atom: Atom, value):
+        """The entry that join_in(atom, value) stores, or None when the
+        entry would not rise."""
+        lattice = self.lattice
+        if lattice.is_bottom(value):
+            return None
         old = self.entries.get(atom)
         if old is None:
-            return True
-        return not V.values_equal(self.system, V.join(self.system, old, value),
-                                  old, tol=1e-12)
+            return value
+        new = lattice.join(old, value)
+        return None if lattice.equal(new, old, 1e-12) else new
 
     def leq(self, other: "Interpretation") -> bool:
         """Pointwise order: every entry is dominated in the other."""
@@ -165,12 +160,12 @@ def nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None) -
         body = applicable(rule, interp)
         if body is None:
             continue
-        value = _head_level(rule, body, None, interp.system)
-        if interp.would_rise(rule.head, value):
+        raised = interp._raised(rule.head, _head_level(rule, body, None, interp.system))
+        if raised is not None:
             # record diagnostics only for the productive application
             _head_level(rule, body, diagnostics, interp.system)
             out = interp.copy()
-            out.join_in(rule.head, value)
+            out.entries[rule.head] = raised
             return out
     return interp
 

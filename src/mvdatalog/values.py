@@ -30,7 +30,6 @@ BIPOLAR_A = "bipolar_a"
 BIPOLAR_B = "bipolar_b"
 
 SYSTEMS = (FUZZY, IFS, IVS, BIPOLAR_A, BIPOLAR_B)
-PAIR_SYSTEMS = (IFS, IVS, BIPOLAR_A, BIPOLAR_B)
 
 # systems whose pair order is "first coordinate up, second coordinate down"
 _IFS_LIKE = (IFS, BIPOLAR_B)
@@ -38,10 +37,6 @@ _IFS_LIKE = (IFS, BIPOLAR_B)
 _IVS_LIKE = (IVS, BIPOLAR_A)
 
 Value = Union[float, Tuple[float, float]]
-
-
-def is_pair_system(system: str) -> bool:
-    return system in PAIR_SYSTEMS
 
 
 def _check_system(system: str) -> None:

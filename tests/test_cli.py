@@ -1,10 +1,15 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from mvdatalog.cli import run
 
 from conftest import DATA
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -152,6 +157,18 @@ def test_strict_values_passes_clean_programs(capsys):
     assert code == 0
 
 
+def test_strict_values_violation_is_reported_by_every_command(tmp_path, capsys):
+    viol = tmp_path / "viol.mvd"
+    viol.write_text("%system ifs.\nfact p(a) = (0.3, 0.3).\n"
+                    "rule q(X) <- p(X) : fk, (0.5, 0.4).\n")
+    message = ("error: derived values violate the value-system constraints "
+               "(--strict-values)")
+    for extra in (["fixpoint"], ["consequence"], ["query", "--goal", "q(X)"]):
+        code, _, err = invoke(capsys, extra[0], viol, *extra[1:], "--strict-values")
+        assert code == 4, extra
+        assert err.strip() == message, extra
+
+
 def _usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as e:
         run([str(a) for a in argv])
@@ -198,3 +215,15 @@ def test_fractional_phi_arity_is_parse_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "consequence", DATA / "ex23.mvd", "--phi", bad)
     assert code == 2
     assert err == "error: line 1, col 7: expected an integer, found '1.5'\n"
+
+
+def test_import_loads_no_numpy():
+    """Importing the package and its CLI loads no numpy: it is a test dependency."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import mvdatalog, mvdatalog.cli; "
+             "print(mvdatalog.__file__); print('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    origin, numpy_loaded = done.stdout.split()
+    assert pathlib.Path(origin).is_relative_to(SRC)
+    assert numpy_loaded == "False"

@@ -7,6 +7,7 @@ from mvdatalog import values as V
 from mvdatalog import implications as I
 
 from helpers import grid, valid_pairs
+import oracle as O
 
 
 def test_compatibility():
@@ -78,12 +79,26 @@ def test_closure_check_is_sufficient():
 
 
 def test_oracle_cases():
-    assert abs(I.oracle_level_fn("godel", V.FUZZY, 0.6, 0.7, 0.001) - 0.6) < 1e-9
-    assert abs(I.oracle_level_fn("kleene", V.FUZZY, 0.4, 0.9, 0.001) - 0.9) < 1e-9
-    assert I.oracle_level_fn("lukasiewicz", V.FUZZY, 0.3, 0.2) == 0.0
+    assert abs(O.oracle_level_fn("godel", V.FUZZY, 0.6, 0.7, 0.001) - 0.6) < 1e-9
+    assert abs(O.oracle_level_fn("kleene", V.FUZZY, 0.4, 0.9, 0.001) - 0.9) < 1e-9
+    assert O.oracle_level_fn("lukasiewicz", V.FUZZY, 0.3, 0.2) == 0.0
     with pytest.raises(ValueError):
-        I.oracle_level_fn("godel", V.FUZZY, 0.5, 0.5, step=0.5)
+        O.oracle_level_fn("godel", V.FUZZY, 0.5, 0.5, step=0.5)
 
+
+def test_oracle_level_many_matches_per_beta_calls():
+    bipolar = list(itertools.product(I.FUZZY_IMPLICATIONS, repeat=2))
+    cases = ((V.FUZZY, I.FUZZY_IMPLICATIONS, grid(0.1), grid(0.05)),
+             (V.IFS, I.IFS_IMPLICATIONS, valid_pairs(V.IFS, 0.1), valid_pairs(V.IFS)),
+             (V.IVS, I.IVS_IMPLICATIONS, valid_pairs(V.IVS, 0.1), valid_pairs(V.IVS)),
+             (V.BIPOLAR_A, bipolar, valid_pairs(V.IFS, 0.1), valid_pairs(V.IFS)),
+             (V.BIPOLAR_B, bipolar, valid_pairs(V.IFS, 0.1), valid_pairs(V.IFS)))
+    for system, impls, alphas, betas in cases:
+        for impl in impls:
+            for a in alphas[::5]:
+                single = [O.oracle_level_fn(impl, system, a, b, 0.001) for b in betas]
+                assert O.oracle_level_many(impl, system, a, betas, 0.001) == single, \
+                    (system, impl, a)
 
 def test_numpy_tables_match_scalar_tables():
     import numpy as np
@@ -93,7 +108,7 @@ def test_numpy_tables_match_scalar_tables():
             for _ in range(300):
                 a = (rng.random(), rng.random())
                 g = (rng.random(), rng.random())
-                i1, i2 = I._pair_implication_np(impl, a, np.array([g[0]]), np.array([g[1]]))
+                i1, i2 = O._pair_implication_np(impl, a, np.array([g[0]]), np.array([g[1]]))
                 scalar = I._pair_implication(impl, a, g)
                 assert abs(float(np.asarray(i1).ravel()[0]) - scalar[0]) < 1e-12
                 assert abs(float(np.asarray(i2).ravel()[0]) - scalar[1]) < 1e-12
@@ -101,7 +116,7 @@ def test_numpy_tables_match_scalar_tables():
     for impl in I.FUZZY_IMPLICATIONS:
         for _ in range(300):
             a, g = rng.random(), rng.random()
-            vec = float(I._fuzzy_implication_np(impl, a, np.array([g]))[0])
+            vec = float(O._fuzzy_implication_np(impl, a, np.array([g]))[0])
             assert abs(vec - I._fuzzy_implication(impl, a, g)) < 1e-12
 
 
@@ -121,13 +136,13 @@ def test_oracle_agreement_coarse():
         for a in grid(0.2):
             for b in grid(0.2):
                 c = I.level_fn(impl, V.FUZZY, a, b).value
-                assert abs(c - I.oracle_level_fn(impl, V.FUZZY, a, b, 0.01)) <= 0.01
+                assert abs(c - O.oracle_level_fn(impl, V.FUZZY, a, b, 0.01)) <= 0.01
     for system, impls in ((V.IFS, I.IFS_IMPLICATIONS), (V.IVS, I.IVS_IMPLICATIONS)):
         pts = valid_pairs(system, 0.2)
         for impl in impls:
             for a, b in itertools.product(pts, pts):
                 c = I.level_fn(impl, system, a, b).value
-                o = I.oracle_level_fn(impl, system, a, b, 0.01)
+                o = O.oracle_level_fn(impl, system, a, b, 0.01)
                 assert abs(c[0] - o[0]) <= 0.01 and abs(c[1] - o[1]) <= 0.01, (impl, a, b, c, o)
 
 
@@ -138,7 +153,7 @@ def test_bipolar_oracle_agreement():
         for ids in pairs:
             for a, b in itertools.product(pts[::3], pts[::3]):
                 c = I.bipolar_level(variant, ids[0], ids[1], a, b).value
-                o = I.oracle_level_fn(ids, system, a, b, 0.001)
+                o = O.oracle_level_fn(ids, system, a, b, 0.001)
                 assert abs(c[0] - o[0]) <= 0.001 and abs(c[1] - o[1]) <= 0.001
 
 
