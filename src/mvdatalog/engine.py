@@ -119,16 +119,17 @@ class FixpointReport:
 def applicable(rule: GroundRule, interp: Interpretation):
     """Body value when every literal's kernel atom is present, else None.
     Negative literals contribute the complement of the stored value; an
-    empty body evaluates to top."""
-    sys = interp.system
-    acc = V.top(sys)
+    empty body evaluates to top.  The stored values have the system's
+    shape, so the interpretation's bound lattice serves unchecked."""
+    lattice = interp.lattice
+    acc = lattice.top
     for lit in rule.body:
         val = interp.get(lit.atom)
         if val is None:
             return None
         if lit.negated:
-            val = V.negate(sys, val)
-        acc = V.meet(sys, acc, val)
+            val = lattice.negate(val)
+        acc = lattice.meet(acc, val)
     return acc
 
 

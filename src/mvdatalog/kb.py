@@ -23,6 +23,7 @@ Function-set file: lines `phi ident "/" arity "=" ("meet"|"meet-product"|"produc
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,6 +142,10 @@ class KnowledgeBase:
     bk: BackgroundKnowledge
     program: Program
     phi: PhiSpec
+    # the restricted consequences `query.answer` computed on this knowledge
+    # base, least recently used first; see `query._reused_consequence`
+    _consequences: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                       repr=False, compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +343,12 @@ class _Spread:
                 yield q, lam_q, chosen, lambdas
 
     def widen(self, pred, names):
-        """The (pred, names) of every synonym of pred(names), for `ground`."""
-        return [(q, chosen) for q, _, chosen, _ in self._synonyms(pred, names)]
+        """The (pred, names) of every synonym of pred(names), for `ground`,
+        in `_synonyms` order."""
+        term_prox, term_options = self.kb.bk.term_prox, self.term_options
+        arg_names = [self._options(term_options, term_prox, n)[0] for n in names]
+        qs, _ = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
+        return [(q, chosen) for q in qs for chosen in itertools.product(*arg_names)]
 
     def _new_atom(self, pred, names) -> Atom:
         consts = self.constants

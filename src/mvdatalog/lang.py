@@ -792,8 +792,11 @@ def _derivable_substitutions(program: Program, names: list, widen):
     universe = set(names)
     joins = [_RuleJoin(r, universe, names) for r in program.rules]
     derivable = _Relations()
+    rows = derivable.rows
     widened = set()
-    found = []          # atoms derived in the current round
+    # the atoms first derived in the current round, in order: a synonym that
+    # is derivable already, or found earlier in the round, is dropped here
+    found = {}
 
     def head_emitter(join):
         pred, head_names = join.head_pred, join.head_names
@@ -802,7 +805,9 @@ def _derivable_substitutions(program: Program, names: list, widen):
             atom = (pred, head_names(binding))
             if atom not in widened:
                 widened.add(atom)
-                found.extend(widen(*atom))
+                for syn in widen(*atom):
+                    if syn[1] not in rows.get(syn[0], ()):
+                        found[syn] = None
         return emit
 
     emitters = [head_emitter(j) for j in joins]
@@ -812,8 +817,8 @@ def _derivable_substitutions(program: Program, names: list, widen):
     while found:
         delta = _Relations()
         for pred, atom_names in found:
-            if derivable.add(pred, atom_names):
-                delta.add(pred, atom_names)
+            derivable.add(pred, atom_names)
+            delta.add(pred, atom_names)
         found.clear()
         for join, emit in zip(joins, emitters):
             for i, (pred, _) in enumerate(join.atoms):

@@ -100,6 +100,7 @@ class _TreeBuilder:
         self.expanded = set()    # (canonical atom, phase)
         self.truncated = False
         self.fresh = 0
+        self.proper = [(rule.head.functor, rule) for _, _, rule in self.program.proper_rules()]
         self.facts_by_pred = {}
         for atom, _ in self.program.facts():
             self.facts_by_pred.setdefault(atom.pred, []).append(atom)
@@ -143,8 +144,13 @@ class _TreeBuilder:
         if self._mark(node, "rule") or self._cut(node):
             return
         depth = node.depth + 1
-        for _, _, rule in self.program.proper_rules():
+        functor = node.atom.functor
+        for head_functor, rule in self.proper:
+            # every rule takes a renaming number, but only the heads of this
+            # functor are renamed: unify rejects the others unread
             self.fresh += 1
+            if head_functor != functor:
+                continue
             fresh = rename_apart(rule, f"r{self.fresh}")
             theta = unify(node.atom, fresh.head)
             if theta is None:
@@ -249,6 +255,37 @@ def _restrict_to_facts(program: Program, kept) -> Program:
                    program.order_directive, list(program.warnings))
 
 
+# restricted consequences a knowledge base keeps for reuse
+_REUSED_CONSEQUENCES = 32
+
+
+def _copy_report(report: FixpointReport) -> FixpointReport:
+    return FixpointReport(report.interpretation.copy(), report.iterations,
+                          report.converged, list(report.diagnostics))
+
+
+def _reused_consequence(kb: KnowledgeBase, restricted: KnowledgeBase,
+                        max_iters: int) -> FixpointReport:
+    """consequence(restricted, max_iters), reused across the goals answered
+    on kb.  The key holds everything that call reads, so any change to the
+    program, the background knowledge or phi misses the table; the table
+    and every caller get copies of a stored report."""
+    program, bk = restricted.program, restricted.bk
+    key = (tuple(program.rules), program.system, tuple(program.order_directive or ()),
+           max_iters, frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
+           tuple(bk.pred_prox.pairs.items()), tuple(restricted.phi.by_functor.items()))
+    table = kb._consequences
+    stored = table.get(key)
+    if stored is None:
+        report = consequence(restricted, max_iters)
+        table[key] = _copy_report(report)
+        if len(table) > _REUSED_CONSEQUENCES:
+            table.popitem(last=False)
+        return report
+    table.move_to_end(key)
+    return _copy_report(stored)
+
+
 @dataclass
 class QueryResult:
     answers: list                 # [(ground Atom, value)] sorted
@@ -264,7 +301,7 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     tree = build_tree(kb, goal, depth_limit)
     x0 = starting_facts(tree, kb.program)
     restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
-    report = consequence(restricted, max_iters)
+    report = _reused_consequence(kb, restricted, max_iters)
     answers = []
     for atom, val in report.interpretation.sorted_items():
         if unify(goal.atom, atom) is None:

@@ -147,13 +147,7 @@ def negate(system: str, a: Value) -> Value:
     """
     _check_system(system)
     _check_shape(system, a)
-    if system == FUZZY:
-        return 1.0 - a
-    if system == IFS:
-        return (a[1], a[0])
-    if system == IVS:
-        return (1.0 - a[1], 1.0 - a[0])
-    return (1.0 - a[0], 1.0 - a[1])
+    return LATTICES[system].negate(a)
 
 
 def ifs_to_ivs(a: Value) -> Value:
@@ -213,29 +207,49 @@ def _ivs_join(a, b):
     return (max(a[0], b[0]), max(a[1], b[1]))
 
 
+def _fuzzy_negate(a):
+    return 1.0 - a
+
+
+def _ifs_negate(a):
+    return (a[1], a[0])
+
+
+def _ivs_negate(a):
+    return (1.0 - a[1], 1.0 - a[0])
+
+
+def _bipolar_negate(a):
+    return (1.0 - a[0], 1.0 - a[1])
+
+
 class Lattice:
     """One value system's lattice with its operations bound; none of them
-    checks its input.  meet(a, b), join(a, b), equal(a, b, tol=EPS)."""
+    checks its input.  meet(a, b), join(a, b), equal(a, b, tol=EPS),
+    negate(a)."""
 
-    __slots__ = ("top", "bottom", "meet", "join", "equal")
+    __slots__ = ("top", "bottom", "meet", "join", "equal", "negate")
 
-    def __init__(self, top: Value, bottom: Value, meet, join, equal):
+    def __init__(self, top: Value, bottom: Value, meet, join, equal, negate):
         self.top = top
         self.bottom = bottom
         self.meet = meet
         self.join = join
         self.equal = equal
+        self.negate = negate
 
     def is_bottom(self, a: Value) -> bool:
         return self.equal(a, self.bottom)
 
 
 LATTICES = {
-    FUZZY: Lattice(1.0, 0.0, min, max, _scalar_equal),
-    **{s: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal)
-       for s in _IFS_LIKE},
-    **{s: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal)
-       for s in _IVS_LIKE},
+    FUZZY: Lattice(1.0, 0.0, min, max, _scalar_equal, _fuzzy_negate),
+    IFS: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal, _ifs_negate),
+    BIPOLAR_B: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal,
+                       _bipolar_negate),
+    IVS: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal, _ivs_negate),
+    BIPOLAR_A: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal,
+                       _bipolar_negate),
 }
 
 

@@ -6,10 +6,11 @@ import random
 from mvdatalog import values as V
 from mvdatalog.engine import _head_level, applicable
 from mvdatalog.lang import (Atom, Constant, Literal, Program, Rule, Variable,
-                            _default_impl, ground)
+                            _default_impl, ground, rename_apart, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, modified_universe, proximity_set)
+from mvdatalog.query import SearchNode, SearchTree, _connective, _TreeBuilder
 
 CONSTS = ["a", "b", "c", "d", "e", "f"]
 PRED_POOL = [("p", 1), ("q", 1), ("r", 2), ("s", 2)]
@@ -209,3 +210,44 @@ def _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambda_args):
             out = _pair_product(out, lam)
         return out
     raise ValueError(f"unknown uncertainty function {phi_id!r}")
+
+
+class ReferenceTreeBuilder(_TreeBuilder):
+    """The search-tree builder before its rule phase skipped the rules of
+    another head functor, kept as the reference for differential tests: it
+    renames every proper rule apart at every rule-phase node."""
+
+    def expand_rule_phase(self, node: SearchNode) -> None:
+        """Depth 3k+1: unify with rule heads and with facts."""
+        if self._mark(node, "rule") or self._cut(node):
+            return
+        depth = node.depth + 1
+        for _, _, rule in self.program.proper_rules():
+            self.fresh += 1
+            fresh = rename_apart(rule, f"r{self.fresh}")
+            theta = unify(node.atom, fresh.head)
+            if theta is None:
+                continue
+            literals = tuple(type(l)(substitute(l.atom, theta), l.negated)
+                             for l in fresh.body)
+            body = SearchNode("body", depth, atom=substitute(fresh.head, theta),
+                              literals=literals, connective=_connective(depth))
+            node.children.append(body)
+            if not self._cut(body):
+                for lit in literals:
+                    child = SearchNode("subgoal", depth + 1, lit.atom,
+                                       connective=_connective(depth + 1),
+                                       note="negated" if lit.negated else "")
+                    body.children.append(child)
+                    self.expand_prox_phase(child)
+        self._fact_candidates(node, depth)
+        if not node.children:
+            node.children.append(SearchNode("no", depth))
+
+
+def reference_build_tree(kb, goal, depth_limit: int = 64) -> SearchTree:
+    """`query.build_tree` on the reference builder."""
+    builder = ReferenceTreeBuilder(kb, depth_limit)
+    root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
+    builder.expand_goal(root)
+    return SearchTree(root, builder.truncated, depth_limit)

@@ -1,19 +1,23 @@
-"""Smoke test of the benchmark harness: one traced pass of the proximity
-workload, whose self-checks need every span it expects (`kb.mod_step` and
-`kb.proximity_set` among them) to fire and every output to match its
-recorded digest.  No timing is asserted."""
+"""Smoke test of the benchmark harness: one traced pass of the proximity and
+of the query workload, whose self-checks need every span they expect
+(`kb.mod_step` and `kb.proximity_set` among them, and on query the
+`query.*` spans) to fire, the same counts in the phase and counter passes,
+and every output to match its recorded digest.  No timing is asserted."""
 
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_proximity_pass_is_correct():
+@pytest.mark.parametrize("workload", ["proximity", "query"])
+def test_traced_pass_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", "proximity",
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=600, cwd=ROOT)
     assert done.returncode == 0, done.stderr

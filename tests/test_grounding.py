@@ -101,6 +101,42 @@ def test_pruned_grounding_paper_examples(monkeypatch, ex1, ex23_kb, ex17_kb):
         _dropped(monkeypatch, kb, lambda: consequence(knowledge))
 
 
+def _reference_pruned(program, universe, widen):
+    """The pruned grounding by its definition, computed naively over the
+    full grounding: the least set holding widen(head) for every instance
+    whose body atoms are all in it, then the instances whose are."""
+    full = lang.ground(program, universe)
+
+    def key(atom):
+        return atom.pred, tuple(t.name for t in atom.args)
+
+    derivable = set()
+    while True:
+        new = {syn for rules in full for g in rules
+               if all(key(lit.atom) in derivable for lit in g.body)
+               for syn in widen(*key(g.head))} - derivable
+        if not new:
+            break
+        derivable |= new
+    return [[g for g in rules if all(key(lit.atom) in derivable for lit in g.body)]
+            for rules in full]
+
+
+def test_pruned_grounding_matches_its_definition():
+    """Exactly the instances the definition keeps, in substitution order."""
+    rng = random.Random(7)
+    for trial in range(100):
+        program = random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
+                                 allow_negation=trial % 2 == 1)
+        if trial % 4 >= 2:
+            program = _with_constants(rng, program)
+        knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
+        universe = kb.modified_universe(knowledge)
+        for widen in (engine._unwidened, kb._Spread(knowledge).widen):
+            assert (lang.ground(program, universe, widen=widen)
+                    == _reference_pruned(program, universe, widen)), trial
+
+
 def test_ground_without_widen_is_full_grounding(ex1):
     universe = ex1.constants() | {"c"}
     full = lang.ground(ex1, universe)

@@ -1,12 +1,19 @@
+import dataclasses
+import random
+
 import pytest
 
+from mvdatalog import query
 from mvdatalog import values as V
-from mvdatalog.lang import Atom, Constant, parse_program
-from mvdatalog.kb import build_kb, consequence
+from mvdatalog.lang import Atom, Constant, Literal, Rule, Variable, parse_program
+from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, consequence,
+                          parse_proximity_file)
 from mvdatalog.query import (Goal, answer, build_tree, parse_goal, parse_level,
                              starting_facts)
 
 from conftest import load_kb
+from helpers import (random_bk, random_level, random_phi, random_program,
+                     reference_build_tree)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -159,3 +166,188 @@ def test_parse_goal_checks_arity(ex1):
     from mvdatalog.lang import ParseError
     with pytest.raises(ParseError, match="arity"):
         parse_goal("s(X, Y)", ex1)
+
+
+def tree_rows(tree):
+    return [(n.kind, n.depth, str(n.atom), n.literals, n.repeated, n.note)
+            for n in tree.walk()]
+
+
+@pytest.mark.parametrize("depth_limit", [64, 4, 3])
+def test_tree_matches_unfiltered_builder(ex1, ex23_kb, ex17_kb, depth_limit):
+    """Skipping the rules of another head functor changes no node: the
+    renamed variables, and with them the whole walk, stay the same."""
+    cases = [(build_kb(ex1), ["s(X)", "q(X, Y)", "q(a, b)", "p(X)", "r(b)", "zz(X)"]),
+             (ex23_kb, ["li(M, X)", "lo(X, Y)", "lo(M, V)", "fv(X)", "gc(B)"]),
+             (ex17_kb, ["r(X)", "s(X)", "s(b)", "r(c)"])]
+    for kb, goals in cases:
+        for text in goals:
+            goal = Goal(parse_goal(text, kb.program))
+            tree = build_tree(kb, goal, depth_limit)
+            reference = reference_build_tree(kb, goal, depth_limit)
+            assert tree_rows(tree) == tree_rows(reference), text
+            assert tree.truncated == reference.truncated
+
+
+# ----------------------------------------------------------------------
+# Restricted consequences reused across the goals answered on one KB
+# ----------------------------------------------------------------------
+
+def outcome(result):
+    """Everything an answer reports, with the fixed point in stored order."""
+    report = result.report
+    return (result.answers, result.starting, list(report.interpretation.entries.items()),
+            report.iterations, report.converged, report.diagnostics)
+
+
+@pytest.fixture
+def count_consequences(monkeypatch):
+    """The number of restricted consequences `answer` computes."""
+    calls = []
+    real = query.consequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(query, "consequence", counted)
+    return calls
+
+
+def random_inputs(seed):
+    """A seeded program, background knowledge and phi: the system cycles
+    through all five, negation alternates."""
+    rng = random.Random(seed)
+    system = V.SYSTEMS[seed % len(V.SYSTEMS)]
+    program = random_program(rng, system, allow_negation=seed % 2 == 1)
+    return program, random_bk(rng, program), random_phi(rng, program)
+
+
+def random_goals(rng, program, count):
+    constants = sorted(program.constants() | {"z"})
+    functors = sorted(program.predicates().items()) + [("zz", 1)]
+    goals = []
+    for _ in range(count):
+        pred, arity = rng.choice(functors)
+        args = tuple(Variable(rng.choice("XY")) if rng.random() < 0.6
+                     else Constant(rng.choice(constants)) for _ in range(arity))
+        level = random_level(rng, program.system) if rng.random() < 0.3 else None
+        goals.append(Goal(Atom(pred, args), level))
+    return goals
+
+
+def test_reused_consequences_match_fresh_knowledge_bases(count_consequences):
+    answered = 0
+    for seed in range(60):
+        kb = build_kb(*random_inputs(seed))
+        rng = random.Random(f"goals/{seed}")
+        goals = random_goals(rng, kb.program, 5)
+        for goal in goals + [rng.choice(goals) for _ in range(5)]:
+            got = outcome(answer(kb, goal))
+            fresh = build_kb(*random_inputs(seed))
+            assert got == outcome(answer(fresh, goal)), (seed, goal)
+            answered += 1
+    # every fresh answer computes its consequence; the shared KBs reused some
+    assert answered < len(count_consequences) < 2 * answered
+
+
+STALE_PROGRAM = """%system bipolar-a.
+fact p(a) = (0.8, 0.1).
+fact p(b) = (0.6, 0.3).
+fact e(a, b) = (0.7, 0.2).
+rule q(X) <- p(X) : (godel, godel), (0.9, 0.05).
+rule s(X) <- p(X) : (lukasiewicz, godel), (0.85, 0.1).
+rule t(X, Y) <- e(X, Y), p(X) : (godel, kleene), (0.9, 0.05).
+"""
+
+STALE_PROX = """%system bipolar-a.
+%domain terms.
+a ~ b = (0.7, 0.2).
+%domain predicates.
+q ~ qq = (0.8, 0.1).
+"""
+
+X, Y = Variable("X"), Variable("Y")
+
+
+def stale_kb():
+    program = parse_program(STALE_PROGRAM)
+    # only buildable directly: Y is bound by no body atom, so it ranges over
+    # the modified universe, which the term symbols extend
+    program.rules.append(Rule(Atom("u", (X, Y)), (Literal(Atom("p", (X,))),),
+                              ("godel", "godel"), (0.9, 0.05)))
+    term_prox, pred_prox, _ = parse_proximity_file(STALE_PROX)
+    return build_kb(program, BackgroundKnowledge(term_prox, pred_prox))
+
+
+def _new_fact_level(kb):
+    rules = kb.program.rules
+    rules[0] = dataclasses.replace(rules[0], level=(0.5, 0.3))
+
+
+# each case changes one thing the restricted consequence reads, and returns
+# the max_iters of the next answer
+STALENESS = {
+    "fact": _new_fact_level,
+    "term-pair": lambda kb: kb.bk.term_prox.set_pair("a", "b", (0.5, 0.4)),
+    "term-symbol": lambda kb: kb.bk.term_prox.symbols.add("z"),
+    "predicate-pair": lambda kb: kb.bk.pred_prox.set_pair("q", "qq", (0.4, 0.5)),
+    "phi": lambda kb: kb.phi.by_functor.update({("e", 2): PHI_MEET_PRODUCT}),
+    "system": lambda kb: setattr(kb.program, "system", V.BIPOLAR_B),
+    "order": lambda kb: setattr(kb.program, "order_directive", [1, 2, 3, 4]),
+    "max-iters": lambda kb: 1,
+}
+
+
+@pytest.mark.parametrize("case", list(STALENESS))
+def test_changed_knowledge_base_is_never_served_stale(case):
+    goal = Goal(Atom("t", (X, Y)))
+    kb = stale_kb()
+    before = outcome(answer(kb, goal))
+    max_iters = STALENESS[case](kb) or 10000
+    after = outcome(answer(kb, goal, max_iters=max_iters))
+    fresh = stale_kb()
+    STALENESS[case](fresh)
+    assert after == outcome(answer(fresh, goal, max_iters=max_iters))
+    assert after != before
+
+
+def test_reused_consequence_is_isolated(count_consequences):
+    goal = Goal(Atom("t", (X, Y)))
+    kb = stale_kb()
+    expected = outcome(answer(stale_kb(), goal))
+    for _ in range(3):
+        result = answer(kb, goal)
+        assert outcome(result) == expected
+        result.report.diagnostics.append("caller note")
+        result.report.interpretation.join_in(Atom("zz", (Constant("a"),)), (1.0, 1.0))
+    assert len(count_consequences) == 2
+
+
+def test_truncation_note_only_for_the_truncated_goal(count_consequences):
+    prog = parse_program("%system fuzzy.\nfact q(a) = 0.9.\n"
+                         "rule q(X) <- q(X) : godel, 0.8.\n")
+    kb = build_kb(prog)
+    goal = Goal(parse_goal("q(X)", prog))
+    note = "search tree truncated at depth 3; answers may be incomplete"
+    for depth_limit in (64, 3, 64, 3, 3):
+        result = answer(kb, goal, depth_limit)
+        assert result.tree.truncated == (depth_limit == 3)
+        assert [str(a) for a, _ in result.starting] == ["q(a)"]
+        expected = [note] if depth_limit == 3 else []
+        assert result.report.diagnostics == expected
+    assert len(count_consequences) == 1
+
+
+def test_reuse_table_is_bounded_least_recently_used(count_consequences):
+    kb = stale_kb()
+    goal = Goal(Atom("t", (X, Y)))
+    bound = query._REUSED_CONSEQUENCES
+    for max_iters in range(1, bound + 2):   # one more key than the table holds
+        answer(kb, goal, max_iters=max_iters)
+        answer(kb, goal, max_iters=1)       # the first key stays the most recently used
+    assert len(kb._consequences) == bound
+    assert len(count_consequences) == bound + 1
+    answer(kb, goal, max_iters=1)           # still held, though inserted first
+    assert len(count_consequences) == bound + 1
+    answer(kb, goal, max_iters=2)           # evicted as the least recently used
+    assert len(count_consequences) == bound + 2

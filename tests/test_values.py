@@ -79,6 +79,16 @@ OUT_OF_LATTICE = {
 }
 
 
+# the complement formulas of `values.negate`'s docstring
+NEGATE = {
+    V.FUZZY: lambda a: 1.0 - a,
+    V.IFS: lambda a: (a[1], a[0]),
+    V.IVS: lambda a: (1.0 - a[1], 1.0 - a[0]),
+    V.BIPOLAR_A: lambda a: (1.0 - a[0], 1.0 - a[1]),
+    V.BIPOLAR_B: lambda a: (1.0 - a[0], 1.0 - a[1]),
+}
+
+
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_bound_lattice_agrees_with_checked_functions(system):
     lat = V.LATTICES[system]
@@ -92,12 +102,15 @@ def test_bound_lattice_agrees_with_checked_functions(system):
         assert lat.equal(a, b, 0.1) == V.values_equal(system, a, b, tol=0.1)
     for a in pts:
         assert lat.is_bottom(a) == V.is_bottom(system, a)
+        assert lat.negate(a) == V.negate(system, a) == NEGATE[system](a)
     grid_pts = system_grid(system)
     for a in grid_pts:
         assert lat.meet(a, lat.top) == a and lat.join(a, lat.bottom) == a
-    # leq has a formula of its own
+    # leq has a formula of its own; negation reverses it
     for a, b in itertools.product(grid_pts, grid_pts):
         assert V.leq(system, a, b) == (lat.meet(a, b) == a) == (lat.join(a, b) == b)
+        if V.leq(system, a, b):
+            assert V.leq(system, lat.negate(b), lat.negate(a))
 
 
 def test_conversion_cases():
