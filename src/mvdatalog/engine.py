@@ -14,9 +14,13 @@ consumed under negation are fully derived first; facts always form an
 implicit leading stratum.  The sweep is semi-naive over the lattice: after
 a stratum's first round, the step operators only see the ground instances
 whose body holds an atom whose level rose, which yields the same fixed
-point, step count and diagnostics as rescanning every instance.  Only the
-instances whose body atoms are all derivable are grounded at all (see
-`lang.ground`); no other instance can ever be applicable.
+point, step count and diagnostics as rescanning every instance.  It keeps
+one working interpretation, which the steps update in place, and a change
+log of the atoms whose level rose.  Only the instances whose body atoms are
+all derivable are grounded at all (see `lang.ground`); no other instance
+can ever be applicable.  `fixpoint` and `kb.consequence` share this one
+evaluation path; they differ only in their step operators and in how
+derived heads widen.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ from . import implications as Imp
 from .lang import Atom, GroundRule, Program, ground
 
 
+def _item_key(item):
+    """Sort key of an (atom, value) item: predicate, then argument names."""
+    atom = item[0]
+    return (atom.pred, tuple(t.name for t in atom.args))
+
+
 class Interpretation:
     """Finite map from ground atoms to truth values; absent means bottom.
     Bottom values are never stored."""
@@ -38,6 +48,9 @@ class Interpretation:
         self.system = system
         self.lattice = V.lattice(system)
         self.entries = dict(entries or {})
+        # a list while the sweep runs: every atom whose entry rises is
+        # appended to it, which makes it the sweep's change log
+        self.log = None
 
     def get(self, atom: Atom):
         return self.entries.get(atom)
@@ -51,8 +64,13 @@ class Interpretation:
         new = self._raised(atom, value)
         if new is None:
             return False
-        self.entries[atom] = new
+        self._store(atom, new)
         return True
+
+    def _store(self, atom: Atom, value) -> None:
+        self.entries[atom] = value
+        if self.log is not None:
+            self.log.append(atom)
 
     def _raised(self, atom: Atom, value):
         """The entry that join_in(atom, value) stores, or None when the
@@ -68,24 +86,24 @@ class Interpretation:
 
     def leq(self, other: "Interpretation") -> bool:
         """Pointwise order: every entry is dominated in the other."""
+        lattice = self.lattice
         for atom, val in self.entries.items():
             o = other.entries.get(atom)
             if o is None:
-                if not V.is_bottom(self.system, val):
+                if not lattice.is_bottom(val):
                     return False
-            elif not V.leq(self.system, val, o):
+            elif not lattice.leq(val, o):
                 return False
         return True
 
     def same_as(self, other: "Interpretation", tol: float = V.EPS) -> bool:
         if set(self.entries) != set(other.entries):
             return False
-        return all(V.values_equal(self.system, v, other.entries[a], tol)
-                   for a, v in self.entries.items())
+        equal = self.lattice.equal
+        return all(equal(v, other.entries[a], tol) for a, v in self.entries.items())
 
     def sorted_items(self):
-        return sorted(self.entries.items(),
-                      key=lambda kv: (kv[0].pred, tuple(t.name for t in kv[0].args)))
+        return sorted(self.entries.items(), key=_item_key)
 
     def __len__(self):
         return len(self.entries)
@@ -121,10 +139,10 @@ def applicable(rule: GroundRule, interp: Interpretation):
     Negative literals contribute the complement of the stored value; an
     empty body evaluates to top.  The stored values have the system's
     shape, so the interpretation's bound lattice serves unchecked."""
-    lattice = interp.lattice
+    lattice, get = interp.lattice, interp.entries.get
     acc = lattice.top
     for lit in rule.body:
-        val = interp.get(lit.atom)
+        val = get(lit.atom)
         if val is None:
             return None
         if lit.negated:
@@ -133,42 +151,73 @@ def applicable(rule: GroundRule, interp: Interpretation):
     return acc
 
 
+def _note_closure_violation(rule: GroundRule, value, diagnostics: Optional[list],
+                            system: str) -> None:
+    if diagnostics is None:
+        return
+    note = (f"closure violation: derived level {V.fmt(value)} for "
+            f"{rule.head} is outside the {system} lattice")
+    if note not in diagnostics:
+        diagnostics.append(note)
+
+
 def _head_level(rule: GroundRule, body_value, diagnostics: Optional[list], system: str):
-    result = Imp.level_fn(rule.impl, system, body_value, rule.level)
-    if not result.closure_ok and diagnostics is not None:
-        note = (f"closure violation: derived level {V.fmt(result.value)} for "
-                f"{rule.head} is outside the {system} lattice")
-        if note not in diagnostics:
-            diagnostics.append(note)
-    return result.value
+    value, closed = Imp.bound_level(rule.impl, system)(body_value, rule.level)
+    if not closed:
+        _note_closure_violation(rule, value, diagnostics, system)
+    return value
 
 
-def dt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None) -> Interpretation:
-    """Parallel step: heads of all applicable rules, merged by join."""
-    out = interp.copy()
+def _fired(rules, interp: Interpretation, diagnostics: Optional[list]):
+    """(head, level) of every applicable rule, in rule order."""
+    system = interp.system
+    fired = []
     for rule in rules:
         body = applicable(rule, interp)
-        if body is None:
-            continue
-        out.join_in(rule.head, _head_level(rule, body, diagnostics, interp.system))
+        if body is not None:
+            fired.append((rule.head, _head_level(rule, body, diagnostics, system)))
+    return fired
+
+
+def dt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
+            out: Optional[Interpretation] = None) -> Interpretation:
+    """Parallel step: heads of all applicable rules, merged by join.  Every
+    body is read from interp before any head is joined into out, which is
+    returned: a copy of interp by default, or interp itself when the sweep
+    steps in place."""
+    fired = _fired(rules, interp, diagnostics)
+    if out is None:
+        out = interp.copy()
+    join_in = out.join_in
+    for head, level in fired:
+        join_in(head, level)
     return out
 
 
-def nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None) -> Interpretation:
+def nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
+            out: Optional[Interpretation] = None) -> Interpretation:
     """Sequential step: the first rule instance that strictly increases the
-    interpretation is applied; unchanged input means a (stratum) fixed point."""
+    interpretation is applied; unchanged input means a (stratum) fixed point.
+    The rising head is stored into out, which is returned: by default a copy
+    of interp made only then (interp itself comes back when nothing rises),
+    or interp itself when the sweep steps in place."""
+    system = interp.system
     for rule in rules:
         body = applicable(rule, interp)
         if body is None:
             continue
-        raised = interp._raised(rule.head, _head_level(rule, body, None, interp.system))
-        if raised is not None:
-            # record diagnostics only for the productive application
-            _head_level(rule, body, diagnostics, interp.system)
+        value, closed = Imp.bound_level(rule.impl, system)(body, rule.level)
+        raised = interp._raised(rule.head, value)
+        if raised is None:
+            continue
+        # diagnostics come from the productive application only
+        if not closed:
+            _note_closure_violation(rule, value, diagnostics, system)
+        if out is None:
             out = interp.copy()
-            out.entries[rule.head] = raised
-            return out
-    return interp
+        out._store(rule.head, raised)
+        return out
+    return interp if out is None else out
 
 
 # ----------------------------------------------------------------------
@@ -318,53 +367,47 @@ def _touching(index, atoms):
 
 def _parallel_rounds(rules, step_fn, index, todo, interp, iterations, max_iters,
                      diagnostics, log):
-    """Saturate a parallel stratum.  Each round applies the step to the rules
-    in todo only; the next round's todo are the rules whose body holds an
-    atom the round changed.  Returns (interp, iterations, converged)."""
+    """Saturate a parallel stratum in place.  Each round applies the step to
+    the rules in todo only; the next round's todo are the rules whose body
+    holds an atom the round raised.  Returns (iterations, converged)."""
     while True:
         if iterations >= max_iters:
-            return interp, iterations, False
+            return iterations, False
         if not todo:
-            return interp, iterations, True
+            return iterations, True
         sub = rules if len(todo) == len(rules) else [rules[pos] for pos in todo]
-        new = step_fn(sub, interp, diagnostics)
-        old = interp.entries
-        # join_in stores a new value object exactly when the entry rose
-        changed = [atom for atom, value in new.entries.items() if old.get(atom) is not value]
-        if not changed:
-            return interp, iterations, True
-        interp = new
+        start = len(log)
+        step_fn(sub, interp, diagnostics, interp)
+        if len(log) == start:
+            return iterations, True
         iterations += 1
-        log.extend(changed)
-        todo = _touching(index, changed)
+        todo = _touching(index, log[start:])
 
 
 def _sequential_steps(rules, step_fn, index, todo, interp, iterations, max_iters,
                       diagnostics, log):
-    """Saturate a sequential stratum.  A step tries the candidate rules in
-    ascending position, one at a time, and stops at the first that changes
-    the interpretation; the rules whose body holds its head become
-    candidates.  Returns (interp, iterations, converged)."""
+    """Saturate a sequential stratum in place.  A step tries the candidate
+    rules in ascending position, one at a time, and stops at the first that
+    raises an atom; the rules whose body holds its head become candidates.
+    Returns (iterations, converged)."""
     heap = list(todo)            # ascending, hence already a heap
     queued = bytearray(len(rules))
     for pos in heap:
         queued[pos] = 1
     while True:
         if iterations >= max_iters:
-            return interp, iterations, False
+            return iterations, False
+        start = len(log)
         while heap:
             pos = heapq.heappop(heap)
             queued[pos] = 0
-            new = step_fn([rules[pos]], interp, diagnostics)
-            if new is not interp:
+            step_fn([rules[pos]], interp, diagnostics, interp)
+            if len(log) != start:
                 break
         else:
-            return interp, iterations, True
-        interp = new
+            return iterations, True
         iterations += 1
-        head = rules[pos].head
-        log.append(head)
-        for touched in index.get(head, ()):
+        for touched in index.get(rules[pos].head, ()):
             if not queued[touched]:
                 queued[touched] = 1
                 heapq.heappush(heap, touched)
@@ -374,36 +417,41 @@ def _sweep_to_fixpoint(strata_steps, interp, max_iters, diagnostics):
     """Saturate each (rules, step) stratum in order, repeat the sweep until a
     full pass is quiet.  Returns (interp, productive_steps, converged).
 
-    A rule's result depends only on its body atoms, and rising atoms never
-    make a rule's contribution fall, so after a stratum's first visit only
-    the rules whose body holds an atom that changed since need another
-    look.  One log records every atom whose stored value changed; each
-    stratum remembers the log length at which it last went quiet.  The
-    sequential step `nt_step` is applied one candidate at a time in rule
-    order, so it still applies the first rising instance of the full list;
-    every other step is applied to the candidate sub-list in rule order.
+    Every step is called as step(rules, interp, diagnostics, interp), so it
+    reads and updates the one working interpretation in place; its log
+    records every atom whose stored value rose.  A rule's result depends
+    only on its body atoms, and rising atoms never make a rule's
+    contribution fall, so after a stratum's first visit only the rules
+    whose body holds an atom logged since need another look; each stratum
+    remembers the log length at which it last went quiet.  The sequential
+    step `nt_step` is applied one candidate at a time in rule order, so it
+    still applies the first rising instance of the full list; every other
+    step is applied to the candidate sub-list in rule order.
     """
-    log = []
+    log = interp.log = []
     indexes = [None] * len(strata_steps)
     quiet_at = [0] * len(strata_steps)
     iterations = 0
-    while True:
-        pass_start = len(log)
-        for k, (rules, step_fn) in enumerate(strata_steps):
-            if indexes[k] is None:
-                indexes[k] = _body_index(rules)
-                todo = range(len(rules))
-            else:
-                todo = _touching(indexes[k], log[quiet_at[k]:])
-            saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
-            interp, iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
-                                                     iterations, max_iters, diagnostics, log)
-            if not converged:
-                diagnostics.append(f"iteration limit reached ({max_iters})")
-                return interp, iterations, False
-            quiet_at[k] = len(log)
-        if len(log) == pass_start:
-            return interp, iterations, True
+    try:
+        while True:
+            pass_start = len(log)
+            for k, (rules, step_fn) in enumerate(strata_steps):
+                if indexes[k] is None:
+                    indexes[k] = _body_index(rules)
+                    todo = range(len(rules))
+                else:
+                    todo = _touching(indexes[k], log[quiet_at[k]:])
+                saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
+                iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
+                                                 iterations, max_iters, diagnostics, log)
+                if not converged:
+                    diagnostics.append(f"iteration limit reached ({max_iters})")
+                    return interp, iterations, False
+                quiet_at[k] = len(log)
+            if len(log) == pass_start:
+                return interp, iterations, True
+    finally:
+        interp.log = None
 
 
 def _stratum_rule_lists(program: Program, grounded, order: EvalOrder):
@@ -424,6 +472,29 @@ def _unwidened(pred, names):
     return ((pred, names),)
 
 
+def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact_step, step,
+              universe=None, widen=_unwidened, atoms=None) -> FixpointReport:
+    """The evaluation path of `fixpoint` and `kb.consequence`: select the
+    order (the %order directive, else stratify()), ground the derivable
+    instances with heads widened by widen (ground shares its atom table
+    through atoms, when given), then sweep the fact stratum with fact_step
+    and every other stratum with step."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if order is None:
+        if program.order_directive:
+            order = order_from_directive(program.order_directive)
+        else:
+            order = stratify(program)
+    diagnostics = list(order.warnings)
+    grounded = ground(program, universe, widen=widen, atoms=atoms)
+    lists = _stratum_rule_lists(program, grounded, order)
+    strata_steps = [(lists[0], fact_step)] + [(rules, step) for rules in lists[1:]]
+    interp, iterations, converged = _sweep_to_fixpoint(
+        strata_steps, Interpretation(program.system), max_iters, diagnostics)
+    return FixpointReport(interp, iterations, converged, diagnostics)
+
+
 def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] = None,
              max_iters: int = 10000) -> FixpointReport:
     """Least fixed point of the program's consequence transformation.
@@ -433,24 +504,10 @@ def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] 
     """
     if mode not in ("det", "nondet"):
         raise ValueError(f"mode must be 'det' or 'nondet', got {mode!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if order is None:
-        if program.order_directive:
-            order = order_from_directive(program.order_directive)
-        else:
-            order = stratify(program)
-    diagnostics = list(order.warnings)
-    grounded = ground(program, widen=_unwidened)
-    lists = _stratum_rule_lists(program, grounded, order)
-    step_fn = dt_step if mode == "det" else nt_step
     # the fact base has no bodies to race on; both modes load it in one
     # parallel step
-    strata_steps = [(lists[0], dt_step)] + [(rules, step_fn) for rules in lists[1:]]
-    interp = Interpretation(program.system)
-    interp, iterations, converged = _sweep_to_fixpoint(strata_steps, interp,
-                                                       max_iters, diagnostics)
-    return FixpointReport(interp, iterations, converged, diagnostics)
+    return _evaluate(program, order, max_iters, dt_step,
+                     dt_step if mode == "det" else nt_step)
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +522,7 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     kernel hold vacuously.
     """
     sys = program.system
+    lattice = V.lattice(sys)
     universe = set(program.constants()) | set(extra_constants)
     for atom in interp.entries:
         for t in atom.args:
@@ -477,9 +535,9 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
                 continue
             head_val = interp.get(g.head)
             if head_val is None:
-                head_val = V.bottom(sys)
+                head_val = lattice.bottom
             lhs = Imp.apply_implication(g.impl, sys, body, head_val)
-            if not V.leq(sys, g.level, lhs):
+            if not lattice.leq(g.level, lhs):
                 violations.append(
                     f"rule instance {g.head} <- {', '.join(str(b) for b in g.body) or 'true'}: "
                     f"I({V.fmt(body)}, {V.fmt(head_val)}) = {V.fmt(lhs)} "

@@ -160,40 +160,78 @@ def apply_implication(impl: ImplId, system: str, alpha: V.Value, gamma: V.Value)
 # Uncertainty-level functions (closed forms)
 # ----------------------------------------------------------------------
 
-def _fuzzy_level(impl: str, a: float, b: float) -> float:
-    if impl == "godel":
-        return min(a, b)
-    if impl == "lukasiewicz":
-        return max(0.0, a + b - 1.0)
-    if impl == "kleene":
-        return 0.0 if a + b <= 1.0 + EPS else b
-    raise ValueError(f"unknown fuzzy implication {impl!r}")
+# operator -> f(alpha, beta), the closed forms of the module docstring
+_FUZZY_LEVELS = {
+    "godel": lambda a, b: min(a, b),
+    "lukasiewicz": lambda a, b: max(0.0, a + b - 1.0),
+    "kleene": lambda a, b: 0.0 if a + b <= 1.0 + EPS else b,
+}
+_PAIR_LEVELS = {
+    "fk": lambda a, b: (0.0 if a[1] >= b[0] - EPS else b[0],
+                        1.0 if a[0] <= b[1] + EPS else b[1]),
+    "fl": lambda a, b: (max(0.0, b[0] - a[1]), min(1.0, 1.0 - a[0] + b[1])),
+    "fg1": lambda a, b: (min(a[0], b[0]), max(1.0 - a[0], b[1])),
+    "fg2": lambda a, b: (min(a[0], b[0]), max(a[1], b[1])),
+    "vk": lambda a, b: (0.0 if 1.0 - a[1] >= b[0] - EPS else b[0],
+                        0.0 if 1.0 - a[0] >= b[1] - EPS else b[1]),
+    "vl": lambda a, b: (max(0.0, a[1] + b[0] - 1.0), max(0.0, a[0] + b[1] - 1.0)),
+    "vg1": lambda a, b: (min(a[0], b[0]), min(a[0], b[1])),
+    "vg2": lambda a, b: (min(a[0], b[0]), min(a[1], b[1])),
+}
 
 
-def _pair_level(impl: str, a, b):
-    a1, a2 = a
-    b1, b2 = b
-    if impl == "fk":
-        f1 = 0.0 if a2 >= b1 - EPS else b1
-        f2 = 1.0 if a1 <= b2 + EPS else b2
-        return (f1, f2)
-    if impl == "fl":
-        return (max(0.0, b1 - a2), min(1.0, 1.0 - a1 + b2))
-    if impl == "fg1":
-        return (min(a1, b1), max(1.0 - a1, b2))
-    if impl == "fg2":
-        return (min(a1, b1), max(a2, b2))
-    if impl == "vk":
-        f1 = 0.0 if 1.0 - a2 >= b1 - EPS else b1
-        f2 = 0.0 if 1.0 - a1 >= b2 - EPS else b2
-        return (f1, f2)
-    if impl == "vl":
-        return (max(0.0, a2 + b1 - 1.0), max(0.0, a1 + b2 - 1.0))
-    if impl == "vg1":
-        return (min(a1, b1), min(a1, b2))
-    if impl == "vg2":
-        return (min(a1, b1), min(a2, b2))
-    raise ValueError(f"unknown pair implication {impl!r}")
+def _fuzzy_bound(level):
+    def bound(alpha, beta):
+        return max(0.0, level(alpha, beta)), True
+    return bound
+
+
+def _pair_bound(level, system):
+    def bound(alpha, beta):
+        value = level(alpha, beta)
+        return value, V.validate(system, value) is None
+    return bound
+
+
+def _bipolar_bound(level1, level2, system):
+    # variant b evaluates the second coordinate on complemented values
+    # (mu' = 1 - mu) and complements the result back
+    complemented = system == V.BIPOLAR_B
+
+    def bound(alpha, beta):
+        c1 = max(0.0, level1(alpha[0], beta[0]))
+        if complemented:
+            c2 = 1.0 - max(0.0, level2(1.0 - alpha[1], 1.0 - beta[1]))
+        else:
+            c2 = max(0.0, level2(alpha[1], beta[1]))
+        value = (c1, c2)
+        return value, V.validate(system, value) is None
+    return bound
+
+
+# (operator, system) -> its level function, bound and unchecked:
+# f(alpha, beta) -> (head level, closure_ok)
+LEVEL_FUNCTIONS = {
+    **{(impl, V.FUZZY): _fuzzy_bound(f) for impl, f in _FUZZY_LEVELS.items()},
+    **{(impl, system): _pair_bound(_PAIR_LEVELS[impl], system)
+       for system, impls in ((V.IFS, IFS_IMPLICATIONS), (V.IVS, IVS_IMPLICATIONS))
+       for impl in impls},
+    **{((id1, id2), system): _bipolar_bound(_FUZZY_LEVELS[id1], _FUZZY_LEVELS[id2], system)
+       for system in (V.BIPOLAR_A, V.BIPOLAR_B)
+       for id1 in FUZZY_IMPLICATIONS for id2 in FUZZY_IMPLICATIONS},
+}
+
+
+def bound_level(impl: ImplId, system: str):
+    """The level function of one operator in one system, as in `level_fn`
+    but bound once: f(alpha, beta) -> (head level, closure_ok), with no
+    check of its input.  Raises ValueError when impl is not valid for the
+    system."""
+    try:
+        return LEVEL_FUNCTIONS[(impl, system)]
+    except (KeyError, TypeError):
+        _require_compatible(impl, system)
+        raise
 
 
 def level_fn(impl: ImplId, system: str, alpha: V.Value, beta: V.Value) -> LevelResult:
@@ -204,15 +242,7 @@ def level_fn(impl: ImplId, system: str, alpha: V.Value, beta: V.Value) -> LevelR
     non-G2 operators, which is reported through closure_ok rather than
     clamped.
     """
-    _require_compatible(impl, system)
-    if system == V.FUZZY:
-        value = max(0.0, _fuzzy_level(impl, alpha, beta))
-        return LevelResult(value, True)
-    if system in (V.IFS, V.IVS):
-        value = _pair_level(impl, alpha, beta)
-        return LevelResult(value, V.validate(system, value) is None)
-    variant = "a" if system == V.BIPOLAR_A else "b"
-    return bipolar_level(variant, impl[0], impl[1], alpha, beta)
+    return LevelResult(*bound_level(impl, system)(alpha, beta))
 
 
 def bipolar_level(variant: str, id1: str, id2: str, alpha, beta) -> LevelResult:
@@ -226,14 +256,8 @@ def bipolar_level(variant: str, id1: str, id2: str, alpha, beta) -> LevelResult:
     for i in (id1, id2):
         if i not in FUZZY_IMPLICATIONS:
             raise ValueError(f"bipolar implications must be fuzzy, got {i!r}")
-    c1 = max(0.0, _fuzzy_level(id1, alpha[0], beta[0]))
-    if variant == "a":
-        c2 = max(0.0, _fuzzy_level(id2, alpha[1], beta[1]))
-    else:
-        c2 = 1.0 - max(0.0, _fuzzy_level(id2, 1.0 - alpha[1], 1.0 - beta[1]))
-    value = (c1, c2)
     system = V.BIPOLAR_A if variant == "a" else V.BIPOLAR_B
-    return LevelResult(value, V.validate(system, value) is None)
+    return level_fn((id1, id2), system, alpha, beta)
 
 
 def closure_check(impl: ImplId, alpha, beta) -> bool:

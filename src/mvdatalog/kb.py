@@ -30,9 +30,9 @@ from typing import Optional
 from . import values as V
 from .lang import (Atom, Constant, ParseError, Program, _Parser, _SYSTEM_NAMES,
                    ground)
-from .engine import (EvalOrder, FixpointReport, Interpretation, applicable,
-                     _head_level, _stratum_rule_lists, _sweep_to_fixpoint,
-                     order_from_directive, stratify)
+from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired
+# unused here, but kept in kb's namespace: benchmarks/layers.py hooks kb.stratify
+from .engine import stratify  # noqa: F401
 
 PHI_MEET = "meet"
 PHI_MEET_PRODUCT = "meet_product"
@@ -257,6 +257,24 @@ def _pair_product(a, b):
     return (a[0] * b[0], a[1] * b[1])
 
 
+def _scalar_product(a, b):
+    return a * b
+
+
+def _lambda_product(lambdas, product):
+    """lambda_n * (.. * (lambda_2 * lambda_1)), for meet_product."""
+    prod = lambdas[0]
+    for lam in lambdas[1:]:
+        prod = product(lam, prod)
+    return prod
+
+
+def _require_product_system(system: str) -> None:
+    if system != V.IVS:
+        raise ValueError("the product uncertainty function is only valid "
+                         "in the interval-valued case")
+
+
 def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     """Combine a derived level with proximity degrees.
 
@@ -266,9 +284,7 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     top and monotone in every argument.  The values are not shape-checked.
     """
     if phi_id == PHI_PRODUCT:
-        if system != V.IVS:
-            raise ValueError("the product uncertainty function is only valid "
-                             "in the interval-valued case")
+        _require_product_system(system)
         out = _pair_product(alpha, lambda_pred)
         for lam in lambda_args:
             out = _pair_product(out, lam)
@@ -277,10 +293,8 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
         # the pairwise product's neutral element is (1, 1), which is not the
         # ifs lattice top; fold the argument lambdas only
         if lambda_args:
-            prod = lambda_args[0]
-            for lam in lambda_args[1:]:
-                prod = lam * prod if system == V.FUZZY else _pair_product(lam, prod)
-            lambda_args = (prod,)
+            product = _scalar_product if system == V.FUZZY else _pair_product
+            lambda_args = (_lambda_product(lambda_args, product),)
     elif phi_id != PHI_MEET:
         raise ValueError(f"unknown uncertainty function {phi_id!r}")
     lattice = V.lattice(system)
@@ -301,27 +315,21 @@ class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
     The proximity set of each predicate and term symbol is fetched once, and
-    each synonym atom is built once, keyed by (pred, argument names); atoms
-    adopted through `share` (the ground atoms) are used as they are, so a
-    synonym that is also a body atom is the same object.  A synonym of
-    p(t1..tn) is q(s1..sn) with q over the proximity set of p, outermost,
-    then each s_i over that of t_i, the first argument varying slowest.
+    each synonym atom is built once.  `atoms` is the atom table that
+    `lang.ground` fills (see there), so a synonym that is a ground atom is
+    that same object.  A synonym of p(t1..tn) is q(s1..sn) with q over the
+    proximity set of p, outermost, then each s_i over that of t_i, the
+    first argument varying slowest.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.system = kb.program.system
+        self.lattice = V.lattice(self.system)
         self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
         self.term_options = {}   # constant name -> the same for it
-        self.atoms = {}          # (pred, names) -> Atom
+        self.atoms = {}          # pred -> {key: Atom}, keyed as in `lang.ground`
         self.constants = {}      # name -> Constant
-
-    def share(self, rules) -> None:
-        """Adopt the head and body atoms of these ground rules."""
-        atoms = self.atoms
-        for rule in rules:
-            for atom in (rule.head, *(lit.atom for lit in rule.body)):
-                atoms.setdefault((atom.pred, tuple(t.name for t in atom.args)), atom)
 
     def _options(self, table, rel, symbol):
         options = table.get(symbol)
@@ -330,59 +338,82 @@ class _Spread:
             options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
         return options
 
-    def _synonyms(self, pred, names):
-        """(q, lambda_q, (s_1, ..), (lambda_1, ..)) per synonym of pred(names)."""
-        term_prox, term_options = self.kb.bk.term_prox, self.term_options
-        args = [self._options(term_options, term_prox, n) for n in names]
-        arg_names = [symbols for symbols, _ in args]
-        arg_lambdas = [lambdas for _, lambdas in args]
-        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
-        for q, lam_q in zip(qs, lam_qs):
-            for chosen, lambdas in zip(itertools.product(*arg_names),
-                                       itertools.product(*arg_lambdas)):
-                yield q, lam_q, chosen, lambdas
-
     def widen(self, pred, names):
         """The (pred, names) of every synonym of pred(names), for `ground`,
-        in `_synonyms` order."""
+        in synonym order."""
         term_prox, term_options = self.kb.bk.term_prox, self.term_options
         arg_names = [self._options(term_options, term_prox, n)[0] for n in names]
         qs, _ = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
         return [(q, chosen) for q in qs for chosen in itertools.product(*arg_names)]
 
-    def _new_atom(self, pred, names) -> Atom:
+    def _new_atom(self, table, pred, key) -> Atom:
         consts = self.constants
+        names = (key,) if isinstance(key, str) else key
         args = tuple(consts.get(n) or consts.setdefault(n, Constant(n)) for n in names)
-        self.atoms[(pred, names)] = atom = Atom(pred, args)
+        table[key] = atom = Atom(pred, args)
         return atom
 
     def fire(self, head: Atom, alpha, out: Interpretation) -> None:
-        """Join every synonym of a head derived at level alpha into out."""
-        system, atoms, join_in = self.system, self.atoms, out.join_in
-        phi_id = self.kb.phi.phi_for(head.pred, len(head.args))
-        for q, lam_q, chosen, lambdas in self._synonyms(head.pred, [t.name for t in head.args]):
-            atom = atoms.get((q, chosen)) or self._new_atom(q, chosen)
-            join_in(atom, phi_apply(phi_id, system, alpha, lam_q, lambdas))
+        """Join every synonym of a head derived at level alpha into out.
+
+        Each level is the one `phi_apply` gives, from the same operations in
+        the same order; the prefixes that synonyms share are computed once:
+        top meet alpha meet lambda_q per predicate synonym q (meet and
+        meet_product), alpha times lambda_q per q (product), and the
+        argument lambdas' product per argument combination (meet_product).
+        """
+        pred, args = head.pred, head.args
+        phi_id = self.kb.phi.phi_for(pred, len(args))
+        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
+        term_prox, term_options = self.kb.bk.term_prox, self.term_options
+        arg_options = [self._options(term_options, term_prox, t.name) for t in args]
+        keys = (arg_options[0][0] if len(args) == 1
+                else list(itertools.product(*(names for names, _ in arg_options))))
+        lambdas = list(itertools.product(*(lams for _, lams in arg_options)))
+        if phi_id == PHI_PRODUCT:
+            _require_product_system(self.system)
+            fold = _pair_product
+            starts = [_pair_product(alpha, lam_q) for lam_q in lam_qs]
+        elif phi_id == PHI_MEET or phi_id == PHI_MEET_PRODUCT:
+            fold = meet = self.lattice.meet
+            top_alpha = meet(self.lattice.top, alpha)
+            starts = [meet(top_alpha, lam_q) for lam_q in lam_qs]
+            if phi_id == PHI_MEET_PRODUCT and args:
+                product = _scalar_product if self.system == V.FUZZY else _pair_product
+                lambdas = [(_lambda_product(lams, product),) for lams in lambdas]
+        else:
+            raise ValueError(f"unknown uncertainty function {phi_id!r}")
+        atoms, join_in, new_atom = self.atoms, out.join_in, self._new_atom
+        for q, start in zip(qs, starts):
+            table = atoms.get(q)
+            if table is None:
+                table = atoms[q] = {}
+            for key, lams in zip(keys, lambdas):
+                value = start
+                for lam in lams:
+                    value = fold(value, lam)
+                join_in(table.get(key) or new_atom(table, q, key), value)
 
 
 def mod_nt_step(kb: KnowledgeBase, interp: Interpretation, rules=None,
                 diagnostics: Optional[list] = None,
-                spread: Optional[_Spread] = None) -> Interpretation:
+                spread: Optional[_Spread] = None,
+                out: Optional[Interpretation] = None) -> Interpretation:
     """One modified step: every applicable rule fires and its head is
-    spread over the proximity sets of its predicate and arguments.  Without
-    a spread, one is built for this step alone."""
-    sys = kb.program.system
+    spread over the proximity sets of its predicate and arguments.  Every
+    body is read from interp before any head is spread into out, which is
+    returned: a copy of interp by default, or interp itself when the sweep
+    steps in place.  Without a spread, one is built for this step alone."""
     if rules is None:
         universe = modified_universe(kb)
         rules = [g for rs in ground(kb.program, universe) for g in rs]
     if spread is None:
         spread = _Spread(kb)
-    out = interp.copy()
-    for rule in rules:
-        body = applicable(rule, interp)
-        if body is None:
-            continue
-        spread.fire(rule.head, _head_level(rule, body, diagnostics, sys), out)
+    fired = _fired(rules, interp, diagnostics)
+    if out is None:
+        out = interp.copy()
+    for head, alpha in fired:
+        spread.fire(head, alpha, out)
     return out
 
 
@@ -397,27 +428,11 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
     fire, since they are always-applicable empty-body rules in the leading
     stratum.  Grounding keeps the instances whose body atoms are derivable
     when every derived head is widened over its synonyms.  One spread serves
-    the widening and every step of the call."""
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    program = kb.program
-    if order is None:
-        if program.order_directive:
-            order = order_from_directive(program.order_directive)
-        else:
-            order = stratify(program)
-    diagnostics = list(order.warnings)
-
+    the widening and every step of the call, and shares the ground atoms."""
     spread = _Spread(kb)
-    grounded = ground(program, modified_universe(kb), widen=spread.widen)
-    spread.share(g for rules in grounded for g in rules)
-    lists = _stratum_rule_lists(program, grounded, order)
 
-    def step(rules, interp, diags):
-        return mod_nt_step(kb, interp, rules, diags, spread)
+    def step(rules, interp, diagnostics, out=None):
+        return mod_nt_step(kb, interp, rules, diagnostics, spread, out)
 
-    interp = Interpretation(program.system)
-    strata_steps = [(rules, step) for rules in lists]
-    interp, iterations, converged = _sweep_to_fixpoint(strata_steps, interp,
-                                                       max_iters, diagnostics)
-    return FixpointReport(interp, iterations, converged, diagnostics)
+    return _evaluate(kb.program, order, max_iters, step, step, modified_universe(kb),
+                     spread.widen, spread.atoms)

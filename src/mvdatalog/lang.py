@@ -584,10 +584,10 @@ class _Grounder:
     predicate never mix the two forms.
     """
 
-    def __init__(self, universe):
+    def __init__(self, universe, atoms=None):
         self.names = sorted(universe)
         self.consts = {n: Constant(n) for n in self.names}
-        self.atoms = {}       # pred -> {key: Atom}
+        self.atoms = {} if atoms is None else atoms   # pred -> {key: Atom}
         self.literals = {}    # (pred, negated) -> {key: Literal}
 
     def _atom(self, pred, key):
@@ -843,9 +843,11 @@ def ground_rule(rule: Rule, universe, rule_pos: int = 0):
     return _Grounder(universe).rule(rule, rule_pos)
 
 
-def ground(program: Program, universe=None, widen=None):
+def ground(program: Program, universe=None, widen=None, atoms=None):
     """Ground instances per rule, in rule order; equal ground atoms are
-    shared across all of them.
+    shared across all of them.  When atoms is a dict, the atom table is
+    kept in it for the caller: pred -> {key: Atom}, the key being the
+    argument name of a unary atom and the tuple of argument names otherwise.
 
     Without widen, every instance over the universe.  With widen, only the
     instances whose every body atom, negated ones included, is derivable:
@@ -857,7 +859,7 @@ def ground(program: Program, universe=None, widen=None):
     """
     if universe is None:
         universe = program.constants()
-    grounder = _Grounder(universe)
+    grounder = _Grounder(universe, atoms)
     if widen is None:
         return [grounder.rule(r, pos) for pos, r in enumerate(program.rules)]
     combos = _derivable_substitutions(program, grounder.names, widen)

@@ -36,7 +36,7 @@ from typing import Optional
 from . import values as V
 from .lang import (Atom, Constant, ParseError, Program, ProximityRef, Rule,
                    Variable, _Parser, rename_apart, substitute, unify)
-from .engine import FixpointReport
+from .engine import FixpointReport, _item_key
 from .kb import KnowledgeBase, consequence, proximity_set
 
 
@@ -92,7 +92,8 @@ def _canonical(atom: Atom) -> str:
 
 
 class _TreeBuilder:
-    def __init__(self, kb: KnowledgeBase, depth_limit: int):
+    def __init__(self, kb: KnowledgeBase, depth_limit: int, facts=None):
+        """facts is kb.program.facts(), when the caller holds it already."""
         self.kb = kb
         self.program = kb.program
         self.system = kb.program.system
@@ -102,9 +103,9 @@ class _TreeBuilder:
         self.fresh = 0
         self.proper = [(rule.head.functor, rule) for _, _, rule in self.program.proper_rules()]
         self.facts_by_pred = {}
-        for atom, _ in self.program.facts():
+        for atom, _ in self.program.facts() if facts is None else facts:
             self.facts_by_pred.setdefault(atom.pred, []).append(atom)
-        self.fact_atoms = {atom for atom, _ in self.program.facts()}
+        self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
 
     def _cut(self, node: SearchNode) -> bool:
         if node.depth + 1 > self.depth_limit:
@@ -223,28 +224,30 @@ class _TreeBuilder:
         return False
 
 
-def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTree:
+def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
+               facts=None) -> SearchTree:
+    """The AND/OR searching tree of the goal; facts is kb.program.facts(),
+    when the caller holds it already."""
     if depth_limit < 3:
         raise ValueError("depth_limit must be at least 3")
-    builder = _TreeBuilder(kb, depth_limit)
+    builder = _TreeBuilder(kb, depth_limit, facts)
     root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
     builder.expand_goal(root)
     return SearchTree(root, builder.truncated, depth_limit)
 
 
-def starting_facts(tree: SearchTree, program: Program):
-    """The ground facts parenting YES, with their program levels."""
+def starting_facts(tree: SearchTree, program: Program, facts=None):
+    """The ground facts parenting YES, with their program levels (joined
+    over repeated facts); facts is program.facts(), when the caller holds
+    it already."""
+    harvested = {node.atom for node in tree.walk()
+                 if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
     levels = {}
-    for atom, level in program.facts():
-        if atom in levels:
-            levels[atom] = V.join(program.system, levels[atom], level)
-        else:
-            levels[atom] = level
-    out = {}
-    for node in tree.walk():
-        if node.kind == "fact" and any(c.kind == "yes" for c in node.children):
-            out[node.atom] = levels[node.atom]
-    return sorted(out.items(), key=lambda kv: (kv[0].pred, tuple(t.name for t in kv[0].args)))
+    for atom, level in program.facts() if facts is None else facts:
+        if atom in harvested:
+            old = levels.get(atom)
+            levels[atom] = level if old is None else V.join(program.system, old, level)
+    return sorted(levels.items(), key=_item_key)
 
 
 def _restrict_to_facts(program: Program, kept) -> Program:
@@ -298,12 +301,17 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
            max_iters: int = 10000) -> QueryResult:
     """Grow the consequence from the harvested starting facts only, then
     read the goal's instances off the fixed point."""
-    tree = build_tree(kb, goal, depth_limit)
-    x0 = starting_facts(tree, kb.program)
+    facts = kb.program.facts()
+    tree = build_tree(kb, goal, depth_limit, facts=facts)
+    x0 = starting_facts(tree, kb.program, facts=facts)
     restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
     report = _reused_consequence(kb, restricted, max_iters)
+    # only atoms of the goal's functor can unify with it
+    pred, arity = goal.atom.functor
+    candidates = sorted(((atom, val) for atom, val in report.interpretation.entries.items()
+                         if atom.pred == pred and len(atom.args) == arity), key=_item_key)
     answers = []
-    for atom, val in report.interpretation.sorted_items():
+    for atom, val in candidates:
         if unify(goal.atom, atom) is None:
             continue
         if goal.level is not None and not V.leq(kb.program.system, goal.level, val):

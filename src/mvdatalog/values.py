@@ -31,11 +31,6 @@ BIPOLAR_B = "bipolar_b"
 
 SYSTEMS = (FUZZY, IFS, IVS, BIPOLAR_A, BIPOLAR_B)
 
-# systems whose pair order is "first coordinate up, second coordinate down"
-_IFS_LIKE = (IFS, BIPOLAR_B)
-# systems whose pair order is coordinate-wise "up, up"
-_IVS_LIKE = (IVS, BIPOLAR_A)
-
 Value = Union[float, Tuple[float, float]]
 
 
@@ -110,11 +105,7 @@ def leq(system: str, a: Value, b: Value) -> bool:
     _check_system(system)
     _check_shape(system, a)
     _check_shape(system, b)
-    if system == FUZZY:
-        return a <= b + EPS
-    if system in _IFS_LIKE:
-        return a[0] <= b[0] + EPS and a[1] >= b[1] - EPS
-    return a[0] <= b[0] + EPS and a[1] <= b[1] + EPS
+    return LATTICES[system].leq(a, b)
 
 
 def meet(system: str, a: Value, b: Value) -> Value:
@@ -191,6 +182,20 @@ def _pair_equal(a, b, tol: float = EPS) -> bool:
     return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
 
+def _scalar_leq(a: float, b: float) -> bool:
+    return a <= b + EPS
+
+
+# ifs and bipolar_b order pairs "first coordinate up, second coordinate
+# down"; ivs and bipolar_a order them coordinate-wise "up, up"
+def _ifs_leq(a, b) -> bool:
+    return a[0] <= b[0] + EPS and a[1] >= b[1] - EPS
+
+
+def _ivs_leq(a, b) -> bool:
+    return a[0] <= b[0] + EPS and a[1] <= b[1] + EPS
+
+
 def _ifs_meet(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
 
@@ -225,14 +230,15 @@ def _bipolar_negate(a):
 
 class Lattice:
     """One value system's lattice with its operations bound; none of them
-    checks its input.  meet(a, b), join(a, b), equal(a, b, tol=EPS),
-    negate(a)."""
+    checks its input.  leq(a, b), meet(a, b), join(a, b), equal(a, b,
+    tol=EPS), negate(a)."""
 
-    __slots__ = ("top", "bottom", "meet", "join", "equal", "negate")
+    __slots__ = ("top", "bottom", "leq", "meet", "join", "equal", "negate")
 
-    def __init__(self, top: Value, bottom: Value, meet, join, equal, negate):
+    def __init__(self, top: Value, bottom: Value, leq, meet, join, equal, negate):
         self.top = top
         self.bottom = bottom
+        self.leq = leq
         self.meet = meet
         self.join = join
         self.equal = equal
@@ -243,12 +249,14 @@ class Lattice:
 
 
 LATTICES = {
-    FUZZY: Lattice(1.0, 0.0, min, max, _scalar_equal, _fuzzy_negate),
-    IFS: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal, _ifs_negate),
-    BIPOLAR_B: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_meet, _ifs_join, _pair_equal,
+    FUZZY: Lattice(1.0, 0.0, _scalar_leq, min, max, _scalar_equal, _fuzzy_negate),
+    IFS: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
+                 _ifs_negate),
+    BIPOLAR_B: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
                        _bipolar_negate),
-    IVS: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal, _ivs_negate),
-    BIPOLAR_A: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_meet, _ivs_join, _pair_equal,
+    IVS: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
+                 _ivs_negate),
+    BIPOLAR_A: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
                        _bipolar_negate),
 }
 

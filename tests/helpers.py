@@ -147,10 +147,12 @@ def reference_sweep(strata_steps, interp, max_iters, diagnostics):
             return interp, iterations, True
 
 
-def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None):
+def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None, out=None):
     """The modified step that the per-call spreader `kb._Spread` replaced,
     kept verbatim (with its checked, meet_all-based phi) as the reference
-    for differential tests; spread is accepted and ignored.
+    for differential tests; spread is accepted and ignored.  When out is
+    given (the in-place sweep passes interp itself), the step's result is
+    joined into it entry by entry.
 
     One modified step: every applicable rule fires and its head is
     spread over the proximity sets of its predicate and arguments."""
@@ -158,13 +160,17 @@ def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None)
     if rules is None:
         universe = modified_universe(kb)
         rules = [g for rs in ground(kb.program, universe) for g in rs]
-    out = interp.copy()
+    new = interp.copy()
     for rule in rules:
         body = applicable(rule, interp)
         if body is None:
             continue
         alpha = _head_level(rule, body, diagnostics, sys)
-        _reference_expand_head(kb, rule.head, alpha, out)
+        _reference_expand_head(kb, rule.head, alpha, new)
+    if out is None:
+        return new
+    for atom, value in new.entries.items():
+        out.join_in(atom, value)
     return out
 
 

@@ -1,8 +1,9 @@
-"""Smoke test of the benchmark harness: one traced pass of the proximity and
-of the query workload, whose self-checks need every span they expect
-(`kb.mod_step` and `kb.proximity_set` among them, and on query the
-`query.*` spans) to fire, the same counts in the phase and counter passes,
-and every output to match its recorded digest.  No timing is asserted."""
+"""Smoke test of the benchmark harness: one traced pass of each workload,
+whose self-checks need every span they expect (`engine.dt_step` and
+`engine.nt_step` on closure, `kb.mod_step` and `kb.proximity_set` on
+proximity and query, and on query the `query.*` spans) to fire, the same
+counts in the phase and counter passes, and every output to match its
+recorded digest.  No timing is asserted."""
 
 import json
 import pathlib
@@ -14,7 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["proximity", "query"])
+@pytest.mark.parametrize("workload", ["closure", "proximity", "query"])
 def test_traced_pass_is_correct(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,

@@ -1,7 +1,9 @@
 """Differential tests on seeded random programs and knowledge bases: the
-delta-driven sweep against the full-rescan reference sweep, the pruned
-grounding against full Herbrand grounding, and the per-call proximity
-spreader against the reference modified step.
+delta-driven, in-place sweep against the full-rescan reference sweep, the
+pruned grounding against full Herbrand grounding, and the per-call
+proximity spreader against the reference modified step.  Two more cases
+scale these up: chain and cyclic closures up to 40 edges, and a knowledge
+base with nullary and ternary heads under every uncertainty function.
 
 Both sides drive the same reference step operators, so every report must
 agree exactly: entries (levels compared with ==), iteration counts,
@@ -11,7 +13,7 @@ import random
 
 from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
-from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence,
+from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_file,
                           parse_proximity_file)
 from mvdatalog.lang import parse_program
 from mvdatalog.engine import fixpoint
@@ -56,16 +58,16 @@ def test_delta_sweep_matches_reference_sweep(monkeypatch):
             for name, run in _runs(rng, program):
                 delta = _report(run())
                 with monkeypatch.context() as patch:
+                    # fixpoint and consequence both sweep through engine
                     patch.setattr(engine, "_sweep_to_fixpoint", reference_sweep)
-                    patch.setattr(kb, "_sweep_to_fixpoint", reference_sweep)
                     expected = _report(run())
                 assert delta == expected, (trial, directive, name)
                 compared += 1
     assert compared == TRIALS * 2 * len(MAX_ITERS) * 3
 
 
-def _full_ground(program, universe=None, widen=None):
-    return lang.ground(program, universe)
+def _full_ground(program, universe=None, widen=None, atoms=None):
+    return lang.ground(program, universe, atoms=atoms)
 
 
 def test_pruned_grounding_matches_full_grounding(monkeypatch, ex1):
@@ -80,8 +82,8 @@ def test_pruned_grounding_matches_full_grounding(monkeypatch, ex1):
             for name, run in _runs(rng, program):
                 pruned = _report(run())
                 with monkeypatch.context() as patch:
+                    # fixpoint and consequence both ground through engine
                     patch.setattr(engine, "ground", _full_ground)
-                    patch.setattr(kb, "ground", _full_ground)
                     expected = _report(run())
                 assert pruned == expected, (index, directive, name)
                 compared += 1
@@ -118,3 +120,105 @@ def test_spread_matches_reference_mod_step(monkeypatch, ex23_kb, ex17_kb):
                 assert spread == expected, (index, directive, max_iters)
                 compared += 1
     assert compared == len(knowledge_bases) * 2 * len(MAX_ITERS)
+
+
+def _closure_program(n, cyclic):
+    """Fuzzy transitive closure over a chain of n edges c0 -> .. -> cn, with
+    the back edge cn -> c0 when cyclic; edge levels vary along the chain."""
+    lines = ["%system fuzzy."]
+    lines += [f"fact e(c{i}, c{i + 1}) = 0.{50 + 5 * (i % 9)}." for i in range(n)]
+    if cyclic:
+        lines.append(f"fact e(c{n}, c0) = 0.7.")
+    lines += ["rule t(X, Y) <- e(X, Y) : godel, 1.0.",
+              "rule t(X, Z) <- t(X, Y), e(Y, Z) : godel, 0.95."]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def test_in_place_sweep_matches_reference_sweep_on_closures(monkeypatch):
+    compared = limited = 0
+    for n in (1, 5, 17, 40):
+        for cyclic in (False, True):
+            program = _closure_program(n, cyclic)
+            for mode in ("det", "nondet"):
+                for max_iters in (1, 7, 10000):
+                    in_place = _report(fixpoint(program, mode=mode, max_iters=max_iters))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(engine, "_sweep_to_fixpoint", reference_sweep)
+                        expected = _report(fixpoint(program, mode=mode, max_iters=max_iters))
+                    assert in_place == expected, (n, cyclic, mode, max_iters)
+                    compared += 1
+                    limited += not in_place[2]
+            # the last run converged to the edges plus the whole reachability
+            # relation: every pair i < j, or every pair at all when cyclic
+            assert expected[2] and len(expected[0]) == (
+                n + cyclic + ((n + 1) ** 2 if cyclic else n * (n + 1) // 2))
+    assert compared == 4 * 2 * 2 * 3 and limited > 0
+
+
+# nullary and ternary heads, every predicate and constant with synonyms
+FAN_OUT_PROGRAM = """%system {system}.
+fact n = {hi}.
+fact t(a, b, c) = {mid}.
+fact t(b, c, a) = {hi}.
+fact t(c, c, b) = {mid}.
+rule m <- t(X, Y, Z), n : {impl}, {hi}.
+rule u(X, Y, Z) <- t(X, Y, Z), m : {impl}, {mid}.
+rule w <- u(X, X, Y) : {impl}, {hi}.
+"""
+FAN_OUT_PROX = """%domain terms.
+a ~ a1 = {lo}.
+b ~ b1 = {mid}.
+b ~ b2 = {lo}.
+c ~ a = {lo}.
+%domain predicates.
+n ~ n1 = {mid}.
+m ~ m1 = {lo}.
+t ~ t1 = {mid}.
+u ~ u1 = {lo}.
+u ~ u2 = {mid}.
+w ~ w1 = {mid}.
+"""
+FAN_OUT_SYSTEMS = {
+    # system: (implication, low, middle, high level)
+    "fuzzy": ("godel", "0.55", "0.7", "0.9"),
+    "ifs": ("fg2", "(0.55, 0.3)", "(0.7, 0.2)", "(0.9, 0.05)"),
+    "ivs": ("vg2", "(0.55, 0.65)", "(0.7, 0.85)", "(0.9, 0.95)"),
+}
+
+
+def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads(monkeypatch):
+    compared = 0
+    for system, (impl, lo, mid, hi) in FAN_OUT_SYSTEMS.items():
+        program_text = FAN_OUT_PROGRAM.format(system=system, impl=impl, mid=mid, hi=hi)
+        term_prox, pred_prox, _ = parse_proximity_file(FAN_OUT_PROX.format(lo=lo, mid=mid))
+        phis = ["meet", "meet-product"] + (["product"] if system == V.IVS else [])
+        levels = set()
+        for phi in phis:
+            phi_spec = parse_phi_file("".join(f"phi {p}/{k} = {phi}.\n" for p, k in
+                                              (("n", 0), ("m", 0), ("w", 0), ("t", 3),
+                                               ("u", 3))))
+            knowledge = build_kb(parse_program(program_text),
+                                 BackgroundKnowledge(term_prox, pred_prox), phi_spec)
+            # step by step from the empty interpretation, on the full grounding
+            rules = [g for rs in lang.ground(knowledge.program, kb.modified_universe(knowledge))
+                     for g in rs]
+            interp = engine.Interpretation(knowledge.program.system)
+            for _ in range(4):
+                stepped = kb.mod_nt_step(knowledge, interp, rules, [])
+                expected = reference_mod_nt_step(knowledge, interp, rules, [])
+                assert stepped.entries == expected.entries, (system, phi)
+                interp = expected
+            # and the whole consequence, in-place sweep and shared atoms
+            spread = _report(consequence(knowledge))
+            with monkeypatch.context() as patch:
+                patch.setattr(kb, "mod_nt_step", reference_mod_nt_step)
+                assert spread == _report(consequence(knowledge)), (system, phi)
+            entries = spread[0]
+            preds = {atom.pred for atom in entries}
+            assert {"n1", "m1", "w1", "u1", "u2", "t1"} <= preds, (system, phi)
+            assert any(atom.pred == "u2" and atom.args[1].name == "b2" for atom in entries)
+            levels.add(tuple(sorted((str(a), v) for a, v in entries.items())))
+            compared += 1
+        # each uncertainty function gives levels of its own
+        assert len(levels) == len(phis), system
+    assert compared == 7

@@ -96,6 +96,7 @@ def test_bound_lattice_agrees_with_checked_functions(system):
     assert lat.top == V.top(system) and lat.bottom == V.bottom(system)
     pts = system_grid(system) + OUT_OF_LATTICE[system]
     for a, b in itertools.product(pts, pts):
+        assert lat.leq(a, b) == V.leq(system, a, b)
         assert lat.meet(a, b) == V.meet(system, a, b)
         assert lat.join(a, b) == V.join(system, a, b)
         assert lat.equal(a, b) == V.values_equal(system, a, b)
@@ -108,9 +109,9 @@ def test_bound_lattice_agrees_with_checked_functions(system):
         assert lat.meet(a, lat.top) == a and lat.join(a, lat.bottom) == a
     # leq has a formula of its own; negation reverses it
     for a, b in itertools.product(grid_pts, grid_pts):
-        assert V.leq(system, a, b) == (lat.meet(a, b) == a) == (lat.join(a, b) == b)
-        if V.leq(system, a, b):
-            assert V.leq(system, lat.negate(b), lat.negate(a))
+        assert lat.leq(a, b) == (lat.meet(a, b) == a) == (lat.join(a, b) == b)
+        if lat.leq(a, b):
+            assert lat.leq(lat.negate(b), lat.negate(a))
 
 
 def test_conversion_cases():
