@@ -31,8 +31,6 @@ from . import values as V
 from .lang import (Atom, Constant, ParseError, Program, _Parser, _SYSTEM_NAMES,
                    ground)
 from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired
-# unused here, but kept in kb's namespace: benchmarks/layers.py hooks kb.stratify
-from .engine import stratify  # noqa: F401
 
 PHI_MEET = "meet"
 PHI_MEET_PRODUCT = "meet_product"
@@ -275,6 +273,40 @@ def _require_product_system(system: str) -> None:
                          "in the interval-valued case")
 
 
+def _phi_kernel(phi_id: str, system: str):
+    """The pieces of one uncertainty function: (start, fold, fold_args).
+
+    phi(alpha, lambda_pred, lambdas) is fold(start(alpha), lambda_pred)
+    folded on with fold over fold_args(lambdas), or over lambdas themselves
+    when fold_args is None.  meet folds with the lattice meet from
+    top meet alpha (the operand order of the checked meet_all fold, so
+    levels stay bit-for-bit the same); meet_product folds the same way over
+    the argument lambdas' product; product multiplies everything
+    (interval-valued programs only).
+    """
+    if phi_id == PHI_PRODUCT:
+        _require_product_system(system)
+        return (lambda alpha: alpha), _pair_product, None
+    if phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
+        raise ValueError(f"unknown uncertainty function {phi_id!r}")
+    lattice = V.lattice(system)
+    meet, top = lattice.meet, lattice.top
+
+    def start(alpha):
+        return meet(top, alpha)
+
+    if phi_id == PHI_MEET:
+        return start, meet, None
+    product = _scalar_product if system == V.FUZZY else _pair_product
+
+    def fold_args(lambdas):
+        # the pairwise product's neutral element is (1, 1), which is not the
+        # ifs lattice top; fold the argument lambdas only
+        return (_lambda_product(lambdas, product),) if lambdas else lambdas
+
+    return start, meet, fold_args
+
+
 def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     """Combine a derived level with proximity degrees.
 
@@ -283,27 +315,10 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     everything (interval-valued programs only).  All three are identity at
     top and monotone in every argument.  The values are not shape-checked.
     """
-    if phi_id == PHI_PRODUCT:
-        _require_product_system(system)
-        out = _pair_product(alpha, lambda_pred)
-        for lam in lambda_args:
-            out = _pair_product(out, lam)
-        return out
-    if phi_id == PHI_MEET_PRODUCT:
-        # the pairwise product's neutral element is (1, 1), which is not the
-        # ifs lattice top; fold the argument lambdas only
-        if lambda_args:
-            product = _scalar_product if system == V.FUZZY else _pair_product
-            lambda_args = (_lambda_product(lambda_args, product),)
-    elif phi_id != PHI_MEET:
-        raise ValueError(f"unknown uncertainty function {phi_id!r}")
-    lattice = V.lattice(system)
-    meet = lattice.meet
-    # top, then alpha, lambda_pred and the arguments: the operand order of
-    # the checked meet_all fold, so levels stay bit-for-bit the same
-    out = meet(meet(lattice.top, alpha), lambda_pred)
-    for lam in lambda_args:
-        out = meet(out, lam)
+    start, fold, fold_args = _phi_kernel(phi_id, system)
+    out = fold(start(alpha), lambda_pred)
+    for lam in lambda_args if fold_args is None else fold_args(lambda_args):
+        out = fold(out, lam)
     return out
 
 
@@ -325,11 +340,11 @@ class _Spread:
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.system = kb.program.system
-        self.lattice = V.lattice(self.system)
         self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
         self.term_options = {}   # constant name -> the same for it
         self.atoms = {}          # pred -> {key: Atom}, keyed as in `lang.ground`
         self.constants = {}      # name -> Constant
+        self.kernels = {}        # (pred, arity) -> `_phi_kernel` of its phi
 
     def _options(self, table, rel, symbol):
         options = table.get(symbol)
@@ -353,43 +368,39 @@ class _Spread:
         table[key] = atom = Atom(pred, args)
         return atom
 
+    def _kernel(self, functor):
+        kernel = self.kernels.get(functor)
+        if kernel is None:
+            phi_id = self.kb.phi.phi_for(*functor)
+            kernel = self.kernels[functor] = _phi_kernel(phi_id, self.system)
+        return kernel
+
     def fire(self, head: Atom, alpha, out: Interpretation) -> None:
         """Join every synonym of a head derived at level alpha into out.
 
-        Each level is the one `phi_apply` gives, from the same operations in
-        the same order; the prefixes that synonyms share are computed once:
-        top meet alpha meet lambda_q per predicate synonym q (meet and
-        meet_product), alpha times lambda_q per q (product), and the
-        argument lambdas' product per argument combination (meet_product).
+        Each level is the one `phi_apply` gives, from the same kernel; the
+        prefixes that synonyms share are computed once: start(alpha) per
+        head, its fold with lambda_q per predicate synonym q, and the
+        argument lambdas' transform per argument combination.
         """
         pred, args = head.pred, head.args
-        phi_id = self.kb.phi.phi_for(pred, len(args))
+        start, fold, fold_args = self._kernel((pred, len(args)))
         qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
         term_prox, term_options = self.kb.bk.term_prox, self.term_options
         arg_options = [self._options(term_options, term_prox, t.name) for t in args]
         keys = (arg_options[0][0] if len(args) == 1
                 else list(itertools.product(*(names for names, _ in arg_options))))
-        lambdas = list(itertools.product(*(lams for _, lams in arg_options)))
-        if phi_id == PHI_PRODUCT:
-            _require_product_system(self.system)
-            fold = _pair_product
-            starts = [_pair_product(alpha, lam_q) for lam_q in lam_qs]
-        elif phi_id == PHI_MEET or phi_id == PHI_MEET_PRODUCT:
-            fold = meet = self.lattice.meet
-            top_alpha = meet(self.lattice.top, alpha)
-            starts = [meet(top_alpha, lam_q) for lam_q in lam_qs]
-            if phi_id == PHI_MEET_PRODUCT and args:
-                product = _scalar_product if self.system == V.FUZZY else _pair_product
-                lambdas = [(_lambda_product(lams, product),) for lams in lambdas]
-        else:
-            raise ValueError(f"unknown uncertainty function {phi_id!r}")
+        lambdas = itertools.product(*(lams for _, lams in arg_options))
+        lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
+        head_start = start(alpha)
+        starts = [fold(head_start, lam_q) for lam_q in lam_qs]
         atoms, join_in, new_atom = self.atoms, out.join_in, self._new_atom
-        for q, start in zip(qs, starts):
+        for q, prefix in zip(qs, starts):
             table = atoms.get(q)
             if table is None:
                 table = atoms[q] = {}
             for key, lams in zip(keys, lambdas):
-                value = start
+                value = prefix
                 for lam in lams:
                     value = fold(value, lam)
                 join_in(table.get(key) or new_atom(table, q, key), value)

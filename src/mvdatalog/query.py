@@ -92,8 +92,7 @@ def _canonical(atom: Atom) -> str:
 
 
 class _TreeBuilder:
-    def __init__(self, kb: KnowledgeBase, depth_limit: int, facts=None):
-        """facts is kb.program.facts(), when the caller holds it already."""
+    def __init__(self, kb: KnowledgeBase, depth_limit: int):
         self.kb = kb
         self.program = kb.program
         self.system = kb.program.system
@@ -103,7 +102,7 @@ class _TreeBuilder:
         self.fresh = 0
         self.proper = [(rule.head.functor, rule) for _, _, rule in self.program.proper_rules()]
         self.facts_by_pred = {}
-        for atom, _ in self.program.facts() if facts is None else facts:
+        for atom, _ in self.program.facts():
             self.facts_by_pred.setdefault(atom.pred, []).append(atom)
         self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
 
@@ -224,26 +223,22 @@ class _TreeBuilder:
         return False
 
 
-def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
-               facts=None) -> SearchTree:
-    """The AND/OR searching tree of the goal; facts is kb.program.facts(),
-    when the caller holds it already."""
+def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTree:
     if depth_limit < 3:
         raise ValueError("depth_limit must be at least 3")
-    builder = _TreeBuilder(kb, depth_limit, facts)
+    builder = _TreeBuilder(kb, depth_limit)
     root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
     builder.expand_goal(root)
     return SearchTree(root, builder.truncated, depth_limit)
 
 
-def starting_facts(tree: SearchTree, program: Program, facts=None):
+def starting_facts(tree: SearchTree, program: Program):
     """The ground facts parenting YES, with their program levels (joined
-    over repeated facts); facts is program.facts(), when the caller holds
-    it already."""
+    over repeated facts)."""
     harvested = {node.atom for node in tree.walk()
                  if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
     levels = {}
-    for atom, level in program.facts() if facts is None else facts:
+    for atom, level in program.facts():
         if atom in harvested:
             old = levels.get(atom)
             levels[atom] = level if old is None else V.join(program.system, old, level)
@@ -301,9 +296,8 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
            max_iters: int = 10000) -> QueryResult:
     """Grow the consequence from the harvested starting facts only, then
     read the goal's instances off the fixed point."""
-    facts = kb.program.facts()
-    tree = build_tree(kb, goal, depth_limit, facts=facts)
-    x0 = starting_facts(tree, kb.program, facts=facts)
+    tree = build_tree(kb, goal, depth_limit)
+    x0 = starting_facts(tree, kb.program)
     restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
     report = _reused_consequence(kb, restricted, max_iters)
     # only atoms of the goal's functor can unify with it
