@@ -14,13 +14,21 @@ consumed under negation are fully derived first; facts always form an
 implicit leading stratum.  The sweep is semi-naive over the lattice: after
 a stratum's first round, the step operators only see the ground instances
 whose body holds an atom whose level rose, which yields the same fixed
-point, step count and diagnostics as rescanning every instance.  It keeps
-one working interpretation, which the steps update in place, and a change
-log of the atoms whose level rose.  Only the instances whose body atoms are
-all derivable are grounded at all (see `lang.ground`); no other instance
-can ever be applicable.  `fixpoint` and `kb.consequence` share this one
-evaluation path; they differ only in their step operators and in how
-derived heads widen.
+point, step count and diagnostics as rescanning every instance.  Only the
+instances whose body atoms are all derivable are grounded at all (see
+`lang.ground`); no other instance can ever be applicable.  `fixpoint` and
+`kb.consequence` share this one evaluation path; they differ only in their
+step operators and in how derived heads widen.
+
+The path works on interned atoms.  Grounding enters every ground atom in
+one `lang.AtomTable` as an int id and returns each instance as a tuple of
+ids.  The working interpretation (`_Levels`) is a list of values indexed
+by id, which the steps update in place, with a change log of the ids whose
+level rose; proximity synonyms are interned into the same table as they
+are derived.  `Atom` objects are built once, for the returned
+`Interpretation`, in the order the atoms first rose.  Called on
+GroundRules and an Interpretation, the step operators intern them on entry
+and run the same kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import Atom, GroundRule, Program, ground
+from .lang import Atom, AtomTable, GroundRule, Program, ground
 
 
 def _item_key(item):
@@ -48,9 +56,6 @@ class Interpretation:
         self.system = system
         self.lattice = V.lattice(system)
         self.entries = dict(entries or {})
-        # a list while the sweep runs: every atom whose entry rises is
-        # appended to it, which makes it the sweep's change log
-        self.log = None
 
     def get(self, atom: Atom):
         return self.entries.get(atom)
@@ -61,28 +66,11 @@ class Interpretation:
     def join_in(self, atom: Atom, value) -> bool:
         """Merge a derived value by lattice join; True when the entry rose.
         The value must have the system's shape; it is not checked here."""
-        new = self._raised(atom, value)
+        new = _raised(self.lattice, self.entries.get(atom), value)
         if new is None:
             return False
-        self._store(atom, new)
+        self.entries[atom] = new
         return True
-
-    def _store(self, atom: Atom, value) -> None:
-        self.entries[atom] = value
-        if self.log is not None:
-            self.log.append(atom)
-
-    def _raised(self, atom: Atom, value):
-        """The entry that join_in(atom, value) stores, or None when the
-        entry would not rise."""
-        lattice = self.lattice
-        if lattice.is_bottom(value):
-            return None
-        old = self.entries.get(atom)
-        if old is None:
-            return value
-        new = lattice.join(old, value)
-        return None if lattice.equal(new, old, 1e-12) else new
 
     def leq(self, other: "Interpretation") -> bool:
         """Pointwise order: every entry is dominated in the other."""
@@ -111,6 +99,60 @@ class Interpretation:
     def __repr__(self):
         inner = ", ".join(f"{a} = {V.fmt(v)}" for a, v in self.sorted_items())
         return f"{{{inner}}}"
+
+
+def _raised(lattice, old, value):
+    """The join of a stored entry (None for bottom) with a derived value, or
+    None when the entry would not rise."""
+    if lattice.is_bottom(value):
+        return None
+    if old is None:
+        return value
+    new = lattice.join(old, value)
+    return None if lattice.equal(new, old, 1e-12) else new
+
+
+class _Levels:
+    """The working interpretation of an evaluation, over the interned atoms
+    of its `AtomTable`: levels[id] is the value of atom id, None for bottom,
+    and log lists every id whose value rose, in order, so the first
+    occurrences in the log are the atoms in order of first rise.  Seeds are
+    (id, value) pairs stored (and logged) first."""
+
+    def __init__(self, system: str, table: AtomTable, seeds=()):
+        self.system = system
+        self.lattice = V.lattice(system)
+        self.table = table
+        self.levels = [None] * len(table)
+        self.log = []
+        # the closure-violation notes in the diagnostics, from the first one on
+        self.notes = None
+        for aid, value in seeds:
+            self.levels[aid] = value
+            self.log.append(aid)
+
+    def intern(self, pred, key) -> int:
+        """Enter an atom that has no id yet, at bottom; returns its id."""
+        self.levels.append(None)
+        return self.table.add(pred, key)
+
+    def store(self, aid: int, value) -> None:
+        """Set the value of atom id, logging it as a rise."""
+        self.levels[aid] = value
+        self.log.append(aid)
+
+    def join(self, aid: int, value) -> None:
+        """Merge a derived value by lattice join, logging a rise."""
+        new = _raised(self.lattice, self.levels[aid], value)
+        if new is not None:
+            self.store(aid, new)
+
+    def interpretation(self) -> Interpretation:
+        """The levels as an Interpretation, atoms in order of first rise."""
+        atom, levels = self.table.atom, self.levels
+        interp = Interpretation(self.system)
+        interp.entries = {atom(aid): levels[aid] for aid in dict.fromkeys(self.log)}
+        return interp
 
 
 @dataclass
@@ -151,73 +193,142 @@ def applicable(rule: GroundRule, interp: Interpretation):
     return acc
 
 
-def _note_closure_violation(rule: GroundRule, value, diagnostics: Optional[list],
-                            system: str) -> None:
+def _note_closure_violation(interp: _Levels, head: int, value,
+                            diagnostics: Optional[list]) -> None:
+    """Record, once per evaluation, that a derived level left the lattice;
+    the note and the head's Atom are built only here."""
     if diagnostics is None:
         return
     note = (f"closure violation: derived level {V.fmt(value)} for "
-            f"{rule.head} is outside the {system} lattice")
-    if note not in diagnostics:
+            f"{interp.table.atom(head)} is outside the {interp.system} lattice")
+    if interp.notes is None:
+        interp.notes = set(diagnostics)
+    if note not in interp.notes:
+        interp.notes.add(note)
         diagnostics.append(note)
 
 
-def _head_level(rule: GroundRule, body_value, diagnostics: Optional[list], system: str):
-    value, closed = Imp.bound_level(rule.impl, system)(body_value, rule.level)
-    if not closed:
-        _note_closure_violation(rule, value, diagnostics, system)
-    return value
+def _body_level(body, levels, lattice):
+    """`applicable` over interned atoms: the meet of the body's values (the
+    complement for a negated id ~id), or None when one is bottom."""
+    acc = lattice.top
+    for aid in body:
+        if aid >= 0:
+            val = levels[aid]
+            if val is None:
+                return None
+        else:
+            val = levels[~aid]
+            if val is None:
+                return None
+            val = lattice.negate(val)
+        acc = lattice.meet(acc, val)
+    return acc
 
 
-def _fired(rules, interp: Interpretation, diagnostics: Optional[list]):
-    """(head, level) of every applicable rule, in rule order."""
-    system = interp.system
+def _fired(instances, interp: _Levels, diagnostics: Optional[list]):
+    """(head id, level) of every applicable interned instance, in order."""
+    levels, lattice = interp.levels, interp.lattice
     fired = []
-    for rule in rules:
-        body = applicable(rule, interp)
-        if body is not None:
-            fired.append((rule.head, _head_level(rule, body, diagnostics, system)))
+    for head, body, level_fn, level, _ in instances:
+        acc = _body_level(body, levels, lattice)
+        if acc is not None:
+            value, closed = level_fn(acc, level)
+            if not closed:
+                _note_closure_violation(interp, head, value, diagnostics)
+            fired.append((head, value))
     return fired
 
 
-def dt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
-            out: Optional[Interpretation] = None) -> Interpretation:
-    """Parallel step: heads of all applicable rules, merged by join.  Every
-    body is read from interp before any head is joined into out, which is
-    returned: a copy of interp by default, or interp itself when the sweep
-    steps in place."""
-    fired = _fired(rules, interp, diagnostics)
+def _on_objects(kernel, rules, interp: Interpretation, diagnostics: Optional[list],
+                out: Optional[Interpretation], copy_unchanged: bool = True) -> Interpretation:
+    """Apply an interned step kernel, kernel(instances, interp, diagnostics,
+    out), to GroundRules and Interpretations: intern the atoms of interp,
+    of out and of the rules, step, and carry every rise into out, which is
+    returned.  By default out is a copy of interp; without copy_unchanged,
+    interp itself comes back when nothing rose."""
+    table = AtomTable()
+    seeds = [(table.intern_atom(atom), value) for atom, value in interp.entries.items()]
+    out_seeds = (None if out is None or out is interp else
+                 [(table.intern_atom(atom), value) for atom, value in out.entries.items()])
+    bound = {}
+    instances = []
+    for rule in rules:
+        level_fn = bound.get(rule.impl)
+        if level_fn is None:
+            level_fn = bound[rule.impl] = Imp.bound_level(rule.impl, interp.system)
+        body = tuple(~table.intern_atom(lit.atom) if lit.negated else table.intern_atom(lit.atom)
+                     for lit in rule.body)
+        instances.append((table.intern_atom(rule.head), body, level_fn, rule.level,
+                          rule.rule_pos))
+    read = _Levels(interp.system, table, seeds)
+    write = read if out_seeds is None else _Levels(interp.system, table, out_seeds)
+    start = len(write.log)
+    kernel(instances, read, diagnostics, write)
     if out is None:
+        if len(write.log) == start and not copy_unchanged:
+            return interp
         out = interp.copy()
-    join_in = out.join_in
-    for head, level in fired:
-        join_in(head, level)
+    atom, levels = table.atom, write.levels
+    for aid in dict.fromkeys(write.log[start:]):
+        out.entries[atom(aid)] = levels[aid]
     return out
 
 
-def nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
-            out: Optional[Interpretation] = None) -> Interpretation:
-    """Sequential step: the first rule instance that strictly increases the
-    interpretation is applied; unchanged input means a (stratum) fixed point.
-    The rising head is stored into out, which is returned: by default a copy
-    of interp made only then (interp itself comes back when nothing rises),
-    or interp itself when the sweep steps in place."""
-    system = interp.system
-    for rule in rules:
-        body = applicable(rule, interp)
-        if body is None:
+def _dt(instances, interp: _Levels, diagnostics: Optional[list], out: _Levels) -> _Levels:
+    """The kernel of `dt_step`."""
+    fired = _fired(instances, interp, diagnostics)
+    join = out.join
+    for head, level in fired:
+        join(head, level)
+    return out
+
+
+def _nt(instances, interp: _Levels, diagnostics: Optional[list], out: _Levels) -> _Levels:
+    """The kernel of `nt_step`."""
+    levels, lattice = interp.levels, interp.lattice
+    for head, body, level_fn, level, _ in instances:
+        acc = _body_level(body, levels, lattice)
+        if acc is None:
             continue
-        value, closed = Imp.bound_level(rule.impl, system)(body, rule.level)
-        raised = interp._raised(rule.head, value)
+        value, closed = level_fn(acc, level)
+        raised = _raised(lattice, levels[head], value)
         if raised is None:
             continue
         # diagnostics come from the productive application only
         if not closed:
-            _note_closure_violation(rule, value, diagnostics, system)
-        if out is None:
-            out = interp.copy()
-        out._store(rule.head, raised)
+            _note_closure_violation(interp, head, value, diagnostics)
+        out.store(head, raised)
         return out
-    return interp if out is None else out
+    return out
+
+
+def dt_step(rules, interp, diagnostics: Optional[list] = None, out=None):
+    """Parallel step: heads of all applicable rules, merged by join.  Every
+    body is read from interp before any head is joined into out, which is
+    returned.
+
+    On GroundRules and an Interpretation, out is a copy of interp by
+    default; the atoms are interned for the step alone.  The sweep calls it
+    on interned instances with its working `_Levels` as both interp and
+    out, so it steps in place."""
+    if isinstance(interp, Interpretation):
+        return _on_objects(_dt, rules, interp, diagnostics, out)
+    return _dt(rules, interp, diagnostics, out)
+
+
+def nt_step(rules, interp, diagnostics: Optional[list] = None, out=None):
+    """Sequential step: the first rule instance that strictly increases the
+    interpretation is applied; unchanged input means a (stratum) fixed point.
+    The rising head is stored into out, which is returned.
+
+    On GroundRules and an Interpretation, out is by default a copy of
+    interp made only when something rises (interp itself comes back when
+    nothing does).  The sweep calls it on interned instances with its
+    working `_Levels` as both interp and out, so it steps in place."""
+    if isinstance(interp, Interpretation):
+        return _on_objects(_nt, rules, interp, diagnostics, out, copy_unchanged=False)
+    return _nt(rules, interp, diagnostics, out)
 
 
 # ----------------------------------------------------------------------
@@ -348,17 +459,17 @@ def order_from_directive(indices) -> EvalOrder:
 # ----------------------------------------------------------------------
 
 def _body_index(rules):
-    """Ground atom -> ascending positions of the rules whose body (positive
-    or negated) contains it, once per literal."""
+    """Atom id -> ascending positions of the interned instances whose body
+    (positive or negated) holds it, once per literal."""
     index = {}
     for pos, rule in enumerate(rules):
-        for lit in rule.body:
-            index.setdefault(lit.atom, []).append(pos)
+        for aid in rule[1]:
+            index.setdefault(aid if aid >= 0 else ~aid, []).append(pos)
     return index
 
 
 def _touching(index, atoms):
-    """Ascending positions of the rules whose body contains one of atoms."""
+    """Ascending positions of the rules whose body holds one of the atom ids."""
     out = set()
     for atom in atoms:
         out.update(index.get(atom, ()))
@@ -407,51 +518,48 @@ def _sequential_steps(rules, step_fn, index, todo, interp, iterations, max_iters
         else:
             return iterations, True
         iterations += 1
-        for touched in index.get(rules[pos].head, ()):
+        for touched in index.get(rules[pos][0], ()):
             if not queued[touched]:
                 queued[touched] = 1
                 heapq.heappush(heap, touched)
 
 
-def _sweep_to_fixpoint(strata_steps, interp, max_iters, diagnostics):
+def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
     """Saturate each (rules, step) stratum in order, repeat the sweep until a
     full pass is quiet.  Returns (interp, productive_steps, converged).
 
-    Every step is called as step(rules, interp, diagnostics, interp), so it
-    reads and updates the one working interpretation in place; its log
-    records every atom whose stored value rose.  A rule's result depends
-    only on its body atoms, and rising atoms never make a rule's
-    contribution fall, so after a stratum's first visit only the rules
-    whose body holds an atom logged since need another look; each stratum
-    remembers the log length at which it last went quiet.  The sequential
-    step `nt_step` is applied one candidate at a time in rule order, so it
-    still applies the first rising instance of the full list; every other
-    step is applied to the candidate sub-list in rule order.
+    The rules are interned instances, and every step is called as
+    step(rules, interp, diagnostics, interp), so it reads and updates the
+    one working `_Levels` in place; its log records every atom whose value
+    rose.  A rule's result depends only on its body atoms, and rising atoms
+    never make a rule's contribution fall, so after a stratum's first visit
+    only the rules whose body holds an atom logged since need another look;
+    each stratum remembers the log length at which it last went quiet.  The
+    sequential step `nt_step` is applied one candidate at a time in rule
+    order, so it still applies the first rising instance of the full list;
+    every other step is applied to the candidate sub-list in rule order.
     """
-    log = interp.log = []
+    log = interp.log
     indexes = [None] * len(strata_steps)
     quiet_at = [0] * len(strata_steps)
     iterations = 0
-    try:
-        while True:
-            pass_start = len(log)
-            for k, (rules, step_fn) in enumerate(strata_steps):
-                if indexes[k] is None:
-                    indexes[k] = _body_index(rules)
-                    todo = range(len(rules))
-                else:
-                    todo = _touching(indexes[k], log[quiet_at[k]:])
-                saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
-                iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
-                                                 iterations, max_iters, diagnostics, log)
-                if not converged:
-                    diagnostics.append(f"iteration limit reached ({max_iters})")
-                    return interp, iterations, False
-                quiet_at[k] = len(log)
-            if len(log) == pass_start:
-                return interp, iterations, True
-    finally:
-        interp.log = None
+    while True:
+        pass_start = len(log)
+        for k, (rules, step_fn) in enumerate(strata_steps):
+            if indexes[k] is None:
+                indexes[k] = _body_index(rules)
+                todo = range(len(rules))
+            else:
+                todo = _touching(indexes[k], log[quiet_at[k]:])
+            saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
+            iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
+                                             iterations, max_iters, diagnostics, log)
+            if not converged:
+                diagnostics.append(f"iteration limit reached ({max_iters})")
+                return interp, iterations, False
+            quiet_at[k] = len(log)
+        if len(log) == pass_start:
+            return interp, iterations, True
 
 
 def _stratum_rule_lists(program: Program, grounded, order: EvalOrder):
@@ -473,12 +581,13 @@ def _unwidened(pred, names):
 
 
 def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact_step, step,
-              universe=None, widen=_unwidened, atoms=None) -> FixpointReport:
+              universe=None, widen=_unwidened) -> FixpointReport:
     """The evaluation path of `fixpoint` and `kb.consequence`: select the
     order (the %order directive, else stratify()), ground the derivable
-    instances with heads widened by widen (ground shares its atom table
-    through atoms, when given), then sweep the fact stratum with fact_step
-    and every other stratum with step."""
+    instances with heads widened by widen, interned in one `AtomTable`,
+    then sweep the fact stratum with fact_step and every other stratum with
+    step over a `_Levels` on that table.  Atoms are built for the result
+    only."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if order is None:
@@ -487,12 +596,13 @@ def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact
         else:
             order = stratify(program)
     diagnostics = list(order.warnings)
-    grounded = ground(program, universe, widen=widen, atoms=atoms)
+    table = AtomTable()
+    grounded = ground(program, universe, widen=widen, table=table)
     lists = _stratum_rule_lists(program, grounded, order)
     strata_steps = [(lists[0], fact_step)] + [(rules, step) for rules in lists[1:]]
-    interp, iterations, converged = _sweep_to_fixpoint(
-        strata_steps, Interpretation(program.system), max_iters, diagnostics)
-    return FixpointReport(interp, iterations, converged, diagnostics)
+    levels, iterations, converged = _sweep_to_fixpoint(
+        strata_steps, _Levels(program.system, table), max_iters, diagnostics)
+    return FixpointReport(levels.interpretation(), iterations, converged, diagnostics)
 
 
 def fixpoint(program: Program, mode: str = "nondet", order: Optional[EvalOrder] = None,

@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import values as V
-from .lang import (Atom, Constant, ParseError, Program, _Parser, _SYSTEM_NAMES,
-                   ground)
-from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired
+from .lang import ParseError, Program, _Parser, _SYSTEM_NAMES, ground
+from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired, _on_objects
 
 PHI_MEET = "meet"
 PHI_MEET_PRODUCT = "meet_product"
@@ -329,12 +329,10 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
 class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
-    The proximity set of each predicate and term symbol is fetched once, and
-    each synonym atom is built once.  `atoms` is the atom table that
-    `lang.ground` fills (see there), so a synonym that is a ground atom is
-    that same object.  A synonym of p(t1..tn) is q(s1..sn) with q over the
-    proximity set of p, outermost, then each s_i over that of t_i, the
-    first argument varying slowest.
+    The proximity set of each predicate and term symbol is fetched once.  A
+    synonym of p(t1..tn) is q(s1..sn) with q over the proximity set of p,
+    outermost, then each s_i over that of t_i, the first argument varying
+    slowest.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -342,8 +340,6 @@ class _Spread:
         self.system = kb.program.system
         self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
         self.term_options = {}   # constant name -> the same for it
-        self.atoms = {}          # pred -> {key: Atom}, keyed as in `lang.ground`
-        self.constants = {}      # name -> Constant
         self.kernels = {}        # (pred, arity) -> `_phi_kernel` of its phi
 
     def _options(self, table, rel, symbol):
@@ -361,13 +357,6 @@ class _Spread:
         qs, _ = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
         return [(q, chosen) for q in qs for chosen in itertools.product(*arg_names)]
 
-    def _new_atom(self, table, pred, key) -> Atom:
-        consts = self.constants
-        names = (key,) if isinstance(key, str) else key
-        args = tuple(consts.get(n) or consts.setdefault(n, Constant(n)) for n in names)
-        table[key] = atom = Atom(pred, args)
-        return atom
-
     def _kernel(self, functor):
         kernel = self.kernels.get(functor)
         if kernel is None:
@@ -375,57 +364,70 @@ class _Spread:
             kernel = self.kernels[functor] = _phi_kernel(phi_id, self.system)
         return kernel
 
-    def fire(self, head: Atom, alpha, out: Interpretation) -> None:
-        """Join every synonym of a head derived at level alpha into out.
+    def fire(self, head: int, alpha, out) -> None:
+        """Join every synonym of the interned head derived at level alpha
+        into the working levels out, interning the synonyms in its table.
 
         Each level is the one `phi_apply` gives, from the same kernel; the
         prefixes that synonyms share are computed once: start(alpha) per
         head, its fold with lambda_q per predicate synonym q, and the
         argument lambdas' transform per argument combination.
         """
-        pred, args = head.pred, head.args
-        start, fold, fold_args = self._kernel((pred, len(args)))
+        table = out.table
+        pred, key = table.entries[head]
+        names = (key,) if isinstance(key, str) else key
+        start, fold, fold_args = self._kernel((pred, len(names)))
         qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
         term_prox, term_options = self.kb.bk.term_prox, self.term_options
-        arg_options = [self._options(term_options, term_prox, t.name) for t in args]
-        keys = (arg_options[0][0] if len(args) == 1
-                else list(itertools.product(*(names for names, _ in arg_options))))
+        arg_options = [self._options(term_options, term_prox, n) for n in names]
+        keys = (arg_options[0][0] if len(names) == 1
+                else list(itertools.product(*(syns for syns, _ in arg_options))))
         lambdas = itertools.product(*(lams for _, lams in arg_options))
         lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
         head_start = start(alpha)
         starts = [fold(head_start, lam_q) for lam_q in lam_qs]
-        atoms, join_in, new_atom = self.atoms, out.join_in, self._new_atom
+        ids_of, intern, join = table.ids, out.intern, out.join
         for q, prefix in zip(qs, starts):
-            table = atoms.get(q)
-            if table is None:
-                table = atoms[q] = {}
+            ids = ids_of.get(q)
+            if ids is None:
+                ids = ids_of[q] = {}
             for key, lams in zip(keys, lambdas):
                 value = prefix
                 for lam in lams:
                     value = fold(value, lam)
-                join_in(table.get(key) or new_atom(table, q, key), value)
+                aid = ids.get(key)
+                join(intern(q, key) if aid is None else aid, value)
 
 
-def mod_nt_step(kb: KnowledgeBase, interp: Interpretation, rules=None,
+def _mod(spread: _Spread, instances, interp, diagnostics, out):
+    """The kernel of `mod_nt_step`: every head fired from interp is spread
+    into out."""
+    fired = _fired(instances, interp, diagnostics)
+    for head, alpha in fired:
+        spread.fire(head, alpha, out)
+    return out
+
+
+def mod_nt_step(kb: KnowledgeBase, interp, rules=None,
                 diagnostics: Optional[list] = None,
-                spread: Optional[_Spread] = None,
-                out: Optional[Interpretation] = None) -> Interpretation:
+                spread: Optional[_Spread] = None, out=None):
     """One modified step: every applicable rule fires and its head is
     spread over the proximity sets of its predicate and arguments.  Every
     body is read from interp before any head is spread into out, which is
-    returned: a copy of interp by default, or interp itself when the sweep
-    steps in place.  Without a spread, one is built for this step alone."""
+    returned.  Without a spread, one is built for this step alone.
+
+    On GroundRules (by default the full grounding) and an Interpretation,
+    out is a copy of interp by default; the atoms are interned for the step
+    alone.  `consequence` calls it on interned instances with its working
+    `engine._Levels` as both interp and out, so it steps in place."""
     if rules is None:
         universe = modified_universe(kb)
         rules = [g for rs in ground(kb.program, universe) for g in rs]
     if spread is None:
         spread = _Spread(kb)
-    fired = _fired(rules, interp, diagnostics)
-    if out is None:
-        out = interp.copy()
-    for head, alpha in fired:
-        spread.fire(head, alpha, out)
-    return out
+    if isinstance(interp, Interpretation):
+        return _on_objects(partial(_mod, spread), rules, interp, diagnostics, out)
+    return _mod(spread, rules, interp, diagnostics, out)
 
 
 def modified_universe(kb: KnowledgeBase):
@@ -439,11 +441,12 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
     fire, since they are always-applicable empty-body rules in the leading
     stratum.  Grounding keeps the instances whose body atoms are derivable
     when every derived head is widened over its synonyms.  One spread serves
-    the widening and every step of the call, and shares the ground atoms."""
+    the widening and every step of the call; its synonyms are interned in
+    the evaluation's atom table."""
     spread = _Spread(kb)
 
     def step(rules, interp, diagnostics, out=None):
         return mod_nt_step(kb, interp, rules, diagnostics, spread, out)
 
     return _evaluate(kb.program, order, max_iters, step, step, modified_universe(kb),
-                     spread.widen, spread.atoms)
+                     spread.widen)

@@ -571,24 +571,84 @@ def substitute(atom: Atom, theta: dict) -> Atom:
                                  for t in atom.args))
 
 
+class AtomTable:
+    """Ground atoms interned to dense int ids, 0, 1, 2, .. in order of entry.
+
+    An atom is entered by its predicate and key: the argument name of a
+    unary atom and the tuple of argument names otherwise; the arity of a
+    predicate is fixed, so the keys of one predicate never mix the two
+    forms.  `Atom` objects are built only on request, once per id, and
+    share their `Constant`s.
+    """
+
+    def __init__(self):
+        self.ids = {}          # pred -> {key: id}
+        self.entries = []      # id -> (pred, key)
+        self._atoms = {}       # id -> Atom, as built by `atom` or given to `intern_atom`
+        self._constants = {}   # name -> Constant
+
+    def __len__(self):
+        return len(self.entries)
+
+    def add(self, pred, key) -> int:
+        """Enter an atom that has no id yet; returns its id."""
+        aid = len(self.entries)
+        self.ids.setdefault(pred, {})[key] = aid
+        self.entries.append((pred, key))
+        return aid
+
+    def intern_atom(self, atom: Atom) -> int:
+        """The id of a ground Atom; `atom` returns this object for it."""
+        key = _key(atom)
+        aid = self.ids.get(atom.pred, {}).get(key)
+        if aid is None:
+            aid = self.add(atom.pred, key)
+        self._atoms.setdefault(aid, atom)
+        return aid
+
+    def atom(self, aid: int) -> Atom:
+        atom = self._atoms.get(aid)
+        if atom is None:
+            pred, key = self.entries[aid]
+            consts = self._constants
+            names = (key,) if isinstance(key, str) else key
+            atom = self._atoms[aid] = Atom(pred, tuple(
+                consts.get(n) or consts.setdefault(n, Constant(n)) for n in names))
+        return atom
+
+
+def _key(atom: Atom):
+    """The key of a ground atom in an `AtomTable`."""
+    args = atom.args
+    return args[0].name if len(args) == 1 else tuple(t.name for t in args)
+
+
+def _is_ground_fact(rule: Rule) -> bool:
+    return not rule.body and not rule.head.variables()
+
+
 class _Grounder:
     """Builds ground instances from per-rule templates.
 
-    One grounder serves one `ground` call: every equal ground atom (and
-    literal) it builds is the same object, so dictionary lookups on ground
-    atoms succeed on identity.  A template reads an atom's key off
-    `combo + constants`, where combo is the substitution (one constant name
-    per rule variable) and constants are the rule's own constant names.  A
-    key is the argument name for a unary atom and the tuple of argument
-    names otherwise; the arity of a predicate is fixed, so the keys of one
-    predicate never mix the two forms.
+    One grounder serves one `ground` call.  A template reads an atom's key
+    (as in `AtomTable`) off `combo + constants`, where combo is the
+    substitution (one constant name per rule variable) and constants are the
+    rule's own constant names.  Without a table, an instance is a
+    `GroundRule`, and every equal ground atom (and literal) is the same
+    object, so dictionary lookups on ground atoms succeed on identity.  With
+    a table, an instance is the tuple (head id, body, level function, rule
+    level, rule position): body holds the id of each positive body atom and
+    the complement ~id of each negated one, and the level function is the
+    rule's `implications.bound_level`.
     """
 
-    def __init__(self, universe, atoms=None):
+    def __init__(self, universe, system, table=None):
         self.names = sorted(universe)
+        self.system = system
+        self.table = table
         self.consts = {n: Constant(n) for n in self.names}
-        self.atoms = {} if atoms is None else atoms   # pred -> {key: Atom}
-        self.literals = {}    # (pred, negated) -> {key: Literal}
+        self.atoms = {}       # pred -> {key: Atom}, without a table
+        self.literals = {}    # (pred, negated) -> {key: Literal}, without a table
 
     def _atom(self, pred, key):
         table = self.atoms.setdefault(pred, {})
@@ -603,6 +663,15 @@ class _Grounder:
                 args.append(c)
             atom = table[key] = Atom(pred, tuple(args))
         return atom
+
+    def fact(self, rule: Rule, rule_pos: int):
+        """The one instance of a ground fact."""
+        head = rule.head
+        if self.table is not None:
+            return [(self.table.intern_atom(head), (), Imp.bound_level(rule.impl, self.system),
+                     rule.level, rule_pos)]
+        return [GroundRule(self._atom(head.pred, _key(head)), (), rule.impl, rule.level,
+                           rule_pos)]
 
     def rule(self, rule: Rule, rule_pos: int, combos=None):
         """Instances for the given substitutions (tuples of constant names,
@@ -627,10 +696,13 @@ class _Grounder:
 
         head_key = key_of(rule.head)
         head_pred = rule.head.pred
-        head_table = self.atoms.setdefault(head_pred, {})
-        body = [(key_of(lit.atom), self.literals.setdefault((lit.atom.pred, lit.negated), {}),
-                 lit.atom.pred, lit.negated) for lit in rule.body]
+        body_keys = [key_of(lit.atom) for lit in rule.body]
         constants = tuple(rule_constants)
+        if self.table is not None:
+            return self._interned(rule, rule_pos, combos, constants, head_key, body_keys)
+        head_table = self.atoms.setdefault(head_pred, {})
+        body = [(body_key, self.literals.setdefault((lit.atom.pred, lit.negated), {}),
+                 lit.atom.pred, lit.negated) for body_key, lit in zip(body_keys, rule.body)]
         impl, level = rule.impl, rule.level
         out = []
         for combo in combos:
@@ -645,6 +717,34 @@ class _Grounder:
                     lit = table[key] = Literal(self._atom(pred, key), negated)
                 lits.append(lit)
             out.append(GroundRule(head, tuple(lits), impl, level, rule_pos))
+        return out
+
+    def _interned(self, rule, rule_pos, combos, constants, head_key, body_keys):
+        """`rule`'s instances as tuples of atom ids (see the class)."""
+        table = self.table
+        add = table.add
+        head_pred = rule.head.pred
+        head_ids = table.ids.setdefault(head_pred, {})
+        body = [(body_key, table.ids.setdefault(lit.atom.pred, {}), lit.atom.pred, lit.negated)
+                for body_key, lit in zip(body_keys, rule.body)]
+        level_fn, level = None, rule.level
+        out = []
+        for combo in combos:
+            if level_fn is None:
+                level_fn = Imp.bound_level(rule.impl, self.system)
+            full = combo + constants
+            key = head_key(full)
+            head = head_ids.get(key)
+            if head is None:
+                head = add(head_pred, key)
+            ids = []
+            for body_key, pred_ids, pred, negated in body:
+                key = body_key(full)
+                aid = pred_ids.get(key)
+                if aid is None:
+                    aid = add(pred, key)
+                ids.append(~aid if negated else aid)
+            out.append((head, tuple(ids), level_fn, level, rule_pos))
         return out
 
 
@@ -787,67 +887,71 @@ class _RuleJoin:
 
 def _derivable_substitutions(program: Program, names: list, widen):
     """Per rule, the ascending substitutions whose body atoms are all
-    derivable (see `ground`), found by a semi-naive pass over crisp
-    relations followed by one join per rule."""
+    derivable (see `ground`), recorded as a semi-naive pass over crisp
+    relations emits them; a ground fact has the one empty substitution."""
     universe = set(names)
-    joins = [_RuleJoin(r, universe, names) for r in program.rules]
     derivable = _Relations()
     rows = derivable.rows
     widened = set()
     # the atoms first derived in the current round, in order: a synonym that
     # is derivable already, or found earlier in the round, is dropped here
     found = {}
+    substitutions = [set() for _ in program.rules]
 
-    def head_emitter(join):
-        pred, head_names = join.head_pred, join.head_names
+    def derive(atom):
+        if atom not in widened:
+            widened.add(atom)
+            for syn in widen(*atom):
+                if syn[1] not in rows.get(syn[0], ()):
+                    found[syn] = None
+
+    def emitter(join, recorded):
+        pred, head_names, nvars = join.head_pred, join.head_names, join.nvars
 
         def emit(binding):
-            atom = (pred, head_names(binding))
-            if atom not in widened:
-                widened.add(atom)
-                for syn in widen(*atom):
-                    if syn[1] not in rows.get(syn[0], ()):
-                        found[syn] = None
+            recorded.add(tuple(binding[:nvars]))
+            derive((pred, head_names(binding)))
         return emit
 
-    emitters = [head_emitter(j) for j in joins]
-    for join, emit in zip(joins, emitters):
-        if not join.atoms:
-            join.solve(join.full_plan, [], emit)
+    joins = []
+    for rule, recorded in zip(program.rules, substitutions):
+        if _is_ground_fact(rule):
+            recorded.add(())
+            derive((rule.head.pred, tuple(t.name for t in rule.head.args)))
+            continue
+        join = _RuleJoin(rule, universe, names)
+        if join.atoms:
+            joins.append((join, emitter(join, recorded)))
+        else:
+            join.solve(join.full_plan, [], emitter(join, recorded))
     while found:
         delta = _Relations()
         for pred, atom_names in found:
             derivable.add(pred, atom_names)
             delta.add(pred, atom_names)
         found.clear()
-        for join, emit in zip(joins, emitters):
+        for join, emit in joins:
             for i, (pred, _) in enumerate(join.atoms):
                 if pred in delta.rows:
                     plan = join.delta_plans[i]
                     join.solve(plan, [delta] + [derivable] * (len(plan[0]) - 1), emit)
-
-    out = []
-    for join in joins:
-        combos = []
-        nvars = join.nvars
-        join.solve(join.full_plan, [derivable] * len(join.atoms),
-                   lambda binding: combos.append(tuple(binding[:nvars])))
-        combos.sort()
-        out.append(combos)
-    return out
+    return [sorted(recorded) for recorded in substitutions]
 
 
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
     """All ground instances, ordered lexicographically by substitution (the
     rule's variables in first-occurrence order, constants sorted by name)."""
-    return _Grounder(universe).rule(rule, rule_pos)
+    return _Grounder(universe, None).rule(rule, rule_pos)
 
 
-def ground(program: Program, universe=None, widen=None, atoms=None):
+def ground(program: Program, universe=None, widen=None, table=None):
     """Ground instances per rule, in rule order; equal ground atoms are
-    shared across all of them.  When atoms is a dict, the atom table is
-    kept in it for the caller: pred -> {key: Atom}, the key being the
-    argument name of a unary atom and the tuple of argument names otherwise.
+    shared across all of them.
+
+    Without a table, each instance is a `GroundRule`.  With an `AtomTable`,
+    the one that `engine._evaluate` passes, every ground atom is interned
+    in it and each instance is a tuple of its ids (see `_Grounder`); no
+    `Atom`, `Literal` or `GroundRule` is built.
 
     Without widen, every instance over the universe.  With widen, only the
     instances whose every body atom, negated ones included, is derivable:
@@ -856,14 +960,18 @@ def ground(program: Program, universe=None, widen=None, atoms=None):
     derivable.  widen returns (pred, names) pairs, the head itself among
     them.  An instance with an underivable body atom is never applicable,
     so it changes no evaluation; the survivors keep their relative order.
+    The crisp pass that finds the derivable atoms records each rule's
+    substitutions as it goes, so no join is repeated to list them.
     """
     if universe is None:
         universe = program.constants()
-    grounder = _Grounder(universe, atoms)
+    grounder = _Grounder(universe, program.system, table)
     if widen is None:
-        return [grounder.rule(r, pos) for pos, r in enumerate(program.rules)]
-    combos = _derivable_substitutions(program, grounder.names, widen)
-    return [grounder.rule(r, pos, c) for (pos, r), c in zip(enumerate(program.rules), combos)]
+        combos = [None] * len(program.rules)
+    else:
+        combos = _derivable_substitutions(program, grounder.names, widen)
+    return [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)
+            for (pos, r), c in zip(enumerate(program.rules), combos)]
 
 
 # ----------------------------------------------------------------------

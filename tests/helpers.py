@@ -1,15 +1,19 @@
-"""Seeded generators for the randomized property suites."""
+"""Seeded generators for the randomized property suites, and the reference
+implementations that the differential tests compare against."""
 
 import itertools
 import random
+from typing import Optional
 
+from mvdatalog import implications as Imp
 from mvdatalog import values as V
-from mvdatalog.engine import _head_level, applicable
-from mvdatalog.lang import (Atom, Constant, Literal, Program, Rule, Variable,
+from mvdatalog.engine import (FixpointReport, Interpretation, _raised, _stratum_rule_lists,
+                              _unwidened, applicable, order_from_directive, stratify)
+from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
                             _default_impl, ground, rename_apart, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
-                          _pair_product, modified_universe, proximity_set)
+                          _pair_product, _Spread, modified_universe, proximity_set)
 from mvdatalog.query import SearchNode, SearchTree, _connective, _TreeBuilder
 
 CONSTS = ["a", "b", "c", "d", "e", "f"]
@@ -145,6 +149,130 @@ def reference_sweep(strata_steps, interp, max_iters, diagnostics):
                 changed_in_pass = True
         if not changed_in_pass:
             return interp, iterations, True
+
+
+def _note_closure_violation(rule: GroundRule, value, diagnostics: Optional[list],
+                            system: str) -> None:
+    if diagnostics is None:
+        return
+    note = (f"closure violation: derived level {V.fmt(value)} for "
+            f"{rule.head} is outside the {system} lattice")
+    if note not in diagnostics:
+        diagnostics.append(note)
+
+
+def _head_level(rule: GroundRule, body_value, diagnostics: Optional[list], system: str):
+    value, closed = Imp.bound_level(rule.impl, system)(body_value, rule.level)
+    if not closed:
+        _note_closure_violation(rule, value, diagnostics, system)
+    return value
+
+
+def _fired(rules, interp: Interpretation, diagnostics: Optional[list]):
+    """(head, level) of every applicable rule, in rule order."""
+    system = interp.system
+    fired = []
+    for rule in rules:
+        body = applicable(rule, interp)
+        if body is not None:
+            fired.append((rule.head, _head_level(rule, body, diagnostics, system)))
+    return fired
+
+
+def reference_dt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
+                      out: Optional[Interpretation] = None) -> Interpretation:
+    """The parallel step on GroundRules and Interpretations that the
+    interned kernel of `engine.dt_step` replaced, kept verbatim (with its
+    linear scan for a repeated closure-violation note) as the reference for
+    differential tests.
+
+    Parallel step: heads of all applicable rules, merged by join.  Every
+    body is read from interp before any head is joined into out, which is
+    returned: a copy of interp by default, or interp itself when the sweep
+    steps in place."""
+    fired = _fired(rules, interp, diagnostics)
+    if out is None:
+        out = interp.copy()
+    join_in = out.join_in
+    for head, level in fired:
+        join_in(head, level)
+    return out
+
+
+def reference_nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
+                      out: Optional[Interpretation] = None) -> Interpretation:
+    """The sequential step that the interned kernel of `engine.nt_step`
+    replaced, kept verbatim as the reference for differential tests; the
+    one change is that the rise test and the store, once methods of
+    `Interpretation` that wrote a change log too, are spelled out here.
+
+    Sequential step: the first rule instance that strictly increases the
+    interpretation is applied; unchanged input means a (stratum) fixed point.
+    The rising head is stored into out, which is returned: by default a copy
+    of interp made only then (interp itself comes back when nothing rises),
+    or interp itself when the sweep steps in place."""
+    system = interp.system
+    for rule in rules:
+        body = applicable(rule, interp)
+        if body is None:
+            continue
+        value, closed = Imp.bound_level(rule.impl, system)(body, rule.level)
+        raised = _raised(interp.lattice, interp.entries.get(rule.head), value)
+        if raised is None:
+            continue
+        # diagnostics come from the productive application only
+        if not closed:
+            _note_closure_violation(rule, value, diagnostics, system)
+        if out is None:
+            out = interp.copy()
+        out.entries[rule.head] = raised
+        return out
+    return interp if out is None else out
+
+
+def reference_evaluate(program: Program, fact_step, step, max_iters: int = 10000,
+                       universe=None, widen=None) -> FixpointReport:
+    """`engine._evaluate` on objects: the same order selection and stratum
+    lists, over the GroundRule lists `lang.ground` returns without a table,
+    swept by `reference_sweep` with the given reference steps.  widen=None
+    grounds every instance over the universe."""
+    if program.order_directive:
+        order = order_from_directive(program.order_directive)
+    else:
+        order = stratify(program)
+    diagnostics = list(order.warnings)
+    lists = _stratum_rule_lists(program, ground(program, universe, widen=widen), order)
+    strata_steps = [(lists[0], fact_step)] + [(rules, step) for rules in lists[1:]]
+    interp, iterations, converged = reference_sweep(
+        strata_steps, Interpretation(program.system), max_iters, diagnostics)
+    return FixpointReport(interp, iterations, converged, diagnostics)
+
+
+def reference_fixpoint(program: Program, mode: str = "nondet", max_iters: int = 10000,
+                       pruned: bool = True) -> FixpointReport:
+    """`engine.fixpoint` by `reference_evaluate`; pruned=False grounds every
+    instance."""
+    step = reference_dt_step if mode == "det" else reference_nt_step
+    return reference_evaluate(program, reference_dt_step, step, max_iters,
+                              widen=_unwidened if pruned else None)
+
+
+def reference_consequence(kb, max_iters: int = 10000, pruned: bool = True) -> FixpointReport:
+    """`kb.consequence` by `reference_evaluate` and `reference_mod_nt_step`;
+    pruned=False grounds every instance over the modified universe."""
+    def step(rules, interp, diagnostics):
+        return reference_mod_nt_step(kb, interp, rules, diagnostics)
+
+    return reference_evaluate(kb.program, step, step, max_iters, modified_universe(kb),
+                              _Spread(kb).widen if pruned else None)
+
+
+def decode_instance(table, program: Program, instance) -> GroundRule:
+    """The GroundRule an interned instance of `lang.ground` stands for."""
+    head, body, _, level, rule_pos = instance
+    literals = tuple(Literal(table.atom(aid)) if aid >= 0 else Literal(table.atom(~aid), True)
+                     for aid in body)
+    return GroundRule(table.atom(head), literals, program.rules[rule_pos].impl, level, rule_pos)
 
 
 def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None, out=None):

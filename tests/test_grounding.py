@@ -11,19 +11,22 @@ from mvdatalog.engine import applicable, fixpoint
 from mvdatalog.kb import build_kb, consequence
 from mvdatalog.lang import Atom, Constant, Literal, Program, Rule, Variable
 
-from helpers import random_bk, random_phi, random_program
+from helpers import decode_instance, random_bk, random_phi, random_program
 
 SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
 TRIALS = 200
 
 
 def _recorded_grounding(monkeypatch, module, run):
-    """Run with module.ground recorded; returns (report, [(args, result)])."""
+    """Run with module.ground recorded; returns (report, [(args, result)]),
+    each interned instance of the result decoded to its GroundRule."""
     calls = []
 
     def recording(*args, **kwargs):
         result = lang.ground(*args, **kwargs)
-        calls.append((args, result))
+        table = kwargs["table"]
+        calls.append((args, [[decode_instance(table, args[0], instance) for instance in rules]
+                             for rules in result]))
         return result
 
     with monkeypatch.context() as patch:
@@ -143,3 +146,68 @@ def test_ground_without_widen_is_full_grounding(ex1):
     full = lang.ground(ex1, universe)
     assert [len(rules) for rules in full] == [1, 1, 9, 9, 9]
     assert full[2] == lang.ground_rule(ex1.rules[2], universe, 2)
+
+
+def _check_against_definition(program, knowledge=None):
+    """ground, with and without a table, against the full grounding and
+    against `_reference_pruned` for the knowledge base's spread and for the
+    plain engine's widening; returns the last of them."""
+    knowledge = knowledge or build_kb(program)
+    universe = kb.modified_universe(knowledge)
+    for widen in (None, kb._Spread(knowledge).widen, engine._unwidened):
+        expected = (lang.ground(program, universe) if widen is None
+                    else _reference_pruned(program, universe, widen))
+        assert lang.ground(program, universe, widen=widen) == expected
+        table = lang.AtomTable()
+        interned = lang.ground(program, universe, widen=widen, table=table)
+        assert [[decode_instance(table, program, instance) for instance in rules]
+                for rules in interned] == expected
+    return expected
+
+
+# t(a, b) and t(b, a) both enter the first round's delta, so the delta plans
+# for either body atom emit u's substitution (a, b), and (b, a), twice
+TWICE = """%system fuzzy.
+fact t(a, b) = 0.8.
+fact t(b, a) = 0.6.
+fact t(b, c) = 0.7.
+rule u(X, Y) <- t(X, Y), not t(Y, X) : godel, 0.9.
+"""
+
+
+def test_substitution_emitted_twice_is_grounded_once():
+    program = lang.parse_program(TWICE, safety="paper-examples")
+    pruned = _check_against_definition(program)
+    # u(b, c) needs t(c, b), which is not derivable
+    assert [str(g.head) for g in pruned[3]] == ["u(a, b)", "u(b, a)"]
+
+
+def test_facts_only_and_rules_only_programs():
+    facts = lang.parse_program("%system ifs.\nfact p(a) = (0.7, 0.2).\nfact q = (0.5, 0.4).\n"
+                               "fact r(b, a, a) = (0.6, 0.1).\n")
+    assert [len(rules) for rules in _check_against_definition(facts)] == [1, 1, 1]
+    rules_only = lang.parse_program("%system fuzzy.\nrule p(X) <- q(X) : godel, 0.9.\n"
+                                    "rule q(X) <- p(X), r : godel, 0.8.\n%const A.\n"
+                                    "rule r <- p(A) : godel, 0.5.\n")
+    assert _check_against_definition(rules_only) == [[], [], []]
+    table = lang.AtomTable()
+    assert lang.ground(rules_only, widen=engine._unwidened, table=table) == [[], [], []]
+    assert len(table) == 0
+
+
+def test_rules_with_constants_of_their_own(ex23_kb):
+    rng = random.Random(9)
+    for trial in range(40):
+        program = _with_constants(rng, random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
+                                                      allow_negation=trial % 2 == 1))
+        knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
+        _check_against_definition(program, knowledge)
+    # ex23's rules carry no constants; these two do, one under negation
+    text = ("%system fuzzy.\nfact e(a, b) = 0.9.\nfact e(b, c) = 0.8.\nfact e(c, c) = 0.4.\n"
+            "rule s(X) <- e(X, b) : godel, 0.9.\n"
+            "rule k(X, c) <- e(X, Y), not e(Y, a) : godel, 0.7.\n")
+    program = lang.parse_program(text)
+    pruned = _check_against_definition(program)
+    assert [str(g.head) for g in pruned[3]] == ["s(a)"]
+    assert [str(g.head) for g in pruned[4]] == []
+    _check_against_definition(ex23_kb.program, ex23_kb)

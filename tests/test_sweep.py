@@ -1,13 +1,18 @@
 """Differential tests on seeded random programs and knowledge bases: the
-delta-driven, in-place sweep against the full-rescan reference sweep, the
-pruned grounding against full Herbrand grounding, and the per-call
-proximity spreader against the reference modified step.  Two more cases
-scale these up: chain and cyclic closures up to 40 edges, and a knowledge
-base with nullary and ternary heads under every uncertainty function.
+interned, delta-driven, in-place evaluation of `fixpoint` and `consequence`
+against `helpers.reference_sweep`, the full-rescan sweep driven by the
+verbatim reference steps (`reference_dt_step`, `reference_nt_step`,
+`reference_mod_nt_step`) over the GroundRule lists of `lang.ground`, on the
+pruned grounding and on the full one.  More cases scale these up: chain
+and cyclic closures up to 40 edges, an ifs chain whose derived levels leave
+the lattice on every edge, and a knowledge base with nullary and ternary
+heads under every uncertainty function.  The step operators, called on
+their own with GroundRules and Interpretations, are compared with the
+reference steps too.
 
-Both sides drive the same reference step operators, so every report must
-agree exactly: entries (levels compared with ==), iteration counts,
-convergence and the diagnostics list in order."""
+Every report must agree exactly: entries in insertion order (levels
+compared with ==), iteration counts, convergence and the diagnostics list
+in order."""
 
 import random
 
@@ -18,8 +23,9 @@ from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_
 from mvdatalog.lang import parse_program
 from mvdatalog.engine import fixpoint
 
-from helpers import (random_bk, random_phi, random_program, reference_mod_nt_step,
-                     reference_sweep)
+from helpers import (random_bk, random_phi, random_program, reference_consequence,
+                     reference_dt_step, reference_fixpoint, reference_mod_nt_step,
+                     reference_nt_step)
 
 SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
 MAX_ITERS = (1, 2, 3, 7, 10000)
@@ -27,18 +33,22 @@ TRIALS = 80
 
 
 def _report(rep):
-    return (rep.interpretation.entries, rep.iterations, rep.converged, rep.diagnostics)
+    return (list(rep.interpretation.entries.items()), rep.iterations, rep.converged,
+            rep.diagnostics)
 
 
-def _runs(rng, program):
-    """(name, thunk) pairs of every evaluation to compare on one program."""
+def _runs(rng, program, pruned=True):
+    """(name, run, reference) triples of every evaluation to compare on one
+    program: the reference grounds by pruning or fully."""
     knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
     for max_iters in MAX_ITERS:
         for mode in ("det", "nondet"):
             yield (f"{mode}/{max_iters}",
-                   lambda m=mode, n=max_iters: fixpoint(program, mode=m, max_iters=n))
+                   lambda m=mode, n=max_iters: fixpoint(program, mode=m, max_iters=n),
+                   lambda m=mode, n=max_iters: reference_fixpoint(program, m, n, pruned))
         yield (f"consequence/{max_iters}",
-               lambda n=max_iters: consequence(knowledge, max_iters=n))
+               lambda n=max_iters: consequence(knowledge, max_iters=n),
+               lambda n=max_iters: reference_consequence(knowledge, n, pruned))
 
 
 def _shuffled_order(rng, program):
@@ -47,7 +57,7 @@ def _shuffled_order(rng, program):
     return order
 
 
-def test_delta_sweep_matches_reference_sweep(monkeypatch):
+def test_delta_sweep_matches_reference_sweep():
     rng = random.Random(7)
     compared = 0
     for trial in range(TRIALS):
@@ -55,22 +65,13 @@ def test_delta_sweep_matches_reference_sweep(monkeypatch):
         program = random_program(rng, system, allow_negation=trial % 2 == 1)
         for directive in (None, _shuffled_order(rng, program)):
             program.order_directive = directive
-            for name, run in _runs(rng, program):
-                delta = _report(run())
-                with monkeypatch.context() as patch:
-                    # fixpoint and consequence both sweep through engine
-                    patch.setattr(engine, "_sweep_to_fixpoint", reference_sweep)
-                    expected = _report(run())
-                assert delta == expected, (trial, directive, name)
+            for name, run, reference in _runs(rng, program):
+                assert _report(run()) == _report(reference()), (trial, directive, name)
                 compared += 1
     assert compared == TRIALS * 2 * len(MAX_ITERS) * 3
 
 
-def _full_ground(program, universe=None, widen=None, atoms=None):
-    return lang.ground(program, universe, atoms=atoms)
-
-
-def test_pruned_grounding_matches_full_grounding(monkeypatch, ex1):
+def test_pruned_grounding_matches_full_grounding(ex1):
     rng = random.Random(11)
     programs = [ex1] + [random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
                                        allow_negation=trial % 2 == 1)
@@ -79,13 +80,8 @@ def test_pruned_grounding_matches_full_grounding(monkeypatch, ex1):
     for index, program in enumerate(programs):
         for directive in (None, _shuffled_order(rng, program)):
             program.order_directive = directive
-            for name, run in _runs(rng, program):
-                pruned = _report(run())
-                with monkeypatch.context() as patch:
-                    # fixpoint and consequence both ground through engine
-                    patch.setattr(engine, "ground", _full_ground)
-                    expected = _report(run())
-                assert pruned == expected, (index, directive, name)
+            for name, run, reference in _runs(rng, program, pruned=False):
+                assert _report(run()) == _report(reference()), (index, directive, name)
                 compared += 1
     assert compared == len(programs) * 2 * len(MAX_ITERS) * 3
 
@@ -97,7 +93,7 @@ SHARED_NAMES = ("%system fuzzy.\nfact p(q) = 0.8.\nfact q(p) = 0.6.\n"
                 "%domain predicates.\np ~ q = 0.3.\nr ~ rr = 0.6.\n")
 
 
-def test_spread_matches_reference_mod_step(monkeypatch, ex23_kb, ex17_kb):
+def test_spread_matches_reference_mod_step(ex23_kb, ex17_kb):
     rng = random.Random(13)
     program_text, prox_text = SHARED_NAMES
     term_prox, pred_prox, _ = parse_proximity_file(prox_text)
@@ -114,9 +110,7 @@ def test_spread_matches_reference_mod_step(monkeypatch, ex23_kb, ex17_kb):
             knowledge.program.order_directive = directive
             for max_iters in MAX_ITERS:
                 spread = _report(consequence(knowledge, max_iters=max_iters))
-                with monkeypatch.context() as patch:
-                    patch.setattr(kb, "mod_nt_step", reference_mod_nt_step)
-                    expected = _report(consequence(knowledge, max_iters=max_iters))
+                expected = _report(reference_consequence(knowledge, max_iters))
                 assert spread == expected, (index, directive, max_iters)
                 compared += 1
     assert compared == len(knowledge_bases) * 2 * len(MAX_ITERS)
@@ -134,7 +128,7 @@ def _closure_program(n, cyclic):
     return parse_program("\n".join(lines) + "\n")
 
 
-def test_in_place_sweep_matches_reference_sweep_on_closures(monkeypatch):
+def test_in_place_sweep_matches_reference_sweep_on_closures():
     compared = limited = 0
     for n in (1, 5, 17, 40):
         for cyclic in (False, True):
@@ -142,9 +136,7 @@ def test_in_place_sweep_matches_reference_sweep_on_closures(monkeypatch):
             for mode in ("det", "nondet"):
                 for max_iters in (1, 7, 10000):
                     in_place = _report(fixpoint(program, mode=mode, max_iters=max_iters))
-                    with monkeypatch.context() as patch:
-                        patch.setattr(engine, "_sweep_to_fixpoint", reference_sweep)
-                        expected = _report(fixpoint(program, mode=mode, max_iters=max_iters))
+                    expected = _report(reference_fixpoint(program, mode, max_iters))
                     assert in_place == expected, (n, cyclic, mode, max_iters)
                     compared += 1
                     limited += not in_place[2]
@@ -153,6 +145,30 @@ def test_in_place_sweep_matches_reference_sweep_on_closures(monkeypatch):
             assert expected[2] and len(expected[0]) == (
                 n + cyclic + ((n + 1) ** 2 if cyclic else n * (n + 1) // 2))
     assert compared == 4 * 2 * 2 * 3 and limited > 0
+
+
+def _fl_chain_program(n):
+    """ifs transitive closure over a chain of n edges under the Lukasiewicz
+    implication fl, whose derived levels leave the ifs lattice."""
+    lines = ["%system ifs."]
+    lines += [f"fact e(c{i}, c{i + 1}) = (0.{50 + 5 * (i % 9)}, 0.0{1 + 2 * (i % 5)})."
+              for i in range(n)]
+    lines += ["rule t(X, Y) <- e(X, Y) : fl, (0.9, 0.05).",
+              "rule t(X, Z) <- t(X, Y), e(Y, Z) : fl, (0.95, 0.02)."]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def test_closure_notes_appear_once_in_reference_order():
+    program = _fl_chain_program(40)
+    knowledge = build_kb(program)
+    for max_iters in (7, 10000):
+        for mode in ("det", "nondet"):
+            report = _report(fixpoint(program, mode=mode, max_iters=max_iters))
+            assert report == _report(reference_fixpoint(program, mode, max_iters)), mode
+        report = _report(consequence(knowledge, max_iters=max_iters))
+        assert report == _report(reference_consequence(knowledge, max_iters))
+    notes = [d for d in report[3] if d.startswith("closure violation: ")]
+    assert len(notes) > 100 and len(set(notes)) == len(notes) == len(report[3])
 
 
 # nullary and ternary heads, every predicate and constant with synonyms
@@ -186,7 +202,7 @@ FAN_OUT_SYSTEMS = {
 }
 
 
-def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads(monkeypatch):
+def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
     compared = 0
     for system, (impl, lo, mid, hi) in FAN_OUT_SYSTEMS.items():
         program_text = FAN_OUT_PROGRAM.format(system=system, impl=impl, mid=mid, hi=hi)
@@ -206,14 +222,12 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads(monkeyp
             for _ in range(4):
                 stepped = kb.mod_nt_step(knowledge, interp, rules, [])
                 expected = reference_mod_nt_step(knowledge, interp, rules, [])
-                assert stepped.entries == expected.entries, (system, phi)
+                assert _items(stepped) == _items(expected), (system, phi)
                 interp = expected
-            # and the whole consequence, in-place sweep and shared atoms
+            # and the whole consequence, in-place sweep over interned atoms
             spread = _report(consequence(knowledge))
-            with monkeypatch.context() as patch:
-                patch.setattr(kb, "mod_nt_step", reference_mod_nt_step)
-                assert spread == _report(consequence(knowledge)), (system, phi)
-            entries = spread[0]
+            assert spread == _report(reference_consequence(knowledge)), (system, phi)
+            entries = dict(spread[0])
             preds = {atom.pred for atom in entries}
             assert {"n1", "m1", "w1", "u1", "u2", "t1"} <= preds, (system, phi)
             assert any(atom.pred == "u2" and atom.args[1].name == "b2" for atom in entries)
@@ -222,3 +236,55 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads(monkeyp
         # each uncertainty function gives levels of its own
         assert len(levels) == len(phis), system
     assert compared == 7
+
+
+def _items(interp):
+    return list(interp.entries.items())
+
+
+def _same_step(step, reference, rules, interp, other, label):
+    """One object step against its reference: out omitted, out the input
+    itself and, given other, out another interpretation, with a diagnostics
+    list that already holds notes of earlier steps."""
+    for target in (None, "self") + ((other,) if other is not None else ()):
+        results = []
+        for fn in (step, reference):
+            source = interp.copy()
+            out = source if target == "self" else None if target is None else target.copy()
+            diagnostics = ["earlier note"]
+            fn(rules, source, diagnostics, out)
+            diagnostics = diagnostics[:1] + diagnostics      # repeats are noted once
+            result = fn(rules, source, diagnostics, out)
+            results.append((_items(result), _items(source), diagnostics,
+                            result is source, result is out))
+        assert results[0] == results[1], (label, target)
+
+
+def test_object_steps_match_reference_steps(ex23_kb, ex17_kb):
+    """dt_step, nt_step and mod_nt_step on GroundRules and Interpretations,
+    interned on entry, give the results of the reference steps."""
+    rng = random.Random(17)
+    knowledge_bases = [ex23_kb, ex17_kb]
+    for trial in range(TRIALS // 2):
+        program = random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
+                                 allow_negation=trial % 2 == 1)
+        knowledge_bases.append(build_kb(program, random_bk(rng, program),
+                                        random_phi(rng, program)))
+    changed = 0
+    for index, knowledge in enumerate(knowledge_bases):
+        program = knowledge.program
+        rules = [g for rs in lang.ground(program, kb.modified_universe(knowledge)) for g in rs]
+        trajectory = [engine.Interpretation(program.system)]
+        for _ in range(3):
+            trajectory.append(reference_mod_nt_step(knowledge, trajectory[-1], rules))
+        for k, interp in enumerate(trajectory):
+            other = trajectory[k - 1]
+            _same_step(engine.dt_step, reference_dt_step, rules, interp, other, (index, k, "dt"))
+            _same_step(engine.nt_step, reference_nt_step, rules, interp, other, (index, k, "nt"))
+            # the reference modified step joins interp itself into an out of
+            # its own, so it stands for out omitted or out the input only
+            _same_step(lambda r, i, d, o: kb.mod_nt_step(knowledge, i, r, d, out=o),
+                       lambda r, i, d, o: reference_mod_nt_step(knowledge, i, r, d, out=o),
+                       rules, interp, None, (index, k, "mod"))
+            changed += engine.nt_step(rules, interp) is not interp
+    assert changed > 0
