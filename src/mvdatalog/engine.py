@@ -241,16 +241,14 @@ def _fired(instances, interp: _Levels, diagnostics: Optional[list]):
 
 
 def _on_objects(kernel, rules, interp: Interpretation, diagnostics: Optional[list],
-                out: Optional[Interpretation], copy_unchanged: bool = True) -> Interpretation:
-    """Apply an interned step kernel, kernel(instances, interp, diagnostics,
-    out), to GroundRules and Interpretations: intern the atoms of interp,
-    of out and of the rules, step, and carry every rise into out, which is
-    returned.  By default out is a copy of interp; without copy_unchanged,
-    interp itself comes back when nothing rose."""
+                copy_unchanged: bool = True) -> Interpretation:
+    """Apply an interned step kernel, kernel(instances, levels, diagnostics),
+    to GroundRules and an Interpretation: intern the atoms of interp and of
+    the rules, step, and return a copy of interp with every rise carried
+    into it; without copy_unchanged, interp itself comes back when nothing
+    rose."""
     table = AtomTable()
     seeds = [(table.intern_atom(atom), value) for atom, value in interp.entries.items()]
-    out_seeds = (None if out is None or out is interp else
-                 [(table.intern_atom(atom), value) for atom, value in out.entries.items()])
     bound = {}
     instances = []
     for rule in rules:
@@ -261,30 +259,28 @@ def _on_objects(kernel, rules, interp: Interpretation, diagnostics: Optional[lis
                      for lit in rule.body)
         instances.append((table.intern_atom(rule.head), body, level_fn, rule.level,
                           rule.rule_pos))
-    read = _Levels(interp.system, table, seeds)
-    write = read if out_seeds is None else _Levels(interp.system, table, out_seeds)
-    start = len(write.log)
-    kernel(instances, read, diagnostics, write)
-    if out is None:
-        if len(write.log) == start and not copy_unchanged:
-            return interp
-        out = interp.copy()
-    atom, levels = table.atom, write.levels
-    for aid in dict.fromkeys(write.log[start:]):
-        out.entries[atom(aid)] = levels[aid]
+    levels = _Levels(interp.system, table, seeds)
+    start = len(levels.log)
+    kernel(instances, levels, diagnostics)
+    if len(levels.log) == start and not copy_unchanged:
+        return interp
+    out = interp.copy()
+    atom = table.atom
+    for aid in dict.fromkeys(levels.log[start:]):
+        out.entries[atom(aid)] = levels.levels[aid]
     return out
 
 
-def _dt(instances, interp: _Levels, diagnostics: Optional[list], out: _Levels) -> _Levels:
+def _dt(instances, interp: _Levels, diagnostics: Optional[list]) -> _Levels:
     """The kernel of `dt_step`."""
     fired = _fired(instances, interp, diagnostics)
-    join = out.join
+    join = interp.join
     for head, level in fired:
         join(head, level)
-    return out
+    return interp
 
 
-def _nt(instances, interp: _Levels, diagnostics: Optional[list], out: _Levels) -> _Levels:
+def _nt(instances, interp: _Levels, diagnostics: Optional[list]) -> _Levels:
     """The kernel of `nt_step`."""
     levels, lattice = interp.levels, interp.lattice
     for head, body, level_fn, level, _ in instances:
@@ -298,37 +294,35 @@ def _nt(instances, interp: _Levels, diagnostics: Optional[list], out: _Levels) -
         # diagnostics come from the productive application only
         if not closed:
             _note_closure_violation(interp, head, value, diagnostics)
-        out.store(head, raised)
-        return out
-    return out
+        interp.store(head, raised)
+        return interp
+    return interp
 
 
-def dt_step(rules, interp, diagnostics: Optional[list] = None, out=None):
+def dt_step(rules, interp, diagnostics: Optional[list] = None):
     """Parallel step: heads of all applicable rules, merged by join.  Every
-    body is read from interp before any head is joined into out, which is
-    returned.
+    body is read before any head is joined.
 
-    On GroundRules and an Interpretation, out is a copy of interp by
-    default; the atoms are interned for the step alone.  The sweep calls it
-    on interned instances with its working `_Levels` as both interp and
-    out, so it steps in place."""
+    On GroundRules and an Interpretation, the result is a copy of interp;
+    the atoms are interned for the step alone.  The sweep calls it on
+    interned instances and its working `_Levels`, which it updates in place
+    and returns."""
     if isinstance(interp, Interpretation):
-        return _on_objects(_dt, rules, interp, diagnostics, out)
-    return _dt(rules, interp, diagnostics, out)
+        return _on_objects(_dt, rules, interp, diagnostics)
+    return _dt(rules, interp, diagnostics)
 
 
-def nt_step(rules, interp, diagnostics: Optional[list] = None, out=None):
+def nt_step(rules, interp, diagnostics: Optional[list] = None):
     """Sequential step: the first rule instance that strictly increases the
     interpretation is applied; unchanged input means a (stratum) fixed point.
-    The rising head is stored into out, which is returned.
 
-    On GroundRules and an Interpretation, out is by default a copy of
-    interp made only when something rises (interp itself comes back when
-    nothing does).  The sweep calls it on interned instances with its
-    working `_Levels` as both interp and out, so it steps in place."""
+    On GroundRules and an Interpretation, the result is a copy of interp
+    made only when something rises (interp itself comes back when nothing
+    does).  The sweep calls it on interned instances and its working
+    `_Levels`, which it updates in place and returns."""
     if isinstance(interp, Interpretation):
-        return _on_objects(_nt, rules, interp, diagnostics, out, copy_unchanged=False)
-    return _nt(rules, interp, diagnostics, out)
+        return _on_objects(_nt, rules, interp, diagnostics, copy_unchanged=False)
+    return _nt(rules, interp, diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +482,7 @@ def _parallel_rounds(rules, step_fn, index, todo, interp, iterations, max_iters,
             return iterations, True
         sub = rules if len(todo) == len(rules) else [rules[pos] for pos in todo]
         start = len(log)
-        step_fn(sub, interp, diagnostics, interp)
+        step_fn(sub, interp, diagnostics)
         if len(log) == start:
             return iterations, True
         iterations += 1
@@ -512,7 +506,7 @@ def _sequential_steps(rules, step_fn, index, todo, interp, iterations, max_iters
         while heap:
             pos = heapq.heappop(heap)
             queued[pos] = 0
-            step_fn([rules[pos]], interp, diagnostics, interp)
+            step_fn([rules[pos]], interp, diagnostics)
             if len(log) != start:
                 break
         else:
@@ -529,8 +523,8 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
     full pass is quiet.  Returns (interp, productive_steps, converged).
 
     The rules are interned instances, and every step is called as
-    step(rules, interp, diagnostics, interp), so it reads and updates the
-    one working `_Levels` in place; its log records every atom whose value
+    step(rules, interp, diagnostics), so it reads and updates the one
+    working `_Levels` in place; its log records every atom whose value
     rose.  A rule's result depends only on its body atoms, and rising atoms
     never make a rule's contribution fall, so after a stratum's first visit
     only the rules whose body holds an atom logged since need another look;

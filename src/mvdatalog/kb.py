@@ -364,16 +364,16 @@ class _Spread:
             kernel = self.kernels[functor] = _phi_kernel(phi_id, self.system)
         return kernel
 
-    def fire(self, head: int, alpha, out) -> None:
+    def fire(self, head: int, alpha, levels) -> None:
         """Join every synonym of the interned head derived at level alpha
-        into the working levels out, interning the synonyms in its table.
+        into the working levels, interning the synonyms in their table.
 
         Each level is the one `phi_apply` gives, from the same kernel; the
         prefixes that synonyms share are computed once: start(alpha) per
         head, its fold with lambda_q per predicate synonym q, and the
         argument lambdas' transform per argument combination.
         """
-        table = out.table
+        table = levels.table
         pred, key = table.entries[head]
         names = (key,) if isinstance(key, str) else key
         start, fold, fold_args = self._kernel((pred, len(names)))
@@ -386,7 +386,7 @@ class _Spread:
         lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
         head_start = start(alpha)
         starts = [fold(head_start, lam_q) for lam_q in lam_qs]
-        ids_of, intern, join = table.ids, out.intern, out.join
+        ids_of, intern, join = table.ids, levels.intern, levels.join
         for q, prefix in zip(qs, starts):
             ids = ids_of.get(q)
             if ids is None:
@@ -399,35 +399,34 @@ class _Spread:
                 join(intern(q, key) if aid is None else aid, value)
 
 
-def _mod(spread: _Spread, instances, interp, diagnostics, out):
-    """The kernel of `mod_nt_step`: every head fired from interp is spread
-    into out."""
+def _mod(spread: _Spread, instances, interp, diagnostics):
+    """The kernel of `mod_nt_step`: every head fired is spread into interp."""
     fired = _fired(instances, interp, diagnostics)
     for head, alpha in fired:
-        spread.fire(head, alpha, out)
-    return out
+        spread.fire(head, alpha, interp)
+    return interp
 
 
 def mod_nt_step(kb: KnowledgeBase, interp, rules=None,
                 diagnostics: Optional[list] = None,
-                spread: Optional[_Spread] = None, out=None):
+                spread: Optional[_Spread] = None):
     """One modified step: every applicable rule fires and its head is
     spread over the proximity sets of its predicate and arguments.  Every
-    body is read from interp before any head is spread into out, which is
-    returned.  Without a spread, one is built for this step alone.
+    body is read before any head is spread.  Without a spread, one is built
+    for this step alone.
 
     On GroundRules (by default the full grounding) and an Interpretation,
-    out is a copy of interp by default; the atoms are interned for the step
-    alone.  `consequence` calls it on interned instances with its working
-    `engine._Levels` as both interp and out, so it steps in place."""
+    the result is a copy of interp; the atoms are interned for the step
+    alone.  `consequence` calls it on interned instances and its working
+    `engine._Levels`, which it updates in place and returns."""
     if rules is None:
         universe = modified_universe(kb)
         rules = [g for rs in ground(kb.program, universe) for g in rs]
     if spread is None:
         spread = _Spread(kb)
     if isinstance(interp, Interpretation):
-        return _on_objects(partial(_mod, spread), rules, interp, diagnostics, out)
-    return _mod(spread, rules, interp, diagnostics, out)
+        return _on_objects(partial(_mod, spread), rules, interp, diagnostics)
+    return _mod(spread, rules, interp, diagnostics)
 
 
 def modified_universe(kb: KnowledgeBase):
@@ -445,8 +444,8 @@ def consequence(kb: KnowledgeBase, max_iters: int = 10000,
     the evaluation's atom table."""
     spread = _Spread(kb)
 
-    def step(rules, interp, diagnostics, out=None):
-        return mod_nt_step(kb, interp, rules, diagnostics, spread, out)
+    def step(rules, interp, diagnostics):
+        return mod_nt_step(kb, interp, rules, diagnostics, spread)
 
     return _evaluate(kb.program, order, max_iters, step, step, modified_universe(kb),
                      spread.widen)

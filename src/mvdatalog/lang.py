@@ -628,50 +628,31 @@ def _is_ground_fact(rule: Rule) -> bool:
 
 
 class _Grounder:
-    """Builds ground instances from per-rule templates.
+    """Builds interned ground instances from per-rule templates.
 
-    One grounder serves one `ground` call.  A template reads an atom's key
-    (as in `AtomTable`) off `combo + constants`, where combo is the
-    substitution (one constant name per rule variable) and constants are the
-    rule's own constant names.  Without a table, an instance is a
-    `GroundRule`, and every equal ground atom (and literal) is the same
-    object, so dictionary lookups on ground atoms succeed on identity.  With
-    a table, an instance is the tuple (head id, body, level function, rule
-    level, rule position): body holds the id of each positive body atom and
-    the complement ~id of each negated one, and the level function is the
-    rule's `implications.bound_level`.
+    One grounder serves one `ground` call and enters every ground atom in
+    its `AtomTable`.  A template reads an atom's key (as in `AtomTable`) off
+    `combo + constants`, where combo is the substitution (one constant name
+    per rule variable) and constants are the rule's own constant names.  An
+    instance is the tuple (head id, body, level function, rule level, rule
+    position): body holds the id of each positive body atom and the
+    complement ~id of each negated one, and the level function is the
+    rule's `implications.bound_level` in the grounder's system (without a
+    system, the rule's implication itself).
     """
 
-    def __init__(self, universe, system, table=None):
+    def __init__(self, universe, system, table):
         self.names = sorted(universe)
         self.system = system
         self.table = table
-        self.consts = {n: Constant(n) for n in self.names}
-        self.atoms = {}       # pred -> {key: Atom}, without a table
-        self.literals = {}    # (pred, negated) -> {key: Literal}, without a table
 
-    def _atom(self, pred, key):
-        table = self.atoms.setdefault(pred, {})
-        atom = table.get(key)
-        if atom is None:
-            names = (key,) if isinstance(key, str) else key
-            args = []
-            for n in names:
-                c = self.consts.get(n)
-                if c is None:
-                    c = self.consts[n] = Constant(n)
-                args.append(c)
-            atom = table[key] = Atom(pred, tuple(args))
-        return atom
+    def _level_fn(self, rule: Rule):
+        return Imp.bound_level(rule.impl, self.system) if self.system else rule.impl
 
     def fact(self, rule: Rule, rule_pos: int):
         """The one instance of a ground fact."""
-        head = rule.head
-        if self.table is not None:
-            return [(self.table.intern_atom(head), (), Imp.bound_level(rule.impl, self.system),
-                     rule.level, rule_pos)]
-        return [GroundRule(self._atom(head.pred, _key(head)), (), rule.impl, rule.level,
-                           rule_pos)]
+        return [(self.table.intern_atom(rule.head), (), self._level_fn(rule), rule.level,
+                 rule_pos)]
 
     def rule(self, rule: Rule, rule_pos: int, combos=None):
         """Instances for the given substitutions (tuples of constant names,
@@ -695,32 +676,8 @@ class _Grounder:
             return operator.itemgetter(*positions) if positions else (lambda full: ())
 
         head_key = key_of(rule.head)
-        head_pred = rule.head.pred
         body_keys = [key_of(lit.atom) for lit in rule.body]
         constants = tuple(rule_constants)
-        if self.table is not None:
-            return self._interned(rule, rule_pos, combos, constants, head_key, body_keys)
-        head_table = self.atoms.setdefault(head_pred, {})
-        body = [(body_key, self.literals.setdefault((lit.atom.pred, lit.negated), {}),
-                 lit.atom.pred, lit.negated) for body_key, lit in zip(body_keys, rule.body)]
-        impl, level = rule.impl, rule.level
-        out = []
-        for combo in combos:
-            full = combo + constants
-            key = head_key(full)
-            head = head_table.get(key) or self._atom(head_pred, key)
-            lits = []
-            for body_key, table, pred, negated in body:
-                key = body_key(full)
-                lit = table.get(key)
-                if lit is None:
-                    lit = table[key] = Literal(self._atom(pred, key), negated)
-                lits.append(lit)
-            out.append(GroundRule(head, tuple(lits), impl, level, rule_pos))
-        return out
-
-    def _interned(self, rule, rule_pos, combos, constants, head_key, body_keys):
-        """`rule`'s instances as tuples of atom ids (see the class)."""
         table = self.table
         add = table.add
         head_pred = rule.head.pred
@@ -731,7 +688,7 @@ class _Grounder:
         out = []
         for combo in combos:
             if level_fn is None:
-                level_fn = Imp.bound_level(rule.impl, self.system)
+                level_fn = self._level_fn(rule)
             full = combo + constants
             key = head_key(full)
             head = head_ids.get(key)
@@ -746,6 +703,16 @@ class _Grounder:
                 ids.append(~aid if negated else aid)
             out.append((head, tuple(ids), level_fn, level, rule_pos))
         return out
+
+
+def decode_instance(table: AtomTable, instance, impl) -> GroundRule:
+    """The GroundRule an interned instance of `ground` stands for; impl is
+    the implication of its rule."""
+    head, body, _, level, rule_pos = instance
+    atom = table.atom
+    literals = tuple(Literal(atom(aid)) if aid >= 0 else Literal(atom(~aid), True)
+                     for aid in body)
+    return GroundRule(atom(head), literals, impl, level, rule_pos)
 
 
 def _picker(positions):
@@ -941,17 +908,20 @@ def _derivable_substitutions(program: Program, names: list, widen):
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
     """All ground instances, ordered lexicographically by substitution (the
     rule's variables in first-occurrence order, constants sorted by name)."""
-    return _Grounder(universe, None).rule(rule, rule_pos)
+    table = AtomTable()
+    return [decode_instance(table, g, rule.impl)
+            for g in _Grounder(universe, None, table).rule(rule, rule_pos)]
 
 
 def ground(program: Program, universe=None, widen=None, table=None):
     """Ground instances per rule, in rule order; equal ground atoms are
     shared across all of them.
 
-    Without a table, each instance is a `GroundRule`.  With an `AtomTable`,
-    the one that `engine._evaluate` passes, every ground atom is interned
-    in it and each instance is a tuple of its ids (see `_Grounder`); no
-    `Atom`, `Literal` or `GroundRule` is built.
+    With an `AtomTable`, the one that `engine._evaluate` passes, every
+    ground atom is interned in it and each instance is a tuple of its ids
+    (see `_Grounder`); no `Atom`, `Literal` or `GroundRule` is built.
+    Without one, the atoms are interned in a table of the call's own and
+    each instance is decoded to its `GroundRule`.
 
     Without widen, every instance over the universe.  With widen, only the
     instances whose every body atom, negated ones included, is derivable:
@@ -965,13 +935,20 @@ def ground(program: Program, universe=None, widen=None, table=None):
     """
     if universe is None:
         universe = program.constants()
-    grounder = _Grounder(universe, program.system, table)
+    decode = table is None
+    if decode:
+        table = AtomTable()
+    grounder = _Grounder(universe, None if decode else program.system, table)
     if widen is None:
         combos = [None] * len(program.rules)
     else:
         combos = _derivable_substitutions(program, grounder.names, widen)
-    return [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)
-            for (pos, r), c in zip(enumerate(program.rules), combos)]
+    grounded = [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)
+                for (pos, r), c in zip(enumerate(program.rules), combos)]
+    if not decode:
+        return grounded
+    return [[decode_instance(table, g, r.impl) for g in rules]
+            for rules, r in zip(grounded, program.rules)]
 
 
 # ----------------------------------------------------------------------

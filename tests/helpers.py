@@ -179,38 +179,37 @@ def _fired(rules, interp: Interpretation, diagnostics: Optional[list]):
     return fired
 
 
-def reference_dt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
-                      out: Optional[Interpretation] = None) -> Interpretation:
+def reference_dt_step(rules, interp: Interpretation,
+                      diagnostics: Optional[list] = None) -> Interpretation:
     """The parallel step on GroundRules and Interpretations that the
     interned kernel of `engine.dt_step` replaced, kept verbatim (with its
     linear scan for a repeated closure-violation note) as the reference for
-    differential tests.
+    differential tests; the out parameter, which no caller passes any more,
+    is left out.
 
-    Parallel step: heads of all applicable rules, merged by join.  Every
-    body is read from interp before any head is joined into out, which is
-    returned: a copy of interp by default, or interp itself when the sweep
-    steps in place."""
+    Parallel step: heads of all applicable rules, merged by join into a
+    copy of interp, which is returned.  Every body is read from interp
+    before any head is joined."""
     fired = _fired(rules, interp, diagnostics)
-    if out is None:
-        out = interp.copy()
+    out = interp.copy()
     join_in = out.join_in
     for head, level in fired:
         join_in(head, level)
     return out
 
 
-def reference_nt_step(rules, interp: Interpretation, diagnostics: Optional[list] = None,
-                      out: Optional[Interpretation] = None) -> Interpretation:
+def reference_nt_step(rules, interp: Interpretation,
+                      diagnostics: Optional[list] = None) -> Interpretation:
     """The sequential step that the interned kernel of `engine.nt_step`
     replaced, kept verbatim as the reference for differential tests; the
-    one change is that the rise test and the store, once methods of
-    `Interpretation` that wrote a change log too, are spelled out here.
+    changes are that the rise test and the store, once methods of
+    `Interpretation` that wrote a change log too, are spelled out here, and
+    that the out parameter, which no caller passes any more, is left out.
 
     Sequential step: the first rule instance that strictly increases the
     interpretation is applied; unchanged input means a (stratum) fixed point.
-    The rising head is stored into out, which is returned: by default a copy
-    of interp made only then (interp itself comes back when nothing rises),
-    or interp itself when the sweep steps in place."""
+    The rising head is stored into a copy of interp made only then, which
+    is returned (interp itself comes back when nothing rises)."""
     system = interp.system
     for rule in rules:
         body = applicable(rule, interp)
@@ -223,11 +222,10 @@ def reference_nt_step(rules, interp: Interpretation, diagnostics: Optional[list]
         # diagnostics come from the productive application only
         if not closed:
             _note_closure_violation(rule, value, diagnostics, system)
-        if out is None:
-            out = interp.copy()
+        out = interp.copy()
         out.entries[rule.head] = raised
         return out
-    return interp if out is None else out
+    return interp
 
 
 def reference_evaluate(program: Program, fact_step, step, max_iters: int = 10000,
@@ -267,20 +265,10 @@ def reference_consequence(kb, max_iters: int = 10000, pruned: bool = True) -> Fi
                               _Spread(kb).widen if pruned else None)
 
 
-def decode_instance(table, program: Program, instance) -> GroundRule:
-    """The GroundRule an interned instance of `lang.ground` stands for."""
-    head, body, _, level, rule_pos = instance
-    literals = tuple(Literal(table.atom(aid)) if aid >= 0 else Literal(table.atom(~aid), True)
-                     for aid in body)
-    return GroundRule(table.atom(head), literals, program.rules[rule_pos].impl, level, rule_pos)
-
-
-def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None, out=None):
+def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None):
     """The modified step that the per-call spreader `kb._Spread` replaced,
     kept verbatim (with its checked, meet_all-based phi) as the reference
-    for differential tests; spread is accepted and ignored.  When out is
-    given (the in-place sweep passes interp itself), the step's result is
-    joined into it entry by entry.
+    for differential tests; spread is accepted and ignored.
 
     One modified step: every applicable rule fires and its head is
     spread over the proximity sets of its predicate and arguments."""
@@ -295,11 +283,7 @@ def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None,
             continue
         alpha = _head_level(rule, body, diagnostics, sys)
         _reference_expand_head(kb, rule.head, alpha, new)
-    if out is None:
-        return new
-    for atom, value in new.entries.items():
-        out.join_in(atom, value)
-    return out
+    return new
 
 
 def _reference_expand_head(kb, head, alpha, out):

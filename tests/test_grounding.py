@@ -3,18 +3,25 @@ instances whose body atoms are derivable.  Per rule, those are an
 order-preserving subsequence of the full Herbrand instances, and every
 instance left out is not applicable in the final interpretation."""
 
+import itertools
 import random
 
 from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
 from mvdatalog.engine import applicable, fixpoint
 from mvdatalog.kb import build_kb, consequence
-from mvdatalog.lang import Atom, Constant, Literal, Program, Rule, Variable
+from mvdatalog.lang import Atom, Constant, GroundRule, Literal, Program, Rule, Variable
 
-from helpers import decode_instance, random_bk, random_phi, random_program
+from helpers import random_bk, random_phi, random_program
 
 SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
 TRIALS = 200
+
+
+def _decoded(table, program, grounded):
+    """The GroundRule lists that interned grounded stands for."""
+    return [[lang.decode_instance(table, g, rule.impl) for g in rules]
+            for rules, rule in zip(grounded, program.rules)]
 
 
 def _recorded_grounding(monkeypatch, module, run):
@@ -24,9 +31,7 @@ def _recorded_grounding(monkeypatch, module, run):
 
     def recording(*args, **kwargs):
         result = lang.ground(*args, **kwargs)
-        table = kwargs["table"]
-        calls.append((args, [[decode_instance(table, args[0], instance) for instance in rules]
-                             for rules in result]))
+        calls.append((args, _decoded(kwargs["table"], args[0], result)))
         return result
 
     with monkeypatch.context() as patch:
@@ -105,11 +110,29 @@ def test_pruned_grounding_paper_examples(monkeypatch, ex1, ex23_kb, ex17_kb):
         _dropped(monkeypatch, engine, lambda: consequence(knowledge))
 
 
+def _reference_full(program, universe):
+    """The full grounding by its definition: each rule under every
+    substitution of constants for its variables, in lexicographic order."""
+    names = sorted(universe)
+    grounded = []
+    for pos, rule in enumerate(program.rules):
+        variables = rule.variables()
+        rules = []
+        for combo in itertools.product(names, repeat=len(variables)):
+            theta = {v: Constant(c) for v, c in zip(variables, combo)}
+            body = tuple(Literal(lang.substitute(lit.atom, theta), lit.negated)
+                         for lit in rule.body)
+            rules.append(GroundRule(lang.substitute(rule.head, theta), body, rule.impl,
+                                    rule.level, pos))
+        grounded.append(rules)
+    return grounded
+
+
 def _reference_pruned(program, universe, widen):
     """The pruned grounding by its definition, computed naively over the
     full grounding: the least set holding widen(head) for every instance
     whose body atoms are all in it, then the instances whose are."""
-    full = lang.ground(program, universe)
+    full = _reference_full(program, universe)
 
     def key(atom):
         return atom.pred, tuple(t.name for t in atom.args)
@@ -144,24 +167,24 @@ def test_pruned_grounding_matches_its_definition():
 def test_ground_without_widen_is_full_grounding(ex1):
     universe = ex1.constants() | {"c"}
     full = lang.ground(ex1, universe)
+    assert full == _reference_full(ex1, universe)
     assert [len(rules) for rules in full] == [1, 1, 9, 9, 9]
     assert full[2] == lang.ground_rule(ex1.rules[2], universe, 2)
 
 
 def _check_against_definition(program, knowledge=None):
-    """ground, with and without a table, against the full grounding and
+    """ground, with and without a table, against `_reference_full` and
     against `_reference_pruned` for the knowledge base's spread and for the
     plain engine's widening; returns the last of them."""
     knowledge = knowledge or build_kb(program)
     universe = kb.modified_universe(knowledge)
     for widen in (None, kb._Spread(knowledge).widen, engine._unwidened):
-        expected = (lang.ground(program, universe) if widen is None
+        expected = (_reference_full(program, universe) if widen is None
                     else _reference_pruned(program, universe, widen))
         assert lang.ground(program, universe, widen=widen) == expected
         table = lang.AtomTable()
         interned = lang.ground(program, universe, widen=widen, table=table)
-        assert [[decode_instance(table, program, instance) for instance in rules]
-                for rules in interned] == expected
+        assert _decoded(table, program, interned) == expected
     return expected
 
 
