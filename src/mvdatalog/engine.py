@@ -149,9 +149,9 @@ class _Levels:
 
     def interpretation(self) -> Interpretation:
         """The levels as an Interpretation, atoms in order of first rise."""
-        atom, levels = self.table.atom, self.levels
+        ids = dict.fromkeys(self.log)
         interp = Interpretation(self.system)
-        interp.entries = {atom(aid): levels[aid] for aid in dict.fromkeys(self.log)}
+        interp.entries = dict(zip(self.table.atoms(ids), map(self.levels.__getitem__, ids)))
         return interp
 
 

@@ -157,9 +157,9 @@ def parse_proximity_file(text: str):
     if p.at("directive", "%system"):
         p.next()
         name = p.expect("ident")
-        if name.text not in _SYSTEM_NAMES:
-            raise ParseError(f"unknown value system {name.text!r}", name.line, name.col)
-        system = _SYSTEM_NAMES[name.text]
+        if name[1] not in _SYSTEM_NAMES:
+            p.fail(f"unknown value system {name[1]!r}", name)
+        system = _SYSTEM_NAMES[name[1]]
         p.expect("punct", ".")
     term_prox = ProximityRelation("terms", system)
     pred_prox = ProximityRelation("predicates", system)
@@ -168,33 +168,29 @@ def parse_proximity_file(text: str):
         if p.at("directive", "%domain"):
             p.next()
             which = p.expect("ident")
-            if which.text == "terms":
+            if which[1] == "terms":
                 current = term_prox
-            elif which.text == "predicates":
+            elif which[1] == "predicates":
                 current = pred_prox
             else:
-                raise ParseError(f"%domain must be 'terms' or 'predicates', got {which.text!r}",
-                                 which.line, which.col)
+                p.fail(f"%domain must be 'terms' or 'predicates', got {which[1]!r}", which)
             p.expect("punct", ".")
             continue
         if current is None:
             p.fail("proximity entries must follow a %domain directive")
-        a = p.expect("ident").text
+        a = p.expect("ident")[1]
         p.expect("punct", "~")
-        b = p.expect("ident").text
+        b = p.expect("ident")[1]
         eq = p.expect("punct", "=")
         lvl = p.level()
         p.expect("punct", ".")
         if a == b and system is not None and not V.values_equal(system, lvl, V.top(system)):
-            raise ParseError(f"reflexive entry {a} ~ {a} must be the top element",
-                             eq.line, eq.col)
+            p.fail(f"reflexive entry {a} ~ {a} must be the top element", eq)
         key = ProximityRelation._key(a, b)
         if a != b and key in current.pairs:
             old = current.pairs[key]
-            if not (system is None or V.values_equal(system, old, lvl)):
-                raise ParseError(f"contradictory proximity entries for {a} ~ {b}", eq.line, eq.col)
-            if old != lvl:
-                raise ParseError(f"contradictory proximity entries for {a} ~ {b}", eq.line, eq.col)
+            if not (system is None or V.values_equal(system, old, lvl)) or old != lvl:
+                p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
         current.set_pair(a, b, lvl)
     return term_prox, pred_prox, system
 
@@ -204,17 +200,19 @@ def parse_phi_file(text: str) -> PhiSpec:
     spec = PhiSpec()
     while not p.at("eof"):
         kw = p.expect("ident")
-        if kw.text != "phi":
-            raise ParseError(f"expected 'phi', found {kw.text!r}", kw.line, kw.col)
-        name = p.expect("ident").text
+        if kw[1] != "phi":
+            p.fail(f"expected 'phi', found {kw[1]!r}", kw)
+        name = p.expect("ident")[1]
         p.expect("punct", "/")
         arity = p.integer()
-        p.expect("punct", "=")
+        eq = p.expect("punct", "=")
         which = p.expect("ident")
-        if which.text not in _PHI_FILE_NAMES:
-            raise ParseError(f"unknown uncertainty function {which.text!r}", which.line, which.col)
+        if which[1] not in _PHI_FILE_NAMES:
+            p.fail(f"unknown uncertainty function {which[1]!r}", which)
         p.expect("punct", ".")
-        spec.by_functor[(name, arity)] = _PHI_FILE_NAMES[which.text]
+        phi_id = _PHI_FILE_NAMES[which[1]]
+        if spec.by_functor.setdefault((name, arity), phi_id) != phi_id:
+            p.fail(f"contradictory uncertainty functions for {name}/{arity}", eq)
     return spec
 
 

@@ -18,10 +18,20 @@ Identifiers starting with an uppercase letter are variables unless declared
 with %const; everything else is a constant or predicate symbol.  Numbers are
 read to at most nine decimal places and quantized there, so printing and
 reparsing a program reproduces it exactly.
+
+The parser reads tokens, each a tuple (kind, text, source offset), made by
+one `_TOKEN_RE.finditer` pass as they are needed; a line is computed from
+an offset for `Rule.line` and an error, a column only for an error.  A
+`fact` statement written on one line is read without tokens: `_FACT_RE`,
+matched at the `fact` keyword, reads it whole, and `parse_program` takes it
+when it is valid as it stands.  Every other statement, and every fact with
+an error, is read by the general parser from the same offset, so the
+messages, lines and columns of errors are the general parser's.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import re
@@ -202,39 +212,53 @@ class SafetyReport:
 def check_safety(rule: Rule) -> SafetyReport:
     """Head variables must occur in the body; negative-literal variables must
     occur in some positive literal."""
-    body_vars = set()
-    positive_vars = set()
+    positive, negative = set(), set()
     for lit in rule.body:
-        for v in lit.atom.variables():
-            body_vars.add(v)
-            if not lit.negated:
-                positive_vars.add(v)
-    bad_head = tuple(sorted({v.name for v in rule.head.variables() if v not in body_vars}))
-    bad_neg = set()
-    for lit in rule.body:
-        if lit.negated:
-            for v in lit.atom.variables():
-                if v not in positive_vars:
-                    bad_neg.add(v.name)
-    return SafetyReport(bad_head, tuple(sorted(bad_neg)))
+        (negative if lit.negated else positive).update(
+            t.name for t in lit.atom.args if isinstance(t, Variable))
+    head = {t.name for t in rule.head.args if isinstance(t, Variable)}
+    return SafetyReport(tuple(sorted(head - positive - negative)),
+                        tuple(sorted(negative - positive)))
 
 
 # ----------------------------------------------------------------------
 # Tokenizer / parser
 # ----------------------------------------------------------------------
 
+# Whitespace and comments.  A token takes those that follow it, so the
+# tokens of a text are consecutive matches from the end of its leading skip.
+_SKIP = r"\s*(?:\#[^\n]*\s*)*"
+_SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow><-)
-  | (?P<num>\d+\.\d+|\d+|\.\d+)
-  | (?P<directive>%[A-Za-z][A-Za-z0-9_-]*)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_-]*)
-  | (?P<punct>[(),=.:~/])
-    """,
+    (?:(?P<ident>[A-Za-z][A-Za-z0-9_-]*)
+      |(?P<num>\d+\.\d+|\d+|\.\d+)
+      |(?P<punct>[(),=.:~/])
+      |(?P<arrow><-)
+      |(?P<directive>%[A-Za-z][A-Za-z0-9_-]*))
+    """ + _SKIP,
     re.VERBOSE,
 )
+
+# A `fact` statement on one line, and what follows it up to the next
+# statement.  The groups are the predicate, the argument text, and the
+# scalar level or the two numbers of a pair; a number has at most nine
+# decimals.  Each piece reads as `_TOKEN_RE` would read it, so the matched
+# text has the tokens the general parser reads.
+_FACT_NUMBER = r"(?:[0-9]+\.[0-9]{1,9}|[0-9]+|\.[0-9]{1,9})(?!\d)"
+_FACT_RE = re.compile(
+    r"""
+    fact[ \t]+([A-Za-z][A-Za-z0-9_-]*)[ \t]*
+    (?:\([ \t]*([A-Za-z][A-Za-z0-9_-]*(?:[ \t]*,[ \t]*[A-Za-z][A-Za-z0-9_-]*)*)[ \t]*\)[ \t]*)?
+    =[ \t]*
+    (?:(NUM)|\([ \t]*(NUM)[ \t]*,[ \t]*(NUM)[ \t]*\))
+    [ \t]*\.(?!\d)
+    """.replace("NUM", _FACT_NUMBER) + _SKIP,
+    re.VERBOSE,
+)
+
+_NEWLINE_RE = re.compile("\n")
+_new = object.__new__
 
 _SYSTEM_NAMES = {
     "fuzzy": V.FUZZY,
@@ -246,78 +270,88 @@ _SYSTEM_NAMES = {
 _SYSTEM_FILE_NAMES = {v: k for k, v in _SYSTEM_NAMES.items()}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, m.start() - line_start + 1))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + tok.rfind("\n") + 1
+def _tokens(text: str, pos: int = 0):
+    """The tokens of text from offset pos, each a tuple (kind, text, offset),
+    then one ("eof", "", len(text)); whitespace and comments are skipped.
+    Raises a ParseError at the first character that starts no token."""
+    pos = _SKIP_RE.match(text, pos).end()
+    for m in _TOKEN_RE.finditer(text, pos):
+        if m.start() != pos:
+            break
         pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+        kind = m.lastgroup
+        yield kind, m[kind], m.start()
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", *_position(text, pos))
+    yield "eof", "", pos
+
+
+def _position(text: str, offset: int):
+    """The 1-based (line, column) of an offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
+    """Reads the tokens of one text, made as they are needed from a given
+    offset; `tok` is the current token.  Lines are found by bisecting the
+    text's newline offsets, and columns only for an error."""
+
     def __init__(self, text: str, declared_constants: Iterable[str] = ()):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.text = text
         self.declared = set(declared_constants)
+        self.constants = _Constants()
+        self._newlines = None
+        self.seek(0)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def seek(self, pos: int):
+        """Read on from offset pos, which starts a token or is at the end."""
+        self._stream = _tokens(self.text, pos)
+        self.tok = next(self._stream)
 
-    def next(self) -> _Token:
-        t = self.tokens[self.i]
-        self.i += 1
+    def next(self):
+        t = self.tok
+        self.tok = next(self._stream, t)  # past the end, eof repeats
         return t
 
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def line(self, offset: int) -> int:
+        """The 1-based line of an offset."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in _NEWLINE_RE.finditer(self.text)]
+        return bisect.bisect_left(self._newlines, offset) + 1
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+    def fail(self, message: str, tok=None, error=ParseError):
+        """Raise error at tok, by default the current token.  The text is
+        read to its end first, so that an unexpected character anywhere in
+        it is reported instead, as when the whole text was tokenized first."""
+        for _ in _tokens(self.text):
+            pass
+        raise error(message, *_position(self.text, (tok or self.tok)[2]))
+
+    def expect(self, kind: str, text: Optional[str] = None):
+        t = self.tok
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text or kind
-            self.fail(f"expected {want!r}, found {t.text!r}" if t.text else f"expected {want!r}, found end of input")
-        return self.next()
+            self.fail(f"expected {want!r}, found {t[1]!r}" if t[1] else f"expected {want!r}, found end of input")
+        self.tok = next(self._stream, t)
+        return t
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        t = self.tok
+        return t[0] == kind and (text is None or t[1] == text)
 
     # --- shared small pieces ---
 
     def number(self) -> float:
         t = self.expect("num")
-        if "." in t.text and len(t.text.split(".", 1)[1]) > 9:
-            raise ParseError("numbers carry at most 9 decimal places", t.line, t.col)
-        return round(float(t.text), 9)
+        if "." in t[1] and len(t[1].split(".", 1)[1]) > 9:
+            self.fail("numbers carry at most 9 decimal places", t)
+        return round(float(t[1]), 9)
 
     def integer(self) -> int:
         t = self.expect("num")
-        if not t.text.isdigit():
-            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
-        return int(t.text)
+        if not t[1].isdigit():
+            self.fail(f"expected an integer, found {t[1]!r}", t)
+        return int(t[1])
 
     def level(self):
         if self.at("punct", "("):
@@ -329,27 +363,22 @@ class _Parser:
             return (m1, m2)
         return self.number()
 
-    def term(self) -> Term:
-        t = self.expect("ident")
-        if t.text in self.declared:
-            return Constant(t.text)
-        if t.text[0].isupper():
-            return Variable(t.text)
-        return Constant(t.text)
-
     def atom(self) -> Atom:
-        t = self.expect("ident")
-        pred = t.text
-        args = ()
-        if self.at("punct", "("):
-            self.next()
-            items = [self.term()]
-            while self.at("punct", ","):
-                self.next()
-                items.append(self.term())
-            self.expect("punct", ")")
-            args = tuple(items)
-        return Atom(pred, args)
+        pred = self.expect("ident")[1]
+        if not self.at("punct", "("):
+            return Atom(pred)
+        args = []
+        while True:
+            self.next()  # the "(" or a ","
+            name = self.expect("ident")[1]
+            if name[0].isupper() and name not in self.declared:
+                args.append(Variable(name))
+            else:
+                args.append(self.constants[name])
+            if not self.at("punct", ","):
+                break
+        self.expect("punct", ")")
+        return Atom(pred, tuple(args))
 
 
 def _default_impl(system: str):
@@ -371,70 +400,96 @@ def parse_program(text: str, safety: str = "strict") -> Program:
     positive occurrence; safety="paper-examples" downgrades that to a
     warning, so self-negating rules like q(X, Y) <- not q(Y, X) still load.
     Unbound head variables are an error in both modes.
+
+    A `fact` statement on one line is read by `_FACT_RE` alone, without
+    tokens, when it is valid as it stands: a level valid in the system and
+    above its bottom, with at most nine decimals, and constant arguments
+    (under the %const directives read so far) in a predicate's one arity.
+    Every other statement, and every error, is read by the general parser
+    from the same offset.
     """
     if safety not in ("strict", "paper-examples"):
         raise ValueError(f"unknown safety mode {safety!r}")
     p = _Parser(text)
 
     tok = p.expect("directive")
-    if tok.text != "%system":
-        raise ParseError("program must start with a %system header", tok.line, tok.col)
+    if tok[1] != "%system":
+        p.fail("program must start with a %system header", tok)
     name = p.expect("ident")
-    sysname = name.text
-    if sysname not in _SYSTEM_NAMES:
-        raise ParseError(f"unknown value system {sysname!r}", name.line, name.col)
-    system = _SYSTEM_NAMES[sysname]
+    if name[1] not in _SYSTEM_NAMES:
+        p.fail(f"unknown value system {name[1]!r}", name)
+    system = _SYSTEM_NAMES[name[1]]
     p.expect("punct", ".")
 
     rules = []
     order = None
     warnings = []
     arities = {}
+    fact_impl = _default_impl(system)
+    declared = p.declared
+    constants = p.constants
 
-    def note_arity(atom: Atom, tok_: _Token):
+    def note_arity(atom: Atom, tok_):
         old = arities.get(atom.pred)
         if old is not None and old != len(atom.args):
-            raise ParseError(
-                f"predicate {atom.pred!r} used with arity {len(atom.args)} but earlier with {old}",
-                tok_.line, tok_.col)
+            p.fail(f"predicate {atom.pred!r} used with arity {len(atom.args)} but earlier with {old}",
+                   tok_)
         arities[atom.pred] = len(atom.args)
 
-    while not p.at("eof"):
-        t = p.peek()
-        if t.kind == "directive" and t.text == "%const":
+    pos = p.tok[2]
+    while True:
+        m = _FACT_RE.match(text, pos)
+        if m is not None:
+            pred, arg_text, scalar, m1, m2 = m.groups()
+            names = arg_text.replace(" ", "").replace("\t", "").split(",") if arg_text else ()
+            lvl = round(float(scalar), 9) if scalar else (round(float(m1), 9), round(float(m2), 9))
+            if (_level_error(system, lvl) is None
+                    and (not arg_text or arg_text.islower()
+                         or all(n in declared or not n[0].isupper() for n in names))
+                    and arities.setdefault(pred, len(names)) == len(names)):
+                head = _ground_atom(pred, tuple(map(constants.__getitem__, names)))
+                # Rule(head, (), fact_impl, lvl, line), without the dataclass __init__
+                rule = _new(Rule)
+                rule.__dict__.update(head=head, body=(), impl=fact_impl, level=lvl, line=p.line(pos))
+                rules.append(rule)
+                pos = m.end()
+                continue
+        if p.tok[2] != pos:
+            p.seek(pos)
+        t = p.tok
+        if t[0] == "eof":
+            break
+        if t[0] == "directive" and t[1] == "%const":
             p.next()
             while True:
                 c = p.expect("ident")
-                p.declared.add(c.text)
+                declared.add(c[1])
                 if not p.at("punct", ","):
                     break
                 p.next()
             p.expect("punct", ".")
-            continue
-        if t.kind == "directive" and t.text == "%order":
+        elif t[0] == "directive" and t[1] == "%order":
             p.next()
             order = [p.integer()]
             while p.at("punct", ","):
                 p.next()
                 order.append(p.integer())
             p.expect("punct", ".")
-            continue
-        if t.kind == "ident" and t.text == "fact":
+        elif t[0] == "ident" and t[1] == "fact":
             p.next()
-            head_tok = p.peek()
+            head_tok = p.tok
             head = p.atom()
             note_arity(head, head_tok)
             p.expect("punct", "=")
             lvl = p.level()
             p.expect("punct", ".")
-            _check_level(system, lvl, head_tok)
+            _check_level(p, system, lvl, head_tok)
             if head.variables():
-                raise ParseError(f"fact {head} is not ground", head_tok.line, head_tok.col)
-            rules.append(Rule(head, (), _default_impl(system), lvl, head_tok.line))
-            continue
-        if t.kind == "ident" and t.text == "rule":
+                p.fail(f"fact {head} is not ground", head_tok)
+            rules.append(Rule(head, (), fact_impl, lvl, p.line(head_tok[2])))
+        elif t[0] == "ident" and t[1] == "rule":
             p.next()
-            head_tok = p.peek()
+            head_tok = p.tok
             head = p.atom()
             note_arity(head, head_tok)
             p.expect("arrow")
@@ -444,7 +499,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
                 if p.at("ident", "not"):
                     p.next()
                     negated = True
-                atom_tok = p.peek()
+                atom_tok = p.tok
                 a = p.atom()
                 note_arity(a, atom_tok)
                 body.append(Literal(a, negated))
@@ -457,25 +512,25 @@ def parse_program(text: str, safety: str = "strict") -> Program:
             p.expect("punct", ",")
             lvl = p.level()
             p.expect("punct", ".")
-            _check_level(system, lvl, head_tok)
-            rule = Rule(head, tuple(body), impl, lvl, head_tok.line)
+            _check_level(p, system, lvl, head_tok)
+            line = p.line(head_tok[2])
+            rule = Rule(head, tuple(body), impl, lvl, line)
             report = check_safety(rule)
             if report.unsafe_head_vars:
-                raise SafetyError(
-                    f"unsafe rule: head variable(s) {', '.join(report.unsafe_head_vars)} "
-                    f"do not occur in the body", head_tok.line, head_tok.col)
+                p.fail(f"unsafe rule: head variable(s) {', '.join(report.unsafe_head_vars)} "
+                       f"do not occur in the body", head_tok, SafetyError)
             if report.unsafe_negative_vars:
-                msg = (f"rule at line {head_tok.line}: variable(s) "
+                msg = (f"rule at line {line}: variable(s) "
                        f"{', '.join(report.unsafe_negative_vars)} occur only under negation")
                 if safety == "strict":
-                    raise SafetyError("unsafe rule: " + msg.split(": ", 1)[1],
-                                      head_tok.line, head_tok.col)
+                    p.fail("unsafe rule: " + msg.split(": ", 1)[1], head_tok, SafetyError)
                 warnings.append("safety: " + msg)
             rules.append(rule)
-            continue
-        p.fail(f"expected 'fact', 'rule' or a directive, found {t.text!r}")
+        else:
+            p.fail(f"expected 'fact', 'rule' or a directive, found {t[1]!r}")
+        pos = p.tok[2]
 
-    prog = Program(system, rules, frozenset(p.declared), order, warnings)
+    prog = Program(system, rules, frozenset(declared), order, warnings)
     if order is not None:
         n = len(prog.proper_rules())
         if sorted(order) != list(range(1, n + 1)):
@@ -486,29 +541,35 @@ def parse_program(text: str, safety: str = "strict") -> Program:
 def _parse_impl(p: _Parser, system: str):
     if p.at("punct", "("):
         tok = p.next()
-        a = p.expect("ident").text
+        a = p.expect("ident")[1]
         p.expect("punct", ",")
-        b = p.expect("ident").text
+        b = p.expect("ident")[1]
         p.expect("punct", ")")
         impl = (a, b)
         if not Imp.is_compatible(impl, system):
-            raise ParseError(f"implication pair ({a}, {b}) is not valid for the {system} system",
-                             tok.line, tok.col)
+            p.fail(f"implication pair ({a}, {b}) is not valid for the {system} system", tok)
         return impl
     tok = p.expect("ident")
-    impl = tok.text
+    impl = tok[1]
     if not Imp.is_compatible(impl, system):
-        raise ParseError(f"implication {impl!r} is not valid for the {system} system",
-                         tok.line, tok.col)
+        p.fail(f"implication {impl!r} is not valid for the {system} system", tok)
     return impl
 
 
-def _check_level(system: str, lvl, tok: _Token):
+def _level_error(system: str, lvl) -> Optional[str]:
+    """Why lvl cannot be the level of a fact or rule, or None if it can."""
     err = V.validate_input(system, lvl)
     if err is not None:
-        raise ParseError(f"invalid level: {err}", tok.line, tok.col)
-    if V.is_bottom(system, lvl):
-        raise ParseError(f"level {V.fmt(lvl)} must be above the bottom element", tok.line, tok.col)
+        return f"invalid level: {err}"
+    if V.LATTICES[system].is_bottom(lvl):
+        return f"level {V.fmt(lvl)} must be above the bottom element"
+    return None
+
+
+def _check_level(p: _Parser, system: str, lvl, tok):
+    err = _level_error(system, lvl)
+    if err is not None:
+        p.fail(err, tok)
 
 
 # ----------------------------------------------------------------------
@@ -577,15 +638,15 @@ class AtomTable:
     An atom is entered by its predicate and key: the argument name of a
     unary atom and the tuple of argument names otherwise; the arity of a
     predicate is fixed, so the keys of one predicate never mix the two
-    forms.  `Atom` objects are built only on request, once per id, and
-    share their `Constant`s.
+    forms.  `Atom` objects are built only on request, once per id, with
+    their hash set (`_ground_atom`), and share their `Constant`s.
     """
 
     def __init__(self):
         self.ids = {}          # pred -> {key: id}
         self.entries = []      # id -> (pred, key)
-        self._atoms = {}       # id -> Atom, as built by `atom` or given to `intern_atom`
-        self._constants = {}   # name -> Constant
+        self._atoms = {}       # id -> Atom, as built by `atoms` or given to `intern_atom`
+        self._constants = _Constants()
 
     def __len__(self):
         return len(self.entries)
@@ -607,14 +668,40 @@ class AtomTable:
         return aid
 
     def atom(self, aid: int) -> Atom:
-        atom = self._atoms.get(aid)
-        if atom is None:
-            pred, key = self.entries[aid]
-            consts = self._constants
-            names = (key,) if isinstance(key, str) else key
-            atom = self._atoms[aid] = Atom(pred, tuple(
-                consts.get(n) or consts.setdefault(n, Constant(n)) for n in names))
-        return atom
+        return self.atoms((aid,))[0]
+
+    def atoms(self, ids) -> list:
+        """The Atom of each id, in the order given."""
+        built, entries = self._atoms, self.entries
+        constant = self._constants.__getitem__
+        out = []
+        for aid in ids:
+            atom = built.get(aid)
+            if atom is None:
+                pred, key = entries[aid]
+                args = (constant(key),) if key.__class__ is str else tuple(map(constant, key))
+                atom = built[aid] = _ground_atom(pred, args)
+            out.append(atom)
+        return out
+
+
+class _Constants(dict):
+    """Constant name -> `Constant`, made on first lookup."""
+
+    def __missing__(self, name):
+        constant = self[name] = Constant(name)
+        return constant
+
+
+def _ground_atom(pred: str, args: tuple) -> Atom:
+    """Atom(pred, args) with the hash that `Atom.__hash__` would cache on
+    first use already set, built without the dataclass __init__."""
+    atom = _new(Atom)
+    fields = atom.__dict__
+    fields["pred"] = pred
+    fields["args"] = args
+    fields["_hash"] = hash((pred, args))
+    return atom
 
 
 def _key(atom: Atom):

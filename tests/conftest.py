@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -7,10 +9,21 @@ from mvdatalog.kb import (BackgroundKnowledge, build_kb, parse_phi_file,
                           parse_proximity_file)
 
 DATA = pathlib.Path(__file__).parent / "data"
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def read(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def load_workloads():
+    """The benchmark's workload module, benchmarks/workloads.py."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_program(name: str, safety: str = "strict"):

@@ -4,29 +4,16 @@ output digests recorded in benchmarks/digests.json.
 Each digest hashes every atom's level together with the iteration count,
 so any change to levels or to nondet's step sequence fails here."""
 
-import importlib.util
 import json
-import pathlib
-import sys
 
 import pytest
 
 import mvdatalog
 
-BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+from conftest import BENCHMARKS, load_workloads
+
 DIGESTS = json.loads((BENCHMARKS / "digests.json").read_text(encoding="utf-8"))
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("_bench_workloads",
-                                                  BENCHMARKS / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-W = _load_workloads()
+W = load_workloads()
 
 CLOSURE_ITEMS = [(shape, variant) for shape in ("chain8-godel", "cyc6-fg2-neg")
                  for variant in (0, 5)]

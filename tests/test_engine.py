@@ -1,4 +1,9 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +11,9 @@ from mvdatalog import values as V
 from mvdatalog.lang import Atom, Constant, GroundRule, Literal, parse_program
 from mvdatalog.engine import (Interpretation, applicable, dt_step, fixpoint,
                               is_model, nt_step, order_from_directive, stratify)
+from mvdatalog.kb import consequence
 
+from conftest import load_kb
 from helpers import random_program
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
@@ -201,3 +208,46 @@ def test_monotone_in_facts():
         prog.rules[pos] = type(raised)(raised.head, raised.body, raised.impl, bumped)
         higher = fixpoint(prog).interpretation
         assert base.leq(higher)
+
+
+_UNPICKLE_CHECK = """
+import pickle, sys
+from mvdatalog.lang import Atom
+items = pickle.loads(sys.stdin.buffer.read())
+assert not any("_hash" in vars(atom) for atom, _ in items)
+table = dict(items)
+for atom, value in items:
+    fresh = Atom(atom.pred, atom.args)
+    assert fresh == atom and hash(fresh) == hash(atom) and table[fresh] == value
+print(len(items))
+"""
+
+
+def test_result_atoms_keep_the_atom_contract():
+    kb = load_kb("ex23.mvd", "ex23.prox", "ex23.phi")
+    program = parse_program("%system fuzzy.\nfact p(a) = 0.8.\nfact r(b, c) = 0.6.\n"
+                            "rule q(X, Y) <- p(X), r(Y, Z) : godel, 0.7.\n")
+    for report, prog in ((fixpoint(program, "det"), program),
+                         (fixpoint(program, "nondet"), program),
+                         (consequence(kb), kb.program)):
+        entries = report.interpretation.entries
+        heads = {r.head: r.head for r in prog.rules if r.is_fact}
+        for atom in entries:
+            parsed = Atom(atom.pred, tuple(Constant(t.name) for t in atom.args))
+            assert atom == parsed and hash(atom) == hash(parsed)
+            assert repr(atom) == repr(parsed) and str(atom) == str(parsed)
+            assert atom.__getstate__() == {"pred": atom.pred, "args": atom.args}
+            # a fact head is the parsed object itself
+            assert atom is heads.get(atom, atom)
+        assert heads.keys() <= entries.keys()
+        copied = copy.deepcopy(entries)
+        assert copied == entries and list(copied) == list(entries)
+        assert all(hash(a) == hash(b) for a, b in zip(copied, entries))
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        done = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_CHECK], input=pickle.dumps(list(entries.items())),
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr.decode()
+        assert int(done.stdout) == len(entries)

@@ -256,6 +256,16 @@ def test_phi_file_parsing():
         parse_phi_file("phi p/1 = euclid.\n")
 
 
+def test_contradictory_phi_entries_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_phi_file("phi p/1 = meet.\nphi q/2 = product.\nphi p/1 = product.\n")
+    assert (str(info.value), info.value.line, info.value.col) == (
+        "line 3, col 9: contradictory uncertainty functions for p/1", 3, 9)
+    # the same function twice is no contradiction
+    spec = parse_phi_file("phi p/1 = meet-product.\nphi p/1 = meet-product.\n")
+    assert spec.by_functor == {("p", 1): "meet_product"}
+
+
 def test_product_phi_flagged_outside_ivs():
     prog = parse_program("%system ifs.\nfact p(a) = (0.5, 0.2).\n")
     spec = PhiSpec({("p", 1): "product"})

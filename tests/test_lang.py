@@ -1,13 +1,15 @@
 import random
+import re
 
 import pytest
 
+from mvdatalog import lang
 from mvdatalog import values as V
 from mvdatalog.lang import (Atom, Constant, ParseError, Program, ProximityRef,
                             Rule, SafetyError, Variable, check_safety, ground,
                             herbrand, parse_program, print_program, unify)
 
-from conftest import load_program, read
+from conftest import DATA, load_program, load_workloads, read
 from helpers import random_program
 
 
@@ -163,3 +165,73 @@ def test_number_precision():
     assert prog.facts()[0][1] == 0.123456789
     with pytest.raises(ParseError, match="decimal"):
         parse_program("%system fuzzy.\nfact p(a) = 0.1234567891.\n")
+
+
+def test_rules_carry_their_source_line():
+    text = ("# a program\n%system fuzzy.\n\n# facts\nfact p(a) = 0.5.\n"
+            "rule q(X) <-\n    p(X)\n    : godel, 0.5.\n"
+            "fact p(b) = 0.6.  # trailing comment\n# comment\n\n"
+            "fact\n  p(c) = 0.7.\nfact p(d) = 0.8.\r\nfact p(e) = 0.9.\r\n"
+            "rule r(X) <- q(X) : godel, 0.5. fact p(f) = 1.\n")
+    prog = parse_program(text)
+    assert [str(r.head) for r in prog.rules] == [
+        "p(a)", "q(X)", "p(b)", "p(c)", "p(d)", "p(e)", "r(X)", "p(f)"]
+    assert [r.line for r in prog.rules] == [5, 6, 9, 13, 14, 15, 16, 16]
+
+
+class _MatchSpy:
+    """Stands in for `lang._FACT_RE` and counts the statements it matches."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matched = 0
+
+    def match(self, text, pos):
+        m = self.pattern.match(text, pos)
+        self.matched += m is not None
+        return m
+
+
+def _split_facts(text):
+    """The text with every line that starts a `fact` statement broken after
+    the keyword, a form the fact path never matches, and a map from the
+    lines of that text back to the lines of the given one."""
+    lines, back = [], {}
+    for number, line in enumerate(text.split("\n"), 1):
+        parts = ["fact", line[5:]] if line.startswith("fact ") else [line]
+        for part in parts:
+            lines.append(part)
+            back[len(lines)] = number
+    return "\n".join(lines), back
+
+
+def _programs():
+    W = load_workloads()
+    texts = [W.closure_input(shape[0], variant).text
+             for shape in W.CLOSURE_SHAPES for variant in range(W.VARIANTS)]
+    texts += [W.proximity_input(shape[0], variant).program
+              for shape in W.PROXIMITY_SHAPES for variant in range(W.VARIANTS)]
+    texts += [W.query_input(variant).program for variant in range(W.VARIANTS)]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.mvd"))]
+    return texts
+
+
+def test_fact_path_agrees_with_the_general_parser(monkeypatch):
+    spy = _MatchSpy(lang._FACT_RE)
+    monkeypatch.setattr(lang, "_FACT_RE", spy)
+    for text in _programs():
+        general_text, back = _split_facts(text)
+        spy.matched = 0
+        fast = parse_program(text, safety="paper-examples")
+        assert spy.matched == len(fast.facts()) > 0
+        # the fact path took them all: it alone builds atoms with their hash set
+        assert all("_hash" in vars(r.head) for r in fast.rules if r.is_fact)
+        general = parse_program(general_text, safety="paper-examples")
+        assert spy.matched == len(fast.facts())
+        assert general.system == fast.system
+        assert general.rules == fast.rules
+        assert [back[r.line] for r in general.rules] == [r.line for r in fast.rules]
+        assert general.declared_constants == fast.declared_constants
+        assert general.order_directive == fast.order_directive
+        assert [re.sub(r"line (\d+)", lambda m: f"line {back[int(m[1])]}", w)
+                for w in general.warnings] == fast.warnings
