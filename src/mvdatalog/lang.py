@@ -258,7 +258,6 @@ _FACT_RE = re.compile(
 )
 
 _NEWLINE_RE = re.compile("\n")
-_new = object.__new__
 
 _SYSTEM_NAMES = {
     "fuzzy": V.FUZZY,
@@ -448,10 +447,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
                          or all(n in declared or not n[0].isupper() for n in names))
                     and arities.setdefault(pred, len(names)) == len(names)):
                 head = _ground_atom(pred, tuple(map(constants.__getitem__, names)))
-                # Rule(head, (), fact_impl, lvl, line), without the dataclass __init__
-                rule = _new(Rule)
-                rule.__dict__.update(head=head, body=(), impl=fact_impl, level=lvl, line=p.line(pos))
-                rules.append(rule)
+                rules.append(Rule(head, (), fact_impl, lvl, p.line(pos)))
                 pos = m.end()
                 continue
         if p.tok[2] != pos:
@@ -694,13 +690,10 @@ class _Constants(dict):
 
 
 def _ground_atom(pred: str, args: tuple) -> Atom:
-    """Atom(pred, args) with the hash that `Atom.__hash__` would cache on
-    first use already set, built without the dataclass __init__."""
-    atom = _new(Atom)
-    fields = atom.__dict__
-    fields["pred"] = pred
-    fields["args"] = args
-    fields["_hash"] = hash((pred, args))
+    """Atom(pred, args) with the hash that `Atom.__hash__` caches on first
+    use already set."""
+    atom = Atom(pred, args)
+    object.__setattr__(atom, "_hash", hash((pred, args)))
     return atom
 
 
