@@ -16,7 +16,9 @@ a stratum's first round, the step operators only see the ground instances
 whose body holds an atom whose level rose, which yields the same fixed
 point, step count and diagnostics as rescanning every instance.  Only the
 instances whose body atoms are all derivable are grounded at all (see
-`lang.ground`); no other instance can ever be applicable.  `fixpoint` and
+`lang.ground`, whose joins run as compiled kernels); no other instance can
+ever be applicable, and `is_model` likewise checks only the instances whose
+body atoms are all present in the interpretation.  `fixpoint` and
 `kb.consequence` share this one evaluation path; they differ only in their
 step operators and in how derived heads widen.
 
@@ -623,7 +625,9 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
 
     A ground rule checks I(alpha_body, alpha_head) >= beta in the lattice
     order whenever all its body kernels are present; rules with a missing
-    kernel hold vacuously.
+    kernel hold vacuously, so only the instances whose body atoms are all
+    in interp are grounded (`lang.ground` with present), in rule and then
+    substitution order.
     """
     sys = program.system
     lattice = V.lattice(sys)
@@ -632,7 +636,7 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
         for t in atom.args:
             universe.add(t.name)
     violations = []
-    for rules in ground(program, universe):
+    for rules in ground(program, universe, present=interp.entries):
         for g in rules:
             body = applicable(g, interp)
             if body is None:

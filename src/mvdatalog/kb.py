@@ -413,13 +413,15 @@ def mod_nt_step(kb: KnowledgeBase, interp, rules=None,
     body is read before any head is spread.  Without a spread, one is built
     for this step alone.
 
-    On GroundRules (by default the full grounding) and an Interpretation,
-    the result is a copy of interp; the atoms are interned for the step
-    alone.  `consequence` calls it on interned instances and its working
+    On GroundRules and an Interpretation, the result is a copy of interp;
+    the atoms are interned for the step alone.  By default the rules are
+    the instances of the full grounding whose body atoms are all in interp
+    (`lang.ground` with present), the only ones that can fire.
+    `consequence` calls it on interned instances and its working
     `engine._Levels`, which it updates in place and returns."""
     if rules is None:
         universe = modified_universe(kb)
-        rules = [g for rs in ground(kb.program, universe) for g in rs]
+        rules = [g for rs in ground(kb.program, universe, present=interp.entries) for g in rs]
     if spread is None:
         spread = _Spread(kb)
     if isinstance(interp, Interpretation):

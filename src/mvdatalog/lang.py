@@ -27,15 +27,25 @@ matched at the `fact` keyword, reads it whole, and `parse_program` takes it
 when it is valid as it stands.  Every other statement, and every fact with
 an error, is read by the general parser from the same offset, so the
 messages, lines and columns of errors are the general parser's.
+
+Grounding joins each rule's body atoms over crisp relations, the sets of
+argument-name tuples of the atoms derived (or, for a model check, present)
+so far.  Each join plan runs as a kernel compiled from Python source with
+one nested loop per body atom and the plan's variables in locals
+(`_kernel_source`).  The source holds only the plan's shape, as integers,
+so rules that differ only in their names share a kernel, kept in a
+bounded cache for the life of the process.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import values as V
@@ -67,12 +77,44 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
 class Constant:
-    name: str
+    """A constant symbol.  Immutable, and equal, hashed and printed as a
+    frozen dataclass with the one field `name` is; the hash is computed
+    once, and left out of the pickled state (see `Atom`)."""
+
+    __slots__ = ("name", "_hash")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_constant_hash(self, hash((name,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Constant(name={self.name!r})"
 
     def __str__(self):
         return self.name
+
+    def __getstate__(self):
+        return {"name": self.name}
+
+    def __setstate__(self, state):
+        self.__init__(state["name"])
+
+
+_set_name, _set_constant_hash = Constant.name.__set__, Constant._hash.__set__
 
 
 @dataclass(frozen=True)
@@ -88,15 +130,23 @@ class ProximityRef:
 Term = Union[Variable, Constant, ProximityRef]
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: str
-    args: tuple = ()
+    """An atom pred(args).  Immutable, and equal, hashed and printed as a
+    frozen dataclass with the fields `pred` and `args` is.  Its hash is
+    computed once and kept in the `_hash` slot, which pickling leaves out:
+    string hashes differ between processes."""
 
-    def __str__(self):
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+    __slots__ = ("pred", "args", "_hash")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, pred: str, args: tuple = ()):
+        _set_pred(self, pred)
+        _set_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pred == other.pred and self.args == other.args
+        return NotImplemented
 
     def __hash__(self):
         # atoms key every interpretation and index: hash once per object
@@ -104,12 +154,23 @@ class Atom:
             return self._hash
         except AttributeError:
             value = hash((self.pred, self.args))
-            object.__setattr__(self, "_hash", value)
+            _set_hash(self, value)
             return value
 
+    def __repr__(self):
+        return f"Atom(pred={self.pred!r}, args={self.args!r})"
+
+    def __str__(self):
+        if not self.args:
+            return self.pred
+        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+
     def __getstate__(self):
-        # string hashes differ between processes, so the cache is not pickled
         return {"pred": self.pred, "args": self.args}
+
+    def __setstate__(self, state):
+        _set_pred(self, state["pred"])
+        _set_args(self, state["args"])
 
     @property
     def functor(self):
@@ -120,6 +181,9 @@ class Atom:
 
     def variables(self):
         return [a for a in self.args if isinstance(a, Variable)]
+
+
+_set_pred, _set_args, _set_hash = Atom.pred.__set__, Atom.args.__set__, Atom._hash.__set__
 
 
 @dataclass(frozen=True)
@@ -465,7 +529,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
                 p.next()
             p.expect("punct", ".")
         elif t[0] == "directive" and t[1] == "%order":
-            p.next()
+            order_tok = p.next()
             order = [p.integer()]
             while p.at("punct", ","):
                 p.next()
@@ -530,7 +594,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
     if order is not None:
         n = len(prog.proper_rules())
         if sorted(order) != list(range(1, n + 1)):
-            raise ParseError(f"%order must be a permutation of 1..{n}, got {order}")
+            p.fail(f"%order must be a permutation of 1..{n}, got {order}", order_tok)
     return prog
 
 
@@ -692,9 +756,14 @@ class _Constants(dict):
 def _ground_atom(pred: str, args: tuple) -> Atom:
     """Atom(pred, args) with the hash that `Atom.__hash__` caches on first
     use already set."""
-    atom = Atom(pred, args)
-    object.__setattr__(atom, "_hash", hash((pred, args)))
+    atom = _new(Atom)
+    _set_pred(atom, pred)
+    _set_args(atom, args)
+    _set_hash(atom, hash((pred, args)))
     return atom
+
+
+_new = object.__new__
 
 
 def _key(atom: Atom):
@@ -737,33 +806,22 @@ class _Grounder:
     def rule(self, rule: Rule, rule_pos: int, combos=None):
         """Instances for the given substitutions (tuples of constant names,
         one per rule variable); by default every one over the universe."""
-        variables = rule.variables()
-        if variables and not self.names:
+        nvars, constants, head_slots, body_slots = _rule_slots(rule)
+        if nvars and not self.names:
             return []
         if combos is None:
-            combos = itertools.product(self.names, repeat=len(variables))
-        slot = {v: i for i, v in enumerate(variables)}
-        rule_constants = []
+            combos = itertools.product(self.names, repeat=nvars)
 
-        def key_of(atom):
-            positions = []
-            for t in atom.args:
-                if isinstance(t, Variable):
-                    positions.append(slot[t])
-                else:
-                    positions.append(len(variables) + len(rule_constants))
-                    rule_constants.append(t.name)
-            return operator.itemgetter(*positions) if positions else (lambda full: ())
+        def key_of(slots):
+            return operator.itemgetter(*slots) if slots else (lambda full: ())
 
-        head_key = key_of(rule.head)
-        body_keys = [key_of(lit.atom) for lit in rule.body]
-        constants = tuple(rule_constants)
+        head_key = key_of(head_slots)
         table = self.table
         add = table.add
         head_pred = rule.head.pred
         head_ids = table.ids.setdefault(head_pred, {})
-        body = [(body_key, table.ids.setdefault(lit.atom.pred, {}), lit.atom.pred, lit.negated)
-                for body_key, lit in zip(body_keys, rule.body)]
+        body = [(key_of(slots), table.ids.setdefault(lit.atom.pred, {}), lit.atom.pred,
+                 lit.negated) for slots, lit in zip(body_slots, rule.body)]
         level_fn, level = None, rule.level
         out = []
         for combo in combos:
@@ -785,6 +843,30 @@ class _Grounder:
         return out
 
 
+def _rule_slots(rule: Rule):
+    """(nvars, constants, head, body) of a rule.  A slot is a rule variable
+    (0, 1, .. in `Rule.variables` order) or, after them, one of the rule's
+    own constants, whose names constants lists; head and body hold the slot
+    of each argument of the head and of each body atom."""
+    variables = rule.variables()
+    slot = {v: i for i, v in enumerate(variables)}
+    constants = []
+
+    def slots(atom):
+        out = []
+        for t in atom.args:
+            if isinstance(t, Variable):
+                out.append(slot[t])
+            else:
+                out.append(len(variables) + len(constants))
+                constants.append(t.name)
+        return tuple(out)
+
+    head = slots(rule.head)
+    body = [slots(lit.atom) for lit in rule.body]
+    return len(variables), tuple(constants), head, body
+
+
 def decode_instance(table: AtomTable, instance, impl) -> GroundRule:
     """The GroundRule an interned instance of `ground` stands for; impl is
     the implication of its rule."""
@@ -795,194 +877,286 @@ def decode_instance(table: AtomTable, instance, impl) -> GroundRule:
     return GroundRule(atom(head), literals, impl, level, rule_pos)
 
 
-def _picker(positions):
-    """Function reading the tuple of seq[i] for i in positions."""
-    if not positions:
-        return lambda seq: ()
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda seq: (seq[i],)
-    return operator.itemgetter(*positions)
-
-
 class _Relations:
     """Crisp relations: per predicate a set of argument-name tuples, with an
     index per pattern of bound argument positions, built on first use and
-    kept up to date by `add`."""
+    kept up to date by `extend`.  An index maps the name at its one
+    position, or the tuple of names at its positions, to a list of rows."""
 
     def __init__(self):
-        self.rows = {}      # pred -> {name tuple}
-        self.indexes = {}   # pred -> {positions: (pick, {key: [name tuple]})}
+        self.rows = defaultdict(set)       # pred -> {name tuple}
+        self.indexes = defaultdict(dict)   # pred -> {positions: (pick, index)}
 
-    def add(self, pred, names) -> bool:
-        rows = self.rows.setdefault(pred, set())
-        if names in rows:
-            return False
-        rows.add(names)
-        for pick, index in self.indexes.get(pred, {}).values():
-            index.setdefault(pick(names), []).append(names)
-        return True
+    def extend(self, pred, new):
+        """Add rows that pred does not hold yet."""
+        self.rows[pred] |= new
+        for pick, index in self.indexes[pred].values():
+            for names in new:
+                key = pick(names)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [names]
+                else:
+                    bucket.append(names)
 
-    def lookup(self, pred, positions, key):
-        """The rows of pred whose values at positions equal key."""
-        if not positions:
-            return self.rows.get(pred, ())
-        patterns = self.indexes.setdefault(pred, {})
+    def index(self, pred, positions):
+        """The index of pred's rows on the (non-empty) positions."""
+        patterns = self.indexes[pred]
         entry = patterns.get(positions)
         if entry is None:
-            pick = _picker(positions)
+            pick = operator.itemgetter(*positions)
             index = {}
-            for names in self.rows.get(pred, ()):
+            for names in self.rows[pred]:
                 index.setdefault(pick(names), []).append(names)
             entry = patterns[positions] = (pick, index)
-        return entry[1].get(key, ())
+        return entry[1]
+
+
+# How a join step treats an argument position: bind the slot's variable,
+# check that the row holds the slot's value, or nothing, as the index
+# lookup that found the row already matched it.
+_BIND, _CHECK, _KEYED = 0, 1, 2
+# Python nests at most 20 loops in one function; a kernel runs at most this
+# many steps and hands its bindings on to a kernel for the steps after them.
+_STEPS_PER_KERNEL = 16
+
+
+def _tup(items) -> str:
+    """The source of a tuple display of the given item sources."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _values(slots) -> str:
+    """The source of the tuple of the locals of the given slots."""
+    return _tup(f"v{s}" for s in slots)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(shape, first: int = 0):
+    """The join kernel of a plan shape (see `_kernel_source`), compiled
+    once per shape and first step."""
+    namespace = {"product": itertools.product}
+    preset, steps = shape[:2]
+    last = first + _STEPS_PER_KERNEL
+    if last < len(steps):
+        namespace["tail"] = _kernel((_tail_preset(preset, steps, first, last),) + shape[1:], last)
+    exec(compile(_kernel_source(shape, first), "<join kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _tail_preset(preset, steps, first, last):
+    """The slots bound after steps first .. last - 1."""
+    bound = set(preset)
+    for _, specs in steps[first:last]:
+        bound.update(s for _, s in specs)
+    return tuple(sorted(bound))
+
+
+def _kernel_source(shape, first: int = 0) -> str:
+    """The source of the join kernel of a plan shape, running its steps from
+    first on.
+
+    A shape is (preset, steps, rest, nvars, head), integers only: preset
+    are the slots whose values the kernel is given (in K); each step is
+    (key, specs), with the slots that make its index key (none for a scan
+    of the rows) and one (action, slot) per argument position; rest are the
+    slots of variables that no step binds, nvars the number of rule
+    variables (slots 0 .. nvars - 1) and head the slots of the head's
+    arguments, or None.  The kernel is called as
+
+        kernel(R, K, universe, names, seen, widened, derive, hp)
+
+    with R the row set or index each step reads.  Each step is one loop,
+    or a membership test when it binds no slot, with the value of each
+    slot in a local; a name it binds must be in universe.  Every complete
+    binding adds its substitution to the set seen; with a head, a new
+    substitution whose head names are not in widened also calls
+    derive(hp, names).  Variables in rest range over names.  After
+    `_STEPS_PER_KERNEL` steps the bindings go on to the kernel of the
+    later steps, `tail`.
+    """
+    preset, steps, rest, nvars, head = shape
+    last = min(len(steps), first + _STEPS_PER_KERNEL)
+    lines = ["def kernel(R, K, universe, names, seen, widened, derive, hp):",
+             f"    {_values(preset)} = K",
+             f"    {_tup(f'r{k}' for k in range(first, last))} = R[{first}:{last}]",
+             "    add = seen.add"]
+    pad = "    "
+    for k in range(first, last):
+        key, specs = steps[k]
+        if all(action == _KEYED for action, _ in specs):
+            lines.append(f"{pad}if {_values(key)} in r{k}:")
+        else:
+            targets, tests, binds = [], [], []
+            for pos, (action, slot) in enumerate(specs):
+                if action == _BIND:
+                    targets.append(f"v{slot}")
+                    binds.append(f"v{slot} not in universe")
+                elif action == _CHECK:
+                    targets.append(f"x{pos}")
+                    tests.append(f"x{pos} != v{slot}")
+                else:
+                    targets.append("_")
+            source = (f"r{k}" if not key else
+                      f"r{k}.get(v{key[0]}, ())" if len(key) == 1 else
+                      f"r{k}.get({_values(key)}, ())")
+            lines.append(f"{pad}for {_tup(targets)} in {source}:")
+            if tests or binds:
+                lines += [f"{pad}    if {' or '.join(tests + binds)}:", f"{pad}        continue"]
+        pad += "    "
+    if last < len(steps):
+        lines.append(f"{pad}tail(R, {_values(_tail_preset(preset, steps, first, last))}, universe,"
+                     " names, seen, widened, derive, hp)")
+        return "\n".join(lines) + "\n"
+    if rest:
+        lines.append(f"{pad}for {_values(rest)} in product(names, repeat={len(rest)}):")
+        pad += "    "
+    if head is None:
+        lines.append(f"{pad}add({_values(range(nvars))})")
+    else:
+        lines += [f"{pad}s = {_values(range(nvars))}",
+                  f"{pad}if s not in seen:",
+                  f"{pad}    add(s)",
+                  f"{pad}    h = {'s' if head == tuple(range(nvars)) else _values(head)}",
+                  f"{pad}    if h not in widened:",
+                  f"{pad}        derive(hp, h)"]
+    return "\n".join(lines) + "\n"
 
 
 class _RuleJoin:
     """Joins over the body atoms of one rule, negated ones included.
 
-    A binding is a list holding one constant name per rule variable (in
-    `Rule.variables` order), then the rule's own constant names.  A plan
-    visits the body atoms in a given order; each step looks its atom up by
-    the positions already bound and binds the rest, so a binding reaches
-    the end exactly when every body atom it names is in the relations.
-    Variables that no body atom binds range over the whole universe.
+    A slot is a rule variable or one of the rule's own constants (see
+    `_rule_slots`).  A plan visits the body atoms in a given order; each
+    step looks its atom up by the slots already bound and binds the rest,
+    so a binding is complete exactly when every body atom it names is in
+    the relations.  Variables that no body atom binds range over the whole
+    universe.  Each plan runs as a compiled kernel (`_kernel`), which sees
+    the plan's shape only: no predicate, constant or variable name is in
+    its source.
+
+    Each complete binding adds its substitution (the tuple of variable
+    values) to seen; with derive, each new substitution whose head names
+    are not in widened (the set for the head's predicate) also calls
+    derive(head predicate, head names).
     """
 
-    def __init__(self, rule: Rule, universe: set, names: list):
-        variables = rule.variables()
-        slot = {v: i for i, v in enumerate(variables)}
-        constants = []
+    def __init__(self, rule: Rule, universe: set, names: list, seen: set,
+                 derive=None, widened=None):
+        self.nvars, self.constants, head, body = _rule_slots(rule)
+        self.atoms = [(lit.atom.pred, slots) for lit, slots in zip(rule.body, body)]
+        self.head = None if derive is None else head
+        self.args = (self.constants, universe, names, seen, widened, derive, rule.head.pred)
+        self.plans = {}
 
-        def slots(atom):
-            out = []
-            for t in atom.args:
-                if isinstance(t, Variable):
-                    out.append(slot[t])
-                else:
-                    out.append(len(variables) + len(constants))
-                    constants.append(t.name)
-            return out
-
-        self.head_pred = rule.head.pred
-        self.head_names = _picker(slots(rule.head))
-        self.atoms = [(lit.atom.pred, slots(lit.atom)) for lit in rule.body]
-        self.nvars = len(variables)
-        self.constants = constants
-        self.universe = universe
-        self.names = names
-        n = len(self.atoms)
-        self.full_plan = self._plan(range(n))
-        # semi-naive: atom i read from the delta first, the others after it
-        self.delta_plans = [self._plan([i] + [k for k in range(n) if k != i])
-                            for i in range(n)]
-
-    def _plan(self, order):
-        bound = set(range(self.nvars, self.nvars + len(self.constants)))
-        steps = []
-        for i in order:
+    def _shape(self, order):
+        """(shape, lookups) of the plan visiting the atoms in order: the
+        first step scans its rows, checking bound slots; a later step looks
+        its rows up by the positions of its bound slots, or tests its row
+        for membership when all are bound.  lookups holds each step's
+        (pred, positions), with no positions where it reads the rows."""
+        preset = tuple(range(self.nvars, self.nvars + len(self.constants)))
+        bound = set(preset)
+        steps, lookups = [], []
+        for k, i in enumerate(order):
             pred, slots = self.atoms[i]
-            positions, sources, frees, repeats = [], [], [], []
-            first = {}
+            specs, key, positions = [], [], []
             for pos, s in enumerate(slots):
-                if s in bound:
+                if s in bound and k:
+                    specs.append((_KEYED, s))
+                    key.append(s)
                     positions.append(pos)
-                    sources.append(s)
-                elif s in first:
-                    repeats.append((pos, first[s]))
+                elif s in bound or s in slots[:pos]:
+                    specs.append((_CHECK, s))
                 else:
-                    first[s] = pos
-                    frees.append((pos, s))
-            bound.update(first)
-            steps.append((pred, tuple(positions), _picker(sources), tuple(frees),
-                          tuple(repeats)))
-        rest = [s for s in range(self.nvars) if s not in bound]
-        return steps, rest
+                    specs.append((_BIND, s))
+            bound.update(slots)
+            steps.append((tuple(key), tuple(specs)))
+            lookups.append((pred, () if len(positions) == len(slots) else tuple(positions)))
+        rest = tuple(s for s in range(self.nvars) if s not in bound)
+        return (preset, tuple(steps), rest, self.nvars, self.head), lookups
 
-    def solve(self, plan, relations, emit):
-        """Call emit(binding) for every complete binding; step k of the plan
-        reads relations[k]."""
-        steps, rest = plan
-        binding = [None] * self.nvars + self.constants
-        universe = self.universe
-        last = len(steps)
-
-        def extend(k):
-            if k == last:
-                if not rest:
-                    emit(binding)
-                    return
-                for combo in itertools.product(self.names, repeat=len(rest)):
-                    for s, name in zip(rest, combo):
-                        binding[s] = name
-                    emit(binding)
-                return
-            pred, positions, probe, frees, repeats = steps[k]
-            for row in relations[k].lookup(pred, positions, probe(binding)):
-                if repeats and any(row[p] != row[q] for p, q in repeats):
-                    continue
-                for pos, s in frees:
-                    name = row[pos]
-                    if name not in universe:
-                        break
-                    binding[s] = name
-                else:
-                    extend(k + 1)
-
-        extend(0)
+    def solve(self, i: int, rows, relations: _Relations):
+        """Run the plan that reads atom i first, from the row set rows, and
+        the other atoms after it in textual order, from relations; a rule
+        without body atoms has the one plan i = 0 and reads nothing."""
+        plan = self.plans.get(i)
+        if plan is None:
+            n = len(self.atoms)
+            shape, lookups = self._shape([i] + [k for k in range(n) if k != i] if n else [])
+            sources = [relations.index(pred, positions) if positions else relations.rows[pred]
+                       for pred, positions in lookups[1:]]
+            plan = self.plans[i] = (_kernel(shape), sources)
+        kernel, sources = plan
+        kernel((rows, *sources), *self.args)
 
 
 def _derivable_substitutions(program: Program, names: list, widen):
     """Per rule, the ascending substitutions whose body atoms are all
     derivable (see `ground`), recorded as a semi-naive pass over crisp
-    relations emits them; a ground fact has the one empty substitution."""
+    relations finds them; a ground fact has the one empty substitution.
+    Each round joins the atoms first derived in the round before, as plain
+    row sets per predicate, against all atoms derived so far."""
     universe = set(names)
     derivable = _Relations()
     rows = derivable.rows
-    widened = set()
-    # the atoms first derived in the current round, in order: a synonym that
-    # is derivable already, or found earlier in the round, is dropped here
-    found = {}
+    widened = defaultdict(set)     # pred -> the heads already widened
+    # pred -> the atoms first derived in the current round: a synonym that
+    # is derivable already is dropped here
+    found = defaultdict(set)
+
+    def derive(pred, head):
+        widened[pred].add(head)
+        for syn_pred, syn_names in widen(pred, head):
+            if syn_names not in rows[syn_pred]:
+                found[syn_pred].add(syn_names)
+
     substitutions = [set() for _ in program.rules]
-
-    def derive(atom):
-        if atom not in widened:
-            widened.add(atom)
-            for syn in widen(*atom):
-                if syn[1] not in rows.get(syn[0], ()):
-                    found[syn] = None
-
-    def emitter(join, recorded):
-        pred, head_names, nvars = join.head_pred, join.head_names, join.nvars
-
-        def emit(binding):
-            recorded.add(tuple(binding[:nvars]))
-            derive((pred, head_names(binding)))
-        return emit
-
     joins = []
-    for rule, recorded in zip(program.rules, substitutions):
+    for rule, seen in zip(program.rules, substitutions):
+        pred = rule.head.pred
         if _is_ground_fact(rule):
-            recorded.add(())
-            derive((rule.head.pred, tuple(t.name for t in rule.head.args)))
+            seen.add(())
+            head = tuple(t.name for t in rule.head.args)
+            if head not in widened[pred]:
+                derive(pred, head)
             continue
-        join = _RuleJoin(rule, universe, names)
+        join = _RuleJoin(rule, universe, names, seen, derive, widened[pred])
         if join.atoms:
-            joins.append((join, emitter(join, recorded)))
+            joins.append(join)
         else:
-            join.solve(join.full_plan, [], emitter(join, recorded))
+            join.solve(0, None, derivable)
     while found:
-        delta = _Relations()
-        for pred, atom_names in found:
-            derivable.add(pred, atom_names)
-            delta.add(pred, atom_names)
-        found.clear()
-        for join, emit in joins:
+        delta, found = found, defaultdict(set)
+        for pred, new in delta.items():
+            derivable.extend(pred, new)
+        for join in joins:
             for i, (pred, _) in enumerate(join.atoms):
-                if pred in delta.rows:
-                    plan = join.delta_plans[i]
-                    join.solve(plan, [delta] + [derivable] * (len(plan[0]) - 1), emit)
-    return [sorted(recorded) for recorded in substitutions]
+                new = delta.get(pred)
+                if new:
+                    join.solve(i, new, derivable)
+    return [sorted(seen) for seen in substitutions]
+
+
+def _present_substitutions(program: Program, names: list, atoms):
+    """Per rule, the ascending substitutions whose body atoms are all among
+    the ground Atoms atoms; a ground fact has the one empty substitution."""
+    universe = set(names)
+    arity = program.predicates()
+    present = _Relations()
+    for atom in atoms:
+        if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
+            present.rows[atom.pred].add(tuple(t.name for t in atom.args))
+    substitutions = []
+    for rule in program.rules:
+        seen = set()
+        if _is_ground_fact(rule):
+            seen.add(())
+        else:
+            join = _RuleJoin(rule, universe, names, seen)
+            join.solve(0, present.rows[join.atoms[0][0]] if join.atoms else None, present)
+        substitutions.append(sorted(seen))
+    return substitutions
 
 
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
@@ -993,7 +1167,7 @@ def ground_rule(rule: Rule, universe, rule_pos: int = 0):
             for g in _Grounder(universe, None, table).rule(rule, rule_pos)]
 
 
-def ground(program: Program, universe=None, widen=None, table=None):
+def ground(program: Program, universe=None, widen=None, table=None, present=None):
     """Ground instances per rule, in rule order; equal ground atoms are
     shared across all of them.
 
@@ -1012,6 +1186,12 @@ def ground(program: Program, universe=None, widen=None, table=None):
     so it changes no evaluation; the survivors keep their relative order.
     The crisp pass that finds the derivable atoms records each rule's
     substitutions as it goes, so no join is repeated to list them.
+
+    With present (and no widen), an iterable of ground Atoms, only the
+    instances whose every body atom, negated ones included, is among
+    them: the instances that can fire in an interpretation holding those
+    atoms, found by one join per rule over them instead of a product
+    over the universe.
     """
     if universe is None:
         universe = program.constants()
@@ -1019,10 +1199,12 @@ def ground(program: Program, universe=None, widen=None, table=None):
     if decode:
         table = AtomTable()
     grounder = _Grounder(universe, None if decode else program.system, table)
-    if widen is None:
-        combos = [None] * len(program.rules)
-    else:
+    if widen is not None:
         combos = _derivable_substitutions(program, grounder.names, widen)
+    elif present is not None:
+        combos = _present_substitutions(program, grounder.names, present)
+    else:
+        combos = [None] * len(program.rules)
     grounded = [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)
                 for (pos, r), c in zip(enumerate(program.rules), combos)]
     if not decode:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import values as V
-from .lang import (Atom, Constant, ParseError, Program, ProximityRef, Rule,
+from .lang import (Atom, Constant, Program, ProximityRef, Rule,
                    Variable, _Parser, rename_apart, substitute, unify)
 from .engine import FixpointReport, _item_key
 from .kb import KnowledgeBase, consequence, proximity_set
@@ -321,22 +321,24 @@ def parse_goal(text: str, program: Program) -> Atom:
     """Goal syntax is a single atom; the program's declared constants keep
     their constant reading inside goals."""
     p = _Parser(text, program.declared_constants)
+    start = p.tok
     atom = p.atom()
     if not p.at("eof"):
         p.fail("goal must be a single atom")
     arities = program.predicates()
     if atom.pred in arities and arities[atom.pred] != len(atom.args):
-        raise ParseError(f"goal predicate {atom.pred!r} has arity {arities[atom.pred]}, "
-                         f"goal uses {len(atom.args)}")
+        p.fail(f"goal predicate {atom.pred!r} has arity {arities[atom.pred]}, "
+               f"goal uses {len(atom.args)}", start)
     return atom
 
 
 def parse_level(text: str, system: str):
     p = _Parser(text)
+    start = p.tok
     lvl = p.level()
     if not p.at("eof"):
         p.fail("trailing input after level")
     err = V.validate_input(system, lvl)
     if err is not None:
-        raise ParseError(f"invalid level: {err}")
+        p.fail(f"invalid level: {err}", start)
     return lvl

@@ -265,6 +265,33 @@ def reference_consequence(kb, max_iters: int = 10000, pruned: bool = True) -> Fi
                               _Spread(kb).widen if pruned else None)
 
 
+def reference_is_model(program: Program, interp, extra_constants=()):
+    """`engine.is_model` over the full grounding, kept as the reference for
+    the model check that grounds only the instances it can apply."""
+    sys = program.system
+    lattice = V.lattice(sys)
+    universe = set(program.constants()) | set(extra_constants)
+    for atom in interp.entries:
+        for t in atom.args:
+            universe.add(t.name)
+    violations = []
+    for rules in ground(program, universe):
+        for g in rules:
+            body = applicable(g, interp)
+            if body is None:
+                continue
+            head_val = interp.get(g.head)
+            if head_val is None:
+                head_val = lattice.bottom
+            lhs = Imp.apply_implication(g.impl, sys, body, head_val)
+            if not lattice.leq(g.level, lhs):
+                violations.append(
+                    f"rule instance {g.head} <- {', '.join(str(b) for b in g.body) or 'true'}: "
+                    f"I({V.fmt(body)}, {V.fmt(head_val)}) = {V.fmt(lhs)} "
+                    f"is below the rule level {V.fmt(g.level)}")
+    return violations
+
+
 def reference_mod_nt_step(kb, interp, rules=None, diagnostics=None, spread=None):
     """The modified step that the per-call spreader `kb._Spread` replaced,
     kept verbatim (with its checked, meet_all-based phi) as the reference

@@ -8,13 +8,13 @@ import sys
 import pytest
 
 from mvdatalog import values as V
-from mvdatalog.lang import Atom, Constant, GroundRule, Literal, parse_program
+from mvdatalog.lang import Atom, Constant, GroundRule, Literal, Variable, parse_program
 from mvdatalog.engine import (Interpretation, applicable, dt_step, fixpoint,
                               is_model, nt_step, order_from_directive, stratify)
 from mvdatalog.kb import consequence
 
 from conftest import load_kb
-from helpers import random_program
+from helpers import random_level, random_program, reference_is_model
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -156,6 +156,34 @@ def test_is_model_cases(ex1):
     assert len(violations) == len(ex1.facts())
 
 
+def test_is_model_matches_the_full_grounding():
+    """The model check grounds only the instances whose body atoms are in
+    the interpretation; its violations, text and order, are those of the
+    check over every instance."""
+    rng = random.Random(31)
+    violated = 0
+    for trial in range(60):
+        system = list(V.SYSTEMS)[trial % len(V.SYSTEMS)]
+        prog = random_program(rng, system, allow_negation=trial % 2 == 1)
+        lfp = fixpoint(prog, "det").interpretation
+        # the fixed point with levels redrawn, some atoms dropped and atoms
+        # over constants the program does not name added, plus atoms no
+        # instance can hold: one with a variable, one of another arity
+        entries = {atom: random_level(rng, system) for atom in lfp.entries
+                   if rng.random() < 0.8}
+        for atom in list(lfp.entries)[:3]:
+            entries[Atom(atom.pred, tuple(Constant("z") for _ in atom.args))] = (
+                random_level(rng, system))
+            entries[Atom(atom.pred, atom.args[:1] + (Variable("X"),) + atom.args[2:])] = (
+                random_level(rng, system))
+            entries[Atom(atom.pred, atom.args + (Constant("a"),))] = random_level(rng, system)
+        for interp, extra in ((lfp, ()), (Interpretation(system, entries), ("y",))):
+            got = is_model(prog, interp, extra)
+            assert got == reference_is_model(prog, interp, extra), trial
+            violated += len(got)
+    assert violated > 0
+
+
 def test_duplicate_derivations_merge_by_join():
     prog = parse_program("%system fuzzy.\nfact p(a) = 0.9.\nfact r(a) = 0.5.\n"
                          "rule q(X) <- p(X) : godel, 0.6.\n"
@@ -214,7 +242,7 @@ _UNPICKLE_CHECK = """
 import pickle, sys
 from mvdatalog.lang import Atom
 items = pickle.loads(sys.stdin.buffer.read())
-assert not any("_hash" in vars(atom) for atom, _ in items)
+assert not any(hasattr(atom, "_hash") for atom, _ in items)
 table = dict(items)
 for atom, value in items:
     fresh = Atom(atom.pred, atom.args)

@@ -5,6 +5,7 @@ instance left out is not applicable in the final interpretation."""
 
 import itertools
 import random
+import re
 
 from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
@@ -175,7 +176,9 @@ def test_ground_without_widen_is_full_grounding(ex1):
 def _check_against_definition(program, knowledge=None):
     """ground, with and without a table, against `_reference_full` and
     against `_reference_pruned` for the knowledge base's spread and for the
-    plain engine's widening; returns the last of them."""
+    plain engine's widening; returns the last of them.  Also ground with
+    present, over atoms that a knowledge-base consequence derives and atoms
+    that no instance can hold, against the full grounding filtered."""
     knowledge = knowledge or build_kb(program)
     universe = kb.modified_universe(knowledge)
     for widen in (None, kb._Spread(knowledge).widen, engine._unwidened):
@@ -185,6 +188,14 @@ def _check_against_definition(program, knowledge=None):
         table = lang.AtomTable()
         interned = lang.ground(program, universe, widen=widen, table=table)
         assert _decoded(table, program, interned) == expected
+    present = set(consequence(knowledge).interpretation.entries)
+    present |= {Atom(a.pred, a.args + (Constant("a"),)) for a in present}
+    present |= {Atom(a.pred, (Variable("X"),) + a.args[1:]) for a in present if a.args}
+    # as in `is_model`, the universe holds every name of the atoms
+    universe |= {"X", "a"}
+    assert lang.ground(program, universe, present=present) == [
+        [g for g in rules if all(lit.atom in present for lit in g.body)]
+        for rules in _reference_full(program, universe)]
     return expected
 
 
@@ -234,3 +245,130 @@ def test_rules_with_constants_of_their_own(ex23_kb):
     assert [str(g.head) for g in pruned[3]] == ["s(a)"]
     assert [str(g.head) for g in pruned[4]] == []
     _check_against_definition(ex23_kb.program, ex23_kb)
+
+
+# Join kernels.  Each plan of a rule runs as a kernel compiled from its
+# shape; these programs give the definition-based checks the shapes that
+# take their own code paths in `lang._kernel_source`.
+KERNEL_CASES = """%system fuzzy.
+fact e(a, b) = 0.9.
+fact e(b, b) = 0.8.
+fact e(b, a) = 0.7.
+fact e(c, a) = 0.6.
+fact r3(a, b, a) = 0.9.
+fact r3(b, b, c) = 0.5.
+fact r3(c, a, c) = 0.4.
+fact go = 0.5.
+rule loop(X) <- e(X, X) : godel, 0.9.
+rule sym(X, Y) <- e(X, Y), e(Y, X), r3(X, Y, X) : godel, 0.8.
+rule tri(X, Y, Z) <- r3(X, Y, Z), e(Y, X), loop(Y) : godel, 0.7.
+rule s(X) <- e(X, b), r3(a, X, Y) : godel, 0.9.
+rule k(X, c) <- r3(X, X, Y), e(Y, a) : godel, 0.6.
+rule n(X, Y) <- e(X, Z), not e(Y, X) : godel, 0.8.
+rule ok <- go, e(X, Y) : godel, 0.9.
+rule p(X) <- ok, e(X, a), not loop(X) : godel, 0.7.
+rule z(X) <- e(X, Y), never(Y) : godel, 0.5.
+"""
+
+
+def _unbound_head_rule(pred, body_pred):
+    """pred(X, W) <- body_pred(X, Y): W is bound by no body atom."""
+    x, y, w = Variable("X"), Variable("Y"), Variable("W")
+    return Rule(Atom(pred, (x, w)), (Literal(Atom(body_pred, (x, y))),), "godel", 0.5)
+
+
+def _long_rule(atoms: int):
+    """A rule with more body atoms than one kernel runs: e over X, Y and Z
+    around a cycle, then one atom with a constant."""
+    x, y, z = Variable("X"), Variable("Y"), Variable("Z")
+    cycle = [(x, y), (y, z), (z, x)]
+    body = [Literal(Atom("e", cycle[i % 3])) for i in range(atoms - 1)]
+    body.append(Literal(Atom("e", (z, Constant("a"))), negated=True))
+    return Rule(Atom("long", (x, z)), tuple(body), "godel", 0.9)
+
+
+def _recorded_kernels(monkeypatch, run):
+    """Run with `lang._kernel` recorded; returns (result, asked), asked
+    listing each (shape, first step) it was asked for with the kernel it
+    returned, in order."""
+    asked = []
+    compiled = lang._kernel
+
+    def recording(shape, first=0):
+        kernel = compiled(shape, first)
+        asked.append(((shape, first), kernel))
+        return kernel
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lang, "_kernel", recording)
+        return run(), asked
+
+
+def test_kernel_shapes_match_the_definition(monkeypatch):
+    program = lang.parse_program(KERNEL_CASES, safety="paper-examples")
+    rules = program.rules + [_unbound_head_rule("free", "e"), _long_rule(20)]
+    program = Program(program.system, rules)
+    pruned, asked = _recorded_kernels(monkeypatch, lambda: _check_against_definition(program))
+    heads = {r.head.pred: [str(g.head) for g in rules]
+             for r, rules in zip(program.rules, pruned) if not r.is_fact}
+    assert heads["loop"] == ["loop(b)"] and heads["sym"] == ["sym(a, b)"]
+    assert heads["tri"] == ["tri(a, b, a)", "tri(b, b, c)"]
+    assert heads["s"] == ["s(b)"] and heads["k"] == ["k(b, c)"]
+    assert len(heads["ok"]) == 4 and heads["p"] == ["p(b)"]
+    assert heads["z"] == []
+    assert len(heads["free"]) == 4 * 3      # every e fact, W over a, b, c
+    assert heads["long"] == ["long(a, b)", "long(b, b)", "long(b, b)"]
+    # variables range over the universe only, though facts hold c
+    assert (lang.ground(program, {"a", "b"}, widen=engine._unwidened)
+            == _reference_pruned(program, {"a", "b"}, engine._unwidened))
+    # the long rule's plans hand their bindings on to a second kernel
+    assert any(first == lang._STEPS_PER_KERNEL for (_, first), _ in asked)
+
+
+def test_kernel_on_an_empty_delta_records_nothing():
+    program = lang.parse_program(KERNEL_CASES, safety="paper-examples")
+    names = sorted(program.constants())
+    relations = lang._Relations()
+    for fact, _ in program.facts():
+        relations.rows[fact.pred].add(tuple(t.name for t in fact.args))
+    for rule in [r for r in program.rules if not r.is_fact] + [_long_rule(20)]:
+        seen = set()
+        join = lang._RuleJoin(rule, set(names), names, seen)
+        for i in range(len(join.atoms)):
+            join.solve(i, set(), relations)
+        assert seen == set()
+
+
+def _renamed(text, names):
+    for old, new in names.items():
+        text = re.sub(rf"\b{old}\b", new, text)
+    return text
+
+
+NAMED = """%system fuzzy.
+fact edge(alpha, beta) = 0.9.
+fact edge(beta, gamma) = 0.8.
+fact mark(gamma) = 0.7.
+fact ready = 0.6.
+rule path(From, To) <- edge(From, To) : godel, 1.0.
+rule path(From, To) <- path(From, Via), edge(Via, To), ready : godel, 0.9.
+rule stop(From) <- path(From, gamma), mark(gamma), not edge(From, From) : godel, 0.8.
+"""
+RENAMING = {"edge": "link", "path": "route", "mark": "flag", "ready": "armed", "stop": "halt",
+            "alpha": "one", "beta": "two", "gamma": "three", "From": "Src", "Via": "Hop",
+            "To": "Dst"}
+
+
+def test_programs_differing_in_names_share_their_kernels(monkeypatch):
+    first = lang.parse_program(NAMED, safety="paper-examples")
+    second = lang.parse_program(_renamed(NAMED, RENAMING), safety="paper-examples")
+    asked = [_recorded_kernels(monkeypatch, lambda: (
+                 lang.ground(program, widen=engine._unwidened),
+                 lang.ground(program, present=fixpoint(program).interpretation.entries)))[1]
+             for program in (first, second)]
+    assert [key for key, _ in asked[0]] == [key for key, _ in asked[1]]
+    assert all(a is b for (_, a), (_, b) in zip(*asked))
+    # no predicate, constant or variable name is in any kernel's source
+    names = set(RENAMING) | set(RENAMING.values())
+    for (shape, start), _ in asked[0]:
+        assert not names & set(re.findall(r"[A-Za-z_]\w*", lang._kernel_source(shape, start)))

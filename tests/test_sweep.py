@@ -223,6 +223,8 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
                 stepped = kb.mod_nt_step(knowledge, interp, rules, [])
                 expected = reference_mod_nt_step(knowledge, interp, rules, [])
                 assert _items(stepped) == _items(expected), (system, phi)
+                # by default, the instances whose body atoms are in interp
+                assert _items(kb.mod_nt_step(knowledge, interp)) == _items(expected)
                 interp = expected
             # and the whole consequence, in-place sweep over interned atoms
             spread = _report(consequence(knowledge))
