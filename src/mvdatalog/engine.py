@@ -41,7 +41,7 @@ from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import Atom, AtomTable, GroundRule, Program, ground
+from .lang import Atom, AtomTable, GroundRule, Program, _key, decode_instance, ground
 
 
 def _item_key(item):
@@ -627,7 +627,9 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     order whenever all its body kernels are present; rules with a missing
     kernel hold vacuously, so only the instances whose body atoms are all
     in interp are grounded (`lang.ground` with present), in rule and then
-    substitution order.
+    substitution order.  They are interned, and the body and head levels
+    read from a level list, as in the sweep; an instance is decoded to its
+    atoms only to report a violation.
     """
     sys = program.system
     lattice = V.lattice(sys)
@@ -635,19 +637,29 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     for atom in interp.entries:
         for t in atom.args:
             universe.add(t.name)
+    table = AtomTable()
+    grounded = ground(program, universe, table=table, present=interp.entries)
+    levels = [None] * len(table)
+    ids = table.ids
+    for atom, value in interp.entries.items():
+        aid = ids.get(atom.pred, {}).get(_key(atom)) if atom.is_ground() else None
+        if aid is not None:
+            levels[aid] = value
     violations = []
-    for rules in ground(program, universe, present=interp.entries):
-        for g in rules:
-            body = applicable(g, interp)
-            if body is None:
+    for rule, instances in zip(program.rules, grounded):
+        for instance in instances:
+            head, body, _, level, _ = instance
+            acc = _body_level(body, levels, lattice)
+            if acc is None:
                 continue
-            head_val = interp.get(g.head)
+            head_val = levels[head]
             if head_val is None:
                 head_val = lattice.bottom
-            lhs = Imp.apply_implication(g.impl, sys, body, head_val)
-            if not lattice.leq(g.level, lhs):
+            lhs = Imp.apply_implication(rule.impl, sys, acc, head_val)
+            if not lattice.leq(level, lhs):
+                g = decode_instance(table, instance, rule.impl)
                 violations.append(
                     f"rule instance {g.head} <- {', '.join(str(b) for b in g.body) or 'true'}: "
-                    f"I({V.fmt(body)}, {V.fmt(head_val)}) = {V.fmt(lhs)} "
-                    f"is below the rule level {V.fmt(g.level)}")
+                    f"I({V.fmt(acc)}, {V.fmt(head_val)}) = {V.fmt(lhs)} "
+                    f"is below the rule level {V.fmt(level)}")
     return violations

@@ -22,6 +22,7 @@ Function-set file: lines `phi ident "/" arity "=" ("meet"|"meet-product"|"produc
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -40,7 +41,9 @@ _PHI_FILE_NAMES = {"meet": PHI_MEET, "meet-product": PHI_MEET_PRODUCT, "product"
 
 @dataclass
 class ProximityRelation:
-    """Symmetric map (symbol, symbol) -> value; diagonal is implicitly top."""
+    """Symmetric map (symbol, symbol) -> value; the diagonal is top.  An
+    entry a ~ a given explicitly is kept in pairs, for `validate_proximity`
+    to check, and is left out of the neighbour map."""
 
     domain: str                      # "terms" | "predicates"
     system: Optional[str] = None
@@ -60,15 +63,17 @@ class ProximityRelation:
         """Rebuild the neighbour map; call after replacing pairs."""
         self.neighbours = {}
         for (a, b), v in self.pairs.items():
+            if a == b:
+                continue
             self.neighbours.setdefault(a, {})[b] = v
             self.neighbours.setdefault(b, {})[a] = v
 
     def set_pair(self, a: str, b: str, value) -> None:
         self.symbols.add(a)
         self.symbols.add(b)
-        if a == b:
-            return  # reflexive entries are implicit and fixed at top
         self.pairs[self._key(a, b)] = value
+        if a == b:
+            return  # the proximity set holds a itself at top
         # an overwritten pair keeps its place, in pairs and here alike
         self.neighbours.setdefault(a, {})[b] = value
         self.neighbours.setdefault(b, {})[a] = value
@@ -80,14 +85,16 @@ class ProximityRelation:
 
 
 def validate_proximity(rel: ProximityRelation, system: str):
-    """Stored off-diagonal values must be valid for the system; reflexivity
-    is implicit (explicit non-top diagonal entries are rejected at parse
-    time) and symmetry is enforced by the canonical pair key."""
+    """Stored values must be valid for the system, and an explicit diagonal
+    entry must be top; reflexivity is otherwise implicit and symmetry is
+    enforced by the canonical pair key."""
     problems = []
     for (a, b), v in rel.pairs.items():
         err = V.validate_input(system, v)
         if err is not None:
             problems.append(f"proximity {a} ~ {b}: {err}")
+        elif a == b and not V.values_equal(system, v, V.top(system)):
+            problems.append(f"reflexive entry {a} ~ {a} must be the top element")
     return problems
 
 
@@ -187,7 +194,7 @@ def parse_proximity_file(text: str):
         if a == b and system is not None and not V.values_equal(system, lvl, V.top(system)):
             p.fail(f"reflexive entry {a} ~ {a} must be the top element", eq)
         key = ProximityRelation._key(a, b)
-        if a != b and key in current.pairs:
+        if key in current.pairs:
             old = current.pairs[key]
             if not (system is None or V.values_equal(system, old, lvl)) or old != lvl:
                 p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
@@ -271,20 +278,22 @@ def _require_product_system(system: str) -> None:
                          "in the interval-valued case")
 
 
+@functools.lru_cache(maxsize=16)
 def _phi_kernel(phi_id: str, system: str):
-    """The pieces of one uncertainty function: (start, fold, fold_args).
+    """The pieces of one uncertainty function: (start, fold, fold_args,
+    kind), the same objects on every call.
 
     phi(alpha, lambda_pred, lambdas) is fold(start(alpha), lambda_pred)
     folded on with fold over fold_args(lambdas), or over lambdas themselves
-    when fold_args is None.  meet folds with the lattice meet from
-    top meet alpha (the operand order of the checked meet_all fold, so
-    levels stay bit-for-bit the same); meet_product folds the same way over
-    the argument lambdas' product; product multiplies everything
-    (interval-valued programs only).
+    when fold_args is None; kind names fold, "meet" or "product".  meet
+    folds with the lattice meet from top meet alpha (the operand order of
+    the checked meet_all fold, so levels stay bit-for-bit the same);
+    meet_product folds the same way over the argument lambdas' product;
+    product multiplies everything (interval-valued programs only).
     """
     if phi_id == PHI_PRODUCT:
         _require_product_system(system)
-        return (lambda alpha: alpha), _pair_product, None
+        return (lambda alpha: alpha), _pair_product, None, "product"
     if phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
         raise ValueError(f"unknown uncertainty function {phi_id!r}")
     lattice = V.lattice(system)
@@ -294,7 +303,7 @@ def _phi_kernel(phi_id: str, system: str):
         return meet(top, alpha)
 
     if phi_id == PHI_MEET:
-        return start, meet, None
+        return start, meet, None, "meet"
     product = _scalar_product if system == V.FUZZY else _pair_product
 
     def fold_args(lambdas):
@@ -302,7 +311,7 @@ def _phi_kernel(phi_id: str, system: str):
         # ifs lattice top; fold the argument lambdas only
         return (_lambda_product(lambdas, product),) if lambdas else lambdas
 
-    return start, meet, fold_args
+    return start, meet, fold_args, "meet"
 
 
 def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
@@ -313,7 +322,7 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     everything (interval-valued programs only).  All three are identity at
     top and monotone in every argument.  The values are not shape-checked.
     """
-    start, fold, fold_args = _phi_kernel(phi_id, system)
+    start, fold, fold_args, _ = _phi_kernel(phi_id, system)
     out = fold(start(alpha), lambda_pred)
     for lam in lambda_args if fold_args is None else fold_args(lambda_args):
         out = fold(out, lam)
@@ -324,6 +333,82 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
 # Modified consequence transformation
 # ----------------------------------------------------------------------
 
+def _coordinates(lattice: V.Lattice, name: str) -> list:
+    """The names of the locals that hold the coordinates of a value."""
+    return [f"{name}{i}" for i in range(len(lattice.meets))]
+
+
+def _display(coordinates) -> str:
+    """The source of a value from (or a target for) its coordinates."""
+    return coordinates[0] if len(coordinates) == 1 else f"({', '.join(coordinates)})"
+
+
+def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
+    """The source of the fan-out kernel of a shape: the lattice, the kind of
+    fold ("meet" or "product") and the number n of lambdas it folds.  The
+    kernel is called as
+
+        kernel(prefix, keys, lambdas, ids, q, intern, levels, log)
+
+    for one predicate synonym q, with prefix = fold(start(alpha), lambda_q).
+    For each synonym key of q, in order, with lambdas[k] the n lambdas of
+    keys[k], it folds them into prefix one by one, looks the atom q(key)
+    up in ids (its predicate's map in the atom table), interning it
+    through intern when it has no id, and joins the value into the working
+    levels as `engine._Levels.join` does: a bottom value is dropped, and a
+    join that does not rise by more than 1e-12 is dropped; a rise is
+    stored in levels and its id appended to log.  Every coordinate of a
+    value is a local, and meet, join and equal are written out from the
+    lattice's declaration (`values.Lattice.meets`), so each level comes from
+    the float operations of the bound lattice, in the same order.
+    """
+    prefix, value, old, new = (_coordinates(lattice, name) for name in ("p", "v", "o", "r"))
+    lambdas = [_coordinates(lattice, f"l{k}_") for k in range(n)]
+    bottom = [repr(c) for c in (lattice.bottom if len(prefix) > 1 else (lattice.bottom,))]
+    lines = ["def kernel(prefix, keys, lambdas, ids, q, intern, levels, log):",
+             f"    {_display(prefix)} = prefix",
+             "    get = ids.get",
+             "    append = log.append"]
+    if n:
+        lines.append(f"    for key, ({', '.join(map(_display, lambdas))},) in zip(keys, lambdas):")
+    else:
+        lines.append("    for key in keys:")
+    current = prefix
+    for lam in lambdas:
+        folded = (lattice.meet_source(current, lam) if kind == "meet" else
+                  [f"{x} * {y}" for x, y in zip(current, lam)])
+        lines += [f"        {v} = {source}" for v, source in zip(value, folded)]
+        current = value
+    join = lattice.join_source(old, current)
+    lines += ["        aid = get(key)",
+              "        if aid is None:",
+              "            aid = intern(q, key)",
+              f"        if {lattice.equal_source(current, bottom, V.EPS)}:",
+              "            continue",
+              "        old = levels[aid]",
+              "        if old is None:",
+              f"            levels[aid] = {_display(current)}",
+              "            append(aid)",
+              "            continue",
+              f"        {_display(old)} = old"]
+    lines += [f"        {r} = {source}" for r, source in zip(new, join)]
+    lines += [f"        if {lattice.equal_source(new, old, 1e-12)}:",
+              "            continue",
+              f"        levels[aid] = {_display(new)}",
+              "        append(aid)"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=64)
+def _spread_kernel(system: str, kind: str, n: int):
+    """The fan-out kernel of a shape (see `_spread_source`), compiled once
+    per shape."""
+    namespace = {}
+    source = _spread_source(V.LATTICES[system], kind, n)
+    exec(compile(source, "<spread kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
@@ -331,6 +416,15 @@ class _Spread:
     synonym of p(t1..tn) is q(s1..sn) with q over the proximity set of p,
     outermost, then each s_i over that of t_i, the first argument varying
     slowest.
+
+    Each head predicate resolves its uncertainty function once, to its
+    start and fold and a kernel compiled for the shape (system, kind of
+    fold, number of lambdas folded per synonym; see `_spread_kernel`).
+    Each head key has a plan, made once and read by `widen` and `fire`
+    alike: the keys of its argument synonyms, their name tuples, and their
+    lambdas after the function's fold_args.  A firing calls start(alpha)
+    once and the kernel once per predicate synonym q, with
+    fold(start(alpha), lambda_q); the kernel does the per-synonym work.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -338,7 +432,10 @@ class _Spread:
         self.system = kb.program.system
         self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
         self.term_options = {}   # constant name -> the same for it
-        self.kernels = {}        # (pred, arity) -> `_phi_kernel` of its phi
+        # head predicate -> (start, fold, kernel, plans, fold_args, symbols,
+        # lambdas of its proximity set); a predicate's arity is fixed
+        self.heads = {}
+        self.plans = {}          # fold_args -> {head key: (keys, lambdas, name tuples)}
 
     def _options(self, table, rel, symbol):
         options = table.get(symbol)
@@ -347,54 +444,55 @@ class _Spread:
             options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
         return options
 
+    def _head(self, pred, arity):
+        """The entry of a head predicate in heads, made on first use."""
+        start, fold, fold_args, kind = _phi_kernel(self.kb.phi.phi_for(pred, arity), self.system)
+        n = arity if fold_args is None else min(arity, 1)
+        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
+        head = self.heads[pred] = (start, fold, _spread_kernel(self.system, kind, n),
+                                   self.plans.setdefault(fold_args, {}), fold_args, qs, lam_qs)
+        return head
+
+    def _plan(self, plans, fold_args, key):
+        """The plan of a head key (a name, or a tuple of names unless unary,
+        as in `lang.AtomTable`), made and entered in plans."""
+        names = (key,) if key.__class__ is str else key
+        term_prox, term_options = self.kb.bk.term_prox, self.term_options
+        options = [self._options(term_options, term_prox, n) for n in names]
+        combos = list(itertools.product(*(syms for syms, _ in options)))
+        lambdas = itertools.product(*(lams for _, lams in options))
+        lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
+        plan = plans[key] = (options[0][0] if len(names) == 1 else combos, lambdas, combos)
+        return plan
+
     def widen(self, pred, names):
         """The (pred, names) of every synonym of pred(names), for `ground`,
         in synonym order."""
-        term_prox, term_options = self.kb.bk.term_prox, self.term_options
-        arg_names = [self._options(term_options, term_prox, n)[0] for n in names]
-        qs, _ = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
-        return [(q, chosen) for q in qs for chosen in itertools.product(*arg_names)]
-
-    def _kernel(self, functor):
-        kernel = self.kernels.get(functor)
-        if kernel is None:
-            phi_id = self.kb.phi.phi_for(*functor)
-            kernel = self.kernels[functor] = _phi_kernel(phi_id, self.system)
-        return kernel
+        _, _, _, plans, fold_args, qs, _ = self.heads.get(pred) or self._head(pred, len(names))
+        key = names[0] if len(names) == 1 else names
+        combos = (plans.get(key) or self._plan(plans, fold_args, key))[2]
+        return [(q, chosen) for q in qs for chosen in combos]
 
     def fire(self, head: int, alpha, levels) -> None:
         """Join every synonym of the interned head derived at level alpha
         into the working levels, interning the synonyms in their table.
 
-        Each level is the one `phi_apply` gives, from the same kernel; the
-        prefixes that synonyms share are computed once: start(alpha) per
-        head, its fold with lambda_q per predicate synonym q, and the
-        argument lambdas' transform per argument combination.
-        """
+        Each level is the one `phi_apply` gives, from the same pieces:
+        start(alpha) once per head, its fold with lambda_q once per
+        predicate synonym q, and the argument lambdas folded on by the
+        kernel."""
         table = levels.table
         pred, key = table.entries[head]
-        names = (key,) if isinstance(key, str) else key
-        start, fold, fold_args = self._kernel((pred, len(names)))
-        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
-        term_prox, term_options = self.kb.bk.term_prox, self.term_options
-        arg_options = [self._options(term_options, term_prox, n) for n in names]
-        keys = (arg_options[0][0] if len(names) == 1
-                else list(itertools.product(*(syns for syns, _ in arg_options))))
-        lambdas = itertools.product(*(lams for _, lams in arg_options))
-        lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
+        start, fold, kernel, plans, fold_args, qs, lam_qs = (
+            self.heads.get(pred) or self._head(pred, 1 if key.__class__ is str else len(key)))
+        keys, lambdas, _ = plans.get(key) or self._plan(plans, fold_args, key)
         head_start = start(alpha)
-        starts = [fold(head_start, lam_q) for lam_q in lam_qs]
-        ids_of, intern, join = table.ids, levels.intern, levels.join
-        for q, prefix in zip(qs, starts):
+        ids_of, intern, values, log = table.ids, levels.intern, levels.levels, levels.log
+        for q, lam_q in zip(qs, lam_qs):
             ids = ids_of.get(q)
             if ids is None:
                 ids = ids_of[q] = {}
-            for key, lams in zip(keys, lambdas):
-                value = prefix
-                for lam in lams:
-                    value = fold(value, lam)
-                aid = ids.get(key)
-                join(intern(q, key) if aid is None else aid, value)
+            kernel(fold(head_start, lam_q), keys, lambdas, ids, q, intern, values, log)
 
 
 def _mod(spread: _Spread, instances, interp, diagnostics):

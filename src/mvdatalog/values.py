@@ -228,14 +228,29 @@ def _bipolar_negate(a):
     return (1.0 - a[0], 1.0 - a[1])
 
 
+# min(a, b) and max(a, b) as source: the builtins keep a on a tie, and so
+# does each expression
+_PICK = {"min": "{b} if {b} < {a} else {a}", "max": "{b} if {b} > {a} else {a}"}
+_DUAL = {"min": "max", "max": "min"}
+
+
 class Lattice:
     """One value system's lattice with its operations bound; none of them
     checks its input.  leq(a, b), meet(a, b), join(a, b), equal(a, b,
-    tol=EPS), negate(a)."""
+    tol=EPS), negate(a).
 
-    __slots__ = ("top", "bottom", "leq", "meet", "join", "equal", "negate")
+    meets declares, per coordinate of a value (a scalar has one), whether
+    the meet takes the min or the max of that coordinate; the join takes
+    the other.  meet_source, join_source and equal_source write meet, join
+    and equal from it as Python source over the names of the coordinates,
+    for the kernels compiled from it (`kb._spread_kernel`).  They give what
+    the bound operations give, ties included: min(a, b) is written
+    `b if b < a else a` and max(a, b) `b if b > a else a`, as the builtins
+    decide, and equal is `abs(a - b) <= tol` per coordinate."""
 
-    def __init__(self, top: Value, bottom: Value, leq, meet, join, equal, negate):
+    __slots__ = ("top", "bottom", "leq", "meet", "join", "equal", "negate", "meets")
+
+    def __init__(self, top: Value, bottom: Value, leq, meet, join, equal, negate, meets):
         self.top = top
         self.bottom = bottom
         self.leq = leq
@@ -243,21 +258,35 @@ class Lattice:
         self.join = join
         self.equal = equal
         self.negate = negate
+        self.meets = meets
 
     def is_bottom(self, a: Value) -> bool:
         return self.equal(a, self.bottom)
 
+    def meet_source(self, a, b) -> list:
+        """The source of each coordinate of meet(a, b), where a and b name
+        the coordinates of the operands."""
+        return [_PICK[op].format(a=x, b=y) for op, x, y in zip(self.meets, a, b)]
+
+    def join_source(self, a, b) -> list:
+        """The source of each coordinate of join(a, b), as meet_source."""
+        return [_PICK[_DUAL[op]].format(a=x, b=y) for op, x, y in zip(self.meets, a, b)]
+
+    def equal_source(self, a, b, tol: float = EPS) -> str:
+        """The source of equal(a, b, tol), as meet_source."""
+        return " and ".join(f"abs({x} - {y}) <= {tol!r}" for x, y in zip(a, b))
+
 
 LATTICES = {
-    FUZZY: Lattice(1.0, 0.0, _scalar_leq, min, max, _scalar_equal, _fuzzy_negate),
+    FUZZY: Lattice(1.0, 0.0, _scalar_leq, min, max, _scalar_equal, _fuzzy_negate, ("min",)),
     IFS: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
-                 _ifs_negate),
+                 _ifs_negate, ("min", "max")),
     BIPOLAR_B: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
-                       _bipolar_negate),
+                       _bipolar_negate, ("min", "max")),
     IVS: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
-                 _ivs_negate),
+                 _ivs_negate, ("min", "min")),
     BIPOLAR_A: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
-                       _bipolar_negate),
+                       _bipolar_negate, ("min", "min")),
 }
 
 

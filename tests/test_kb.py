@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from mvdatalog import kb, lang
 from mvdatalog import values as V
 from mvdatalog.lang import Atom, Constant, ParseError, parse_program
 from mvdatalog.engine import Interpretation, fixpoint
@@ -60,6 +62,35 @@ def test_non_top_diagonal_rejected():
     # an explicit top diagonal is redundant but legal
     tp, _, _ = parse_proximity_file("%system fuzzy.\n%domain terms.\na ~ a = 1.\n")
     assert proximity_set(tp, "a", V.FUZZY) == [("a", 1.0)]
+
+
+@pytest.mark.parametrize("program_text, domain, entries", [
+    ("%system fuzzy.\nfact p(a) = 0.5.\n", "terms", ("a ~ b = 0.7.", "a ~ a = {}.")),
+    ("%system ifs.\nfact p(a) = (0.5, 0.2).\n", "predicates",
+     ("p ~ q = (0.7, 0.2).", "p ~ p = {}.")),
+])
+def test_non_top_diagonal_without_a_system_rejected_by_build_kb(program_text, domain, entries):
+    program = parse_program(program_text)
+    top = V.top(program.system)
+    below_top = 0.5 if program.system == V.FUZZY else (0.6, 0.3)
+    pair, diagonal = entries
+    symbol, other = pair[0], pair[4]
+    for level in (below_top, top):
+        prox_text = f"%domain {domain}.\n{pair}\n{diagonal.format(V.fmt(level))}\n"
+        term_prox, pred_prox, system = parse_proximity_file(prox_text)
+        assert system is None
+        rel = term_prox if domain == "terms" else pred_prox
+        # the entry is kept, and left out of the proximity set
+        assert rel.pairs[(symbol, symbol)] == level
+        assert [d for d, _ in proximity_set(rel, symbol, program.system)] == [symbol, other]
+        bk = BackgroundKnowledge(term_prox, pred_prox)
+        if level == top:
+            # redundant but legal, as in a file that declares its system
+            assert consequence(build_kb(program, bk)).converged
+        else:
+            with pytest.raises(ParseError, match=rf"reflexive entry {symbol} ~ {symbol} must "
+                                                 "be the top element"):
+                build_kb(program, bk)
 
 
 def test_invalid_proximity_value_reported():
@@ -271,3 +302,59 @@ def test_product_phi_flagged_outside_ivs():
     spec = PhiSpec({("p", 1): "product"})
     with pytest.raises(ParseError, match="product"):
         build_kb(prog, None, spec)
+
+
+# ----------------------------------------------------------------------
+# compiled fan-out kernels
+# ----------------------------------------------------------------------
+
+NAMED_KB = ("%system ivs.\nfact fv(v) = (0.8, 0.9).\nfact mf(m) = (0.7, 0.8).\nfact n = (0.6, 0.9).\n"
+            "rule lo(X, Y) <- fv(Y), mf(X), n : vg2, (0.6, 0.7).\n",
+            "%domain terms.\nv ~ b = (0.8, 0.9).\nm ~ w = (0.5, 0.6).\n"
+            "%domain predicates.\nlo ~ li = (0.7, 0.9).\nfv ~ gc = (0.6, 0.8).\nn ~ nn = (0.5, 0.9).\n",
+            "phi lo/2 = meet-product.\nphi fv/1 = product.\n")
+KB_RENAMING = {"fv": "likes", "mf": "person", "n": "open", "lo": "buys", "li": "gets",
+               "gc": "wants", "nn": "ajar", "v": "tea", "b": "cake", "m": "ann", "w": "bob"}
+
+
+def _renamed_kb(texts, names):
+    renamed = []
+    for text in texts:
+        for old, new in names.items():
+            text = re.sub(rf"\b{old}\b", new, text)
+        renamed.append(text)
+    program_text, prox_text, phi_text = renamed
+    term_prox, pred_prox, _ = parse_proximity_file(prox_text)
+    return build_kb(parse_program(program_text), BackgroundKnowledge(term_prox, pred_prox),
+                    parse_phi_file(phi_text))
+
+
+def test_knowledge_bases_differing_in_names_share_their_kernels(monkeypatch):
+    compiled = kb._spread_kernel
+    asked = []
+
+    def recording(*shape):
+        kernel = compiled(*shape)
+        asked.append((shape, kernel))
+        return kernel
+
+    monkeypatch.setattr(kb, "_spread_kernel", recording)
+    runs = []
+    for names in ({}, KB_RENAMING):
+        start = len(asked)
+        report = consequence(_renamed_kb(NAMED_KB, names))
+        runs.append(([v for v in report.interpretation.entries.values()], asked[start:]))
+    (levels, first), (renamed_levels, second) = runs
+    assert levels == renamed_levels
+    # one kernel per head predicate, made as the grounding first widens it:
+    # a unary product, a unary and a nullary meet, and a binary meet-product,
+    # which folds the one product of its argument lambdas
+    assert [shape for shape, _ in first] == [("ivs", "product", 1), ("ivs", "meet", 1),
+                                             ("ivs", "meet", 0), ("ivs", "meet", 1)]
+    assert [shape for shape, _ in second] == [shape for shape, _ in first]
+    assert all(a is b for (_, a), (_, b) in zip(first, second))
+    # the kernels are kept in a bounded cache, as the join kernels are
+    assert compiled.cache_info().maxsize and lang._kernel.cache_info().maxsize
+    for n in range(compiled.cache_info().maxsize + 1):
+        compiled(V.FUZZY, "meet", n)
+    assert compiled.cache_info().currsize == compiled.cache_info().maxsize

@@ -20,7 +20,7 @@ from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
 from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_file,
                           parse_proximity_file)
-from mvdatalog.lang import parse_program
+from mvdatalog.lang import Atom, Constant, parse_program
 from mvdatalog.engine import fixpoint
 
 from helpers import (random_bk, random_phi, random_program, reference_consequence,
@@ -171,15 +171,20 @@ def test_closure_notes_appear_once_in_reference_order():
     assert len(notes) > 100 and len(set(notes)) == len(notes) == len(report[3])
 
 
-# nullary and ternary heads, every predicate and constant with synonyms
+# nullary and ternary heads, every predicate and constant with synonyms; z
+# is derived at bottom, so none of its synonyms is stored, and g(a) and g(a1)
+# are each reached from both facts, at the same level under a meet
 FAN_OUT_PROGRAM = """%system {system}.
 fact n = {hi}.
 fact t(a, b, c) = {mid}.
 fact t(b, c, a) = {hi}.
 fact t(c, c, b) = {mid}.
+fact g(a) = {lo}.
+fact g(a1) = {lo}.
 rule m <- t(X, Y, Z), n : {impl}, {hi}.
 rule u(X, Y, Z) <- t(X, Y, Z), m : {impl}, {mid}.
 rule w <- u(X, X, Y) : {impl}, {hi}.
+rule z(X) <- g(X) : {floor_impl}, {floor}.
 """
 FAN_OUT_PROX = """%domain terms.
 a ~ a1 = {lo}.
@@ -193,26 +198,34 @@ t ~ t1 = {mid}.
 u ~ u1 = {lo}.
 u ~ u2 = {mid}.
 w ~ w1 = {mid}.
+g ~ g1 = {mid}.
+z ~ z1 = {mid}.
 """
 FAN_OUT_SYSTEMS = {
-    # system: (implication, low, middle, high level)
-    "fuzzy": ("godel", "0.55", "0.7", "0.9"),
-    "ifs": ("fg2", "(0.55, 0.3)", "(0.7, 0.2)", "(0.9, 0.05)"),
-    "ivs": ("vg2", "(0.55, 0.65)", "(0.7, 0.85)", "(0.9, 0.95)"),
+    # system: (implication, low, middle, high level, and the Lukasiewicz
+    # implication with a rule level that derives bottom from low)
+    "fuzzy": ("godel", "0.55", "0.7", "0.9", "lukasiewicz", "0.1"),
+    "ifs": ("fg2", "(0.55, 0.3)", "(0.7, 0.2)", "(0.9, 0.05)", "fl", "(0.1, 0.8)"),
+    "ivs": ("vg2", "(0.55, 0.65)", "(0.7, 0.85)", "(0.9, 0.95)", "vl", "(0.1, 0.1)"),
+    "bipolar-a": ("(godel, godel)", "(0.5, 0.2)", "(0.6, 0.3)", "(0.65, 0.35)",
+                  "(lukasiewicz, lukasiewicz)", "(0.1, 0.1)"),
+    "bipolar-b": ("(godel, godel)", "(0.55, 0.3)", "(0.7, 0.2)", "(0.9, 0.05)",
+                  "(lukasiewicz, lukasiewicz)", "(0.1, 0.8)"),
 }
 
 
 def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
     compared = 0
-    for system, (impl, lo, mid, hi) in FAN_OUT_SYSTEMS.items():
-        program_text = FAN_OUT_PROGRAM.format(system=system, impl=impl, mid=mid, hi=hi)
+    for system, (impl, lo, mid, hi, floor_impl, floor) in FAN_OUT_SYSTEMS.items():
+        program_text = FAN_OUT_PROGRAM.format(system=system, impl=impl, lo=lo, mid=mid, hi=hi,
+                                              floor_impl=floor_impl, floor=floor)
         term_prox, pred_prox, _ = parse_proximity_file(FAN_OUT_PROX.format(lo=lo, mid=mid))
         phis = ["meet", "meet-product"] + (["product"] if system == V.IVS else [])
         levels = set()
         for phi in phis:
             phi_spec = parse_phi_file("".join(f"phi {p}/{k} = {phi}.\n" for p, k in
                                               (("n", 0), ("m", 0), ("w", 0), ("t", 3),
-                                               ("u", 3))))
+                                               ("u", 3), ("g", 1), ("z", 1))))
             knowledge = build_kb(parse_program(program_text),
                                  BackgroundKnowledge(term_prox, pred_prox), phi_spec)
             # step by step from the empty interpretation, on the full grounding
@@ -233,15 +246,24 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
             preds = {atom.pred for atom in entries}
             assert {"n1", "m1", "w1", "u1", "u2", "t1"} <= preds, (system, phi)
             assert any(atom.pred == "u2" and atom.args[1].name == "b2" for atom in entries)
+            # z fires, at bottom: none of its synonyms is stored
+            assert any(g.head.pred == "z" and g.body[0].atom in entries for g in rules)
+            assert not preds & {"z", "z1"}, (system, phi)
+            if phi != "product":
+                assert entries[_atom("g", "a")] == entries[_atom("g", "a1")], (system, phi)
             levels.add(tuple(sorted((str(a), v) for a, v in entries.items())))
             compared += 1
         # each uncertainty function gives levels of its own
         assert len(levels) == len(phis), system
-    assert compared == 7
+    assert compared == 11
 
 
 def _items(interp):
     return list(interp.entries.items())
+
+
+def _atom(pred, *names):
+    return Atom(pred, tuple(map(Constant, names)))
 
 
 def _same_step(step, reference, rules, interp, label):

@@ -114,6 +114,45 @@ def test_bound_lattice_agrees_with_checked_functions(system):
             assert lat.leq(lat.negate(b), lat.negate(a))
 
 
+def _written(lattice, source):
+    """The function of two values whose result is the source that lattice
+    writes over their coordinates."""
+    n = len(lattice.meets)
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    result = source(a, b)
+    if not isinstance(result, str):
+        result = result[0] if n == 1 else f"({', '.join(result)})"
+    unpack = "a0, b0" if n == 1 else f"({', '.join(a)}), ({', '.join(b)})"
+    namespace = {}
+    exec(f"def written(a, b):\n    {unpack} = a, b\n    return {result}\n", namespace)
+    return namespace["written"]
+
+
+# ties, the ends, -0.0 (a tie with 0.0 that the builtins resolve by operand
+# order) and near-ties inside and outside each tolerance
+COORDINATES = (0.0, -0.0, 0.3, 0.5, 0.5 + 1e-13, 0.5 + 1e-10, 0.5 + 1e-8, 1.0)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_written_formulas_are_the_lattice(system):
+    """The source that `Lattice` writes for meet, join and equal (the
+    compiled fan-out's inline formulas) gives what the bound operations
+    give, to the sign of a zero."""
+    lattice = V.LATTICES[system]
+    meet = _written(lattice, lattice.meet_source)
+    join = _written(lattice, lattice.join_source)
+    equal = {tol: _written(lattice, lambda a, b, tol=tol: lattice.equal_source(a, b, tol))
+             for tol in (V.EPS, 1e-12)}
+    values = (list(COORDINATES) if system == V.FUZZY else
+              list(itertools.product(COORDINATES, COORDINATES)))
+    for a, b in itertools.product(values, values):
+        assert repr(meet(a, b)) == repr(lattice.meet(a, b)) and meet(a, b) == lattice.meet(a, b)
+        assert repr(join(a, b)) == repr(lattice.join(a, b)) and join(a, b) == lattice.join(a, b)
+        for tol, written in equal.items():
+            assert written(a, b) == lattice.equal(a, b, tol), (a, b, tol)
+        assert equal[V.EPS](a, b) == lattice.equal(a, b)
+
+
 def test_conversion_cases():
     assert V.ifs_to_ivs((0.6, 0.3)) == (0.6, 0.7)
     assert V.ifs_to_ivs((0.0, 1.0)) == (0.0, 0.0)
