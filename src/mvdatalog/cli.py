@@ -22,7 +22,7 @@ import sys
 from . import values as V
 from .lang import ParseError, SafetyError, parse_program
 from .engine import fixpoint, stratify
-from .implications import ALWAYS_CLOSED, CLOSED_BIPOLAR_PAIRS
+from .implications import always_closed
 from .kb import (BackgroundKnowledge, PhiSpec, build_kb, consequence,
                  parse_phi_file, parse_proximity_file)
 from .query import Goal, answer, parse_goal, parse_level
@@ -150,9 +150,7 @@ def _run_check(args) -> int:
     diagnostics.append(f"stratification: evaluation order {strata or '(no rules)'}")
     for n, _, rule in program.proper_rules():
         impl = rule.impl
-        closed = (impl in CLOSED_BIPOLAR_PAIRS if isinstance(impl, tuple)
-                  else impl in ALWAYS_CLOSED)
-        if not closed:
+        if not always_closed(impl):
             name = f"({impl[0]}, {impl[1]})" if isinstance(impl, tuple) else impl
             diagnostics.append(
                 f"values: rule {n} uses {name}, whose derived levels may leave "

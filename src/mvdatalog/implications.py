@@ -260,6 +260,14 @@ def bipolar_level(variant: str, id1: str, id2: str, alpha, beta) -> LevelResult:
     return level_fn((id1, id2), system, alpha, beta)
 
 
+def always_closed(impl: ImplId) -> bool:
+    """Whether the derived levels of impl stay inside its system whatever
+    the levels: the fuzzy implications, G2, and the closed bipolar pairs."""
+    if isinstance(impl, tuple):
+        return tuple(impl) in CLOSED_BIPOLAR_PAIRS
+    return impl in ALWAYS_CLOSED
+
+
 def closure_check(impl: ImplId, alpha, beta) -> bool:
     """Sufficient condition for the derived level to stay inside the system.
 
@@ -269,10 +277,10 @@ def closure_check(impl: ImplId, alpha, beta) -> bool:
     always closed.  For a bipolar pair the condition is membership in the
     closed-pair list.  Diagnostics only; never affects evaluation.
     """
-    if isinstance(impl, tuple):
-        return tuple(impl) in CLOSED_BIPOLAR_PAIRS
-    if impl in ALWAYS_CLOSED:
+    if always_closed(impl):
         return True
+    if isinstance(impl, tuple):
+        return False
     if impl == "fg1" or impl == "vg1":
         return alpha[0] > beta[0] + EPS
     if impl in ("fk", "fl"):

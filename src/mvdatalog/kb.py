@@ -234,12 +234,21 @@ def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
         if rel.system is not None and rel.system != sys:
             problems.append(f"proximity file declares {rel.system}, program is {sys}")
         problems.extend(validate_proximity(rel, sys))
-    # predicate proximity may only relate predicates of equal arity
+    # predicate proximity may only relate predicates of equal arity, so a
+    # symbol outside the program takes the one arity of its neighbours in it
     arities = program.predicates()
+    outside = {}    # symbol outside the program -> its first neighbour in it
     for (a, b) in bk.pred_prox.pairs:
-        if a in arities and b in arities and arities[a] != arities[b]:
-            problems.append(f"predicate proximity {a} ~ {b} relates arities "
-                            f"{arities[a]} and {arities[b]}")
+        if a in arities and b in arities:
+            if arities[a] != arities[b]:
+                problems.append(f"predicate proximity {a} ~ {b} relates arities "
+                                f"{arities[a]} and {arities[b]}")
+        elif a in arities or b in arities:
+            p, z = (a, b) if a in arities else (b, a)
+            q = outside.setdefault(z, p)
+            if arities[q] != arities[p]:
+                problems.append(f"predicate proximity {q} ~ {z} and {p} ~ {z} give {z} "
+                                f"arities {arities[q]} and {arities[p]}")
     for (name, arity), phi_id in phi.by_functor.items():
         if phi_id == PHI_PRODUCT and sys != V.IVS:
             problems.append(f"phi {name}/{arity} = product is admissible only for ivs programs")
@@ -333,16 +342,6 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
 # Modified consequence transformation
 # ----------------------------------------------------------------------
 
-def _coordinates(lattice: V.Lattice, name: str) -> list:
-    """The names of the locals that hold the coordinates of a value."""
-    return [f"{name}{i}" for i in range(len(lattice.meets))]
-
-
-def _display(coordinates) -> str:
-    """The source of a value from (or a target for) its coordinates."""
-    return coordinates[0] if len(coordinates) == 1 else f"({', '.join(coordinates)})"
-
-
 def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
     """The source of the fan-out kernel of a shape: the lattice, the kind of
     fold ("meet" or "product") and the number n of lambdas it folds.  The
@@ -362,15 +361,16 @@ def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
     lattice's declaration (`values.Lattice.meets`), so each level comes from
     the float operations of the bound lattice, in the same order.
     """
-    prefix, value, old, new = (_coordinates(lattice, name) for name in ("p", "v", "o", "r"))
-    lambdas = [_coordinates(lattice, f"l{k}_") for k in range(n)]
+    prefix, value, old, new = (lattice.coordinates(name) for name in ("p", "v", "o", "r"))
+    lambdas = [lattice.coordinates(f"l{k}_") for k in range(n)]
+    display = lattice.value_source
     bottom = [repr(c) for c in (lattice.bottom if len(prefix) > 1 else (lattice.bottom,))]
     lines = ["def kernel(prefix, keys, lambdas, ids, q, intern, levels, log):",
-             f"    {_display(prefix)} = prefix",
+             f"    {display(prefix)} = prefix",
              "    get = ids.get",
              "    append = log.append"]
     if n:
-        lines.append(f"    for key, ({', '.join(map(_display, lambdas))},) in zip(keys, lambdas):")
+        lines.append(f"    for key, ({', '.join(map(display, lambdas))},) in zip(keys, lambdas):")
     else:
         lines.append("    for key in keys:")
     current = prefix
@@ -383,18 +383,18 @@ def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
     lines += ["        aid = get(key)",
               "        if aid is None:",
               "            aid = intern(q, key)",
-              f"        if {lattice.equal_source(current, bottom, V.EPS)}:",
+              f"        if {lattice.equal_source(current, bottom, repr(V.EPS))}:",
               "            continue",
               "        old = levels[aid]",
               "        if old is None:",
-              f"            levels[aid] = {_display(current)}",
+              f"            levels[aid] = {display(current)}",
               "            append(aid)",
               "            continue",
-              f"        {_display(old)} = old"]
+              f"        {display(old)} = old"]
     lines += [f"        {r} = {source}" for r, source in zip(new, join)]
-    lines += [f"        if {lattice.equal_source(new, old, 1e-12)}:",
+    lines += [f"        if {lattice.equal_source(new, old, repr(1e-12))}:",
               "            continue",
-              f"        levels[aid] = {_display(new)}",
+              f"        levels[aid] = {display(new)}",
               "        append(aid)"]
     return "\n".join(lines) + "\n"
 
@@ -404,7 +404,7 @@ def _spread_kernel(system: str, kind: str, n: int):
     """The fan-out kernel of a shape (see `_spread_source`), compiled once
     per shape."""
     namespace = {}
-    source = _spread_source(V.LATTICES[system], kind, n)
+    source = _spread_source(V.lattice(system), kind, n)
     exec(compile(source, "<spread kernel>", "exec"), namespace)
     return namespace["kernel"]
 

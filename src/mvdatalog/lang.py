@@ -621,7 +621,7 @@ def _level_error(system: str, lvl) -> Optional[str]:
     err = V.validate_input(system, lvl)
     if err is not None:
         return f"invalid level: {err}"
-    if V.LATTICES[system].is_bottom(lvl):
+    if V.lattice(system).is_bottom(lvl):
         return f"level {V.fmt(lvl)} must be above the bottom element"
     return None
 

@@ -58,9 +58,11 @@ class SearchNode:
     note: str = ""
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -114,9 +116,23 @@ class _TreeBuilder:
             return True
         return False
 
+    def expand(self, root: SearchNode) -> None:
+        """Build the tree below the goal node root.  Each expand_* yields
+        (expand_*, child) for every child to expand and resumes once that
+        child's subtree is built; the stack of open expansions stands in
+        for the call stack, so the depth of the tree is not bounded by it."""
+        stack = [self.expand_goal(root)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+            else:
+                expand, child = step
+                stack.append(expand(child))
+
     # --- the two unification phases ---
 
-    def expand_goal(self, node: SearchNode) -> None:
+    def expand_goal(self, node: SearchNode):
         """First proximity-based unification: predicate over its proximity
         set, ground terms replaced by their proximity sets."""
         if self._cut(node):
@@ -127,9 +143,9 @@ class _TreeBuilder:
             child = SearchNode("subgoal", node.depth + 1, Atom(q, args),
                                connective=_connective(node.depth + 1))
             node.children.append(child)
-            self.expand_rule_phase(child)
+            yield self.expand_rule_phase, child
 
-    def expand_prox_phase(self, node: SearchNode) -> None:
+    def expand_prox_phase(self, node: SearchNode):
         """Depth 3k: the sub-goal predicate ranges over its proximity set."""
         if self._mark(node, "prox") or self._cut(node):
             return
@@ -137,9 +153,9 @@ class _TreeBuilder:
             child = SearchNode("subgoal", node.depth + 1, Atom(q, node.atom.args),
                                connective=_connective(node.depth + 1))
             node.children.append(child)
-            self.expand_rule_phase(child)
+            yield self.expand_rule_phase, child
 
-    def expand_rule_phase(self, node: SearchNode) -> None:
+    def expand_rule_phase(self, node: SearchNode):
         """Depth 3k+1: unify with rule heads and with facts."""
         if self._mark(node, "rule") or self._cut(node):
             return
@@ -166,7 +182,7 @@ class _TreeBuilder:
                                        connective=_connective(depth + 1),
                                        note="negated" if lit.negated else "")
                     body.children.append(child)
-                    self.expand_prox_phase(child)
+                    yield self.expand_prox_phase, child
         self._fact_candidates(node, depth)
         if not node.children:
             node.children.append(SearchNode("no", depth))
@@ -228,7 +244,7 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
         raise ValueError("depth_limit must be at least 3")
     builder = _TreeBuilder(kb, depth_limit)
     root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
-    builder.expand_goal(root)
+    builder.expand(root)
     return SearchTree(root, builder.truncated, depth_limit)
 
 

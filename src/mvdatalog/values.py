@@ -11,6 +11,11 @@ system and a pair (m1, m2) for the others:
   bipolar_b  two fuzzy coordinates with the second one evaluated on
              complemented values; its lattice ops coincide with the ifs ones
 
+The systems differ only in the order of each coordinate and in the
+complement.  Each one's `Lattice` is declared by exactly those two things,
+its `meets` (per coordinate, whether the meet takes the min or the max) and
+its negate; top, bottom, leq, meet, join and equal are written from meets.
+
 Bipolar *inputs* (fact levels, rule levels, proximity entries) must satisfy
 the ifs sum constraint, but derived bipolar values are only required to stay
 inside [0, 1] per coordinate.  All comparisons use an absolute tolerance of
@@ -34,29 +39,26 @@ SYSTEMS = (FUZZY, IFS, IVS, BIPOLAR_A, BIPOLAR_B)
 Value = Union[float, Tuple[float, float]]
 
 
-def _check_system(system: str) -> None:
+def _checked(system: str, *values) -> Lattice:
+    """The lattice of system, once system is known and each value has its
+    shape (a scalar for fuzzy, a pair for the others)."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown value system {system!r}")
-
-
-def _check_shape(system: str, v: Value) -> None:
-    """Reject values whose shape does not fit the system (scalar vs pair)."""
-    if system == FUZZY:
-        if isinstance(v, tuple):
-            raise ValueError(f"fuzzy system expects a scalar, got {v!r}")
-    else:
-        if not (isinstance(v, tuple) and len(v) == 2):
+    for v in values:
+        if system == FUZZY:
+            if isinstance(v, tuple):
+                raise ValueError(f"fuzzy system expects a scalar, got {v!r}")
+        elif not (isinstance(v, tuple) and len(v) == 2):
             raise ValueError(f"{system} system expects a pair, got {v!r}")
+    return LATTICES[system]
 
 
 def bottom(system: str) -> Value:
-    _check_system(system)
-    return LATTICES[system].bottom
+    return _checked(system).bottom
 
 
 def top(system: str) -> Value:
-    _check_system(system)
-    return LATTICES[system].top
+    return _checked(system).top
 
 
 def validate(system: str, v: Value) -> Optional[str]:
@@ -66,7 +68,7 @@ def validate(system: str, v: Value) -> Optional[str]:
     legitimately fall outside the ifs/ivs constraints and are reported as
     diagnostics by the evaluator.
     """
-    _check_system(system)
+    _checked(system)
     if system == FUZZY:
         if isinstance(v, tuple):
             return f"fuzzy value must be a scalar, got {v!r}"
@@ -102,24 +104,15 @@ def validate_input(system: str, v: Value) -> Optional[str]:
 
 
 def leq(system: str, a: Value, b: Value) -> bool:
-    _check_system(system)
-    _check_shape(system, a)
-    _check_shape(system, b)
-    return LATTICES[system].leq(a, b)
+    return _checked(system, a, b).leq(a, b)
 
 
 def meet(system: str, a: Value, b: Value) -> Value:
-    _check_system(system)
-    _check_shape(system, a)
-    _check_shape(system, b)
-    return LATTICES[system].meet(a, b)
+    return _checked(system, a, b).meet(a, b)
 
 
 def join(system: str, a: Value, b: Value) -> Value:
-    _check_system(system)
-    _check_shape(system, a)
-    _check_shape(system, b)
-    return LATTICES[system].join(a, b)
+    return _checked(system, a, b).join(a, b)
 
 
 def meet_all(system: str, values) -> Value:
@@ -136,9 +129,7 @@ def negate(system: str, a: Value) -> Value:
     bipolar: 1 - m per coordinate (each coordinate is negated inside its own
     fuzzy evaluation; for variant b this is the complemented-space negation).
     """
-    _check_system(system)
-    _check_shape(system, a)
-    return LATTICES[system].negate(a)
+    return _checked(system, a).negate(a)
 
 
 def ifs_to_ivs(a: Value) -> Value:
@@ -158,14 +149,15 @@ def ivs_to_ifs(a: Value) -> Value:
 
 
 def values_equal(system: str, a: Value, b: Value, tol: float = EPS) -> bool:
-    _check_system(system)
-    _check_shape(system, a)
-    _check_shape(system, b)
-    return LATTICES[system].equal(a, b, tol)
+    return _checked(system, a, b).equal(a, b, tol)
 
 
 def is_bottom(system: str, a: Value) -> bool:
     return values_equal(system, a, bottom(system))
+
+
+def lattice(system: str) -> Lattice:
+    return _checked(system)
 
 
 # ----------------------------------------------------------------------
@@ -174,42 +166,14 @@ def is_bottom(system: str, a: Value) -> bool:
 # Inputs are validated where they enter: the parser, build_kb, parse_level.
 # ----------------------------------------------------------------------
 
-def _scalar_equal(a: float, b: float, tol: float = EPS) -> bool:
-    return abs(a - b) <= tol
-
-
-def _pair_equal(a, b, tol: float = EPS) -> bool:
-    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
-
-
-def _scalar_leq(a: float, b: float) -> bool:
-    return a <= b + EPS
-
-
-# ifs and bipolar_b order pairs "first coordinate up, second coordinate
-# down"; ivs and bipolar_a order them coordinate-wise "up, up"
-def _ifs_leq(a, b) -> bool:
-    return a[0] <= b[0] + EPS and a[1] >= b[1] - EPS
-
-
-def _ivs_leq(a, b) -> bool:
-    return a[0] <= b[0] + EPS and a[1] <= b[1] + EPS
-
-
-def _ifs_meet(a, b):
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
-def _ifs_join(a, b):
-    return (max(a[0], b[0]), min(a[1], b[1]))
-
-
-def _ivs_meet(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]))
-
-
-def _ivs_join(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
+# min(a, b) and max(a, b) as source: the builtins keep a on a tie, and so
+# does each expression
+_PICK = {"min": "{b} if {b} < {a} else {a}", "max": "{b} if {b} > {a} else {a}"}
+_DUAL = {"min": "max", "max": "min"}
+# a coordinate whose meet takes the min is ordered upwards, the other one
+# downwards; each end and each comparison as the meet declares it
+_TOP = {"min": 1.0, "max": 0.0}
+_LEQ = {"min": "{a} <= {b} + " + repr(EPS), "max": "{a} >= {b} - " + repr(EPS)}
 
 
 def _fuzzy_negate(a):
@@ -228,71 +192,81 @@ def _bipolar_negate(a):
     return (1.0 - a[0], 1.0 - a[1])
 
 
-# min(a, b) and max(a, b) as source: the builtins keep a on a tie, and so
-# does each expression
-_PICK = {"min": "{b} if {b} < {a} else {a}", "max": "{b} if {b} > {a} else {a}"}
-_DUAL = {"min": "max", "max": "min"}
-
-
 class Lattice:
-    """One value system's lattice with its operations bound; none of them
-    checks its input.  leq(a, b), meet(a, b), join(a, b), equal(a, b,
-    tol=EPS), negate(a).
+    """One value system's lattice, declared by meets and negate(a), with
+    its operations bound; none of them checks its input.  top, bottom,
+    leq(a, b), meet(a, b), join(a, b), equal(a, b, tol=EPS), negate(a).
 
     meets declares, per coordinate of a value (a scalar has one), whether
     the meet takes the min or the max of that coordinate; the join takes
-    the other.  meet_source, join_source and equal_source write meet, join
-    and equal from it as Python source over the names of the coordinates,
-    for the kernels compiled from it (`kb._spread_kernel`).  They give what
-    the bound operations give, ties included: min(a, b) is written
-    `b if b < a else a` and max(a, b) `b if b > a else a`, as the builtins
-    decide, and equal is `abs(a - b) <= tol` per coordinate."""
+    the other, the order runs upwards where the meet takes the min, and top
+    and bottom are the ends of that order.  leq_source, meet_source,
+    join_source and equal_source write the operations from it as Python
+    source over the names of the coordinates, and the bound leq, meet, join
+    and equal are compiled from that source, as are the kernels that inline
+    it (`kb._spread_kernel`).  min(a, b) is written `b if b < a else a` and
+    max(a, b) `b if b > a else a`, as the builtins decide ties."""
 
-    __slots__ = ("top", "bottom", "leq", "meet", "join", "equal", "negate", "meets")
+    __slots__ = ("meets", "negate", "top", "bottom", "leq", "meet", "join", "equal")
 
-    def __init__(self, top: Value, bottom: Value, leq, meet, join, equal, negate, meets):
-        self.top = top
-        self.bottom = bottom
-        self.leq = leq
-        self.meet = meet
-        self.join = join
-        self.equal = equal
-        self.negate = negate
+    def __init__(self, meets, negate):
         self.meets = meets
+        self.negate = negate
+        top = tuple(_TOP[op] for op in meets)
+        bottom = tuple(_TOP[_DUAL[op]] for op in meets)
+        self.top, self.bottom = (top, bottom) if len(meets) > 1 else (top[0], bottom[0])
+        a, b = self.coordinates("a"), self.coordinates("b")
+        unpack = f"    {self.value_source(a)}, {self.value_source(b)} = a, b\n"
+        source = "".join(
+            f"def {name}(a, b{extra}):\n{unpack}    return {body}\n"
+            for name, extra, body in (
+                ("leq", "", self.leq_source(a, b)),
+                ("meet", "", self.value_source(self.meet_source(a, b))),
+                ("join", "", self.value_source(self.join_source(a, b))),
+                ("equal", f", tol={EPS!r}", self.equal_source(a, b, "tol"))))
+        namespace = {}
+        exec(compile(source, "<lattice>", "exec"), namespace)
+        self.leq, self.meet = namespace["leq"], namespace["meet"]
+        self.join, self.equal = namespace["join"], namespace["equal"]
 
     def is_bottom(self, a: Value) -> bool:
         return self.equal(a, self.bottom)
 
+    def coordinates(self, name: str) -> list:
+        """The names of the locals that hold the coordinates of a value."""
+        return [f"{name}{i}" for i in range(len(self.meets))]
+
+    @staticmethod
+    def value_source(coordinates) -> str:
+        """The source of a value from (or a target for) its coordinates."""
+        return coordinates[0] if len(coordinates) == 1 else f"({', '.join(coordinates)})"
+
+    def leq_source(self, a, b) -> str:
+        """The source of leq(a, b), where a and b name the coordinates of
+        the operands."""
+        return " and ".join(_LEQ[op].format(a=x, b=y) for op, x, y in zip(self.meets, a, b))
+
     def meet_source(self, a, b) -> list:
-        """The source of each coordinate of meet(a, b), where a and b name
-        the coordinates of the operands."""
+        """The source of each coordinate of meet(a, b), as leq_source."""
         return [_PICK[op].format(a=x, b=y) for op, x, y in zip(self.meets, a, b)]
 
     def join_source(self, a, b) -> list:
-        """The source of each coordinate of join(a, b), as meet_source."""
+        """The source of each coordinate of join(a, b), as leq_source."""
         return [_PICK[_DUAL[op]].format(a=x, b=y) for op, x, y in zip(self.meets, a, b)]
 
-    def equal_source(self, a, b, tol: float = EPS) -> str:
-        """The source of equal(a, b, tol), as meet_source."""
-        return " and ".join(f"abs({x} - {y}) <= {tol!r}" for x, y in zip(a, b))
+    def equal_source(self, a, b, tol: str) -> str:
+        """The source of equal(a, b, tol), as leq_source, where tol is the
+        source of the tolerance."""
+        return " and ".join(f"abs({x} - {y}) <= {tol}" for x, y in zip(a, b))
 
 
 LATTICES = {
-    FUZZY: Lattice(1.0, 0.0, _scalar_leq, min, max, _scalar_equal, _fuzzy_negate, ("min",)),
-    IFS: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
-                 _ifs_negate, ("min", "max")),
-    BIPOLAR_B: Lattice((1.0, 0.0), (0.0, 1.0), _ifs_leq, _ifs_meet, _ifs_join, _pair_equal,
-                       _bipolar_negate, ("min", "max")),
-    IVS: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
-                 _ivs_negate, ("min", "min")),
-    BIPOLAR_A: Lattice((1.0, 1.0), (0.0, 0.0), _ivs_leq, _ivs_meet, _ivs_join, _pair_equal,
-                       _bipolar_negate, ("min", "min")),
+    FUZZY: Lattice(("min",), _fuzzy_negate),
+    IFS: Lattice(("min", "max"), _ifs_negate),
+    BIPOLAR_B: Lattice(("min", "max"), _bipolar_negate),
+    IVS: Lattice(("min", "min"), _ivs_negate),
+    BIPOLAR_A: Lattice(("min", "min"), _bipolar_negate),
 }
-
-
-def lattice(system: str) -> Lattice:
-    _check_system(system)
-    return LATTICES[system]
 
 
 # ----------------------------------------------------------------------

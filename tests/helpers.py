@@ -362,7 +362,7 @@ class ReferenceTreeBuilder(_TreeBuilder):
     another head functor, kept as the reference for differential tests: it
     renames every proper rule apart at every rule-phase node."""
 
-    def expand_rule_phase(self, node: SearchNode) -> None:
+    def expand_rule_phase(self, node: SearchNode):
         """Depth 3k+1: unify with rule heads and with facts."""
         if self._mark(node, "rule") or self._cut(node):
             return
@@ -384,7 +384,7 @@ class ReferenceTreeBuilder(_TreeBuilder):
                                        connective=_connective(depth + 1),
                                        note="negated" if lit.negated else "")
                     body.children.append(child)
-                    self.expand_prox_phase(child)
+                    yield self.expand_prox_phase, child
         self._fact_candidates(node, depth)
         if not node.children:
             node.children.append(SearchNode("no", depth))
@@ -394,5 +394,5 @@ def reference_build_tree(kb, goal, depth_limit: int = 64) -> SearchTree:
     """`query.build_tree` on the reference builder."""
     builder = ReferenceTreeBuilder(kb, depth_limit)
     root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
-    builder.expand_goal(root)
+    builder.expand(root)
     return SearchTree(root, builder.truncated, depth_limit)

@@ -90,6 +90,13 @@ def test_check_reports_diagnostics(capsys):
     assert code == 0
     assert "negation" in out
     assert "{2} {3} {1}" in out
+    # (lukasiewicz, godel) is a closed bipolar pair, (kleene, godel) is not
+    code, out, _ = invoke(capsys, "check", DATA / "ex12b.mvd")
+    assert code == 0
+    assert out.splitlines() == [
+        "stratification: evaluation order {1,2}",
+        "values: rule 2 uses (kleene, godel), whose derived levels may leave the "
+        "bipolar_b lattice"]
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -191,6 +198,19 @@ def test_small_depth_limit_is_usage_error(capsys):
     code, err = _usage_error(capsys, "query", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox",
                              "--goal", "li(M, X)", "--depth-limit", "1")
     assert code == 1 and "error: argument --depth-limit: must be at least 3" in err
+
+
+def test_query_on_a_deep_search_tree(tmp_path, capsys):
+    """A chain of 1,500 rules builds a search tree thousands of levels deep;
+    the query answers without running out of stack."""
+    n = 1500
+    rules = "".join(f"rule p{i}(X) <- p{i + 1}(X) : godel, 1.0.\n" for i in range(n))
+    deep = tmp_path / "deep.mvd"
+    deep.write_text(f"%system fuzzy.\nfact p{n}(a) = 0.5.\n{rules}")
+    code, out, err = invoke(capsys, "query", deep, "--goal", "p0(X)",
+                            "--depth-limit", "100000")
+    assert code == 0, err
+    assert out == "p0(a) = 0.5\n"
 
 
 def test_non_utf8_program_is_parse_error(tmp_path, capsys):

@@ -126,7 +126,12 @@ def test_always_closed_implications():
     pairs = [(rng.random(), rng.random()) for _ in range(200)]
     for impl in I.IFS_IMPLICATIONS + I.IVS_IMPLICATIONS:
         verdicts = {I.closure_check(impl, a, b) for a in pairs for b in pairs[:20]}
-        assert verdicts == ({True} if impl in I.ALWAYS_CLOSED else {True, False}), impl
+        assert verdicts == ({True} if I.always_closed(impl) else {True, False}), impl
+    for impl in I.FUZZY_IMPLICATIONS:
+        assert I.always_closed(impl)
+    for ids in itertools.product(I.FUZZY_IMPLICATIONS, repeat=2):
+        assert I.always_closed(ids) == (ids in I.CLOSED_BIPOLAR_PAIRS) == \
+            I.closure_check(ids, (0.5, 0.2), (0.5, 0.2))
 
 
 def test_oracle_agreement_coarse():

@@ -156,6 +156,26 @@ def test_arity_mismatch_rejected():
         build_kb(prog, BackgroundKnowledge(ProximityRelation("terms"), pred_prox))
 
 
+def test_symbol_outside_the_program_given_two_arities_rejected():
+    prog = parse_program("%system fuzzy.\nfact r = 0.5.\nfact e(a, b) = 0.5.\n"
+                         "rule t(X) <- e(X, Y) : godel, 1.0.\n"
+                         "rule u(X, Y) <- e(X, Y) : godel, 1.0.\n")
+    pred_prox = ProximityRelation("predicates", V.FUZZY)
+    for p in ("r", "t", "u"):
+        pred_prox.set_pair(p, "z", 0.8)
+    with pytest.raises(ParseError, match="r ~ z and t ~ z give z arities 0 and 1"):
+        build_kb(prog, BackgroundKnowledge(ProximityRelation("terms"), pred_prox))
+    # one arity from several neighbours is fine
+    pred_prox = ProximityRelation("predicates", V.FUZZY)
+    pred_prox.set_pair("t", "z", 0.8)
+    pred_prox.set_pair("e", "w", 0.8)
+    pred_prox.set_pair("u", "w", 0.8)
+    report = consequence(build_kb(prog, BackgroundKnowledge(ProximityRelation("terms"),
+                                                            pred_prox)))
+    assert {(a.pred, len(a.args)) for a in report.interpretation.entries} == {
+        ("r", 0), ("e", 2), ("t", 1), ("u", 2), ("z", 1), ("w", 2)}
+
+
 def test_system_mismatch_rejected():
     prog = parse_program("%system fuzzy.\nfact p(a) = 0.5.\n")
     term_prox = ProximityRelation("terms", V.IFS)

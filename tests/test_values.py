@@ -114,6 +114,53 @@ def test_bound_lattice_agrees_with_checked_functions(system):
             assert lat.leq(lat.negate(b), lat.negate(a))
 
 
+# the lattices as the module docstring defines them, written with the
+# builtins: ifs and bipolar_b order pairs "first coordinate up, second
+# coordinate down", ivs and bipolar_a order them coordinate-wise "up, up"
+TOP = {V.FUZZY: 1.0, V.IFS: (1.0, 0.0), V.IVS: (1.0, 1.0),
+       V.BIPOLAR_A: (1.0, 1.0), V.BIPOLAR_B: (1.0, 0.0)}
+BOTTOM = {V.FUZZY: 0.0, V.IFS: (0.0, 1.0), V.IVS: (0.0, 0.0),
+          V.BIPOLAR_A: (0.0, 0.0), V.BIPOLAR_B: (0.0, 1.0)}
+
+
+def _up_down_leq(a, b):
+    return a[0] <= b[0] + V.EPS and a[1] >= b[1] - V.EPS
+
+
+def _up_up_leq(a, b):
+    return a[0] <= b[0] + V.EPS and a[1] <= b[1] + V.EPS
+
+
+def _up_down_meet(a, b):
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _up_down_join(a, b):
+    return (max(a[0], b[0]), min(a[1], b[1]))
+
+
+def _up_up_meet(a, b):
+    return (min(a[0], b[0]), min(a[1], b[1]))
+
+
+def _up_up_join(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _pair_equal(a, b, tol):
+    return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+
+
+LEQ = {V.FUZZY: lambda a, b: a <= b + V.EPS, V.IFS: _up_down_leq, V.IVS: _up_up_leq,
+       V.BIPOLAR_A: _up_up_leq, V.BIPOLAR_B: _up_down_leq}
+MEET = {V.FUZZY: min, V.IFS: _up_down_meet, V.IVS: _up_up_meet,
+        V.BIPOLAR_A: _up_up_meet, V.BIPOLAR_B: _up_down_meet}
+JOIN = {V.FUZZY: max, V.IFS: _up_down_join, V.IVS: _up_up_join,
+        V.BIPOLAR_A: _up_up_join, V.BIPOLAR_B: _up_down_join}
+EQUAL = {system: _pair_equal for system in ALL_SYSTEMS}
+EQUAL[V.FUZZY] = lambda a, b, tol: abs(a - b) <= tol
+
+
 def _written(lattice, source):
     """The function of two values whose result is the source that lattice
     writes over their coordinates."""
@@ -129,28 +176,33 @@ def _written(lattice, source):
 
 
 # ties, the ends, -0.0 (a tie with 0.0 that the builtins resolve by operand
-# order) and near-ties inside and outside each tolerance
-COORDINATES = (0.0, -0.0, 0.3, 0.5, 0.5 + 1e-13, 0.5 + 1e-10, 0.5 + 1e-8, 1.0)
+# order), just above the top, and near-ties inside and outside each tolerance
+COORDINATES = (0.0, -0.0, 0.3, 0.5, 0.5 + 1e-13, 0.5 + 1e-10, 0.5 + 1e-8, 1.0, 1.0 + 1e-10)
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_written_formulas_are_the_lattice(system):
-    """The source that `Lattice` writes for meet, join and equal (the
-    compiled fan-out's inline formulas) gives what the bound operations
-    give, to the sign of a zero."""
+    """The bound top, bottom, leq, meet, join and equal, and the source that
+    `Lattice` writes for them (the compiled fan-out's inline formulas),
+    give what the spec above gives, to the sign of a zero."""
     lattice = V.LATTICES[system]
-    meet = _written(lattice, lattice.meet_source)
-    join = _written(lattice, lattice.join_source)
-    equal = {tol: _written(lattice, lambda a, b, tol=tol: lattice.equal_source(a, b, tol))
-             for tol in (V.EPS, 1e-12)}
+    assert repr(lattice.top) == repr(TOP[system])
+    assert repr(lattice.bottom) == repr(BOTTOM[system])
+    ops = {"leq": (LEQ[system], lattice.leq, _written(lattice, lattice.leq_source)),
+           "meet": (MEET[system], lattice.meet, _written(lattice, lattice.meet_source)),
+           "join": (JOIN[system], lattice.join, _written(lattice, lattice.join_source))}
+    equal = {tol: _written(lattice, lambda a, b, tol=tol: lattice.equal_source(a, b, repr(tol)))
+             for tol in (V.EPS, 1e-12, 0.1)}
     values = (list(COORDINATES) if system == V.FUZZY else
               list(itertools.product(COORDINATES, COORDINATES)))
     for a, b in itertools.product(values, values):
-        assert repr(meet(a, b)) == repr(lattice.meet(a, b)) and meet(a, b) == lattice.meet(a, b)
-        assert repr(join(a, b)) == repr(lattice.join(a, b)) and join(a, b) == lattice.join(a, b)
+        for name, (spec, bound, written) in ops.items():
+            expected = repr(spec(a, b))
+            assert repr(bound(a, b)) == expected == repr(written(a, b)), (name, a, b)
         for tol, written in equal.items():
-            assert written(a, b) == lattice.equal(a, b, tol), (a, b, tol)
-        assert equal[V.EPS](a, b) == lattice.equal(a, b)
+            expected = EQUAL[system](a, b, tol)
+            assert lattice.equal(a, b, tol) == expected == written(a, b), (a, b, tol)
+        assert lattice.equal(a, b) == EQUAL[system](a, b, V.EPS)
 
 
 def test_conversion_cases():
