@@ -360,7 +360,23 @@ def _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambda_args):
 class ReferenceTreeBuilder(_TreeBuilder):
     """The search-tree builder before its rule phase skipped the rules of
     another head functor, kept as the reference for differential tests: it
-    renames every proper rule apart at every rule-phase node."""
+    renames every proper rule apart at every rule-phase node, and builds a
+    new candidate atom from the names of each fact that matches.  Only the
+    node helpers `_cut`, `_mark`, `expand`, `expand_goal` and
+    `expand_prox_phase` come from `query._TreeBuilder`."""
+
+    def __init__(self, kb, depth_limit: int):
+        self.kb = kb
+        self.program = kb.program
+        self.system = kb.program.system
+        self.depth_limit = depth_limit
+        self.expanded = set()    # (canonical atom, phase)
+        self.truncated = False
+        self.fresh = 0
+        self.facts_by_pred = {}
+        for atom, _ in self.program.facts():
+            self.facts_by_pred.setdefault(atom.pred, []).append(atom)
+        self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
 
     def expand_rule_phase(self, node: SearchNode):
         """Depth 3k+1: unify with rule heads and with facts."""
@@ -388,6 +404,49 @@ class ReferenceTreeBuilder(_TreeBuilder):
         self._fact_candidates(node, depth)
         if not node.children:
             node.children.append(SearchNode("no", depth))
+
+    def _fact_candidates(self, node: SearchNode, depth: int) -> None:
+        """All member/binding combinations for the facts of this predicate;
+        each candidate closes with YES exactly when it is a program fact."""
+        facts = self.facts_by_pred.get(node.atom.pred, [])
+        candidates = []
+        seen = set()
+        for fact in facts:
+            if len(fact.args) != len(node.atom.args):
+                continue
+            theta = {}
+            domains = []
+            ok = True
+            for t, c in zip(node.atom.args, fact.args):
+                if isinstance(t, Constant):
+                    if t != c:
+                        ok = False
+                        break
+                    domains.append([t.name])
+                elif isinstance(t, Variable):
+                    if t in theta and theta[t] != c:
+                        ok = False
+                        break
+                    theta[t] = c
+                    domains.append([c.name])
+                else:
+                    members = [s for s, _ in
+                               proximity_set(self.kb.bk.term_prox, t.name, self.system)]
+                    domains.append(members)
+            if not ok:
+                continue
+            for combo in itertools.product(*domains):
+                if combo not in seen:
+                    seen.add(combo)
+                    candidates.append(Atom(node.atom.pred,
+                                           tuple(Constant(c) for c in combo)))
+        for cand in candidates:
+            cnode = SearchNode("fact", depth, cand, connective=_connective(depth))
+            node.children.append(cnode)
+            if cand in self.fact_atoms:
+                cnode.children.append(SearchNode("yes", depth + 1))
+            else:
+                cnode.children.append(SearchNode("no", depth + 1))
 
 
 def reference_build_tree(kb, goal, depth_limit: int = 64) -> SearchTree:

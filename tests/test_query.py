@@ -5,7 +5,9 @@ import pytest
 
 from mvdatalog import query
 from mvdatalog import values as V
-from mvdatalog.lang import Atom, Constant, Literal, Rule, Variable, parse_program
+from mvdatalog.engine import _item_key
+from mvdatalog.lang import (Atom, Constant, Literal, ProximityRef, Rule, Variable,
+                            parse_program, unify)
 from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, consequence,
                           parse_proximity_file)
 from mvdatalog.query import (Goal, answer, build_tree, parse_goal, parse_level,
@@ -222,17 +224,53 @@ def random_inputs(seed):
     return program, random_bk(rng, program), random_phi(rng, program)
 
 
+def random_term(rng, constants):
+    """A variable (two names, so binary goals repeat one often), a constant
+    (z is in no program), or a proximity reference, which only a goal built
+    through the API holds."""
+    draw = rng.random()
+    if draw < 0.5:
+        return Variable(rng.choice("XY"))
+    if draw < 0.85:
+        return Constant(rng.choice(constants))
+    return ProximityRef(rng.choice(constants))
+
+
 def random_goals(rng, program, count):
     constants = sorted(program.constants() | {"z"})
     functors = sorted(program.predicates().items()) + [("zz", 1)]
     goals = []
     for _ in range(count):
         pred, arity = rng.choice(functors)
-        args = tuple(Variable(rng.choice("XY")) if rng.random() < 0.6
-                     else Constant(rng.choice(constants)) for _ in range(arity))
+        args = tuple(random_term(rng, constants) for _ in range(arity))
         level = random_level(rng, program.system) if rng.random() < 0.3 else None
         goals.append(Goal(Atom(pred, args), level))
     return goals
+
+
+def test_answers_match_their_definition():
+    """The answers are the fixed-point atoms that unify with the goal and
+    reach its level, in `_item_key` order; the starting facts are the
+    program facts harvested by the tree, levels joined over repeats."""
+    for seed in range(60):
+        kb = build_kb(*random_inputs(seed))
+        program, system = kb.program, kb.program.system
+        rng = random.Random(f"answers/{seed}")
+        for goal in random_goals(rng, program, 10):
+            result = answer(kb, goal)
+            entries = sorted(result.report.interpretation.entries.items(), key=_item_key)
+            assert result.answers == [
+                (atom, value) for atom, value in entries
+                if unify(goal.atom, atom) is not None
+                and (goal.level is None or V.leq(system, goal.level, value))], (seed, goal)
+            harvested = {node.atom for node in result.tree.walk() if node.kind == "fact"
+                         and any(child.kind == "yes" for child in node.children)}
+            levels = {}
+            for atom, level in program.facts():
+                if atom in harvested:
+                    old = levels.get(atom)
+                    levels[atom] = level if old is None else V.join(system, old, level)
+            assert result.starting == sorted(levels.items(), key=_item_key), (seed, goal)
 
 
 def test_reused_consequences_match_fresh_knowledge_bases(count_consequences):
