@@ -436,6 +436,7 @@ class _Spread:
         # lambdas of its proximity set); a predicate's arity is fixed
         self.heads = {}
         self.plans = {}          # fold_args -> {head key: (keys, lambdas, name tuples)}
+        self.read = {lit.atom.pred for rule in kb.program.rules for lit in rule.body}
 
     def _options(self, table, rel, symbol):
         options = table.get(symbol)
@@ -466,12 +467,13 @@ class _Spread:
         return plan
 
     def widen(self, pred, names):
-        """The (pred, names) of every synonym of pred(names), for `ground`,
-        in synonym order."""
+        """The (pred, names) of every synonym of pred(names) whose predicate
+        a rule body reads, for `ground`, in synonym order: no join reads
+        the others."""
         _, _, _, plans, fold_args, qs, _ = self.heads.get(pred) or self._head(pred, len(names))
         key = names[0] if len(names) == 1 else names
         combos = (plans.get(key) or self._plan(plans, fold_args, key))[2]
-        return [(q, chosen) for q in qs for chosen in combos]
+        return [(q, chosen) for q in qs if q in self.read for chosen in combos]
 
     def fire(self, head: int, alpha, levels) -> None:
         """Join every synonym of the interned head derived at level alpha

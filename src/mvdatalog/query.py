@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import values as V
-from .lang import (Atom, Constant, Program, ProximityRef, Rule,
-                   Variable, _Parser, rename_apart, substitute, unify)
+from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _Parser,
+                   substitute, unify)
 from .engine import FixpointReport, _item_key
 from .kb import KnowledgeBase, consequence, proximity_set
 
@@ -63,6 +63,26 @@ class SearchNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+    def __repr__(self):
+        return (f"SearchNode(kind={self.kind!r}, depth={self.depth}, atom={self.atom!r}, "
+                f"children={len(self.children)})")
+
+    def __reduce__(self):
+        # pickled and copied as its nodes in walk order, so that neither is
+        # bounded by the recursion limit however deep the tree
+        return _unflatten, ([(n.kind, n.depth, n.atom, n.literals, n.connective,
+                              n.repeated, n.note, len(n.children)) for n in self.walk()],)
+
+
+def _unflatten(rows) -> SearchNode:
+    """The tree whose nodes `SearchNode.__reduce__` lists: in reverse walk
+    order, a node's children are the last subtrees built."""
+    built = []
+    for kind, depth, atom, literals, connective, repeated, note, n in reversed(rows):
+        children = [built.pop() for _ in range(n)]
+        built.append(SearchNode(kind, depth, atom, literals, connective, children, repeated, note))
+    return built[0]
 
 
 @dataclass
@@ -102,11 +122,18 @@ class _TreeBuilder:
         self.expanded = set()    # (canonical atom, phase)
         self.truncated = False
         self.fresh = 0
-        self.proper = [(rule.head.functor, rule) for _, _, rule in self.program.proper_rules()]
-        self.facts_by_pred = {}
-        for atom, _ in self.program.facts():
-            self.facts_by_pred.setdefault(atom.pred, []).append(atom)
+        # one pass over the rules: the proper rules by head functor, each
+        # with its position among them, and the fact atoms by predicate
+        self.proper, self.by_functor, self.facts_by_pred = 0, {}, {}
+        for rule in self.program.rules:
+            head = rule.head
+            if rule.body:
+                self.by_functor.setdefault(head.functor, []).append((self.proper, rule))
+                self.proper += 1
+            else:
+                self.facts_by_pred.setdefault(head.pred, []).append(head)
         self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
+        self.variables = {}      # proper rule position -> its variables, once renamed
 
     def _cut(self, node: SearchNode) -> bool:
         if node.depth + 1 > self.depth_limit:
@@ -160,20 +187,24 @@ class _TreeBuilder:
         if self._mark(node, "rule") or self._cut(node):
             return
         depth = node.depth + 1
-        functor = node.atom.functor
-        for head_functor, rule in self.proper:
-            # every rule takes a renaming number, but only the heads of this
-            # functor are renamed: unify rejects the others unread
-            self.fresh += 1
-            if head_functor != functor:
-                continue
-            fresh = rename_apart(rule, f"r{self.fresh}")
-            theta = unify(node.atom, fresh.head)
+        atom = node.atom
+        # every proper rule takes a renaming number in turn, but only the
+        # rules of this functor are renamed: unify would reject the others
+        last = -1
+        for pos, rule in self.by_functor.get(atom.functor, ()):
+            self.fresh += pos - last
+            last = pos
+            variables = self.variables.get(pos)
+            if variables is None:
+                variables = self.variables[pos] = rule.variables()
+            suffix = f"_r{self.fresh}"
+            renaming = {v: Variable(v.name + suffix) for v in variables}
+            theta = unify(atom, substitute(rule.head, renaming))
             if theta is None:
                 continue
-            literals = tuple(type(l)(substitute(l.atom, theta), l.negated)
-                             for l in fresh.body)
-            body = SearchNode("body", depth, atom=substitute(fresh.head, theta),
+            theta = {v: theta.get(r, r) for v, r in renaming.items()}
+            literals = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
+            body = SearchNode("body", depth, atom=substitute(rule.head, theta),
                               literals=literals, connective=_connective(depth))
             node.children.append(body)
             if not self._cut(body):
@@ -183,52 +214,43 @@ class _TreeBuilder:
                                        note="negated" if lit.negated else "")
                     body.children.append(child)
                     yield self.expand_prox_phase, child
+        self.fresh += self.proper - 1 - last
         self._fact_candidates(node, depth)
         if not node.children:
             node.children.append(SearchNode("no", depth))
 
     def _fact_candidates(self, node: SearchNode, depth: int) -> None:
         """All member/binding combinations for the facts of this predicate;
-        each candidate closes with YES exactly when it is a program fact."""
-        facts = self.facts_by_pred.get(node.atom.pred, [])
-        candidates = []
+        each candidate closes with YES exactly when it is a program fact.
+        Without proximity-set arguments, the one candidate of a ground fact
+        is the fact itself."""
+        pred, args = node.atom.pred, node.atom.args
+        facts = self.facts_by_pred.get(pred, ())
+        members = {t: [s for s, _ in proximity_set(self.kb.bk.term_prox, t.name, self.system)]
+                   for t in args if facts and isinstance(t, ProximityRef)}
+        connective = _connective(depth)
         seen = set()
         for fact in facts:
-            if len(fact.args) != len(node.atom.args):
+            if len(fact.args) != len(args):
                 continue
             theta = {}
-            domains = []
-            ok = True
-            for t, c in zip(node.atom.args, fact.args):
+            for t, c in zip(args, fact.args):
                 if isinstance(t, Constant):
                     if t != c:
-                        ok = False
                         break
-                    domains.append([t.name])
-                elif isinstance(t, Variable):
-                    if t in theta and theta[t] != c:
-                        ok = False
-                        break
-                    theta[t] = c
-                    domains.append([c.name])
-                else:
-                    members = [s for s, _ in
-                               proximity_set(self.kb.bk.term_prox, t.name, self.system)]
-                    domains.append(members)
-            if not ok:
-                continue
-            for combo in itertools.product(*domains):
-                if combo not in seen:
-                    seen.add(combo)
-                    candidates.append(Atom(node.atom.pred,
-                                           tuple(Constant(c) for c in combo)))
-        for cand in candidates:
-            cnode = SearchNode("fact", depth, cand, connective=_connective(depth))
-            node.children.append(cnode)
-            if cand in self.fact_atoms:
-                cnode.children.append(SearchNode("yes", depth + 1))
+                elif isinstance(t, Variable) and theta.setdefault(t, c) != c:
+                    break
             else:
-                cnode.children.append(SearchNode("no", depth + 1))
+                domains = (members.get(t) or [c.name] for t, c in zip(args, fact.args))
+                candidates = ([fact] if not members and fact.is_ground() else
+                              (Atom(pred, tuple(Constant(n) for n in combo))
+                               for combo in itertools.product(*domains)))
+                for cand in candidates:
+                    if cand not in seen:
+                        seen.add(cand)
+                        leaf = SearchNode("yes" if cand in self.fact_atoms else "no", depth + 1)
+                        node.children.append(SearchNode("fact", depth, cand,
+                                                        connective=connective, children=[leaf]))
 
     def _mark(self, node: SearchNode, phase: str) -> bool:
         key = (_canonical(node.atom), phase)
@@ -254,8 +276,9 @@ def starting_facts(tree: SearchTree, program: Program):
     harvested = {node.atom for node in tree.walk()
                  if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
     levels = {}
-    for atom, level in program.facts():
-        if atom in harvested:
+    for rule in program.rules:
+        atom, level = rule.head, rule.level
+        if not rule.body and atom in harvested:
             old = levels.get(atom)
             levels[atom] = level if old is None else V.join(program.system, old, level)
     return sorted(levels.items(), key=_item_key)
@@ -264,7 +287,7 @@ def starting_facts(tree: SearchTree, program: Program):
 def _restrict_to_facts(program: Program, kept) -> Program:
     """Keep the proper rules and only the fact rules for the given atoms."""
     kept_atoms = {atom for atom, _ in kept}
-    rules = [r for r in program.rules if not r.is_fact or r.head in kept_atoms]
+    rules = [r for r in program.rules if r.body or r.head in kept_atoms]
     return Program(program.system, rules, program.declared_constants,
                    program.order_directive, list(program.warnings))
 
@@ -316,17 +339,22 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     x0 = starting_facts(tree, kb.program)
     restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
     report = _reused_consequence(kb, restricted, max_iters)
-    # only atoms of the goal's functor can unify with it
-    pred, arity = goal.atom.functor
-    candidates = sorted(((atom, val) for atom, val in report.interpretation.entries.items()
-                         if atom.pred == pred and len(atom.args) == arity), key=_item_key)
-    answers = []
-    for atom, val in candidates:
-        if unify(goal.atom, atom) is None:
-            continue
-        if goal.level is not None and not V.leq(kb.program.system, goal.level, val):
-            continue
-        answers.append((atom, val))
+    # the fixed point is ground, so an atom of the goal's functor unifies
+    # with the goal when it has the names of the goal's constants and
+    # proximity references, and repeats the goal's repeated variables
+    pred, args = goal.atom.pred, goal.atom.args
+    names, repeats, first = [], [], {}
+    for i, t in enumerate(args):
+        if not isinstance(t, Variable):
+            names.append((i, t.name))
+        elif first.setdefault(t, i) != i:
+            repeats.append((first[t], i))
+    leq = None if goal.level is None else V._checked(kb.program.system, goal.level).leq
+    answers = sorted(((atom, val) for atom, val in report.interpretation.entries.items()
+                      if atom.pred == pred and len(atom.args) == len(args)
+                      and all(atom.args[i].name == name for i, name in names)
+                      and all(atom.args[i] == atom.args[j] for i, j in repeats)
+                      and (leq is None or leq(goal.level, val))), key=_item_key)
     if tree.truncated:
         report.diagnostics.append(
             f"search tree truncated at depth {depth_limit}; answers may be incomplete")
@@ -341,9 +369,12 @@ def parse_goal(text: str, program: Program) -> Atom:
     atom = p.atom()
     if not p.at("eof"):
         p.fail("goal must be a single atom")
-    arities = program.predicates()
-    if atom.pred in arities and arities[atom.pred] != len(atom.args):
-        p.fail(f"goal predicate {atom.pred!r} has arity {arities[atom.pred]}, "
+    # the arity of the predicate's last occurrence, as `Program.predicates` has it
+    arity = next((len(a.args) for r in reversed(program.rules)
+                  for a in (*(l.atom for l in reversed(r.body)), r.head) if a.pred == atom.pred),
+                 None)
+    if arity is not None and arity != len(atom.args):
+        p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
                f"goal uses {len(atom.args)}", start)
     return atom
 

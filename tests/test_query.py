@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -173,6 +176,28 @@ def test_parse_goal_checks_arity(ex1):
 def tree_rows(tree):
     return [(n.kind, n.depth, str(n.atom), n.literals, n.repeated, n.note)
             for n in tree.walk()]
+
+
+def test_deep_tree_prints_copies_and_pickles():
+    """A tree deeper than the recursion limit prints without its subtree,
+    and deep-copies and pickles node for node."""
+    n = 1500
+    rules = "".join(f"rule p{i}(X) <- p{i + 1}(X) : godel, 0.9.\n" for i in range(n))
+    prog = parse_program(f"%system fuzzy.\n{rules}fact p{n}(a) = 0.8.\n")
+    tree = build_tree(build_kb(prog), Goal(parse_goal("p0(X)", prog)), depth_limit=100000)
+    assert max(node.depth for node in tree.walk()) > sys.getrecursionlimit()
+    assert repr(tree.root) == ("SearchNode(kind='goal', depth=0, atom=Atom(pred='p0', "
+                               "args=(Variable(name='X'),)), children=1)")
+    assert repr(tree).startswith(f"SearchTree(root={tree.root!r}, truncated=False")
+
+    def rows(tree):
+        return [(node.kind, node.depth, node.atom, node.literals, node.connective,
+                 node.repeated, node.note, len(node.children)) for node in tree.walk()]
+
+    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert rows(copied) == rows(tree)
+        assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
+        assert not {id(node) for node in copied.walk()} & {id(node) for node in tree.walk()}
 
 
 @pytest.mark.parametrize("depth_limit", [64, 4, 3])
