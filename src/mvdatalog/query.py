@@ -132,7 +132,7 @@ class _TreeBuilder:
                 self.proper += 1
             else:
                 self.facts_by_pred.setdefault(head.pred, []).append(head)
-        self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
+        self.known = {}          # predicate -> {names: atom} of its ground facts
         self.variables = {}      # proper rule position -> its variables, once renamed
 
     def _cut(self, node: SearchNode) -> bool:
@@ -221,13 +221,17 @@ class _TreeBuilder:
 
     def _fact_candidates(self, node: SearchNode, depth: int) -> None:
         """All member/binding combinations for the facts of this predicate;
-        each candidate closes with YES exactly when it is a program fact.
-        Without proximity-set arguments, the one candidate of a ground fact
-        is the fact itself."""
+        each candidate closes with YES exactly when it is a program fact,
+        and is then that fact's own atom."""
         pred, args = node.atom.pred, node.atom.args
-        facts = self.facts_by_pred.get(pred, ())
+        facts = self.facts_by_pred.get(pred)
+        if not facts:
+            return
+        if pred not in self.known:
+            self.known[pred] = {tuple(c.name for c in f.args): f for f in facts if f.is_ground()}
+        known = self.known[pred]
         members = {t: [s for s, _ in proximity_set(self.kb.bk.term_prox, t.name, self.system)]
-                   for t in args if facts and isinstance(t, ProximityRef)}
+                   for t in args if isinstance(t, ProximityRef)}
         connective = _connective(depth)
         seen = set()
         for fact in facts:
@@ -241,14 +245,14 @@ class _TreeBuilder:
                 elif isinstance(t, Variable) and theta.setdefault(t, c) != c:
                     break
             else:
-                domains = (members.get(t) or [c.name] for t, c in zip(args, fact.args))
-                candidates = ([fact] if not members and fact.is_ground() else
-                              (Atom(pred, tuple(Constant(n) for n in combo))
-                               for combo in itertools.product(*domains)))
-                for cand in candidates:
-                    if cand not in seen:
-                        seen.add(cand)
-                        leaf = SearchNode("yes" if cand in self.fact_atoms else "no", depth + 1)
+                domains = [members[t] if isinstance(t, ProximityRef) else [c.name]
+                           for t, c in zip(args, fact.args)]
+                for combo in itertools.product(*domains):
+                    if combo not in seen:
+                        seen.add(combo)
+                        fact_atom = known.get(combo)
+                        cand = fact_atom or Atom(pred, tuple(Constant(n) for n in combo))
+                        leaf = SearchNode("no" if fact_atom is None else "yes", depth + 1)
                         node.children.append(SearchNode("fact", depth, cand,
                                                         connective=connective, children=[leaf]))
 
