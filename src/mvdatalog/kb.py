@@ -468,8 +468,7 @@ class _Spread:
 
     def widen(self, pred, names):
         """The (pred, names) of every synonym of pred(names) whose predicate
-        a rule body reads, for `ground`, in synonym order: no join reads
-        the others."""
+        a rule body reads, for `ground`, in synonym order."""
         _, _, _, plans, fold_args, qs, _ = self.heads.get(pred) or self._head(pred, len(names))
         key = names[0] if len(names) == 1 else names
         combos = (plans.get(key) or self._plan(plans, fold_args, key))[2]

@@ -1182,10 +1182,9 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     in the least set that holds the atoms widen(pred, names) returns for
     each fact head and for the head of each instance whose body atoms are
     derivable.  widen returns (pred, names) pairs, the head itself among
-    them, and may leave out any atom whose predicate no rule body reads:
-    no instance waits for such an atom.  An instance with an underivable
-    body atom is never applicable, so it changes no evaluation; the
-    survivors keep their relative order.
+    them, and may leave out the atoms of predicates no rule body reads.
+    An instance with an underivable body atom is never applicable, so it
+    changes no evaluation; the survivors keep their relative order.
     The crisp pass that finds the derivable atoms records each rule's
     substitutions as it goes, so no join is repeated to list them.
 

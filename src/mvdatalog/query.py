@@ -69,8 +69,7 @@ class SearchNode:
                 f"children={len(self.children)})")
 
     def __reduce__(self):
-        # pickled and copied as its nodes in walk order, so that neither is
-        # bounded by the recursion limit however deep the tree
+        # flat, in walk order: pickling and copying do not recurse per level
         return _unflatten, ([(n.kind, n.depth, n.atom, n.literals, n.connective,
                               n.repeated, n.note, len(n.children)) for n in self.walk()],)
 
@@ -197,8 +196,7 @@ class _TreeBuilder:
             variables = self.variables.get(pos)
             if variables is None:
                 variables = self.variables[pos] = rule.variables()
-            suffix = f"_r{self.fresh}"
-            renaming = {v: Variable(v.name + suffix) for v in variables}
+            renaming = {v: Variable(f"{v.name}_r{self.fresh}") for v in variables}
             theta = unify(atom, substitute(rule.head, renaming))
             if theta is None:
                 continue
@@ -347,12 +345,9 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     # with the goal when it has the names of the goal's constants and
     # proximity references, and repeats the goal's repeated variables
     pred, args = goal.atom.pred, goal.atom.args
-    names, repeats, first = [], [], {}
-    for i, t in enumerate(args):
-        if not isinstance(t, Variable):
-            names.append((i, t.name))
-        elif first.setdefault(t, i) != i:
-            repeats.append((first[t], i))
+    names = [(i, t.name) for i, t in enumerate(args) if not isinstance(t, Variable)]
+    repeats = [(args.index(t), i) for i, t in enumerate(args)
+               if isinstance(t, Variable) and args.index(t) != i]
     leq = None if goal.level is None else V._checked(kb.program.system, goal.level).leq
     answers = sorted(((atom, val) for atom, val in report.interpretation.entries.items()
                       if atom.pred == pred and len(atom.args) == len(args)
@@ -365,6 +360,16 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     return QueryResult(answers, x0, tree, report)
 
 
+def _last_arity(program: Program, pred: str):
+    """The arity of pred's last occurrence, as `Program.predicates` has it."""
+    for rule in reversed(program.rules):
+        for lit in reversed(rule.body):
+            if lit.atom.pred == pred:
+                return len(lit.atom.args)
+        if rule.head.pred == pred:
+            return len(rule.head.args)
+
+
 def parse_goal(text: str, program: Program) -> Atom:
     """Goal syntax is a single atom; the program's declared constants keep
     their constant reading inside goals."""
@@ -373,10 +378,7 @@ def parse_goal(text: str, program: Program) -> Atom:
     atom = p.atom()
     if not p.at("eof"):
         p.fail("goal must be a single atom")
-    # the arity of the predicate's last occurrence, as `Program.predicates` has it
-    arity = next((len(a.args) for r in reversed(program.rules)
-                  for a in (*(l.atom for l in reversed(r.body)), r.head) if a.pred == atom.pred),
-                 None)
+    arity = _last_arity(program, atom.pred)
     if arity is not None and arity != len(atom.args):
         p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
                f"goal uses {len(atom.args)}", start)
