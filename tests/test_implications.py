@@ -21,6 +21,31 @@ def test_compatibility():
         I.level_fn("vk", V.IFS, (0.5, 0.2), (0.5, 0.2))
 
 
+# the operators each system accepts, written out
+_FUZZY_NAMES = ("godel", "lukasiewicz", "kleene")
+COMPATIBLE = {
+    V.FUZZY: set(_FUZZY_NAMES),
+    V.IFS: {"fk", "fl", "fg1", "fg2"},
+    V.IVS: {"vk", "vl", "vg1", "vg2"},
+    V.BIPOLAR_A: set(itertools.product(_FUZZY_NAMES, repeat=2)),
+    V.BIPOLAR_B: set(itertools.product(_FUZZY_NAMES, repeat=2)),
+}
+
+
+def test_is_compatible_table():
+    """Each operator name and an unknown one, their pairs, a list and
+    tuples of the wrong length, against each system name and an unknown
+    one: compatible exactly where COMPATIBLE says."""
+    names = [*_FUZZY_NAMES, "fk", "fl", "fg1", "fg2", "vk", "vl", "vg1", "vg2", "zadeh"]
+    impls = [*names, *itertools.product(names, repeat=2),
+             ["godel", "godel"], ("godel",), ("godel", "godel", "godel")]
+    systems = [*V.SYSTEMS, "boolean"]
+    assert len(impls) * len(systems) == 954
+    for impl, system in itertools.product(impls, systems):
+        expected = not isinstance(impl, list) and impl in COMPATIBLE.get(system, set())
+        assert I.is_compatible(impl, system) is expected, (impl, system)
+
+
 def test_apply_implication_cases():
     assert I.apply_implication("godel", V.FUZZY, 0.6, 0.3) == 0.3
     assert I.apply_implication("fk", V.IFS, (0.4, 0.5), (0.3, 0.6)) == (0.5, 0.4)

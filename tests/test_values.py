@@ -114,6 +114,55 @@ def test_bound_lattice_agrees_with_checked_functions(system):
             assert lat.leq(lat.negate(b), lat.negate(a))
 
 
+# the constraints of the module docstring, written out: each coordinate in
+# [0, 1]; an ifs pair has m1 + m2 <= 1 and an ivs pair m1 <= m2; a bipolar
+# input has m1 + m2 <= 1, a derived bipolar value need not; all up to EPS
+def _inside(v):
+    return all(-V.EPS <= m <= 1 + V.EPS for m in (v if isinstance(v, tuple) else (v,)))
+
+
+def _declared_valid(system, v):
+    if system == V.IFS:
+        return _inside(v) and v[0] + v[1] <= 1 + V.EPS
+    if system == V.IVS:
+        return _inside(v) and v[0] <= v[1] + V.EPS
+    return _inside(v)
+
+
+def _declared_valid_input(system, v):
+    if system in (V.BIPOLAR_A, V.BIPOLAR_B):
+        return _declared_valid(system, v) and v[0] + v[1] <= 1 + V.EPS
+    return _declared_valid(system, v)
+
+
+def _validity_grid(system):
+    """Coordinates at 0, 1, 2 EPS and EPS / 2 past each bound, inside, and
+    NaN; for pairs, also each constraint's edge m1 + m2 = 1 and m1 = m2,
+    and 2 EPS and EPS / 2 to either side of it."""
+    eps = V.EPS
+    coords = [0.0, 1.0, -2 * eps, -eps / 2, 1 + 2 * eps, 1 + eps / 2, 0.3, 0.7, float("nan")]
+    if system == V.FUZZY:
+        return coords
+    offsets = (-2 * eps, -eps / 2, 0.0, eps / 2, 2 * eps)
+    return (list(itertools.product(coords, coords))
+            + [(m, 1.0 - m + d) for m in (0.0, 0.3, 0.5, 1.0) for d in offsets]
+            + [(m + d, m) for m in (0.0, 0.4, 1.0) for d in offsets])
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_validity_follows_the_declared_constraints(system):
+    pts = _validity_grid(system)
+    verdicts = set()
+    for v in pts:
+        expected = _declared_valid(system, v)
+        assert (V.validate(system, v) is None) == expected, v
+        assert (V.validate_input(system, v) is None) == _declared_valid_input(system, v), v
+        verdicts.add((expected, _declared_valid_input(system, v)))
+    assert (True, True) in verdicts and (False, False) in verdicts
+    if system.startswith("bipolar"):
+        assert (True, False) in verdicts
+
+
 # the lattices as the module docstring defines them, written with the
 # builtins: ifs and bipolar_b order pairs "first coordinate up, second
 # coordinate down", ivs and bipolar_a order them coordinate-wise "up, up"
