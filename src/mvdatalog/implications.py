@@ -30,14 +30,15 @@ second coordinate on complemented values (mu' = 1 - mu).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple, Union
 
 from . import values as V
 from .values import EPS
 
-FUZZY_IMPLICATIONS = ("godel", "lukasiewicz", "kleene")
-IFS_IMPLICATIONS = ("fk", "fl", "fg1", "fg2")
-IVS_IMPLICATIONS = ("vk", "vl", "vg1", "vg2")
+FUZZY_IMPLICATIONS = V.LATTICES[V.FUZZY].operators
+IFS_IMPLICATIONS = V.LATTICES[V.IFS].operators
+IVS_IMPLICATIONS = V.LATTICES[V.IVS].operators
 # implications whose derived levels always stay inside their system
 ALWAYS_CLOSED = FUZZY_IMPLICATIONS + ("fg2", "vg2")
 
@@ -54,20 +55,11 @@ CLOSED_BIPOLAR_PAIRS = (
 
 
 def is_compatible(impl: ImplId, system: str) -> bool:
-    if system == V.FUZZY:
-        return impl in FUZZY_IMPLICATIONS
-    if system == V.IFS:
-        return impl in IFS_IMPLICATIONS
-    if system == V.IVS:
-        return impl in IVS_IMPLICATIONS
-    if system in (V.BIPOLAR_A, V.BIPOLAR_B):
-        return (
-            isinstance(impl, tuple)
-            and len(impl) == 2
-            and impl[0] in FUZZY_IMPLICATIONS
-            and impl[1] in FUZZY_IMPLICATIONS
-        )
-    return False
+    """Whether system declares impl among its operators."""
+    try:
+        return (impl, system) in LEVEL_FUNCTIONS
+    except TypeError:  # an unhashable impl
+        return False
 
 
 def _require_compatible(impl: ImplId, system: str) -> None:
@@ -134,6 +126,25 @@ def _pair_implication(impl: str, a, g):
     raise ValueError(f"unknown pair implication {impl!r}")
 
 
+def _bipolar_implication(impl1: str, impl2: str, lattice: V.Lattice):
+    complemented = lattice.complemented
+
+    def implication(alpha, gamma):
+        c1 = _fuzzy_implication(impl1, alpha[0], gamma[0])
+        if complemented:
+            return (c1, 1.0 - _fuzzy_implication(impl2, 1.0 - alpha[1], 1.0 - gamma[1]))
+        return (c1, _fuzzy_implication(impl2, alpha[1], gamma[1]))
+    return implication
+
+
+def bound_implication(impl: ImplId, system: str):
+    """I(alpha, gamma) of one operator in one system, bound once, with no
+    check of its input.  Raises ValueError when impl is not valid for the
+    system."""
+    _require_compatible(impl, system)
+    return IMPLICATIONS[(impl, system)]
+
+
 def apply_implication(impl: ImplId, system: str, alpha: V.Value, gamma: V.Value) -> V.Value:
     """Evaluate I(alpha, gamma), branch-exactly per the operator table.
 
@@ -142,18 +153,7 @@ def apply_implication(impl: ImplId, system: str, alpha: V.Value, gamma: V.Value)
     complemented back, so the model condition reads uniformly as
     leq(system, beta, apply_implication(...)).
     """
-    _require_compatible(impl, system)
-    if system == V.FUZZY:
-        return _fuzzy_implication(impl, alpha, gamma)
-    if system in (V.IFS, V.IVS):
-        return _pair_implication(impl, alpha, gamma)
-    i1, i2 = impl
-    c1 = _fuzzy_implication(i1, alpha[0], gamma[0])
-    if system == V.BIPOLAR_A:
-        c2 = _fuzzy_implication(i2, alpha[1], gamma[1])
-    else:
-        c2 = 1.0 - _fuzzy_implication(i2, 1.0 - alpha[1], 1.0 - gamma[1])
-    return (c1, c2)
+    return bound_implication(impl, system)(alpha, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -180,23 +180,26 @@ _PAIR_LEVELS = {
 }
 
 
-def _fuzzy_bound(level):
+def _fuzzy_bound(impl: str):
+    level = _FUZZY_LEVELS[impl]
+
     def bound(alpha, beta):
         return max(0.0, level(alpha, beta)), True
     return bound
 
 
-def _pair_bound(level, system):
+def _pair_bound(impl: str, lattice: V.Lattice):
+    level, valid = _PAIR_LEVELS[impl], lattice.valid
+
     def bound(alpha, beta):
         value = level(alpha, beta)
-        return value, V.validate(system, value) is None
+        return value, valid(value)
     return bound
 
 
-def _bipolar_bound(level1, level2, system):
-    # variant b evaluates the second coordinate on complemented values
-    # (mu' = 1 - mu) and complements the result back
-    complemented = system == V.BIPOLAR_B
+def _bipolar_bound(impl1: str, impl2: str, lattice: V.Lattice):
+    level1, level2 = _FUZZY_LEVELS[impl1], _FUZZY_LEVELS[impl2]
+    complemented, valid = lattice.complemented, lattice.valid
 
     def bound(alpha, beta):
         c1 = max(0.0, level1(alpha[0], beta[0]))
@@ -205,21 +208,26 @@ def _bipolar_bound(level1, level2, system):
         else:
             c2 = max(0.0, level2(alpha[1], beta[1]))
         value = (c1, c2)
-        return value, V.validate(system, value) is None
+        return value, valid(value)
     return bound
+
+
+def _operators(fuzzy, pair, bipolar) -> dict:
+    """(operator, system) -> its function, for each operator each system
+    declares: fuzzy(impl), pair(impl, lattice) or bipolar(impl1, impl2,
+    lattice)."""
+    return {(impl, system): (bipolar(*impl, lattice) if isinstance(impl, tuple) else
+                             fuzzy(impl) if len(lattice.meets) == 1 else pair(impl, lattice))
+            for system, lattice in V.LATTICES.items() for impl in lattice.operators}
 
 
 # (operator, system) -> its level function, bound and unchecked:
 # f(alpha, beta) -> (head level, closure_ok)
-LEVEL_FUNCTIONS = {
-    **{(impl, V.FUZZY): _fuzzy_bound(f) for impl, f in _FUZZY_LEVELS.items()},
-    **{(impl, system): _pair_bound(_PAIR_LEVELS[impl], system)
-       for system, impls in ((V.IFS, IFS_IMPLICATIONS), (V.IVS, IVS_IMPLICATIONS))
-       for impl in impls},
-    **{((id1, id2), system): _bipolar_bound(_FUZZY_LEVELS[id1], _FUZZY_LEVELS[id2], system)
-       for system in (V.BIPOLAR_A, V.BIPOLAR_B)
-       for id1 in FUZZY_IMPLICATIONS for id2 in FUZZY_IMPLICATIONS},
-}
+LEVEL_FUNCTIONS = _operators(_fuzzy_bound, _pair_bound, _bipolar_bound)
+# (operator, system) -> I(alpha, gamma), bound and unchecked
+IMPLICATIONS = _operators(lambda impl: partial(_fuzzy_implication, impl),
+                          lambda impl, lattice: partial(_pair_implication, impl),
+                          _bipolar_implication)
 
 
 def bound_level(impl: ImplId, system: str):
@@ -227,11 +235,8 @@ def bound_level(impl: ImplId, system: str):
     but bound once: f(alpha, beta) -> (head level, closure_ok), with no
     check of its input.  Raises ValueError when impl is not valid for the
     system."""
-    try:
-        return LEVEL_FUNCTIONS[(impl, system)]
-    except (KeyError, TypeError):
-        _require_compatible(impl, system)
-        raise
+    _require_compatible(impl, system)
+    return LEVEL_FUNCTIONS[(impl, system)]
 
 
 def level_fn(impl: ImplId, system: str, alpha: V.Value, beta: V.Value) -> LevelResult:

@@ -444,18 +444,6 @@ class _Parser:
         return Atom(pred, tuple(args))
 
 
-def _default_impl(system: str):
-    """Facts carry no operator in the syntax; the choice is invisible because
-    every implemented level function maps (top, beta) to beta."""
-    if system == V.FUZZY:
-        return "godel"
-    if system == V.IFS:
-        return "fg2"
-    if system == V.IVS:
-        return "vg2"
-    return ("godel", "godel")
-
-
 def parse_program(text: str, safety: str = "strict") -> Program:
     """Parse a program file.
 
@@ -488,7 +476,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
     order = None
     warnings = []
     arities = {}
-    fact_impl = _default_impl(system)
+    fact_impl = V.LATTICES[system].fact_impl
     declared = p.declared
     constants = p.constants
 

@@ -1,4 +1,4 @@
-"""Truth values and their lattices.
+"""Truth values and their value systems.
 
 Five value systems are supported.  A value is a plain float for the fuzzy
 system and a pair (m1, m2) for the others:
@@ -11,10 +11,11 @@ system and a pair (m1, m2) for the others:
   bipolar_b  two fuzzy coordinates with the second one evaluated on
              complemented values; its lattice ops coincide with the ifs ones
 
-The systems differ only in the order of each coordinate and in the
-complement.  Each one's `Lattice` is declared by exactly those two things,
-its `meets` (per coordinate, whether the meet takes the min or the max) and
-its negate; top, bottom, leq, meet, join and equal are written from meets.
+Each system is one declaration, its entry in `LATTICES`: the order of each
+coordinate (its `meets`) and its negate, which define the lattice; the
+constraint on its levels; its implication operators and the one its facts
+carry; and, for bipolar_b, the complemented second coordinate.  Every
+other module reads the system from that entry.
 
 Bipolar *inputs* (fact levels, rule levels, proximity entries) must satisfy
 the ifs sum constraint, but derived bipolar values are only required to stay
@@ -24,6 +25,7 @@ EPS = 1e-9; values are immutable and safe to share.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Tuple, Union
 
 EPS = 1e-9
@@ -39,18 +41,24 @@ SYSTEMS = (FUZZY, IFS, IVS, BIPOLAR_A, BIPOLAR_B)
 Value = Union[float, Tuple[float, float]]
 
 
+def _shape(lattice: Lattice, v) -> Optional[str]:
+    """What a value of lattice must be when v is not: a scalar or a pair."""
+    if len(lattice.meets) == 1:
+        return "a scalar" if isinstance(v, tuple) else None
+    return None if isinstance(v, tuple) and len(v) == 2 else "a pair"
+
+
 def _checked(system: str, *values) -> Lattice:
     """The lattice of system, once system is known and each value has its
-    shape (a scalar for fuzzy, a pair for the others)."""
+    shape."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown value system {system!r}")
+    lattice = LATTICES[system]
     for v in values:
-        if system == FUZZY:
-            if isinstance(v, tuple):
-                raise ValueError(f"fuzzy system expects a scalar, got {v!r}")
-        elif not (isinstance(v, tuple) and len(v) == 2):
-            raise ValueError(f"{system} system expects a pair, got {v!r}")
-    return LATTICES[system]
+        shape = _shape(lattice, v)
+        if shape is not None:
+            raise ValueError(f"{system} system expects {shape}, got {v!r}")
+    return lattice
 
 
 def bottom(system: str) -> Value:
@@ -68,23 +76,11 @@ def validate(system: str, v: Value) -> Optional[str]:
     legitimately fall outside the ifs/ivs constraints and are reported as
     diagnostics by the evaluator.
     """
-    _checked(system)
-    if system == FUZZY:
-        if isinstance(v, tuple):
-            return f"fuzzy value must be a scalar, got {v!r}"
-        if not (-EPS <= v <= 1 + EPS):
-            return f"value {fmt(v)} outside [0, 1]"
-        return None
-    if not (isinstance(v, tuple) and len(v) == 2):
-        return f"{system} value must be a pair, got {v!r}"
-    m1, m2 = v
-    if not (-EPS <= m1 <= 1 + EPS) or not (-EPS <= m2 <= 1 + EPS):
-        return f"pair {fmt(v)} has a coordinate outside [0, 1]"
-    if system == IFS and m1 + m2 > 1 + EPS:
-        return f"ifs pair {fmt(v)} violates m1 + m2 <= 1 (sum {fmt_num(m1 + m2)})"
-    if system == IVS and m1 > m2 + EPS:
-        return f"ivs pair {fmt(v)} violates m1 <= m2"
-    return None
+    lattice = _checked(system)
+    shape = _shape(lattice, v)
+    if shape is not None:
+        return f"{system} value must be {shape}, got {v!r}"
+    return None if lattice.valid(v) else _violation(lattice, v)
 
 
 def validate_input(system: str, v: Value) -> Optional[str]:
@@ -94,13 +90,17 @@ def validate_input(system: str, v: Value) -> Optional[str]:
     the ifs sum constraint; derived bipolar values are exempt from it.
     """
     err = validate(system, v)
-    if err is not None:
-        return err
-    if system in (BIPOLAR_A, BIPOLAR_B):
-        m1, m2 = v
-        if m1 + m2 > 1 + EPS:
-            return f"bipolar input {fmt(v)} violates m1 + m2 <= 1 (sum {fmt_num(m1 + m2)})"
-    return None
+    lattice = LATTICES[system]
+    return err if err is not None or lattice.valid_input(v) else _violation(lattice, v)
+
+
+def _violation(lattice: Lattice, v: Value) -> str:
+    """Why v, a value of lattice's shape, is not valid_input in it."""
+    if not isinstance(v, tuple):
+        return f"value {fmt(v)} outside [0, 1]"
+    if not all(-EPS <= m <= 1 + EPS for m in v):
+        return f"pair {fmt(v)} has a coordinate outside [0, 1]"
+    return lattice.constraint[1].format(v=fmt(v), sum=fmt_num(v[0] + v[1]))
 
 
 def leq(system: str, a: Value, b: Value) -> bool:
@@ -193,9 +193,9 @@ def _bipolar_negate(a):
 
 
 class Lattice:
-    """One value system's lattice, declared by meets and negate(a), with
-    its operations bound; none of them checks its input.  top, bottom,
-    leq(a, b), meet(a, b), join(a, b), equal(a, b, tol=EPS), negate(a).
+    """One value system, declared once, with its operations bound; none of
+    them checks its input.  top, bottom, leq(a, b), meet(a, b), join(a, b),
+    equal(a, b, tol=EPS), negate(a), valid(a) and valid_input(a).
 
     meets declares, per coordinate of a value (a scalar has one), whether
     the meet takes the min or the max of that coordinate; the join takes
@@ -205,13 +205,34 @@ class Lattice:
     source over the names of the coordinates, and the bound leq, meet, join
     and equal are compiled from that source, as are the kernels that inline
     it (`kb._spread_kernel`).  min(a, b) is written `b if b < a else a` and
-    max(a, b) `b if b > a else a`, as the builtins decide ties."""
+    max(a, b) `b if b > a else a`, as the builtins decide ties.
 
-    __slots__ = ("meets", "negate", "top", "bottom", "leq", "meet", "join", "equal")
+    valid(a) holds when each coordinate is in [0, 1] and a meets the
+    constraint, up to EPS; valid_input(a), for input levels (facts, rule
+    levels, proximity entries), also when the constraint is inputs_only.
+    Both are compiled from source too.  constraint, when given, is the
+    condition as source over the coordinates a0 and a1 of a pair, and the
+    message of a pair that breaks it, with {v} the pair and {sum} m1 + m2.
 
-    def __init__(self, meets, negate):
+    operators are the implication operators of the system: fuzzy operator
+    names, or for the bipolar systems pairs of them, one per coordinate
+    (see `implications`).  fact_impl is the one every fact carries: facts
+    carry none in the syntax, and the choice is invisible because every
+    implemented level function maps (top, beta) to beta.  complemented
+    says that a bipolar operator evaluates its second coordinate on
+    complemented values (mu' = 1 - mu) and complements the result back."""
+
+    __slots__ = ("meets", "negate", "operators", "fact_impl", "constraint", "complemented",
+                 "top", "bottom", "leq", "meet", "join", "equal", "valid", "valid_input")
+
+    def __init__(self, meets, negate, operators, fact_impl, constraint=None,
+                 inputs_only=False, complemented=False):
         self.meets = meets
         self.negate = negate
+        self.operators = operators
+        self.fact_impl = fact_impl
+        self.constraint = constraint
+        self.complemented = complemented
         top = tuple(_TOP[op] for op in meets)
         bottom = tuple(_TOP[_DUAL[op]] for op in meets)
         self.top, self.bottom = (top, bottom) if len(meets) > 1 else (top[0], bottom[0])
@@ -224,10 +245,17 @@ class Lattice:
                 ("meet", "", self.value_source(self.meet_source(a, b))),
                 ("join", "", self.value_source(self.join_source(a, b))),
                 ("equal", f", tol={EPS!r}", self.equal_source(a, b, "tol"))))
-        namespace = {}
+        inside = [f"-EPS <= {x} <= 1 + EPS" for x in a]
+        held = [constraint[0]] if constraint else []
+        source += "".join(
+            f"def {name}(a):\n    {self.value_source(a)} = a\n    return {' and '.join(body)}\n"
+            for name, body in (("valid", inside + ([] if inputs_only else held)),
+                               ("valid_input", inside + held)))
+        namespace = {"EPS": EPS}
         exec(compile(source, "<lattice>", "exec"), namespace)
         self.leq, self.meet = namespace["leq"], namespace["meet"]
         self.join, self.equal = namespace["join"], namespace["equal"]
+        self.valid, self.valid_input = namespace["valid"], namespace["valid_input"]
 
     def is_bottom(self, a: Value) -> bool:
         return self.equal(a, self.bottom)
@@ -260,12 +288,21 @@ class Lattice:
         return " and ".join(f"abs({x} - {y}) <= {tol}" for x, y in zip(a, b))
 
 
+_FUZZY_OPERATORS = ("godel", "lukasiewicz", "kleene")
+_BIPOLAR_OPERATORS = tuple(itertools.product(_FUZZY_OPERATORS, repeat=2))
+_SUM = "a0 + a1 <= 1 + EPS"
+_BIPOLAR_INPUT = (_SUM, "bipolar input {v} violates m1 + m2 <= 1 (sum {sum})")
+
 LATTICES = {
-    FUZZY: Lattice(("min",), _fuzzy_negate),
-    IFS: Lattice(("min", "max"), _ifs_negate),
-    BIPOLAR_B: Lattice(("min", "max"), _bipolar_negate),
-    IVS: Lattice(("min", "min"), _ivs_negate),
-    BIPOLAR_A: Lattice(("min", "min"), _bipolar_negate),
+    FUZZY: Lattice(("min",), _fuzzy_negate, _FUZZY_OPERATORS, "godel"),
+    IFS: Lattice(("min", "max"), _ifs_negate, ("fk", "fl", "fg1", "fg2"), "fg2",
+                 (_SUM, "ifs pair {v} violates m1 + m2 <= 1 (sum {sum})")),
+    IVS: Lattice(("min", "min"), _ivs_negate, ("vk", "vl", "vg1", "vg2"), "vg2",
+                 ("a0 <= a1 + EPS", "ivs pair {v} violates m1 <= m2")),
+    BIPOLAR_A: Lattice(("min", "min"), _bipolar_negate, _BIPOLAR_OPERATORS, ("godel", "godel"),
+                       _BIPOLAR_INPUT, inputs_only=True),
+    BIPOLAR_B: Lattice(("min", "max"), _bipolar_negate, _BIPOLAR_OPERATORS, ("godel", "godel"),
+                       _BIPOLAR_INPUT, inputs_only=True, complemented=True),
 }
 
 

@@ -10,7 +10,7 @@ from mvdatalog import values as V
 from mvdatalog.engine import (FixpointReport, Interpretation, _raised, _stratum_rule_lists,
                               _unwidened, applicable, order_from_directive, stratify)
 from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
-                            _default_impl, ground, rename_apart, substitute, unify)
+                            ground, rename_apart, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, _Spread, modified_universe, proximity_set)
@@ -62,7 +62,7 @@ def random_program(rng: random.Random, system: str, allow_negation: bool = False
     for _ in range(rng.randint(2, 4)):
         pred, arity = rng.choice(preds)
         args = tuple(Constant(rng.choice(consts)) for _ in range(arity))
-        rules.append(Rule(Atom(pred, args), (), _default_impl(system),
+        rules.append(Rule(Atom(pred, args), (), V.LATTICES[system].fact_impl,
                           random_level(rng, system)))
     for _ in range(rng.randint(1, 4)):
         rules.append(_random_rule(rng, preds, system, allow_negation))

@@ -151,12 +151,13 @@ def _validity_grid(system):
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_validity_follows_the_declared_constraints(system):
-    pts = _validity_grid(system)
+    lattice = V.LATTICES[system]
     verdicts = set()
-    for v in pts:
+    for v in _validity_grid(system):
         expected = _declared_valid(system, v)
-        assert (V.validate(system, v) is None) == expected, v
-        assert (V.validate_input(system, v) is None) == _declared_valid_input(system, v), v
+        assert (V.validate(system, v) is None) == lattice.valid(v) == expected, v
+        assert ((V.validate_input(system, v) is None) == lattice.valid_input(v)
+                == _declared_valid_input(system, v)), v
         verdicts.add((expected, _declared_valid_input(system, v)))
     assert (True, True) in verdicts and (False, False) in verdicts
     if system.startswith("bipolar"):
