@@ -41,7 +41,7 @@ from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import Atom, AtomTable, GroundRule, Program, _key, decode_instance, ground
+from .lang import Atom, AtomTable, GroundRule, Program, decode_instance, ground
 
 
 def _item_key(item):
@@ -639,14 +639,10 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
             universe.add(t.name)
     table = AtomTable()
     grounded = ground(program, universe, table=table, present=interp.entries)
-    levels = [None] * len(table)
-    ids = table.ids
-    for atom, value in interp.entries.items():
-        aid = ids.get(atom.pred, {}).get(_key(atom)) if atom.is_ground() else None
-        if aid is not None:
-            levels[aid] = value
+    levels = list(map(interp.entries.get, table.atoms(range(len(table)))))
     violations = []
     for rule, instances in zip(program.rules, grounded):
+        implication = Imp.bound_implication(rule.impl, sys) if instances else None
         for instance in instances:
             head, body, _, level, _ = instance
             acc = _body_level(body, levels, lattice)
@@ -655,7 +651,7 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
             head_val = levels[head]
             if head_val is None:
                 head_val = lattice.bottom
-            lhs = Imp.apply_implication(rule.impl, sys, acc, head_val)
+            lhs = implication(acc, head_val)
             if not lattice.leq(level, lhs):
                 g = decode_instance(table, instance, rule.impl)
                 violations.append(
