@@ -629,7 +629,9 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     in interp are grounded (`lang.ground` with present), in rule and then
     substitution order.  They are interned, and the body and head levels
     read from a level list, as in the sweep; an instance is decoded to its
-    atoms only to report a violation.
+    atoms only to report a violation.  A rule's implication is bound once:
+    grounding has checked it against the system for any rule that has
+    instances.
     """
     sys = program.system
     lattice = V.lattice(sys)
@@ -642,7 +644,7 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     levels = list(map(interp.entries.get, table.atoms(range(len(table)))))
     violations = []
     for rule, instances in zip(program.rules, grounded):
-        implication = Imp.bound_implication(rule.impl, sys) if instances else None
+        implication = Imp.IMPLICATIONS[(rule.impl, sys)] if instances else None
         for instance in instances:
             head, body, _, level, _ = instance
             acc = _body_level(body, levels, lattice)

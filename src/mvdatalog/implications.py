@@ -30,7 +30,6 @@ second coordinate on complemented values (mu' = 1 - mu).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Tuple, Union
 
 from . import values as V
@@ -79,70 +78,29 @@ class LevelResult:
 # Implication tables
 # ----------------------------------------------------------------------
 
-def _fuzzy_implication(impl: str, a: float, g: float) -> float:
-    if impl == "godel":
-        return 1.0 if a <= g + EPS else g
-    if impl == "lukasiewicz":
-        return 1.0 if a <= g + EPS else 1.0 - a + g
-    if impl == "kleene":
-        return max(1.0 - a, g)
-    raise ValueError(f"unknown fuzzy implication {impl!r}")
-
-
-def _pair_implication(impl: str, a, g):
-    a1, a2 = a
-    g1, g2 = g
-    if impl == "fk":
-        return (max(a2, g1), min(a1, g2))
-    if impl == "fl":
-        return (min(1.0, a2 + g1), max(0.0, a1 + g2 - 1.0))
-    if impl == "fg1":
-        if a1 <= g1 + EPS:
-            return (1.0, 0.0)
-        if a2 >= g2 - EPS:
-            return (g1, 0.0)
-        return (g1, g2)
-    if impl == "fg2":
-        if a1 <= g1 + EPS and a2 >= g2 - EPS:
-            return (1.0, 0.0)
-        return (g1, g2)
-    if impl == "vk":
-        return (max(1.0 - a2, g1), max(1.0 - a1, g2))
-    if impl == "vl":
-        return (min(1.0, 1.0 - a2 + g1), min(1.0, 1.0 - a1 + g2))
-    if impl == "vg1":
-        # branch conditions re-derived through the ifs<->ivs conversion law:
-        # the middle branch fires when the consequent's upper bound already
-        # covers the antecedent's (g2 >= a2)
-        if a1 <= g1 + EPS:
-            return (1.0, 1.0)
-        if g2 >= a2 - EPS:
-            return (g1, 1.0)
-        return (g1, g2)
-    if impl == "vg2":
-        if a1 <= g1 + EPS and a2 <= g2 + EPS:
-            return (1.0, 1.0)
-        return (g1, g2)
-    raise ValueError(f"unknown pair implication {impl!r}")
-
-
-def _bipolar_implication(impl1: str, impl2: str, lattice: V.Lattice):
-    complemented = lattice.complemented
-
-    def implication(alpha, gamma):
-        c1 = _fuzzy_implication(impl1, alpha[0], gamma[0])
-        if complemented:
-            return (c1, 1.0 - _fuzzy_implication(impl2, 1.0 - alpha[1], 1.0 - gamma[1]))
-        return (c1, _fuzzy_implication(impl2, alpha[1], gamma[1]))
-    return implication
-
-
-def bound_implication(impl: ImplId, system: str):
-    """I(alpha, gamma) of one operator in one system, bound once, with no
-    check of its input.  Raises ValueError when impl is not valid for the
-    system."""
-    _require_compatible(impl, system)
-    return IMPLICATIONS[(impl, system)]
+# operator -> I(a, g), branch-exactly per the operator tables
+_FUZZY_TABLE = {
+    "godel": lambda a, g: 1.0 if a <= g + EPS else g,
+    "lukasiewicz": lambda a, g: 1.0 if a <= g + EPS else 1.0 - a + g,
+    "kleene": lambda a, g: max(1.0 - a, g),
+}
+_PAIR_TABLE = {
+    "fk": lambda a, g: (max(a[1], g[0]), min(a[0], g[1])),
+    "fl": lambda a, g: (min(1.0, a[1] + g[0]), max(0.0, a[0] + g[1] - 1.0)),
+    "fg1": lambda a, g: ((1.0, 0.0) if a[0] <= g[0] + EPS else
+                         (g[0], 0.0) if a[1] >= g[1] - EPS else (g[0], g[1])),
+    "fg2": lambda a, g: ((1.0, 0.0) if a[0] <= g[0] + EPS and a[1] >= g[1] - EPS else
+                         (g[0], g[1])),
+    "vk": lambda a, g: (max(1.0 - a[1], g[0]), max(1.0 - a[0], g[1])),
+    "vl": lambda a, g: (min(1.0, 1.0 - a[1] + g[0]), min(1.0, 1.0 - a[0] + g[1])),
+    # branch conditions re-derived through the ifs<->ivs conversion law: the
+    # middle branch fires when the consequent's upper bound already covers
+    # the antecedent's (g2 >= a2)
+    "vg1": lambda a, g: ((1.0, 1.0) if a[0] <= g[0] + EPS else
+                         (g[0], 1.0) if g[1] >= a[1] - EPS else (g[0], g[1])),
+    "vg2": lambda a, g: ((1.0, 1.0) if a[0] <= g[0] + EPS and a[1] <= g[1] + EPS else
+                         (g[0], g[1])),
+}
 
 
 def apply_implication(impl: ImplId, system: str, alpha: V.Value, gamma: V.Value) -> V.Value:
@@ -153,18 +111,20 @@ def apply_implication(impl: ImplId, system: str, alpha: V.Value, gamma: V.Value)
     complemented back, so the model condition reads uniformly as
     leq(system, beta, apply_implication(...)).
     """
-    return bound_implication(impl, system)(alpha, gamma)
+    _require_compatible(impl, system)
+    return IMPLICATIONS[(impl, system)](alpha, gamma)
 
 
 # ----------------------------------------------------------------------
 # Uncertainty-level functions (closed forms)
 # ----------------------------------------------------------------------
 
-# operator -> f(alpha, beta), the closed forms of the module docstring
+# operator -> f(alpha, beta), the closed forms of the module docstring; the
+# fuzzy ones with the max(0, .) clamp of the consequence transformations
 _FUZZY_LEVELS = {
-    "godel": lambda a, b: min(a, b),
+    "godel": lambda a, b: max(0.0, min(a, b)),
     "lukasiewicz": lambda a, b: max(0.0, a + b - 1.0),
-    "kleene": lambda a, b: 0.0 if a + b <= 1.0 + EPS else b,
+    "kleene": lambda a, b: 0.0 if a + b <= 1.0 + EPS else max(0.0, b),
 }
 _PAIR_LEVELS = {
     "fk": lambda a, b: (0.0 if a[1] >= b[0] - EPS else b[0],
@@ -180,54 +140,44 @@ _PAIR_LEVELS = {
 }
 
 
-def _fuzzy_bound(impl: str):
-    level = _FUZZY_LEVELS[impl]
-
-    def bound(alpha, beta):
-        return max(0.0, level(alpha, beta)), True
-    return bound
+def _fuzzy_bound(level):
+    return lambda alpha, beta: (level(alpha, beta), True)
 
 
-def _pair_bound(impl: str, lattice: V.Lattice):
-    level, valid = _PAIR_LEVELS[impl], lattice.valid
-
+def _pair_bound(level, valid):
     def bound(alpha, beta):
         value = level(alpha, beta)
         return value, valid(value)
     return bound
 
 
-def _bipolar_bound(impl1: str, impl2: str, lattice: V.Lattice):
-    level1, level2 = _FUZZY_LEVELS[impl1], _FUZZY_LEVELS[impl2]
-    complemented, valid = lattice.complemented, lattice.valid
-
-    def bound(alpha, beta):
-        c1 = max(0.0, level1(alpha[0], beta[0]))
-        if complemented:
-            c2 = 1.0 - max(0.0, level2(1.0 - alpha[1], 1.0 - beta[1]))
-        else:
-            c2 = max(0.0, level2(alpha[1], beta[1]))
-        value = (c1, c2)
-        return value, valid(value)
-    return bound
+def _bipolar(f1, f2, complemented: bool):
+    """f1 on the first coordinates of alpha and beta, f2 on the second ones;
+    when complemented, on complemented values (mu' = 1 - mu), with the
+    result complemented back."""
+    if complemented:
+        return lambda a, b: (f1(a[0], b[0]), 1.0 - f2(1.0 - a[1], 1.0 - b[1]))
+    return lambda a, b: (f1(a[0], b[0]), f2(a[1], b[1]))
 
 
-def _operators(fuzzy, pair, bipolar) -> dict:
-    """(operator, system) -> its function, for each operator each system
-    declares: fuzzy(impl), pair(impl, lattice) or bipolar(impl1, impl2,
-    lattice)."""
-    return {(impl, system): (bipolar(*impl, lattice) if isinstance(impl, tuple) else
-                             fuzzy(impl) if len(lattice.meets) == 1 else pair(impl, lattice))
-            for system, lattice in V.LATTICES.items() for impl in lattice.operators}
+def _bind(impl: ImplId, lattice: V.Lattice):
+    """(level function, implication) of an operator the lattice declares."""
+    if isinstance(impl, tuple):
+        level = _bipolar(*(_FUZZY_LEVELS[i] for i in impl), lattice.complemented)
+        return (_pair_bound(level, lattice.valid),
+                _bipolar(*(_FUZZY_TABLE[i] for i in impl), lattice.complemented))
+    if len(lattice.meets) == 1:
+        return _fuzzy_bound(_FUZZY_LEVELS[impl]), _FUZZY_TABLE[impl]
+    return _pair_bound(_PAIR_LEVELS[impl], lattice.valid), _PAIR_TABLE[impl]
 
 
+_BOUND = {(impl, system): _bind(impl, lattice)
+          for system, lattice in V.LATTICES.items() for impl in lattice.operators}
 # (operator, system) -> its level function, bound and unchecked:
 # f(alpha, beta) -> (head level, closure_ok)
-LEVEL_FUNCTIONS = _operators(_fuzzy_bound, _pair_bound, _bipolar_bound)
+LEVEL_FUNCTIONS = {key: level for key, (level, _) in _BOUND.items()}
 # (operator, system) -> I(alpha, gamma), bound and unchecked
-IMPLICATIONS = _operators(lambda impl: partial(_fuzzy_implication, impl),
-                          lambda impl, lattice: partial(_pair_implication, impl),
-                          _bipolar_implication)
+IMPLICATIONS = {key: implication for key, (_, implication) in _BOUND.items()}
 
 
 def bound_level(impl: ImplId, system: str):

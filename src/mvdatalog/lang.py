@@ -323,13 +323,8 @@ _FACT_RE = re.compile(
 
 _NEWLINE_RE = re.compile("\n")
 
-_SYSTEM_NAMES = {
-    "fuzzy": V.FUZZY,
-    "ifs": V.IFS,
-    "ivs": V.IVS,
-    "bipolar-a": V.BIPOLAR_A,
-    "bipolar-b": V.BIPOLAR_B,
-}
+# a system's name in a program file: bipolar_a is written bipolar-a
+_SYSTEM_NAMES = {system.replace("_", "-"): system for system in V.SYSTEMS}
 _SYSTEM_FILE_NAMES = {v: k for k, v in _SYSTEM_NAMES.items()}
 
 

@@ -25,7 +25,6 @@ EPS = 1e-9; values are immutable and safe to share.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple, Union
 
 EPS = 1e-9
@@ -195,7 +194,7 @@ def _bipolar_negate(a):
 class Lattice:
     """One value system, declared once, with its operations bound; none of
     them checks its input.  top, bottom, leq(a, b), meet(a, b), join(a, b),
-    equal(a, b, tol=EPS), negate(a), valid(a) and valid_input(a).
+    equal(a, b, tol=EPS), negate(a), valid(a), valid_input(a).
 
     meets declares, per coordinate of a value (a scalar has one), whether
     the meet takes the min or the max of that coordinate; the join takes
@@ -207,20 +206,13 @@ class Lattice:
     it (`kb._spread_kernel`).  min(a, b) is written `b if b < a else a` and
     max(a, b) `b if b > a else a`, as the builtins decide ties.
 
-    valid(a) holds when each coordinate is in [0, 1] and a meets the
-    constraint, up to EPS; valid_input(a), for input levels (facts, rule
-    levels, proximity entries), also when the constraint is inputs_only.
-    Both are compiled from source too.  constraint, when given, is the
-    condition as source over the coordinates a0 and a1 of a pair, and the
-    message of a pair that breaks it, with {v} the pair and {sum} m1 + m2.
-
-    operators are the implication operators of the system: fuzzy operator
-    names, or for the bipolar systems pairs of them, one per coordinate
-    (see `implications`).  fact_impl is the one every fact carries: facts
-    carry none in the syntax, and the choice is invisible because every
-    implemented level function maps (top, beta) to beta.  complemented
-    says that a bipolar operator evaluates its second coordinate on
-    complemented values (mu' = 1 - mu) and complements the result back."""
+    valid(a) holds when each coordinate is in [0, 1] and a meets
+    constraint, up to EPS; valid_input(a), for input levels, holds it even
+    when it is inputs_only.  constraint is a condition over the coordinates
+    a0, a1 of a pair, as source, and the message of a pair that breaks it
+    ({v} the pair, {sum} m1 + m2).  operators are the system's implication
+    operators, fact_impl the one facts carry, and complemented marks a
+    bipolar second coordinate read on complemented values (`implications`)."""
 
     __slots__ = ("meets", "negate", "operators", "fact_impl", "constraint", "complemented",
                  "top", "bottom", "leq", "meet", "join", "equal", "valid", "valid_input")
@@ -245,13 +237,13 @@ class Lattice:
                 ("meet", "", self.value_source(self.meet_source(a, b))),
                 ("join", "", self.value_source(self.join_source(a, b))),
                 ("equal", f", tol={EPS!r}", self.equal_source(a, b, "tol"))))
-        inside = [f"-EPS <= {x} <= 1 + EPS" for x in a]
+        inside = [f"{-EPS!r} <= {x} <= 1 + {EPS!r}" for x in a]
         held = [constraint[0]] if constraint else []
         source += "".join(
             f"def {name}(a):\n    {self.value_source(a)} = a\n    return {' and '.join(body)}\n"
             for name, body in (("valid", inside + ([] if inputs_only else held)),
                                ("valid_input", inside + held)))
-        namespace = {"EPS": EPS}
+        namespace = {}
         exec(compile(source, "<lattice>", "exec"), namespace)
         self.leq, self.meet = namespace["leq"], namespace["meet"]
         self.join, self.equal = namespace["join"], namespace["equal"]
@@ -289,8 +281,8 @@ class Lattice:
 
 
 _FUZZY_OPERATORS = ("godel", "lukasiewicz", "kleene")
-_BIPOLAR_OPERATORS = tuple(itertools.product(_FUZZY_OPERATORS, repeat=2))
-_SUM = "a0 + a1 <= 1 + EPS"
+_BIPOLAR_OPERATORS = tuple((a, b) for a in _FUZZY_OPERATORS for b in _FUZZY_OPERATORS)
+_SUM = f"a0 + a1 <= 1 + {EPS!r}"
 _BIPOLAR_INPUT = (_SUM, "bipolar input {v} violates m1 + m2 <= 1 (sum {sum})")
 
 LATTICES = {
@@ -298,7 +290,7 @@ LATTICES = {
     IFS: Lattice(("min", "max"), _ifs_negate, ("fk", "fl", "fg1", "fg2"), "fg2",
                  (_SUM, "ifs pair {v} violates m1 + m2 <= 1 (sum {sum})")),
     IVS: Lattice(("min", "min"), _ivs_negate, ("vk", "vl", "vg1", "vg2"), "vg2",
-                 ("a0 <= a1 + EPS", "ivs pair {v} violates m1 <= m2")),
+                 (f"a0 <= a1 + {EPS!r}", "ivs pair {v} violates m1 <= m2")),
     BIPOLAR_A: Lattice(("min", "min"), _bipolar_negate, _BIPOLAR_OPERATORS, ("godel", "godel"),
                        _BIPOLAR_INPUT, inputs_only=True),
     BIPOLAR_B: Lattice(("min", "max"), _bipolar_negate, _BIPOLAR_OPERATORS, ("godel", "godel"),
