@@ -1079,7 +1079,9 @@ def _derivable_substitutions(program: Program, names: list, widen):
     derivable (see `ground`), recorded as a semi-naive pass over crisp
     relations finds them; a ground fact has the one empty substitution.
     Each round joins the atoms first derived in the round before, as plain
-    row sets per predicate, against all atoms derived so far."""
+    row sets per predicate, against all atoms derived so far: it runs only
+    the plans that read a predicate of that delta, in rule and then atom
+    order, so a round costs its delta, not the program."""
     universe = set(names)
     derivable = _Relations()
     rows = derivable.rows
@@ -1109,15 +1111,17 @@ def _derivable_substitutions(program: Program, names: list, widen):
             joins.append(join)
         else:
             join.solve(0, None, derivable)
+    readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
+    for j, join in enumerate(joins):
+        for i, (pred, _) in enumerate(join.atoms):
+            readers[pred].append((j, i))
     while found:
         delta, found = found, defaultdict(set)
         for pred, new in delta.items():
             derivable.extend(pred, new)
-        for join in joins:
-            for i, (pred, _) in enumerate(join.atoms):
-                new = delta.get(pred)
-                if new:
-                    join.solve(i, new, derivable)
+        for j, i in sorted(pair for pred in delta for pair in readers.get(pred, ())):
+            join = joins[j]
+            join.solve(i, delta[join.atoms[i][0]], derivable)
     return [sorted(seen) for seen in substitutions]
 
 
