@@ -64,14 +64,25 @@ class SearchNode:
             yield node
             stack.extend(reversed(node.children))
 
+    def _rows(self) -> list:
+        """The tree flat, in walk order: per node its fields, with the
+        number of its children in place of the children."""
+        return [(n.kind, n.depth, n.atom, n.literals, n.connective, n.repeated, n.note,
+                 len(n.children)) for n in self.walk()]
+
+    def __eq__(self, other):
+        # over the rows: comparing does not recurse per level
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows() == other._rows()
+
     def __repr__(self):
         return (f"SearchNode(kind={self.kind!r}, depth={self.depth}, atom={self.atom!r}, "
                 f"children={len(self.children)})")
 
     def __reduce__(self):
         # flat, in walk order: pickling and copying do not recurse per level
-        return _unflatten, ([(n.kind, n.depth, n.atom, n.literals, n.connective,
-                              n.repeated, n.note, len(n.children)) for n in self.walk()],)
+        return _unflatten, (self._rows(),)
 
 
 def _unflatten(rows) -> SearchNode:

@@ -198,6 +198,12 @@ def test_deep_tree_prints_copies_and_pickles():
         assert rows(copied) == rows(tree)
         assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
         assert not {id(node) for node in copied.walk()} & {id(node) for node in tree.walk()}
+        assert copied == tree
+    # equality compares every node: one changed deep leaf tells the trees apart
+    copied = copy.deepcopy(tree)
+    leaf = list(copied.walk())[-1]
+    leaf.note += "x"
+    assert copied != tree and copied.root != tree.root
 
 
 @pytest.mark.parametrize("depth_limit", [64, 4, 3])
