@@ -5,6 +5,8 @@ import pytest
 
 from mvdatalog import values as V
 from mvdatalog import implications as I
+from mvdatalog.engine import fixpoint
+from mvdatalog.lang import parse_program
 
 from helpers import grid, valid_pairs
 import oracle as O
@@ -157,6 +159,20 @@ def test_always_closed_implications():
     for ids in itertools.product(I.FUZZY_IMPLICATIONS, repeat=2):
         assert I.always_closed(ids) == (ids in I.CLOSED_BIPOLAR_PAIRS) == \
             I.closure_check(ids, (0.5, 0.2), (0.5, 0.2))
+
+
+def test_always_closed_operators_flag_bodies_outside_the_lattice():
+    """G2 keeps a body inside its lattice, not one that has left it: fed
+    the level an fk rule derived outside the ifs lattice, an fg2 rule
+    reports its own closure violation too."""
+    assert not I.level_fn("fg2", V.IFS, (0.8, 0.5), (0.9, 0.05)).closure_ok
+    assert not I.level_fn("vg2", V.IVS, (0.6, 0.4), (0.7, 0.9)).closure_ok
+    prog = parse_program("%system ifs.\nfact p(a) = (0.1, 0.2).\n"
+                         "rule q(X) <- p(X) : fk, (0.5, 0.3).\n"
+                         "rule r(X) <- q(X) : fg2, (0.9, 0.05).\n")
+    assert fixpoint(prog, "det").diagnostics == [
+        "closure violation: derived level (0.5, 1) for q(a) is outside the ifs lattice",
+        "closure violation: derived level (0.5, 1) for r(a) is outside the ifs lattice"]
 
 
 def test_oracle_agreement_coarse():
