@@ -41,7 +41,8 @@ from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import Atom, AtomTable, GroundRule, Program, decode_instance, ground
+from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _key, decode_instance,
+                   ground)
 
 
 def _item_key(item):
@@ -636,12 +637,20 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     sys = program.system
     lattice = V.lattice(sys)
     universe = set(program.constants()) | set(extra_constants)
+    unground = set()    # the atoms of interp that are not ground
     for atom in interp.entries:
         for t in atom.args:
             universe.add(t.name)
+            if not isinstance(t, Constant):
+                unground.add(atom)
     table = AtomTable()
     grounded = ground(program, universe, table=table, present=interp.entries)
-    levels = list(map(interp.entries.get, table.atoms(range(len(table)))))
+    levels = [None] * len(table)
+    ids = table.ids
+    for atom, value in interp.entries.items():
+        aid = None if atom in unground else ids.get(atom.pred, {}).get(_key(atom))
+        if aid is not None:
+            levels[aid] = value
     violations = []
     for rule, instances in zip(program.rules, grounded):
         implication = Imp.IMPLICATIONS[(rule.impl, sys)] if instances else None
