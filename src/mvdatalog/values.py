@@ -14,8 +14,8 @@ system and a pair (m1, m2) for the others:
 Each system is one declaration, its entry in `LATTICES`: the order of each
 coordinate (its `meets`) and its negate, which define the lattice; the
 constraint on its levels; its implication operators and the one its facts
-carry; and, for bipolar_b, the complemented second coordinate.  Every
-other module reads the system from that entry.
+carry; and, for bipolar_b, the complemented second coordinate.
+Validation, operator compatibility and the operator tables read it there.
 
 Bipolar *inputs* (fact levels, rule levels, proximity entries) must satisfy
 the ifs sum constraint, but derived bipolar values are only required to stay
