@@ -49,7 +49,7 @@ def _shape(lattice: Lattice, v) -> Optional[str]:
 
 def _checked(system: str, *values) -> Lattice:
     """The lattice of system, once system is known and each value has its
-    shape."""
+    shape (see `_shape`)."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown value system {system!r}")
     lattice = LATTICES[system]
