@@ -7,8 +7,8 @@ from typing import Optional
 
 from mvdatalog import implications as Imp
 from mvdatalog import values as V
-from mvdatalog.engine import (FixpointReport, Interpretation, _raised, _stratum_rule_lists,
-                              _unwidened, applicable, order_from_directive, stratify)
+from mvdatalog.engine import (EvalOrder, FixpointReport, Interpretation, _raised,
+                              _stratum_rule_lists, _unwidened, applicable, order_from_directive)
 from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
                             ground, rename_apart, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
@@ -151,6 +151,123 @@ def reference_sweep(strata_steps, interp, max_iters, diagnostics):
             return interp, iterations, True
 
 
+def reference_stratify(program: Program) -> EvalOrder:
+    """The quadratic `engine.stratify` that the linear one replaced, kept
+    verbatim as the reference for differential tests.
+
+    Evaluation order for the proper rules.
+
+    Negation-free programs form a single stratum in textual order.  With
+    negation, rules are grouped by strongly connected components of the
+    produces/consumes graph and emitted in topological order (ties broken
+    textually); a self-negating rule is its own stratum, and a negative
+    cycle across distinct rules yields a warning with textual order inside
+    the component.
+    """
+    proper = program.proper_rules()
+    if not program.has_negation():
+        return EvalOrder([[n for n, _, _ in proper]] if proper else [])
+
+    heads = {n: r.head.pred for n, _, r in proper}
+    consumes = {}          # rule -> set of predicates in its body
+    neg_consumes = {}      # rule -> predicates under negation
+    for n, _, r in proper:
+        consumes[n] = {lit.atom.pred for lit in r.body}
+        neg_consumes[n] = {lit.atom.pred for lit in r.body if lit.negated}
+
+    nodes = [n for n, _, _ in proper]
+    succs = {n: set() for n in nodes}
+    for b in nodes:  # edge b -> a: a consumes what b produces
+        for a in nodes:
+            if a != b and heads[b] in consumes[a]:
+                succs[b].add(a)
+
+    # Tarjan SCC, iterative
+    index = {}
+    low = {}
+    onstack = {}
+    stack = []
+    sccs = []
+    counter = [0]
+
+    def strongconnect(v0):
+        work = [(v0, iter(sorted(succs[v0])))]
+        index[v0] = low[v0] = counter[0]
+        counter[0] += 1
+        stack.append(v0)
+        onstack[v0] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    work.append((w, iter(sorted(succs[w]))))
+                    advanced = True
+                    break
+                elif onstack.get(w):
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+
+    for n in nodes:
+        if n not in index:
+            strongconnect(n)
+
+    comp_of = {}
+    for ci, comp in enumerate(sccs):
+        for n in comp:
+            comp_of[n] = ci
+
+    warnings = []
+    for comp in sccs:
+        if len(comp) > 1:
+            cyclic_negative = any(
+                heads[b] in neg_consumes[a]
+                for a in comp for b in comp if a != b)
+            if cyclic_negative:
+                warnings.append(
+                    "stratification: negative dependencies are cyclic across rules "
+                    f"{comp}; using best-effort textual order")
+
+    # Kahn over the condensation, smallest first rule wins ties
+    comp_succs = {i: set() for i in range(len(sccs))}
+    indeg = {i: 0 for i in range(len(sccs))}
+    for b in nodes:
+        for a in succs[b]:
+            cb, ca = comp_of[b], comp_of[a]
+            if cb != ca and ca not in comp_succs[cb]:
+                comp_succs[cb].add(ca)
+                indeg[ca] += 1
+    ready = sorted((min(sccs[i]), i) for i in indeg if indeg[i] == 0)
+    order = []
+    while ready:
+        _, i = ready.pop(0)
+        order.append(sccs[i])
+        for j in sorted(comp_succs[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append((min(sccs[j]), j))
+        ready.sort()
+    return EvalOrder(order, warnings)
+
+
 def _note_closure_violation(rule: GroundRule, value, diagnostics: Optional[list],
                             system: str) -> None:
     if diagnostics is None:
@@ -230,14 +347,15 @@ def reference_nt_step(rules, interp: Interpretation,
 
 def reference_evaluate(program: Program, fact_step, step, max_iters: int = 10000,
                        universe=None, widen=None) -> FixpointReport:
-    """`engine._evaluate` on objects: the same order selection and stratum
-    lists, over the GroundRule lists `lang.ground` returns without a table,
-    swept by `reference_sweep` with the given reference steps.  widen=None
-    grounds every instance over the universe."""
+    """`engine._evaluate` on objects: the same order selection (by
+    `reference_stratify`) and stratum lists, over the GroundRule lists
+    `lang.ground` returns without a table, swept by `reference_sweep` with
+    the given reference steps.  widen=None grounds every instance over the
+    universe."""
     if program.order_directive:
         order = order_from_directive(program.order_directive)
     else:
-        order = stratify(program)
+        order = reference_stratify(program)
     diagnostics = list(order.warnings)
     lists = _stratum_rule_lists(program, ground(program, universe, widen=widen), order)
     strata_steps = [(lists[0], fact_step)] + [(rules, step) for rules in lists[1:]]

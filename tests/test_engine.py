@@ -8,13 +8,14 @@ import sys
 import pytest
 
 from mvdatalog import values as V
-from mvdatalog.lang import Atom, Constant, GroundRule, Literal, Variable, parse_program
+from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
+                            parse_program)
 from mvdatalog.engine import (Interpretation, applicable, dt_step, fixpoint,
                               is_model, nt_step, order_from_directive, stratify)
 from mvdatalog.kb import consequence
 
 from conftest import load_kb
-from helpers import random_level, random_program, reference_is_model
+from helpers import random_level, random_program, reference_is_model, reference_stratify
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -94,6 +95,31 @@ def test_stratify_cyclic_negation_warns():
     order = stratify(prog)
     assert order.warnings and "cyclic" in order.warnings[0]
     assert order.strata == [[1, 2]]
+
+
+def _random_dependency_program(rng):
+    """1-8 unary predicates, 1-14 rules of 1-3 body literals, about 35% of
+    the literals negated, and a few facts, all in shuffled order."""
+    preds = [f"p{i}" for i in range(rng.randint(1, 8))]
+    x = (Variable("X"),)
+    rules = [Rule(Atom(rng.choice(preds), x),
+                  tuple(Literal(Atom(rng.choice(preds), x), rng.random() < 0.35)
+                        for _ in range(rng.randint(1, 3))))
+             for _ in range(rng.randint(1, 14))]
+    rules += [Rule(Atom(rng.choice(preds), (Constant("a"),))) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rules)
+    return Program(V.FUZZY, rules)
+
+
+def test_stratify_matches_reference_stratify():
+    rng = random.Random(19)
+    warned = 0
+    for trial in range(2000):
+        program = _random_dependency_program(rng)
+        order, expected = stratify(program), reference_stratify(program)
+        assert (order.strata, order.warnings) == (expected.strata, expected.warnings), trial
+        warned += len(expected.warnings) >= 2
+    assert warned > 0
 
 
 def test_fixpoint_ex1(ex1):
