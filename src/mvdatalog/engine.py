@@ -13,8 +13,9 @@ fixed point of the complete program.  Strata order rules so that predicates
 consumed under negation are fully derived first; facts always form an
 implicit leading stratum.  The sweep is semi-naive over the lattice: after
 a stratum's first round, the step operators only see the ground instances
-whose body holds an atom whose level rose, which yields the same fixed
-point, step count and diagnostics as rescanning every instance.  Only the
+whose body holds an atom whose level rose, and a revisit in a later pass
+sees only the atoms that stratum reads, which yields the same fixed point,
+step count and diagnostics as rescanning every instance.  Only the
 instances whose body atoms are all derivable are grounded at all (see
 `lang.ground`, whose joins run as compiled kernels); no other instance can
 ever be applicable, and `is_model` likewise checks only the instances whose
@@ -36,6 +37,7 @@ and run the same kernels.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -347,102 +349,71 @@ def stratify(program: Program) -> EvalOrder:
         return EvalOrder([[n for n, _, _ in proper]] if proper else [])
 
     heads = {n: r.head.pred for n, _, r in proper}
-    consumes = {}          # rule -> set of predicates in its body
-    neg_consumes = {}      # rule -> predicates under negation
+    readers = {}           # predicate -> the rules whose body reads it
+    negated = set()        # (rule, predicate) read under negation
     for n, _, r in proper:
-        consumes[n] = {lit.atom.pred for lit in r.body}
-        neg_consumes[n] = {lit.atom.pred for lit in r.body if lit.negated}
+        for lit in r.body:
+            readers.setdefault(lit.atom.pred, set()).add(n)
+            if lit.negated:
+                negated.add((n, lit.atom.pred))
+    # edge b -> a: a consumes what b produces
+    succs = {b: sorted(readers.get(heads[b], set()) - {b}) for b in heads}
 
-    nodes = [n for n, _, _ in proper]
-    succs = {n: set() for n in nodes}
-    for b in nodes:  # edge b -> a: a consumes what b produces
-        for a in nodes:
-            if a != b and heads[b] in consumes[a]:
-                succs[b].add(a)
-
-    # Tarjan SCC, iterative
-    index = {}
-    low = {}
-    onstack = {}
-    stack = []
-    sccs = []
-    counter = [0]
-
-    def strongconnect(v0):
-        work = [(v0, iter(sorted(succs[v0])))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        onstack[v0] = True
+    # Tarjan SCC, iterative, rules in textual order and successors ascending;
+    # a visited rule is on the stack until it has a component
+    index, low, stack, sccs, comp_of = {}, {}, [], [], {}
+    for root in heads:
+        if root in index:
+            continue
+        work = [(root, iter(succs[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
+            if v not in index:
+                index[v] = low[v] = len(index)
+                stack.append(v)
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(sorted(succs[w]))))
-                    advanced = True
+                    work.append((w, iter(succs[w])))
                     break
-                elif onstack.get(w):
+                if w not in comp_of:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    comp_of.update(dict.fromkeys(comp, len(sccs)))
+                    sccs.append(sorted(comp))
 
-    for n in nodes:
-        if n not in index:
-            strongconnect(n)
-
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for n in comp:
-            comp_of[n] = ci
-
-    warnings = []
-    for comp in sccs:
-        if len(comp) > 1:
-            cyclic_negative = any(
-                heads[b] in neg_consumes[a]
-                for a in comp for b in comp if a != b)
-            if cyclic_negative:
-                warnings.append(
-                    "stratification: negative dependencies are cyclic across rules "
-                    f"{comp}; using best-effort textual order")
+    # the condensation, and the components with a negative edge inside
+    comp_succs = [set() for _ in sccs]
+    cyclic = set()
+    for b, out in succs.items():
+        cb = comp_of[b]
+        for a in out:
+            if comp_of[a] != cb:
+                comp_succs[cb].add(comp_of[a])
+            elif (a, heads[b]) in negated:
+                cyclic.add(cb)
+    warnings = ["stratification: negative dependencies are cyclic across rules "
+                f"{sccs[ci]}; using best-effort textual order" for ci in sorted(cyclic)]
 
     # Kahn over the condensation, smallest first rule wins ties
-    comp_succs = {i: set() for i in range(len(sccs))}
-    indeg = {i: 0 for i in range(len(sccs))}
-    for b in nodes:
-        for a in succs[b]:
-            cb, ca = comp_of[b], comp_of[a]
-            if cb != ca and ca not in comp_succs[cb]:
-                comp_succs[cb].add(ca)
-                indeg[ca] += 1
-    ready = sorted((min(sccs[i]), i) for i in indeg if indeg[i] == 0)
+    indeg = Counter(cj for out in comp_succs for cj in out)
+    ready = [(comp[0], ci) for ci, comp in enumerate(sccs) if not indeg[ci]]
+    heapq.heapify(ready)
     order = []
     while ready:
-        _, i = ready.pop(0)
-        order.append(sccs[i])
-        for j in sorted(comp_succs[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append((min(sccs[j]), j))
-        ready.sort()
+        _, ci = heapq.heappop(ready)
+        order.append(sccs[ci])
+        for cj in comp_succs[ci]:
+            indeg[cj] -= 1
+            if not indeg[cj]:
+                heapq.heappush(ready, (sccs[cj][0], cj))
     return EvalOrder(order, warnings)
 
 
@@ -530,31 +501,39 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
     working `_Levels` in place; its log records every atom whose value
     rose.  A rule's result depends only on its body atoms, and rising atoms
     never make a rule's contribution fall, so after a stratum's first visit
-    only the rules whose body holds an atom logged since need another look;
-    each stratum remembers the log length at which it last went quiet.  The
-    sequential step `nt_step` is applied one candidate at a time in rule
-    order, so it still applies the first rising instance of the full list;
-    every other step is applied to the candidate sub-list in rule order.
+    only the rules whose body holds an atom raised since need another look.
+    A revisit sees only the atoms it reads: each visit hands the atoms it
+    raised to the visited strata whose bodies read them.  The sequential
+    step `nt_step` is applied one candidate at a time in rule order, so it
+    still applies the first rising instance of the full list; every other
+    step is applied to the candidate sub-list in rule order.
     """
     log = interp.log
     indexes = [None] * len(strata_steps)
-    quiet_at = [0] * len(strata_steps)
+    read_by = {}                             # atom id -> visited strata that read it
+    missed = [[] for _ in strata_steps]      # atoms raised since a stratum's visit
     iterations = 0
     while True:
         pass_start = len(log)
         for k, (rules, step_fn) in enumerate(strata_steps):
             if indexes[k] is None:
                 indexes[k] = _body_index(rules)
+                for aid in indexes[k]:
+                    read_by.setdefault(aid, []).append(k)
                 todo = range(len(rules))
             else:
-                todo = _touching(indexes[k], log[quiet_at[k]:])
+                todo = _touching(indexes[k], missed[k])
+            start = len(log)
             saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
             iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,
                                              iterations, max_iters, diagnostics, log)
             if not converged:
                 diagnostics.append(f"iteration limit reached ({max_iters})")
                 return interp, iterations, False
-            quiet_at[k] = len(log)
+            for aid in log[start:]:
+                for j in read_by.get(aid, ()):
+                    missed[j].append(aid)
+            missed[k] = []                   # it has seen what it raised
         if len(log) == pass_start:
             return interp, iterations, True
 
