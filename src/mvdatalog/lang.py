@@ -203,6 +203,18 @@ class Rule:
     level: object = 1.0
     line: int = field(default=0, compare=False)
 
+    def __hash__(self):
+        # a program's rules key the consequences a query reuses: hash once
+        # per rule, on first use, and leave the hash out of the pickled state
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash((self.head, self.body, self.impl, self.level))
+            return value
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
     @property
     def is_fact(self) -> bool:
         return len(self.body) == 0

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import random
@@ -305,3 +306,41 @@ def test_result_atoms_keep_the_atom_contract():
                  "PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr.decode()
         assert int(done.stdout) == len(entries)
+
+
+_UNPICKLE_RULES = """
+import pickle, sys
+from mvdatalog.lang import Rule
+rules = pickle.loads(sys.stdin.buffer.read())
+assert not any("_hash" in vars(rule) for rule in rules)
+for rule in rules:
+    fresh = Rule(rule.head, rule.body, rule.impl, rule.level, rule.line)
+    assert fresh == rule and hash(fresh) == hash(rule)
+print(len(rules))
+"""
+
+
+def test_rules_hash_once_and_keep_the_dataclass_contract():
+    program = parse_program("%system ifs.\nfact p(a) = (0.8, 0.1).\n"
+                            "rule q(X, Y) <- p(X), p(Y), not r(Y) : fg2, (0.7, 0.2).\n"
+                            "rule r(b) <- p(a) : fk, (0.5, 0.3).\n")
+    for rule in program.rules:
+        fields = (rule.head, rule.body, rule.impl, rule.level)
+        assert hash(rule) == hash(fields) == hash(rule)
+        for other in (dataclasses.replace(rule), dataclasses.replace(rule, line=rule.line + 1),
+                      copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+            assert other == rule and hash(other) == hash(rule)
+        assert "_hash" in vars(rule) and "_hash" not in rule.__getstate__()
+        assert repr(rule).startswith("Rule(head=")
+        assert dataclasses.asdict(rule)["level"] == rule.level
+    # a level that cannot be hashed fails only when the rule is hashed
+    unhashable = Rule(Atom("p"), (), "godel", [0.5])
+    with pytest.raises(TypeError):
+        hash(unhashable)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_RULES], input=pickle.dumps(program.rules),
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr.decode()
+    assert int(done.stdout) == len(program.rules)
