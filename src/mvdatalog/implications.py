@@ -38,12 +38,13 @@ from .values import EPS
 FUZZY_IMPLICATIONS = V.LATTICES[V.FUZZY].operators
 IFS_IMPLICATIONS = V.LATTICES[V.IFS].operators
 IVS_IMPLICATIONS = V.LATTICES[V.IVS].operators
-# implications whose derived levels always stay inside their system
+# implications whose derived levels stay inside their system whenever the
+# body level does (a body already outside it can still derive a level outside)
 ALWAYS_CLOSED = FUZZY_IMPLICATIONS + ("fg2", "vg2")
 
 ImplId = Union[str, Tuple[str, str]]
 
-# bipolar pairs with guaranteed ifs closure of derived levels (both variants)
+# bipolar pairs whose derived levels stay inside ifs for bodies inside it, both variants
 CLOSED_BIPOLAR_PAIRS = (
     ("godel", "godel"),
     ("lukasiewicz", "lukasiewicz"),
@@ -216,15 +217,18 @@ def bipolar_level(variant: str, id1: str, id2: str, alpha, beta) -> LevelResult:
 
 
 def always_closed(impl: ImplId) -> bool:
-    """Whether the derived levels of impl stay inside its system whatever
-    the levels: the fuzzy implications, G2, and the closed bipolar pairs."""
+    """Whether the derived levels of impl stay inside its system for every
+    body level inside it: the fuzzy implications, G2, and the closed bipolar
+    pairs.  A body level already outside the lattice can still derive one
+    outside, so the level functions test the derived level all the same."""
     if isinstance(impl, tuple):
         return tuple(impl) in CLOSED_BIPOLAR_PAIRS
     return impl in ALWAYS_CLOSED
 
 
 def closure_check(impl: ImplId, alpha, beta) -> bool:
-    """Sufficient condition for the derived level to stay inside the system.
+    """Sufficient condition for the derived level of a body level inside the
+    lattice to stay inside the system.
 
     G2 needs no condition; the G1 gate is a1 > b1; the Kleene-Dienes and
     Lukasiewicz extensions need the body sum to dominate the rule sum (in the
