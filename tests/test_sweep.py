@@ -57,6 +57,16 @@ def _shuffled_order(rng, program):
     return order
 
 
+def _negated_chain_program(n):
+    """The negated rule chain p_i(X) <- p_{i-1}(X), not z(X) for i = 1..n:
+    one stratum per rule, each reading the one before it."""
+    lines = ["%system fuzzy.", "fact p0(a) = 0.9.", "fact p0(b) = 0.6.",
+             "fact z(a) = 0.2.", "fact z(b) = 0.35."]
+    lines += [f"rule p{i}(X) <- p{i - 1}(X), not z(X) : godel, 0.{99 - i}."
+              for i in range(1, n + 1)]
+    return parse_program("\n".join(lines) + "\n")
+
+
 def test_delta_sweep_matches_reference_sweep():
     rng = random.Random(7)
     compared = 0
@@ -68,7 +78,16 @@ def test_delta_sweep_matches_reference_sweep():
             for name, run, reference in _runs(rng, program):
                 assert _report(run()) == _report(reference()), (trial, directive, name)
                 compared += 1
-    assert compared == TRIALS * 2 * len(MAX_ITERS) * 3
+    # one stratum per rule; under the reversed %order each pass raises an atom
+    # that only the stratum before it reads, which its next visit must see
+    chain = _negated_chain_program(25)
+    assert engine.stratify(chain).strata == [[i] for i in range(1, 26)]
+    for directive in (None, list(range(25, 0, -1))):
+        chain.order_directive = directive
+        for name, run, reference in _runs(rng, chain):
+            assert _report(run()) == _report(reference()), ("chain", directive, name)
+            compared += 1
+    assert compared == (TRIALS + 1) * 2 * len(MAX_ITERS) * 3
 
 
 def test_pruned_grounding_matches_full_grounding(ex1):
@@ -145,37 +164,6 @@ def test_in_place_sweep_matches_reference_sweep_on_closures():
             assert expected[2] and len(expected[0]) == (
                 n + cyclic + ((n + 1) ** 2 if cyclic else n * (n + 1) // 2))
     assert compared == 4 * 2 * 2 * 3 and limited > 0
-
-
-def _negated_chain_program(n):
-    """The negated rule chain p_i(X) <- p_{i-1}(X), not z(X) for i = 1..n:
-    one stratum per rule, each reading the one before it."""
-    lines = ["%system fuzzy.", "fact p0(a) = 0.9.", "fact p0(b) = 0.6.",
-             "fact z(a) = 0.2.", "fact z(b) = 0.35."]
-    lines += [f"rule p{i}(X) <- p{i - 1}(X), not z(X) : godel, 0.{99 - i}."
-              for i in range(1, n + 1)]
-    return parse_program("\n".join(lines) + "\n")
-
-
-def test_sweep_matches_reference_sweep_on_a_negated_rule_chain():
-    """Under the reversed %order every pass raises an atom that only the
-    stratum before it reads, so each revisit must see exactly those."""
-    n = 25
-    program = _negated_chain_program(n)
-    assert engine.stratify(program).strata == [[i] for i in range(1, n + 1)]
-    compared = limited = 0
-    for directive in (None, list(range(n, 0, -1))):
-        program.order_directive = directive
-        for max_iters in MAX_ITERS:
-            for mode in ("det", "nondet"):
-                report = _report(fixpoint(program, mode=mode, max_iters=max_iters))
-                assert report == _report(reference_fixpoint(program, mode, max_iters)), (
-                    directive, mode, max_iters)
-                compared += 1
-                limited += not report[2]
-        # the last run converged to the facts and both chains
-        assert report[2] and len(report[0]) == 4 + 2 * n
-    assert compared == 2 * len(MAX_ITERS) * 2 and limited > 0
 
 
 def _fl_chain_program(n):
