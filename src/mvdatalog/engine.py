@@ -503,14 +503,15 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
     never make a rule's contribution fall, so after a stratum's first visit
     only the rules whose body holds an atom raised since need another look.
     A revisit sees only the atoms it reads: each visit hands the atoms it
-    raised to the visited strata whose bodies read them.  The sequential
-    step `nt_step` is applied one candidate at a time in rule order, so it
-    still applies the first rising instance of the full list; every other
-    step is applied to the candidate sub-list in rule order.
+    raised to the visited strata whose bodies read their predicates (a
+    reader list per predicate, not per body atom, saves allocations).  The
+    sequential step `nt_step` is applied one candidate at a time in rule
+    order, so it still applies the first rising instance of the full list;
+    every other step is applied to the candidate sub-list in rule order.
     """
-    log = interp.log
+    log, entries = interp.log, interp.table.entries
     indexes = [None] * len(strata_steps)
-    read_by = {}                             # atom id -> visited strata that read it
+    read_by = {}                             # predicate -> visited strata that read it
     missed = [[] for _ in strata_steps]      # atoms raised since a stratum's visit
     iterations = 0
     while True:
@@ -518,8 +519,8 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
         for k, (rules, step_fn) in enumerate(strata_steps):
             if indexes[k] is None:
                 indexes[k] = _body_index(rules)
-                for aid in indexes[k]:
-                    read_by.setdefault(aid, []).append(k)
+                for pred in {entries[aid][0] for aid in indexes[k]}:
+                    read_by.setdefault(pred, []).append(k)
                 todo = range(len(rules))
             else:
                 todo = _touching(indexes[k], missed[k])
@@ -531,7 +532,7 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
                 diagnostics.append(f"iteration limit reached ({max_iters})")
                 return interp, iterations, False
             for aid in log[start:]:
-                for j in read_by.get(aid, ()):
+                for j in read_by.get(entries[aid][0], ()):
                     missed[j].append(aid)
             missed[k] = []                   # it has seen what it raised
         if len(log) == pass_start:
