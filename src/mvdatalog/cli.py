@@ -23,9 +23,6 @@ from . import values as V
 from .lang import ParseError, SafetyError, parse_program
 from .engine import fixpoint, stratify
 from .implications import always_closed
-from .kb import (BackgroundKnowledge, PhiSpec, build_kb, consequence,
-                 parse_phi_file, parse_proximity_file)
-from .query import Goal, answer, parse_goal, parse_level
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,13 +90,21 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
-def _load_kb(args):
+def _load_program(args):
     program = parse_program(_read(args.program), safety=args.safety)
     if args.order:
         program.order_directive = args.order
         n = len(program.proper_rules())
         if sorted(program.order_directive) != list(range(1, n + 1)):
             raise ParseError(f"--order must be a permutation of 1..{n}")
+    return program
+
+
+def _load_kb(args, program):
+    """The knowledge base of the program and its --prox and --phi files,
+    which it validates; `check` and `fixpoint` build it for that alone."""
+    from .kb import (BackgroundKnowledge, PhiSpec, build_kb, parse_phi_file,
+                     parse_proximity_file)
     bk = BackgroundKnowledge.empty()
     if args.prox:
         term_prox, pred_prox, _ = parse_proximity_file(_read(args.prox))
@@ -140,9 +145,7 @@ def _finish(args, system, atoms, report) -> int:
     return EXIT_OK
 
 
-def _run_check(args) -> int:
-    kb = _load_kb(args)
-    program = kb.program
+def _run_check(args, program) -> int:
     diagnostics = list(program.warnings)
     order = stratify(program)
     diagnostics.extend(order.warnings)
@@ -169,24 +172,30 @@ def _run_check(args) -> int:
 def run(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
+        program = _load_program(args)
+        # without --prox and --phi a knowledge base only wraps the program
+        kb = (_load_kb(args, program)
+              if args.command in ("consequence", "query") or args.prox or args.phi
+              else None)
         if args.command == "check":
-            return _run_check(args)
-        kb = _load_kb(args)
-        order = stratify(kb.program)
-        if order.warnings and args.safety == "strict" and kb.program.order_directive is None:
+            return _run_check(args, program)
+        order = stratify(program)
+        if order.warnings and args.safety == "strict" and program.order_directive is None:
             for w in order.warnings:
                 print(f"error: {w}", file=sys.stderr)
             return EXIT_SAFETY
-        system = kb.program.system
+        system = program.system
         if args.command == "query":
-            goal_atom = parse_goal(args.goal, kb.program)
+            from .query import Goal, answer, parse_goal, parse_level
+            goal_atom = parse_goal(args.goal, program)
             level = parse_level(args.at_least, system) if args.at_least else None
             result = answer(kb, Goal(goal_atom, level),
                             depth_limit=args.depth_limit, max_iters=args.max_iters)
             return _finish(args, system, result.answers, result.report)
         if args.command == "fixpoint":
-            report = fixpoint(kb.program, mode=args.mode, max_iters=args.max_iters)
+            report = fixpoint(program, mode=args.mode, max_iters=args.max_iters)
         else:
+            from .kb import consequence
             report = consequence(kb, max_iters=args.max_iters)
         return _finish(args, system, report.interpretation.sorted_items(), report)
     except SafetyError as exc:

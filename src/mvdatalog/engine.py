@@ -504,7 +504,9 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
     only the rules whose body holds an atom raised since need another look.
     A revisit sees only the atoms it reads: each visit hands the atoms it
     raised to the visited strata whose bodies read their predicates (a
-    reader list per predicate, not per body atom, saves allocations).  The
+    reader list per predicate, not per body atom, saves allocations).  A
+    visited stratum handed no atoms is skipped; this loses no report of the
+    iteration limit, since the visit whose step reaches it reports it.  The
     sequential step `nt_step` is applied one candidate at a time in rule
     order, so it still applies the first rising instance of the full list;
     every other step is applied to the candidate sub-list in rule order.
@@ -522,8 +524,10 @@ def _sweep_to_fixpoint(strata_steps, interp: _Levels, max_iters, diagnostics):
                 for pred in {entries[aid][0] for aid in indexes[k]}:
                     read_by.setdefault(pred, []).append(k)
                 todo = range(len(rules))
-            else:
+            elif missed[k]:
                 todo = _touching(indexes[k], missed[k])
+            else:
+                continue                     # quiet: nothing it reads has risen
             start = len(log)
             saturate = _sequential_steps if step_fn is nt_step else _parallel_rounds
             iterations, converged = saturate(rules, step_fn, indexes[k], todo, interp,

@@ -247,3 +247,80 @@ def test_import_loads_no_numpy():
     origin, numpy_loaded = done.stdout.split()
     assert pathlib.Path(origin).is_relative_to(SRC)
     assert numpy_loaded == "False"
+
+
+# what `from mvdatalog import *` gives: the public names of the package
+PACKAGE_NAMES = [
+    "Atom", "BIPOLAR_A", "BIPOLAR_B", "BackgroundKnowledge", "Constant", "EvalOrder",
+    "FUZZY", "FixpointReport", "Goal", "IFS", "IVS", "Interpretation", "KnowledgeBase",
+    "LevelResult", "Literal", "ParseError", "PhiSpec", "Program", "ProximityRef",
+    "ProximityRelation", "Rule", "SYSTEMS", "SafetyError", "SearchNode", "SearchTree",
+    "Variable", "answer", "applicable", "apply_implication", "bipolar_level", "bottom",
+    "build_kb", "build_tree", "check_safety", "closure_check", "consequence", "dt_step",
+    "engine", "fixpoint", "fmt", "ground", "herbrand", "ifs_to_ivs", "implications",
+    "is_model", "is_similarity", "ivs_to_ifs", "join", "kb", "lang", "leq", "level_fn",
+    "meet", "mod_nt_step", "negate", "nt_step", "parse_goal", "parse_level",
+    "parse_phi_file", "parse_program", "parse_proximity_file", "phi_apply",
+    "print_program", "proximity_set", "query", "starting_facts", "stratify", "top",
+    "unify", "validate", "validate_proximity", "values",
+]
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'mvdatalog')"
+
+
+def _fresh_interpreter(code: str) -> list:
+    """Run code in a new interpreter on the sources; the JSON of its last line."""
+    done = subprocess.run([sys.executable, "-c",
+                           f"import json, sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_kb_and_query_on_first_use():
+    loaded, star, names, same_consequence, same_answer, missing = _fresh_interpreter(
+        "import mvdatalog\n"
+        f"loaded = {LOADED}\n"
+        "star = {}\n"
+        "exec('from mvdatalog import *', star)\n"
+        "del star['__builtins__']\n"
+        "try:\n"
+        "    mvdatalog.no_such_name\n"
+        "    missing = False\n"
+        "except AttributeError:\n"
+        "    missing = True\n"
+        "print(json.dumps([loaded, sorted(star), dir(mvdatalog),\n"
+        "                  mvdatalog.consequence is mvdatalog.kb.consequence,\n"
+        "                  mvdatalog.answer is mvdatalog.query.answer, missing]))\n")
+    assert loaded == ["mvdatalog", "mvdatalog.engine", "mvdatalog.implications",
+                      "mvdatalog.lang", "mvdatalog.values"]
+    assert len(PACKAGE_NAMES) == 72
+    assert star == names == PACKAGE_NAMES
+    assert same_consequence and same_answer and missing
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    files = ("--prox", DATA / "ex23.prox", "--phi", DATA / "ex23.phi")
+    bad = tmp_path / "bad.prox"
+    bad.write_text("garbage here\n")
+    cases = [
+        (("fixpoint", DATA / "ex23.mvd"), 0, set()),
+        (("check", DATA / "ex23.mvd"), 0, set()),
+        (("consequence", DATA / "ex23.mvd", *files), 0, {"mvdatalog.kb"}),
+        (("query", DATA / "ex23.mvd", *files, "--goal", "li(M, X)"), 0,
+         {"mvdatalog.kb", "mvdatalog.query"}),
+        (("fixpoint", DATA / "ex23.mvd", "--prox", bad), 2, {"mvdatalog.kb"}),
+        (("check", DATA / "ex23.mvd", "--prox", bad), 2, {"mvdatalog.kb"}),
+    ]
+    for argv, expected_code, layers in cases:
+        code, loaded, err = _fresh_interpreter(
+            "import contextlib, io\n"
+            "from mvdatalog.cli import run\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = run({[str(a) for a in argv]!r})\n"
+            f"print(json.dumps([code, {LOADED}, err.getvalue()]))\n")
+        assert code == expected_code, (argv, err)
+        assert set(loaded) & {"mvdatalog.kb", "mvdatalog.query"} == layers, argv
+        if code == 2:
+            assert err == ("error: line 1, col 1: proximity entries must follow "
+                           "a %domain directive\n")

@@ -39,16 +39,14 @@ def _report(rep):
 
 def _runs(rng, program, pruned=True):
     """(name, run, reference) triples of every evaluation to compare on one
-    program: the reference grounds by pruning or fully."""
+    program, run and reference taking max_iters: the reference grounds by
+    pruning or fully."""
     knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
-    for max_iters in MAX_ITERS:
-        for mode in ("det", "nondet"):
-            yield (f"{mode}/{max_iters}",
-                   lambda m=mode, n=max_iters: fixpoint(program, mode=m, max_iters=n),
-                   lambda m=mode, n=max_iters: reference_fixpoint(program, m, n, pruned))
-        yield (f"consequence/{max_iters}",
-               lambda n=max_iters: consequence(knowledge, max_iters=n),
-               lambda n=max_iters: reference_consequence(knowledge, n, pruned))
+    for mode in ("det", "nondet"):
+        yield (mode, lambda n, m=mode: fixpoint(program, mode=m, max_iters=n),
+               lambda n, m=mode: reference_fixpoint(program, m, n, pruned))
+    yield ("consequence", lambda n: consequence(knowledge, max_iters=n),
+           lambda n: reference_consequence(knowledge, n, pruned))
 
 
 def _shuffled_order(rng, program):
@@ -76,18 +74,26 @@ def test_delta_sweep_matches_reference_sweep():
         for directive in (None, _shuffled_order(rng, program)):
             program.order_directive = directive
             for name, run, reference in _runs(rng, program):
-                assert _report(run()) == _report(reference()), (trial, directive, name)
-                compared += 1
+                for max_iters in MAX_ITERS:
+                    assert _report(run(max_iters)) == _report(reference(max_iters)), \
+                        (trial, directive, name, max_iters)
+                    compared += 1
     # one stratum per rule; under the reversed %order each pass raises an atom
-    # that only the stratum before it reads, which its next visit must see
+    # that only the stratum before it reads, which its next visit must see.
+    # At a limit equal to its own step count an evaluation stops unconverged
+    # right after its last rising step; one more lets it converge.
     chain = _negated_chain_program(25)
     assert engine.stratify(chain).strata == [[i] for i in range(1, 26)]
     for directive in (None, list(range(25, 0, -1))):
         chain.order_directive = directive
         for name, run, reference in _runs(rng, chain):
-            assert _report(run()) == _report(reference()), ("chain", directive, name)
-            compared += 1
-    assert compared == (TRIALS + 1) * 2 * len(MAX_ITERS) * 3
+            steps = run(10000).iterations
+            assert not run(steps).converged and run(steps + 1).converged
+            for max_iters in MAX_ITERS + (steps, steps + 1):
+                assert _report(run(max_iters)) == _report(reference(max_iters)), \
+                    ("chain", directive, name, max_iters)
+                compared += 1
+    assert compared == (TRIALS * len(MAX_ITERS) + len(MAX_ITERS) + 2) * 2 * 3
 
 
 def test_pruned_grounding_matches_full_grounding(ex1):
@@ -100,8 +106,10 @@ def test_pruned_grounding_matches_full_grounding(ex1):
         for directive in (None, _shuffled_order(rng, program)):
             program.order_directive = directive
             for name, run, reference in _runs(rng, program, pruned=False):
-                assert _report(run()) == _report(reference()), (index, directive, name)
-                compared += 1
+                for max_iters in MAX_ITERS:
+                    assert _report(run(max_iters)) == _report(reference(max_iters)), \
+                        (index, directive, name, max_iters)
+                    compared += 1
     assert compared == len(programs) * 2 * len(MAX_ITERS) * 3
 
 
