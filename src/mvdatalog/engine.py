@@ -233,13 +233,13 @@ def _body_level(body, levels, lattice):
 
 def _fired(instances, interp: _Levels, diagnostics: Optional[list]):
     """(head id, level) of every applicable interned instance, in order."""
-    levels, lattice = interp.levels, interp.lattice
+    levels, lattice, valid = interp.levels, interp.lattice, interp.lattice.valid
     fired = []
     for head, body, level_fn, level, _ in instances:
         acc = _body_level(body, levels, lattice)
         if acc is not None:
-            value, closed = level_fn(acc, level)
-            if not closed:
+            value = level_fn(acc, level)
+            if not valid(value):
                 _note_closure_violation(interp, head, value, diagnostics)
             fired.append((head, value))
     return fired
@@ -248,12 +248,12 @@ def _fired(instances, interp: _Levels, diagnostics: Optional[list]):
 def _on_objects(kernel, rules, interp: Interpretation, diagnostics: Optional[list],
                 copy_unchanged: bool = True) -> Interpretation:
     """Apply an interned step kernel, kernel(instances, levels, diagnostics),
-    to GroundRules and an Interpretation: intern the atoms of interp and of
-    the rules, step, and return a copy of interp with every rise carried
-    into it; without copy_unchanged, interp itself comes back when nothing
-    rose."""
+    to GroundRules and an Interpretation: intern the ground atoms of interp
+    (a non-ground atom may share their names) and the atoms of the rules,
+    step, and return a copy of interp with every rise carried into it;
+    without copy_unchanged, interp itself comes back when nothing rose."""
     table = AtomTable()
-    seeds = [(table.intern_atom(atom), value) for atom, value in interp.entries.items()]
+    seeds = [(table.intern_atom(a), v) for a, v in interp.entries.items() if a.is_ground()]
     bound = {}
     instances = []
     for rule in rules:
@@ -292,12 +292,12 @@ def _nt(instances, interp: _Levels, diagnostics: Optional[list]) -> _Levels:
         acc = _body_level(body, levels, lattice)
         if acc is None:
             continue
-        value, closed = level_fn(acc, level)
+        value = level_fn(acc, level)
         raised = _raised(lattice, levels[head], value)
         if raised is None:
             continue
         # diagnostics come from the productive application only
-        if not closed:
+        if not lattice.valid(value):
             _note_closure_violation(interp, head, value, diagnostics)
         interp.store(head, raised)
         return interp

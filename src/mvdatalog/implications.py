@@ -4,7 +4,8 @@ Three fuzzy implications (godel, lukasiewicz, kleene) and their pair-valued
 extensions are implemented.  For a rule with body level ``alpha`` and rule
 level ``beta``, the level function returns the least head level ``gamma``
 with I(alpha, gamma) >= beta, evaluated in the lattice order of the value
-system.  The closed forms are:
+system; callers test with the lattice's `valid` whether it stays inside.
+The closed forms are:
 
   godel        f = min(a, b)
   lukasiewicz  f = max(0, a + b - 1)
@@ -141,17 +142,6 @@ _PAIR_LEVELS = {
 }
 
 
-def _fuzzy_bound(level):
-    return lambda alpha, beta: (level(alpha, beta), True)
-
-
-def _pair_bound(level, valid):
-    def bound(alpha, beta):
-        value = level(alpha, beta)
-        return value, valid(value)
-    return bound
-
-
 def _bipolar(f1, f2, complemented: bool):
     """f1 on the first coordinates of alpha and beta, f2 on the second ones;
     when complemented, on complemented values (mu' = 1 - mu), with the
@@ -164,18 +154,17 @@ def _bipolar(f1, f2, complemented: bool):
 def _bind(impl: ImplId, lattice: V.Lattice):
     """(level function, implication) of an operator the lattice declares."""
     if isinstance(impl, tuple):
-        level = _bipolar(*(_FUZZY_LEVELS[i] for i in impl), lattice.complemented)
-        return (_pair_bound(level, lattice.valid),
-                _bipolar(*(_FUZZY_TABLE[i] for i in impl), lattice.complemented))
+        return tuple(_bipolar(*(table[i] for i in impl), lattice.complemented)
+                     for table in (_FUZZY_LEVELS, _FUZZY_TABLE))
     if len(lattice.meets) == 1:
-        return _fuzzy_bound(_FUZZY_LEVELS[impl]), _FUZZY_TABLE[impl]
-    return _pair_bound(_PAIR_LEVELS[impl], lattice.valid), _PAIR_TABLE[impl]
+        return _FUZZY_LEVELS[impl], _FUZZY_TABLE[impl]
+    return _PAIR_LEVELS[impl], _PAIR_TABLE[impl]
 
 
 _BOUND = {(impl, system): _bind(impl, lattice)
           for system, lattice in V.LATTICES.items() for impl in lattice.operators}
 # (operator, system) -> its level function, bound and unchecked:
-# f(alpha, beta) -> (head level, closure_ok)
+# f(alpha, beta) -> head level, tested by the caller with the lattice's valid
 LEVEL_FUNCTIONS = {key: level for key, (level, _) in _BOUND.items()}
 # (operator, system) -> I(alpha, gamma), bound and unchecked
 IMPLICATIONS = {key: implication for key, (_, implication) in _BOUND.items()}
@@ -183,9 +172,9 @@ IMPLICATIONS = {key: implication for key, (_, implication) in _BOUND.items()}
 
 def bound_level(impl: ImplId, system: str):
     """The level function of one operator in one system, as in `level_fn`
-    but bound once: f(alpha, beta) -> (head level, closure_ok), with no
-    check of its input.  Raises ValueError when impl is not valid for the
-    system."""
+    but bound once: f(alpha, beta) -> head level, with no check of its
+    input or of the level; `V.Lattice.valid` tests the level.  Raises
+    ValueError when impl is not valid for the system."""
     _require_compatible(impl, system)
     return LEVEL_FUNCTIONS[(impl, system)]
 
@@ -194,11 +183,11 @@ def level_fn(impl: ImplId, system: str, alpha: V.Value, beta: V.Value) -> LevelR
     """Head level for body level ``alpha`` under rule level ``beta``.
 
     Fuzzy results carry the max(0, .) clamp of the consequence
-    transformations; pair results may violate the ifs/ivs constraint for
-    non-G2 operators, which is reported through closure_ok rather than
-    clamped.
+    transformations; a level outside the system's lattice is reported
+    through closure_ok, the lattice's valid, rather than clamped.
     """
-    return LevelResult(*bound_level(impl, system)(alpha, beta))
+    value = bound_level(impl, system)(alpha, beta)
+    return LevelResult(value, V.LATTICES[system].valid(value))
 
 
 def bipolar_level(variant: str, id1: str, id2: str, alpha, beta) -> LevelResult:
@@ -220,7 +209,7 @@ def always_closed(impl: ImplId) -> bool:
     """Whether the derived levels of impl stay inside its system for every
     body level inside it: the fuzzy implications, G2, and the closed bipolar
     pairs.  A body level already outside the lattice can still derive one
-    outside, so the level functions test the derived level all the same."""
+    outside, so the evaluator tests every derived level all the same."""
     if isinstance(impl, tuple):
         return tuple(impl) in CLOSED_BIPOLAR_PAIRS
     return impl in ALWAYS_CLOSED

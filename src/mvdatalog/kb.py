@@ -168,6 +168,7 @@ def parse_proximity_file(text: str):
             p.fail(f"unknown value system {name[1]!r}", name)
         system = _SYSTEM_NAMES[name[1]]
         p.expect("punct", ".")
+    top = V.top(system) if system else None
     term_prox = ProximityRelation("terms", system)
     pred_prox = ProximityRelation("predicates", system)
     current = None
@@ -191,13 +192,13 @@ def parse_proximity_file(text: str):
         eq = p.expect("punct", "=")
         lvl = p.level()
         p.expect("punct", ".")
-        if a == b and system is not None and not V.values_equal(system, lvl, V.top(system)):
+        # the shape first: values_equal raises on a level of another shape
+        if a == b and system is not None and (isinstance(lvl, tuple) != isinstance(top, tuple)
+                                              or not V.values_equal(system, lvl, top)):
             p.fail(f"reflexive entry {a} ~ {a} must be the top element", eq)
-        key = ProximityRelation._key(a, b)
-        if key in current.pairs:
-            old = current.pairs[key]
-            if not (system is None or V.values_equal(system, old, lvl)) or old != lvl:
-                p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
+        # parsed levels are exact, so a repeated pair contradicts when it differs
+        if current.pairs.get(ProximityRelation._key(a, b), lvl) != lvl:
+            p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
         current.set_pair(a, b, lvl)
     return term_prox, pred_prox, system
 

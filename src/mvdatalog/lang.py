@@ -780,9 +780,9 @@ class _Grounder:
     per rule variable) and constants are the rule's own constant names.  An
     instance is the tuple (head id, body, level function, rule level, rule
     position): body holds the id of each positive body atom and the
-    complement ~id of each negated one, and the level function is the
-    rule's `implications.bound_level` in the grounder's system (without a
-    system, the rule's implication itself).
+    complement ~id of each negated one, and the level function, which
+    returns the head level alone, is the rule's `implications.bound_level`
+    in the grounder's system (without a system, the rule's implication itself).
     """
 
     def __init__(self, universe, system, table):

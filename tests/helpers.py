@@ -279,8 +279,8 @@ def _note_closure_violation(rule: GroundRule, value, diagnostics: Optional[list]
 
 
 def _head_level(rule: GroundRule, body_value, diagnostics: Optional[list], system: str):
-    value, closed = Imp.bound_level(rule.impl, system)(body_value, rule.level)
-    if not closed:
+    value = Imp.bound_level(rule.impl, system)(body_value, rule.level)
+    if not V.lattice(system).valid(value):
         _note_closure_violation(rule, value, diagnostics, system)
     return value
 
@@ -332,12 +332,12 @@ def reference_nt_step(rules, interp: Interpretation,
         body = applicable(rule, interp)
         if body is None:
             continue
-        value, closed = Imp.bound_level(rule.impl, system)(body, rule.level)
+        value = Imp.bound_level(rule.impl, system)(body, rule.level)
         raised = _raised(interp.lattice, interp.entries.get(rule.head), value)
         if raised is None:
             continue
         # diagnostics come from the productive application only
-        if not closed:
+        if not V.lattice(system).valid(value):
             _note_closure_violation(rule, value, diagnostics, system)
         out = interp.copy()
         out.entries[rule.head] = raised

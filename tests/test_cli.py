@@ -237,6 +237,28 @@ def test_fractional_phi_arity_is_parse_error(tmp_path, capsys):
     assert err == "error: line 1, col 7: expected an integer, found '1.5'\n"
 
 
+def test_proximity_level_of_the_wrong_shape_is_an_error(tmp_path, capsys):
+    """A proximity file whose levels have the wrong shape for its declared
+    system fails with an error line, not a traceback."""
+    reflexive = "line 3, col 7: reflexive entry a ~ a must be the top element"
+    cases = [
+        ("ifs", "a ~ a = 0.5.\n", reflexive),
+        ("ifs", "a ~ b = 0.5.\na ~ b = (0.5, 0.1).\n",
+         "line 4, col 7: contradictory proximity entries for a ~ b"),
+        ("ifs", "a ~ b = 0.5.\na ~ b = 0.5.\n",
+         "proximity a ~ b: ifs value must be a pair, got 0.5"),
+        ("fuzzy", "a ~ a = (1, 0).\n", reflexive),
+    ]
+    for system, entries, message in cases:
+        prog = tmp_path / f"{system}.mvd"
+        prog.write_text(f"%system {system}.\nfact p(a) = "
+                        f"{'0.5' if system == 'fuzzy' else '(0.5, 0.1)'}.\n")
+        prox = tmp_path / "bad.prox"
+        prox.write_text(f"%system {system}.\n%domain terms.\n{entries}")
+        code, out, err = invoke(capsys, "consequence", prog, "--prox", prox)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), entries
+
+
 def test_import_loads_no_numpy():
     """Importing the package and its CLI loads no numpy: it is a test dependency."""
     probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import mvdatalog, mvdatalog.cli; "

@@ -13,7 +13,7 @@ from mvdatalog.engine import applicable, fixpoint
 from mvdatalog.kb import build_kb, consequence
 from mvdatalog.lang import Atom, Constant, GroundRule, Literal, Program, Rule, Variable
 
-from helpers import random_bk, random_phi, random_program
+from helpers import random_bk, random_phi, random_program, reference_fixpoint
 
 SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
 TRIALS = 200
@@ -227,6 +227,18 @@ def test_facts_only_and_rules_only_programs():
     table = lang.AtomTable()
     assert lang.ground(rules_only, widen=engine._unwidened, table=table) == [[], [], []]
     assert len(table) == 0
+    # a bodiless rule with a non-ground head, u(X), holds at every constant
+    x = Variable("X")
+    bodiless = Program(V.FUZZY, [Rule(Atom("p", (Constant("a"),)), (), "godel", 0.7),
+                                 Rule(Atom("u", (x,)), (), "godel", 0.4),
+                                 Rule(Atom("q", (x,)), (Literal(Atom("u", (x,))),), "godel", 1.0)])
+    assert [len(rules) for rules in _check_against_definition(bodiless)] == [1, 1, 1]
+    for mode in ("det", "nondet"):
+        run, reference = fixpoint(bodiless, mode=mode), reference_fixpoint(bodiless, mode)
+        assert (list(run.interpretation.entries.items()), run.iterations, run.converged,
+                run.diagnostics) == (list(reference.interpretation.entries.items()),
+                                     reference.iterations, reference.converged,
+                                     reference.diagnostics), mode
 
 
 def test_rules_with_constants_of_their_own(ex23_kb):

@@ -6,7 +6,7 @@ import pytest
 from mvdatalog import values as V
 from mvdatalog import implications as I
 from mvdatalog.engine import fixpoint
-from mvdatalog.lang import parse_program
+from mvdatalog.lang import Atom, Constant, Literal, Program, Rule, Variable, parse_program
 
 from helpers import grid, valid_pairs
 import oracle as O
@@ -86,9 +86,9 @@ def test_closure_check_cases():
 
 
 def test_closure_flag_matches_validation():
-    for system, impls in ((V.IFS, I.IFS_IMPLICATIONS), (V.IVS, I.IVS_IMPLICATIONS)):
-        pts = valid_pairs(system, 0.25)
-        for impl in impls:
+    for system in V.SYSTEMS:
+        pts = grid(0.25) if system == V.FUZZY else valid_pairs(system, 0.25)
+        for impl in V.LATTICES[system].operators:
             for a, b in itertools.product(pts, pts):
                 r = I.level_fn(impl, system, a, b)
                 assert r.closure_ok == (V.validate(system, r.value) is None)
@@ -164,9 +164,17 @@ def test_always_closed_implications():
 def test_always_closed_operators_flag_bodies_outside_the_lattice():
     """G2 keeps a body inside its lattice, not one that has left it: fed
     the level an fk rule derived outside the ifs lattice, an fg2 rule
-    reports its own closure violation too."""
+    reports its own closure violation too.  So does a fuzzy operator fed
+    a level above top, which only a program built through the API holds."""
     assert not I.level_fn("fg2", V.IFS, (0.8, 0.5), (0.9, 0.05)).closure_ok
     assert not I.level_fn("vg2", V.IVS, (0.6, 0.4), (0.7, 0.9)).closure_ok
+    assert I.level_fn("lukasiewicz", V.FUZZY, 1.5, 1.0) == I.LevelResult(1.5, False)
+    x = Variable("X")
+    fuzzy = Program(V.FUZZY, [Rule(Atom("p", (Constant("a"),)), (), "godel", 0.9),
+                              Rule(Atom("q", (x,)), (Literal(Atom("p", (x,))),),
+                                   "lukasiewicz", 1.5)])
+    assert fixpoint(fuzzy, "det").diagnostics == [
+        "closure violation: derived level 1.4 for q(a) is outside the fuzzy lattice"]
     prog = parse_program("%system ifs.\nfact p(a) = (0.1, 0.2).\n"
                          "rule q(X) <- p(X) : fk, (0.5, 0.3).\n"
                          "rule r(X) <- q(X) : fg2, (0.9, 0.05).\n")

@@ -20,7 +20,7 @@ from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
 from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_file,
                           parse_proximity_file)
-from mvdatalog.lang import Atom, Constant, parse_program
+from mvdatalog.lang import Atom, Constant, Variable, parse_program
 from mvdatalog.engine import fixpoint
 
 from helpers import (random_bk, random_phi, random_program, reference_consequence,
@@ -317,14 +317,26 @@ def test_object_steps_match_reference_steps(ex23_kb, ex17_kb):
                                  allow_negation=trial % 2 == 1)
         knowledge_bases.append(build_kb(program, random_bk(rng, program),
                                         random_phi(rng, program)))
-    changed = 0
-    for index, knowledge in enumerate(knowledge_bases):
-        program = knowledge.program
-        rules = [g for rs in lang.ground(program, kb.modified_universe(knowledge)) for g in rs]
-        trajectory = [engine.Interpretation(program.system)]
+    cases = []
+    for knowledge in knowledge_bases:
+        rules = [g for rs in lang.ground(knowledge.program, kb.modified_universe(knowledge))
+                 for g in rs]
+        trajectory = [engine.Interpretation(knowledge.program.system)]
         for _ in range(3):
             trajectory.append(reference_mod_nt_step(knowledge, trajectory[-1], rules))
-        for k, interp in enumerate(trajectory):
+        cases.append((knowledge, rules, trajectory))
+    # a non-ground p(X) next to the ground p(X) of a %const X program, in
+    # both insertion orders: the rule reads the ground one only
+    knowledge = build_kb(parse_program("%system fuzzy.\n%const X.\n"
+                                       "rule q(X) <- p(X) : godel, 1.0.\n"))
+    constant, variable = _atom("p", "X"), Atom("p", (Variable("X"),))
+    cases.append((knowledge, [g for rs in lang.ground(knowledge.program, {"X"}) for g in rs],
+                  [engine.Interpretation(V.FUZZY, dict(entries))
+                   for entries in ([(constant, 0.2), (variable, 0.9)],
+                                   [(variable, 0.9), (constant, 0.2)])]))
+    changed = 0
+    for index, (knowledge, rules, interps) in enumerate(cases):
+        for k, interp in enumerate(interps):
             _same_step(engine.dt_step, reference_dt_step, rules, interp, (index, k, "dt"))
             _same_step(engine.nt_step, reference_nt_step, rules, interp, (index, k, "nt"))
             _same_step(lambda r, i, d: kb.mod_nt_step(knowledge, i, r, d),
