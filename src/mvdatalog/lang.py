@@ -29,8 +29,9 @@ an error, is read by the general parser from the same offset, so the
 messages, lines and columns of errors are the general parser's.
 
 Grounding joins each rule's body atoms over crisp relations, the sets of
-argument-name tuples of the atoms derived (or, for a model check, present)
-so far.  Each join plan runs as a kernel compiled from Python source with
+argument-name tuples of the atoms derived so far, in one semi-naive pass;
+for a model check the relations hold the atoms present, and nothing is
+derived.  Each join plan runs as a kernel compiled from Python source with
 one nested loop per body atom and the plan's variables in locals
 (`_kernel_source`).  The source holds only the plan's shape, as integers,
 so rules that differ only in their names share a kernel, kept in a
@@ -1086,28 +1087,35 @@ class _RuleJoin:
         kernel((rows, *sources), *self.args)
 
 
-def _derivable_substitutions(program: Program, names: list, widen):
+def _substitutions(program: Program, names: list, widen, present, arity):
     """Per rule, the ascending substitutions whose body atoms are all
-    derivable (see `ground`), recorded as a semi-naive pass over crisp
-    relations finds them; a ground fact has the one empty substitution.
-    Each round joins the atoms first derived in the round before, as plain
-    row sets per predicate, against all atoms derived so far: it runs only
-    the plans that read a predicate of that delta, in rule and then atom
-    order, so a round costs its delta, not the program."""
+    derivable (with widen; see `ground`) or all present (without), as a
+    semi-naive pass over crisp relations finds them; a ground fact has the
+    one empty substitution.  The relations start from the fact heads, each
+    passed through widen, or from the ground present atoms of the program's
+    arities, which derive nothing.  The first round runs each join's first
+    plan once over them.  Each later round joins the atoms first derived in
+    the round before, as plain row sets per predicate, against all atoms
+    derived so far: it runs only the plans that read a predicate of that
+    delta, in rule and then atom order, so a round costs its delta."""
     universe = set(names)
-    derivable = _Relations()
-    rows = derivable.rows
+    relations = _Relations()
+    rows = relations.rows
     widened = defaultdict(set)     # pred -> the heads already widened
     # pred -> the atoms first derived in the current round: a synonym that
     # is derivable already is dropped here
     found = defaultdict(set)
-
-    def derive(pred, head):
-        widened[pred].add(head)
-        for syn_pred, syn_names in widen(pred, head):
-            if syn_names not in rows[syn_pred]:
-                found[syn_pred].add(syn_names)
-
+    if widen is not None:
+        def derive(pred, head):
+            widened[pred].add(head)
+            for syn_pred, syn_names in widen(pred, head):
+                if syn_names not in rows[syn_pred]:
+                    found[syn_pred].add(syn_names)
+    else:
+        derive = None
+        for atom in present:
+            if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
+                found[atom.pred].add(tuple(t.name for t in atom.args))
     substitutions = [set() for _ in program.rules]
     joins = []
     for rule, seen in zip(program.rules, substitutions):
@@ -1115,47 +1123,29 @@ def _derivable_substitutions(program: Program, names: list, widen):
         if _is_ground_fact(rule):
             seen.add(())
             head = tuple(t.name for t in rule.head.args)
-            if head not in widened[pred]:
+            if derive and head not in widened[pred]:
                 derive(pred, head)
             continue
         join = _RuleJoin(rule, universe, names, seen, derive, widened[pred])
         if join.atoms:
             joins.append(join)
         else:
-            join.solve(0, None, derivable)
+            join.solve(0, None, relations)
     readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
     for j, join in enumerate(joins):
         for i, (pred, _) in enumerate(join.atoms):
             readers[pred].append((j, i))
+    first = True
     while found:
         delta, found = found, defaultdict(set)
         for pred, new in delta.items():
-            derivable.extend(pred, new)
-        for j, i in sorted(pair for pred in delta for pair in readers.get(pred, ())):
+            relations.extend(pred, new)
+        for j, i in sorted(pair for pred in delta for pair in readers.get(pred, ())
+                           if not (first and pair[1])):
             join = joins[j]
-            join.solve(i, delta[join.atoms[i][0]], derivable)
+            join.solve(i, delta[join.atoms[i][0]], relations)
+        first = False
     return [sorted(seen) for seen in substitutions]
-
-
-def _present_substitutions(program: Program, names: list, atoms):
-    """Per rule, the ascending substitutions whose body atoms are all among
-    the ground Atoms atoms; a ground fact has the one empty substitution."""
-    universe = set(names)
-    arity = program.predicates()
-    present = _Relations()
-    for atom in atoms:
-        if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
-            present.rows[atom.pred].add(tuple(t.name for t in atom.args))
-    substitutions = []
-    for rule in program.rules:
-        seen = set()
-        if _is_ground_fact(rule):
-            seen.add(())
-        else:
-            join = _RuleJoin(rule, universe, names, seen)
-            join.solve(0, present.rows[join.atoms[0][0]] if join.atoms else None, present)
-        substitutions.append(sorted(seen))
-    return substitutions
 
 
 def ground_rule(rule: Rule, universe, rule_pos: int = 0):
@@ -1184,25 +1174,30 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     them, and may leave out the atoms of predicates no rule body reads.
     An instance with an underivable body atom is never applicable, so it
     changes no evaluation; the survivors keep their relative order.
-    The crisp pass that finds the derivable atoms records each rule's
-    substitutions as it goes, so no join is repeated to list them.
 
-    With present (and no widen), an iterable of ground Atoms, only the
-    instances whose every body atom, negated ones included, is among
-    them: the instances that can fire in an interpretation holding those
-    atoms, found by one join per rule over them instead of a product
-    over the universe.
+    With present (and no widen), an iterable of Atoms, only the instances
+    whose every body atom, negated ones included, is among them: the
+    instances that can fire in an interpretation holding those atoms.
+
+    Both are found by one crisp pass (`_substitutions`), which records
+    each rule's substitutions as it goes, so no join is repeated to list
+    them; over present atoms it derives nothing and stops after its first
+    round.  A predicate used with two arities is a ValueError.
     """
+    arity = {}
+    for rule in program.rules:
+        for atom in (rule.head, *(lit.atom for lit in rule.body)):
+            if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+                raise ValueError(f"predicate {atom.pred!r} used with arities "
+                                 f"{arity[atom.pred]} and {len(atom.args)}")
     if universe is None:
         universe = program.constants()
     decode = table is None
     if decode:
         table = AtomTable()
     grounder = _Grounder(universe, None if decode else program.system, table)
-    if widen is not None:
-        combos = _derivable_substitutions(program, grounder.names, widen)
-    elif present is not None:
-        combos = _present_substitutions(program, grounder.names, present)
+    if widen is not None or present is not None:
+        combos = _substitutions(program, grounder.names, widen, present, arity)
     else:
         combos = [None] * len(program.rules)
     grounded = [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)

@@ -7,6 +7,8 @@ import itertools
 import random
 import re
 
+import pytest
+
 from mvdatalog import engine, kb, lang
 from mvdatalog import values as V
 from mvdatalog.engine import applicable, fixpoint
@@ -151,7 +153,8 @@ def _reference_pruned(program, universe, widen):
 
 
 def test_pruned_grounding_matches_its_definition():
-    """Exactly the instances the definition keeps, in substitution order."""
+    """Exactly the instances the definition keeps, in substitution order,
+    for each widening and for present atoms."""
     rng = random.Random(7)
     for trial in range(100):
         program = random_program(rng, SYSTEMS[trial % len(SYSTEMS)],
@@ -163,6 +166,19 @@ def test_pruned_grounding_matches_its_definition():
         for widen in (engine._unwidened, kb._Spread(knowledge).widen):
             assert (lang.ground(program, universe, widen=widen)
                     == _reference_pruned(program, universe, widen)), trial
+        # the consequence's atoms, each with a wrong-arity variant and, if it
+        # has arguments, a non-ground one and one with a name outside the
+        # universe; as in `is_model`, the universe holds the variable's name
+        present = set()
+        for a in consequence(knowledge).interpretation.entries:
+            present |= {a, Atom(a.pred, a.args + (Constant(min(universe)),))}
+            if a.args:
+                present |= {Atom(a.pred, (Variable("X"),) + a.args[1:]),
+                            Atom(a.pred, a.args[:-1] + (Constant("foreign"),))}
+        universe |= {"X"}
+        assert lang.ground(program, universe, present=present) == [
+            [g for g in rules if all(lit.atom in present for lit in g.body)]
+            for rules in _reference_full(program, universe)], trial
 
 
 def test_ground_without_widen_is_full_grounding(ex1):
@@ -199,12 +215,13 @@ def _check_against_definition(program, knowledge=None):
     return expected
 
 
-# t(a, b) and t(b, a) both enter the first round's delta, so the delta plans
-# for either body atom emit u's substitution (a, b), and (b, a), twice
+# t(a, b) and t(b, a) both enter the second round's delta, so the delta
+# plans for either body atom emit u's substitution (a, b), and (b, a), twice
 TWICE = """%system fuzzy.
-fact t(a, b) = 0.8.
-fact t(b, a) = 0.6.
-fact t(b, c) = 0.7.
+fact s(a, b) = 0.8.
+fact s(b, a) = 0.6.
+fact s(b, c) = 0.7.
+rule t(X, Y) <- s(X, Y) : godel, 1.0.
 rule u(X, Y) <- t(X, Y), not t(Y, X) : godel, 0.9.
 """
 
@@ -213,7 +230,26 @@ def test_substitution_emitted_twice_is_grounded_once():
     program = lang.parse_program(TWICE, safety="paper-examples")
     pruned = _check_against_definition(program)
     # u(b, c) needs t(c, b), which is not derivable
-    assert [str(g.head) for g in pruned[3]] == ["u(a, b)", "u(b, a)"]
+    assert [str(g.head) for g in pruned[4]] == ["u(a, b)", "u(b, a)"]
+
+
+def test_predicate_used_with_two_arities_is_rejected():
+    # only a program built through the API can hold p(a) and p(a, b)
+    x, y = Variable("X"), Variable("Y")
+    program = Program(V.FUZZY, [Rule(Atom("p", (Constant("a"),)), (), "godel", 0.9),
+                                Rule(Atom("p", (Constant("a"), Constant("b"))), (), "godel", 0.8),
+                                Rule(Atom("q", (x,)), (Literal(Atom("p", (x, y))),), "godel", 1.0)])
+    present = [rule.head for rule in program.rules[:2]]
+    runs = [lambda: lang.ground(program), lambda: fixpoint(program, mode="det"),
+            lambda: fixpoint(program), lambda: consequence(build_kb(program)),
+            lambda: engine.is_model(program, engine.Interpretation(V.FUZZY))]
+    for widen in (None, engine._unwidened):
+        for table in (None, lang.AtomTable()):
+            runs.append(lambda widen=widen, table=table: lang.ground(
+                program, widen=widen, table=table, present=present))
+    for run in runs:
+        with pytest.raises(ValueError, match=r"predicate 'p' used with arities 1 and 2"):
+            run()
 
 
 def test_facts_only_and_rules_only_programs():
