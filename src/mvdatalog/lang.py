@@ -1185,11 +1185,11 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     round.  A predicate used with two arities is a ValueError.
     """
     arity = {}
-    for rule in program.rules:
-        for atom in (rule.head, *(lit.atom for lit in rule.body)):
-            if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
-                raise ValueError(f"predicate {atom.pred!r} used with arities "
-                                 f"{arity[atom.pred]} and {len(atom.args)}")
+    rules = program.rules
+    for atom in [r.head for r in rules] + [lit.atom for r in rules for lit in r.body]:
+        if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+            raise ValueError(f"predicate {atom.pred!r} used with arities "
+                             f"{arity[atom.pred]} and {len(atom.args)}")
     if universe is None:
         universe = program.constants()
     decode = table is None
