@@ -31,11 +31,13 @@ messages, lines and columns of errors are the general parser's.
 Grounding joins each rule's body atoms over crisp relations, the sets of
 argument-name tuples of the atoms derived so far, in one semi-naive pass;
 for a model check the relations hold the atoms present, and nothing is
-derived.  Each join plan runs as a kernel compiled from Python source with
-one nested loop per body atom and the plan's variables in locals
-(`_kernel_source`).  The source holds only the plan's shape, as integers,
-so rules that differ only in their names share a kernel, kept in a
-bounded cache for the life of the process.
+derived; the full grounding runs each rule's plan that reads no atom.
+Each join plan runs as a kernel compiled from Python source with one
+nested loop per body atom and the plan's variables in locals
+(`_kernel_source`), which interns the atoms of each instance and stores
+the instance as it finds it.  The source holds only the plan's shape, as
+integers, so rules that differ only in their names share a kernel, kept
+in a bounded cache for the life of the process.
 """
 
 from __future__ import annotations
@@ -252,11 +254,14 @@ class Program:
         return out
 
     def predicates(self):
-        """Map functor name -> arity over all rule heads and bodies."""
+        """Map functor name -> arity over all rule heads and bodies; a
+        predicate used with two arities is a ValueError."""
         arity = {}
         for r in self.rules:
             for atom in [r.head] + [lit.atom for lit in r.body]:
-                arity[atom.pred] = len(atom.args)
+                if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+                    raise ValueError(f"predicate {atom.pred!r} used with arities "
+                                     f"{arity[atom.pred]} and {len(atom.args)}")
         return arity
 
     def constants(self):
@@ -768,77 +773,6 @@ def _key(atom: Atom):
     return args[0].name if len(args) == 1 else tuple(t.name for t in args)
 
 
-def _is_ground_fact(rule: Rule) -> bool:
-    return not rule.body and not rule.head.variables()
-
-
-class _Grounder:
-    """Builds interned ground instances from per-rule templates.
-
-    One grounder serves one `ground` call and enters every ground atom in
-    its `AtomTable`.  A template reads an atom's key (as in `AtomTable`) off
-    `combo + constants`, where combo is the substitution (one constant name
-    per rule variable) and constants are the rule's own constant names.  An
-    instance is the tuple (head id, body, level function, rule level, rule
-    position): body holds the id of each positive body atom and the
-    complement ~id of each negated one, and the level function, which
-    returns the head level alone, is the rule's `implications.bound_level`
-    in the grounder's system (without a system, the rule's implication itself).
-    """
-
-    def __init__(self, universe, system, table):
-        self.names = sorted(universe)
-        self.system = system
-        self.table = table
-
-    def _level_fn(self, rule: Rule):
-        return Imp.bound_level(rule.impl, self.system) if self.system else rule.impl
-
-    def fact(self, rule: Rule, rule_pos: int):
-        """The one instance of a ground fact."""
-        return [(self.table.intern_atom(rule.head), (), self._level_fn(rule), rule.level,
-                 rule_pos)]
-
-    def rule(self, rule: Rule, rule_pos: int, combos=None):
-        """Instances for the given substitutions (tuples of constant names,
-        one per rule variable); by default every one over the universe."""
-        nvars, constants, head_slots, body_slots = _rule_slots(rule)
-        if nvars and not self.names:
-            return []
-        if combos is None:
-            combos = itertools.product(self.names, repeat=nvars)
-
-        def key_of(slots):
-            return operator.itemgetter(*slots) if slots else (lambda full: ())
-
-        head_key = key_of(head_slots)
-        table = self.table
-        add = table.add
-        head_pred = rule.head.pred
-        head_ids = table.ids.setdefault(head_pred, {})
-        body = [(key_of(slots), table.ids.setdefault(lit.atom.pred, {}), lit.atom.pred,
-                 lit.negated) for slots, lit in zip(body_slots, rule.body)]
-        level_fn, level = None, rule.level
-        out = []
-        for combo in combos:
-            if level_fn is None:
-                level_fn = self._level_fn(rule)
-            full = combo + constants
-            key = head_key(full)
-            head = head_ids.get(key)
-            if head is None:
-                head = add(head_pred, key)
-            ids = []
-            for body_key, pred_ids, pred, negated in body:
-                key = body_key(full)
-                aid = pred_ids.get(key)
-                if aid is None:
-                    aid = add(pred, key)
-                ids.append(~aid if negated else aid)
-            out.append((head, tuple(ids), level_fn, level, rule_pos))
-        return out
-
-
 def _rule_slots(rule: Rule):
     """(nvars, constants, head, body) of a rule.  A slot is a rule variable
     (0, 1, .. in `Rule.variables` order) or, after them, one of the rule's
@@ -915,6 +849,8 @@ _BIND, _CHECK, _KEYED = 0, 1, 2
 # Python nests at most 20 loops in one function; a kernel runs at most this
 # many steps and hands its bindings on to a kernel for the steps after them.
 _STEPS_PER_KERNEL = 16
+# The parameters of a kernel after R and K (see `_kernel_source`).
+_PARAMS = "universe, names, seen, widened, derive, add, A, I"
 
 
 def _tup(items) -> str:
@@ -952,31 +888,39 @@ def _kernel_source(shape, first: int = 0) -> str:
     """The source of the join kernel of a plan shape, running its steps from
     first on.
 
-    A shape is (preset, steps, rest, nvars, head), integers only: preset
-    are the slots whose values the kernel is given (in K); each step is
-    (key, specs), with the slots that make its index key (none for a scan
-    of the rows) and one (action, slot) per argument position; rest are the
-    slots of variables that no step binds, nvars the number of rule
-    variables (slots 0 .. nvars - 1) and head the slots of the head's
-    arguments, or None.  The kernel is called as
+    A shape is (preset, steps, rest, nvars, head, body, widening), integers
+    and flags only: preset are the slots whose values the kernel is given
+    (in K); each step is (key, specs), with the slots that make its index
+    key (none for a scan of the rows) and one (action, slot) per argument
+    position; rest are the slots of variables that no step binds, nvars the
+    number of rule variables (slots 0 .. nvars - 1), head the slots of the
+    head's arguments, body one (slots, negated) per body atom in textual
+    order, and widening whether the kernel derives heads.  The kernel is
+    called as
 
-        kernel(R, K, universe, names, seen, widened, derive, hp)
+        kernel(R, K, universe, names, seen, widened, derive, add, A, I)
 
     with R the row set or index each step reads.  Each step is one loop,
     or a membership test when it binds no slot, with the value of each
-    slot in a local; a name it binds must be in universe.  Every complete
-    binding adds its substitution to the set seen; with a head, a new
-    substitution whose head names are not in widened also calls
-    derive(hp, names).  Variables in rest range over names.  After
-    `_STEPS_PER_KERNEL` steps the bindings go on to the kernel of the
-    later steps, `tail`.
+    slot in a local; a name it binds must be in universe.  Variables in
+    rest range over names.  A complete binding whose substitution (the
+    tuple of variable values) is not in the dict seen is emitted: with
+    widening, a head whose names are not in widened calls derive(head
+    predicate, names); the head and body atoms are interned, A holding
+    the (pred, `AtomTable.ids` of pred) of each and add the table's `add`;
+    and seen maps the substitution to (head id, body ids) + I, with ~id
+    for a negated atom.  After `_STEPS_PER_KERNEL` steps the bindings go
+    on to the kernel of the later steps, `tail`.
     """
-    preset, steps, rest, nvars, head = shape
+    preset, steps, rest, nvars, head, body, widening = shape
     last = min(len(steps), first + _STEPS_PER_KERNEL)
-    lines = ["def kernel(R, K, universe, names, seen, widened, derive, hp):",
+    lines = [f"def kernel(R, K, {_PARAMS}):",
              f"    {_values(preset)} = K",
-             f"    {_tup(f'r{k}' for k in range(first, last))} = R[{first}:{last}]",
-             "    add = seen.add"]
+             f"    {_tup(f'r{k}' for k in range(first, last))} = R[{first}:{last}]"]
+    atoms = [head] + [slots for slots, _ in body]
+    if last == len(steps):
+        lines += [f"    {_tup(f'(p{j}, i{j})' for j in range(len(atoms)))} = A",
+                  "    fn, lvl, pos = I"]
     pad = "    "
     for k in range(first, last):
         key, specs = steps[k]
@@ -1001,48 +945,58 @@ def _kernel_source(shape, first: int = 0) -> str:
                 lines += [f"{pad}    if {' or '.join(tests + binds)}:", f"{pad}        continue"]
         pad += "    "
     if last < len(steps):
-        lines.append(f"{pad}tail(R, {_values(_tail_preset(preset, steps, first, last))}, universe,"
-                     " names, seen, widened, derive, hp)")
+        bound = _values(_tail_preset(preset, steps, first, last))
+        lines.append(f"{pad}tail(R, {bound}, {_PARAMS})")
         return "\n".join(lines) + "\n"
+    keys = [f"v{slots[0]}" if len(slots) == 1 else _values(slots) for slots in atoms]
     if rest:
         lines.append(f"{pad}for {_values(rest)} in product(names, repeat={len(rest)}):")
         pad += "    "
-    if head is None:
-        lines.append(f"{pad}add({_values(range(nvars))})")
-    else:
-        lines += [f"{pad}s = {_values(range(nvars))}",
-                  f"{pad}if s not in seen:",
-                  f"{pad}    add(s)",
-                  f"{pad}    h = {'s' if head == tuple(range(nvars)) else _values(head)}",
-                  f"{pad}    if h not in widened:",
-                  f"{pad}        derive(hp, h)"]
+    lines += [f"{pad}s = {_values(range(nvars))}", f"{pad}if s not in seen:"]
+    pad += "    "
+    if widening:
+        lines += [f"{pad}h = {'s' if head == tuple(range(nvars)) else _values(head)}",
+                  f"{pad}if h not in widened:",
+                  f"{pad}    derive(p0, h)"]
+        if len(head) != 1:
+            keys[0] = "h"
+    for j, key in enumerate(keys):
+        lines += [f"{pad}a{j} = i{j}.get({key})",
+                  f"{pad}if a{j} is None:",
+                  f"{pad}    a{j} = add(p{j}, {key})"]
+    ids = _tup(f"~a{j}" if negated else f"a{j}" for j, (_, negated) in enumerate(body, 1))
+    lines.append(f"{pad}seen[s] = (a0, {ids}, fn, lvl, pos)")
     return "\n".join(lines) + "\n"
 
 
 class _RuleJoin:
-    """Joins over the body atoms of one rule, negated ones included.
+    """Joins over the body atoms of one rule, negated ones included, and
+    emits the rule's instances as it finds them.
 
     A slot is a rule variable or one of the rule's own constants (see
     `_rule_slots`).  A plan visits the body atoms in a given order; each
     step looks its atom up by the slots already bound and binds the rest,
     so a binding is complete exactly when every body atom it names is in
     the relations.  Variables that no body atom binds range over the whole
-    universe.  Each plan runs as a compiled kernel (`_kernel`), which sees
-    the plan's shape only: no predicate, constant or variable name is in
-    its source.
-
-    Each complete binding adds its substitution (the tuple of variable
-    values) to seen; with derive, each new substitution whose head names
-    are not in widened (the set for the head's predicate) also calls
-    derive(head predicate, head names).
+    universe, and so do all variables of the plan that reads no atom.  Each
+    plan runs as a compiled kernel (`_kernel`), which sees the plan's shape
+    only: no predicate, constant or variable name is in its source.  It
+    emits into the dict seen, with atoms interned in table and tail the
+    instance's (level function, rule level, rule position); with derive, it
+    derives the heads not in widened, the set for the head's predicate.
     """
 
-    def __init__(self, rule: Rule, universe: set, names: list, seen: set,
-                 derive=None, widened=None):
+    def __init__(self, rule: Rule, universe: set, names: list, table: AtomTable, seen: dict,
+                 tail: tuple, derive=None, widened=None):
         self.nvars, self.constants, head, body = _rule_slots(rule)
         self.atoms = [(lit.atom.pred, slots) for lit, slots in zip(rule.body, body)]
-        self.head = None if derive is None else head
-        self.args = (self.constants, universe, names, seen, widened, derive, rule.head.pred)
+        self.emit = (head, tuple((slots, lit.negated) for lit, slots in zip(rule.body, body)),
+                     derive is not None)
+        ids = table.ids
+        atom_ids = tuple((pred, ids.setdefault(pred, {}))
+                         for pred in [rule.head.pred] + [pred for pred, _ in self.atoms])
+        self.args = (self.constants, universe, names, seen, widened, derive, table.add, atom_ids,
+                     tail)
         self.plans = {}
 
     def _shape(self, order):
@@ -1070,16 +1024,16 @@ class _RuleJoin:
             steps.append((tuple(key), tuple(specs)))
             lookups.append((pred, () if len(positions) == len(slots) else tuple(positions)))
         rest = tuple(s for s in range(self.nvars) if s not in bound)
-        return (preset, tuple(steps), rest, self.nvars, self.head), lookups
+        return (preset, tuple(steps), rest, self.nvars) + self.emit, lookups
 
-    def solve(self, i: int, rows, relations: _Relations):
+    def solve(self, i, rows, relations: _Relations):
         """Run the plan that reads atom i first, from the row set rows, and
-        the other atoms after it in textual order, from relations; a rule
-        without body atoms has the one plan i = 0 and reads nothing."""
+        the other atoms after it in textual order, from relations; with i
+        None, the plan that reads no atom."""
         plan = self.plans.get(i)
         if plan is None:
             n = len(self.atoms)
-            shape, lookups = self._shape([i] + [k for k in range(n) if k != i] if n else [])
+            shape, lookups = self._shape([] if i is None else [i] + [k for k in range(n) if k != i])
             sources = [relations.index(pred, positions) if positions else relations.rows[pred]
                        for pred, positions in lookups[1:]]
             plan = self.plans[i] = (_kernel(shape), sources)
@@ -1087,17 +1041,33 @@ class _RuleJoin:
         kernel((rows, *sources), *self.args)
 
 
-def _substitutions(program: Program, names: list, widen, present, arity):
-    """Per rule, the ascending substitutions whose body atoms are all
-    derivable (with widen; see `ground`) or all present (without), as a
-    semi-naive pass over crisp relations finds them; a ground fact has the
-    one empty substitution.  The relations start from the fact heads, each
-    passed through widen, or from the ground present atoms of the program's
-    arities, which derive nothing.  The first round runs each join's first
-    plan once over them.  Each later round joins the atoms first derived in
-    the round before, as plain row sets per predicate, against all atoms
-    derived so far: it runs only the plans that read a predicate of that
-    delta, in rule and then atom order, so a round costs its delta."""
+def _level_fn(rule: Rule, system):
+    """The rule's `implications.bound_level` in system (without one, its
+    implication), or the ValueError that `_instances` raises if the rule
+    has instances."""
+    if system is None:
+        return rule.impl
+    try:
+        return Imp.bound_level(rule.impl, system)
+    except ValueError as error:
+        return error
+
+
+def _instances(program: Program, names: list, table: AtomTable, system, widen, present):
+    """Per rule, the interned instances of `ground` in substitution order,
+    each emitted by a join kernel as it finds it; a ground fact has the one
+    instance of the empty substitution, its head interned by
+    `AtomTable.intern_atom`.  Without widen and present, each rule runs its
+    plan that reads no atom.  Otherwise one semi-naive pass over crisp
+    relations runs the joins.  The relations start from the fact heads,
+    each passed through widen, or from the ground present atoms of the
+    program's arities, which derive nothing.  The first round runs each
+    join's first plan once over them.  Each later round joins the atoms
+    first derived in the round before, as plain row sets per predicate,
+    against all atoms derived so far: it runs only the plans that read a
+    predicate of that delta, in rule and then atom order, so a round costs
+    its delta."""
+    arity = program.predicates()
     universe = set(names)
     relations = _Relations()
     rows = relations.rows
@@ -1113,24 +1083,27 @@ def _substitutions(program: Program, names: list, widen, present, arity):
                     found[syn_pred].add(syn_names)
     else:
         derive = None
-        for atom in present:
+        for atom in present or ():
             if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
                 found[atom.pred].add(tuple(t.name for t in atom.args))
-    substitutions = [set() for _ in program.rules]
+    full = widen is None and present is None
+    seens = [{} for _ in program.rules]
+    level_fns = [_level_fn(rule, system) for rule in program.rules]
     joins = []
-    for rule, seen in zip(program.rules, substitutions):
+    for pos, (rule, seen, level_fn) in enumerate(zip(program.rules, seens, level_fns)):
         pred = rule.head.pred
-        if _is_ground_fact(rule):
-            seen.add(())
+        if not rule.body and not rule.head.variables():
+            seen[()] = (table.intern_atom(rule.head), (), level_fn, rule.level, pos)
             head = tuple(t.name for t in rule.head.args)
             if derive and head not in widened[pred]:
                 derive(pred, head)
             continue
-        join = _RuleJoin(rule, universe, names, seen, derive, widened[pred])
-        if join.atoms:
+        join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos), derive,
+                         widened[pred])
+        if join.atoms and not full:
             joins.append(join)
         else:
-            join.solve(0, None, relations)
+            join.solve(None, None, relations)
     readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
     for j, join in enumerate(joins):
         for i, (pred, _) in enumerate(join.atoms):
@@ -1145,26 +1118,29 @@ def _substitutions(program: Program, names: list, widen, present, arity):
             join = joins[j]
             join.solve(i, delta[join.atoms[i][0]], relations)
         first = False
-    return [sorted(seen) for seen in substitutions]
-
-
-def ground_rule(rule: Rule, universe, rule_pos: int = 0):
-    """All ground instances, ordered lexicographically by substitution (the
-    rule's variables in first-occurrence order, constants sorted by name)."""
-    table = AtomTable()
-    return [decode_instance(table, g, rule.impl)
-            for g in _Grounder(universe, None, table).rule(rule, rule_pos)]
+    out = []
+    for seen, level_fn in zip(seens, level_fns):
+        if seen and isinstance(level_fn, ValueError):
+            raise level_fn
+        out.append([seen[s] for s in sorted(seen)])
+    return out
 
 
 def ground(program: Program, universe=None, widen=None, table=None, present=None):
-    """Ground instances per rule, in rule order; equal ground atoms are
-    shared across all of them.
+    """Ground instances per rule, in rule order and then substitution order
+    (the rule's variables in first-occurrence order); equal ground atoms
+    are shared across all of them.
 
     With an `AtomTable`, the one that `engine._evaluate` passes, every
-    ground atom is interned in it and each instance is a tuple of its ids
-    (see `_Grounder`); no `Atom`, `Literal` or `GroundRule` is built.
-    Without one, the atoms are interned in a table of the call's own and
-    each instance is decoded to its `GroundRule`.
+    ground atom is interned in it, in the order the joins find it, and
+    each instance is the tuple (head id, body, level function, rule level,
+    rule position): body holds the id of each positive body atom and the
+    complement ~id of each negated one, and the level function, which
+    returns the head level alone, is the rule's `implications.bound_level`;
+    an implication not valid for the system is a ValueError only for a
+    rule that has instances.  No `Atom`, `Literal` or `GroundRule` is
+    built.  Without one, the atoms are interned in a table of the call's
+    own and each instance is decoded to its `GroundRule`.
 
     Without widen, every instance over the universe.  With widen, only the
     instances whose every body atom, negated ones included, is derivable:
@@ -1179,29 +1155,16 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     whose every body atom, negated ones included, is among them: the
     instances that can fire in an interpretation holding those atoms.
 
-    Both are found by one crisp pass (`_substitutions`), which records
-    each rule's substitutions as it goes, so no join is repeated to list
-    them; over present atoms it derives nothing and stops after its first
-    round.  A predicate used with two arities is a ValueError.
+    In every mode the join kernels build each instance as they find it
+    (`_instances`).  A predicate used with two arities is a ValueError.
     """
-    arity = {}
-    rules = program.rules
-    for atom in [r.head for r in rules] + [lit.atom for r in rules for lit in r.body]:
-        if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
-            raise ValueError(f"predicate {atom.pred!r} used with arities "
-                             f"{arity[atom.pred]} and {len(atom.args)}")
     if universe is None:
         universe = program.constants()
     decode = table is None
     if decode:
         table = AtomTable()
-    grounder = _Grounder(universe, None if decode else program.system, table)
-    if widen is not None or present is not None:
-        combos = _substitutions(program, grounder.names, widen, present, arity)
-    else:
-        combos = [None] * len(program.rules)
-    grounded = [grounder.fact(r, pos) if _is_ground_fact(r) else grounder.rule(r, pos, c)
-                for (pos, r), c in zip(enumerate(program.rules), combos)]
+    grounded = _instances(program, sorted(universe), table, None if decode else program.system,
+                          widen, present)
     if not decode:
         return grounded
     return [[decode_instance(table, g, r.impl) for g in rules]
@@ -1248,9 +1211,3 @@ def unify(a: Atom, b: Atom) -> Optional[dict]:
     # resolve chains so the substitution applies in one pass
     return {v: _walk(t, theta) for v, t in theta.items()}
 
-
-def rename_apart(rule: Rule, suffix: str) -> Rule:
-    theta = {v: Variable(f"{v.name}_{suffix}") for v in rule.variables()}
-    head = substitute(rule.head, theta)
-    body = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
-    return Rule(head, body, rule.impl, rule.level, rule.line)

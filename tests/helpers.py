@@ -10,7 +10,7 @@ from mvdatalog import values as V
 from mvdatalog.engine import (EvalOrder, FixpointReport, Interpretation, _raised,
                               _stratum_rule_lists, _unwidened, applicable, order_from_directive)
 from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
-                            ground, rename_apart, substitute, unify)
+                            ground, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, _Spread, modified_universe, proximity_set)
@@ -473,6 +473,14 @@ def _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambda_args):
             out = _pair_product(out, lam)
         return out
     raise ValueError(f"unknown uncertainty function {phi_id!r}")
+
+
+def rename_apart(rule: Rule, suffix: str) -> Rule:
+    """The rule with each variable V renamed to V_suffix."""
+    theta = {v: Variable(f"{v.name}_{suffix}") for v in rule.variables()}
+    head = substitute(rule.head, theta)
+    body = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
+    return Rule(head, body, rule.impl, rule.level, rule.line)
 
 
 class ReferenceTreeBuilder(_TreeBuilder):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -257,6 +258,78 @@ def test_proximity_level_of_the_wrong_shape_is_an_error(tmp_path, capsys):
         prox.write_text(f"%system {system}.\n%domain terms.\n{entries}")
         code, out, err = invoke(capsys, "consequence", prog, "--prox", prox)
         assert (code, out, err) == (2, "", f"error: {message}\n"), entries
+
+
+# Pieces that seeded mutations splice into the input files: tokens of the
+# grammar, clauses, directives and levels, each well-formed or not.
+SPLICES = ["(", ")", ",", ".", "=", "~", "<-", ":", "not ", "X", "Y", "a", "q", "0.5", "1.5",
+           "-0.2", "(0.3, 0.4)", "(0.9, 0.9)", "1e400", "nan", "godel", "fk", "%const A.\n",
+           "%order 2, 1.\n", "%system ivs.\n", "%domain predicates.\n",
+           "fact r(a, b) = 0.7.\n", "rule p(X) <- q(X, Y), not p(Y) : godel, 0.9.\n",
+           "rule p(X) <- p(X) : (godel, godel), 1.\n", "phi lo/2 = meet.\n", "a ~ b = 0.5.\n",
+           "\n", "#", "\u00e9"]
+GOALS = ["li(M, X)", "p(X)", "q(a, Y)", "r(X)", "s(X, X)", "t(X", "X", "", "zz(a, b, c)"]
+
+
+def _mutated(rng, data: bytes) -> bytes:
+    """data with one to three seeded edits: a span cut, a splice, a line
+    repeated, or a byte that is not UTF-8."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(data))
+        edit = rng.randrange(4)
+        if edit == 0:
+            data = data[:at] + data[at + rng.randint(1, 12):]
+        elif edit == 1:
+            data = data[:at] + rng.choice(SPLICES).encode() + data[at:]
+        elif edit == 2:
+            lines = data.splitlines(keepends=True) or [b""]
+            line = rng.choice(lines)
+            data = b"".join(lines) + line
+        else:
+            data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def test_mutated_inputs_give_no_traceback(tmp_path, capsys):
+    """No user input reaches a Python traceback: every run of a command on
+    seeded mutations of the example files, its goal or its levels returns
+    an exit code, or is a usage error that argparse raises."""
+    rng = random.Random(21)
+    stems = sorted(path.stem for path in DATA.glob("*.mvd"))
+    codes = set()
+    for trial in range(600):
+        stem = rng.choice(stems)
+        inputs = [(flag, DATA / f"{stem}{suffix}") for flag, suffix, chance
+                  in (("", ".mvd", 1.0), ("--prox", ".prox", 0.8), ("--phi", ".phi", 0.6))
+                  if (DATA / f"{stem}{suffix}").exists() and rng.random() < chance]
+        mutate = rng.randrange(len(inputs) + 2)   # an input, the goal, or nothing
+        argv = [rng.choice(("check", "fixpoint", "consequence", "query"))]
+        for i, (flag, source) in enumerate(inputs):
+            path = tmp_path / source.name
+            data = source.read_bytes()
+            path.write_bytes(_mutated(rng, data) if i == mutate else data)
+            argv += [flag, str(path)] if flag else [str(path)]
+        argv += ["--max-iters", "2000", "--mode", rng.choice(("det", "nondet")),
+                 "--safety", rng.choice(("strict", "paper-examples"))]
+        argv += [flag for flag in ("--json", "--strict-values") if rng.random() < 0.3]
+        if rng.random() < 0.2:
+            argv += ["--order", rng.choice(("1", "2,1", "1,2,3", "3,1,2", "0", "1,1"))]
+        if argv[0] == "query":
+            goal = rng.choice(GOALS).encode()
+            if mutate == len(inputs):
+                goal = _mutated(rng, goal)
+            argv += ["--goal", goal.decode("utf-8", "replace")]
+            if rng.random() < 0.3:
+                argv += ["--at-least", rng.choice(("0.5", "(0.4, 0.5)", "2", "x", "(0.5"))]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 1, (trial, argv)
+        capsys.readouterr()
+        assert code in range(6), (trial, argv)
+        codes.add(code)
+    assert codes >= {0, 2, 3}
 
 
 def test_import_loads_no_numpy():

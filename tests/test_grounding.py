@@ -3,6 +3,7 @@ instances whose body atoms are derivable.  Per rule, those are an
 order-preserving subsequence of the full Herbrand instances, and every
 instance left out is not applicable in the final interpretation."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -186,7 +187,8 @@ def test_ground_without_widen_is_full_grounding(ex1):
     full = lang.ground(ex1, universe)
     assert full == _reference_full(ex1, universe)
     assert [len(rules) for rules in full] == [1, 1, 9, 9, 9]
-    assert full[2] == lang.ground_rule(ex1.rules[2], universe, 2)
+    alone = lang.ground(Program(ex1.system, [ex1.rules[2]]), universe)[0]
+    assert full[2] == [dataclasses.replace(g, rule_pos=2) for g in alone]
 
 
 def _check_against_definition(program, knowledge=None):
@@ -242,7 +244,8 @@ def test_predicate_used_with_two_arities_is_rejected():
     present = [rule.head for rule in program.rules[:2]]
     runs = [lambda: lang.ground(program), lambda: fixpoint(program, mode="det"),
             lambda: fixpoint(program), lambda: consequence(build_kb(program)),
-            lambda: engine.is_model(program, engine.Interpretation(V.FUZZY))]
+            lambda: engine.is_model(program, engine.Interpretation(V.FUZZY)),
+            lambda: lang.herbrand(program)]
     for widen in (None, engine._unwidened):
         for table in (None, lang.AtomTable()):
             runs.append(lambda widen=widen, table=table: lang.ground(
@@ -250,6 +253,30 @@ def test_predicate_used_with_two_arities_is_rejected():
     for run in runs:
         with pytest.raises(ValueError, match=r"predicate 'p' used with arities 1 and 2"):
             run()
+
+
+def test_level_function_is_bound_only_for_a_rule_with_instances():
+    # fk is an ifs operator; only a program built through the API can give
+    # it to a fuzzy rule
+    x = Variable("X")
+    fact = Rule(Atom("p", (Constant("a"),)), (), "godel", 0.9)
+
+    def program(head, body):
+        return Program(V.FUZZY, [fact, Rule(Atom(head, (x,)), (Literal(Atom(body, (x,))),),
+                                            "fk", 0.8)])
+
+    derivable, underivable = program("q", "p"), program("r", "s")
+    for run in (lambda p: fixpoint(p, mode="det"), lambda p: fixpoint(p),
+                lambda p: consequence(build_kb(p)),
+                lambda p: engine.is_model(p, fixpoint(underivable).interpretation)):
+        with pytest.raises(ValueError, match=r"implication 'fk' is not valid for the fuzzy"):
+            run(derivable)
+        run(underivable)
+    # without a table, ground decodes and binds nothing
+    for widen in (None, engine._unwidened):
+        grounded = lang.ground(derivable, widen=widen)
+        assert [[str(g.head) for g in rules] for rules in grounded] == [["p(a)"], ["q(a)"]]
+        assert all(isinstance(g, GroundRule) for rules in grounded for g in rules)
 
 
 def test_facts_only_and_rules_only_programs():
@@ -380,11 +407,12 @@ def test_kernel_on_an_empty_delta_records_nothing():
     for fact, _ in program.facts():
         relations.rows[fact.pred].add(tuple(t.name for t in fact.args))
     for rule in [r for r in program.rules if not r.is_fact] + [_long_rule(20)]:
-        seen = set()
-        join = lang._RuleJoin(rule, set(names), names, seen)
+        seen = {}
+        join = lang._RuleJoin(rule, set(names), names, lang.AtomTable(), seen,
+                              (rule.impl, rule.level, 0))
         for i in range(len(join.atoms)):
             join.solve(i, set(), relations)
-        assert seen == set()
+        assert seen == {}
 
 
 def _renamed(text, names):
@@ -412,7 +440,8 @@ def test_programs_differing_in_names_share_their_kernels(monkeypatch):
     second = lang.parse_program(_renamed(NAMED, RENAMING), safety="paper-examples")
     asked = [_recorded_kernels(monkeypatch, lambda: (
                  lang.ground(program, widen=engine._unwidened),
-                 lang.ground(program, present=fixpoint(program).interpretation.entries)))[1]
+                 lang.ground(program, present=fixpoint(program).interpretation.entries),
+                 lang.ground(program)))[1]
              for program in (first, second)]
     assert [key for key, _ in asked[0]] == [key for key, _ in asked[1]]
     assert all(a is b for (_, a), (_, b) in zip(*asked))

@@ -109,8 +109,7 @@ def test_ground_counts(ex12i):
     grounded = ground(prog, {"a", "b"})
     assert [len(g) for g in grounded] == [1, 1, 4]
     rule2 = ex12i.rules[-1]
-    from mvdatalog.lang import ground_rule
-    assert len(ground_rule(rule2, {"a", "b", "c", "d", "e"})) == 125
+    assert len(ground(Program(ex12i.system, [rule2]), {"a", "b", "c", "d", "e"})[0]) == 125
 
 
 def test_ground_instances_are_variable_free():
