@@ -21,7 +21,7 @@ import sys
 
 from . import values as V
 from .lang import ParseError, SafetyError, parse_program
-from .engine import fixpoint, stratify
+from .engine import fixpoint, order_from_directive, stratify
 from .implications import always_closed
 
 EXIT_OK = 0
@@ -179,8 +179,10 @@ def run(argv=None) -> int:
               else None)
         if args.command == "check":
             return _run_check(args, program)
-        order = stratify(program)
-        if order.warnings and args.safety == "strict" and program.order_directive is None:
+        # the order the evaluation takes; an explicit order has no warnings
+        order = (order_from_directive(program.order_directive) if program.order_directive
+                 else stratify(program))
+        if order.warnings and args.safety == "strict":
             for w in order.warnings:
                 print(f"error: {w}", file=sys.stderr)
             return EXIT_SAFETY
@@ -193,10 +195,10 @@ def run(argv=None) -> int:
                             depth_limit=args.depth_limit, max_iters=args.max_iters)
             return _finish(args, system, result.answers, result.report)
         if args.command == "fixpoint":
-            report = fixpoint(program, mode=args.mode, max_iters=args.max_iters)
+            report = fixpoint(program, mode=args.mode, order=order, max_iters=args.max_iters)
         else:
             from .kb import consequence
-            report = consequence(kb, max_iters=args.max_iters)
+            report = consequence(kb, max_iters=args.max_iters, order=order)
         return _finish(args, system, report.interpretation.sorted_items(), report)
     except SafetyError as exc:
         print(f"error: {exc}", file=sys.stderr)

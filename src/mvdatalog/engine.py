@@ -21,7 +21,9 @@ instances whose body atoms are all derivable are grounded at all (see
 ever be applicable, and `is_model` likewise checks only the instances whose
 body atoms are all present in the interpretation.  `fixpoint` and
 `kb.consequence` share this one evaluation path; they differ only in their
-step operators and in how derived heads widen.
+step operators and in how derived heads widen, which grounding does once
+per new head, after the join run that found it, and for `fixpoint` with
+no call.
 
 The path works on interned atoms.  Grounding enters every ground atom in
 one `lang.AtomTable` as an int id and returns each instance as a tuple of
@@ -29,9 +31,9 @@ ids.  The working interpretation (`_Levels`) is a list of values indexed
 by id, which the steps update in place, with a change log of the ids whose
 level rose; proximity synonyms are interned into the same table as they
 are derived.  `Atom` objects are built once, for the returned
-`Interpretation`, in the order the atoms first rose.  Called on
-GroundRules and an Interpretation, the step operators intern them on entry
-and run the same kernels.
+`Interpretation`, in the order the atoms first rose, with no call per
+atom.  Called on GroundRules and an Interpretation, the step operators
+intern them on entry and run the same kernels.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _key, decode_instance,
-                   ground)
+from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _key, _unwidened,
+                   decode_instance, ground)
 
 
 def _item_key(item):
@@ -554,11 +556,6 @@ def _stratum_rule_lists(program: Program, grounded, order: EvalOrder):
             rules.extend(grounded[pos_of[n]])
         lists.append(rules)
     return lists
-
-
-def _unwidened(pred, names):
-    """Head widening for `ground`: the plain engine derives only the head."""
-    return ((pred, names),)
 
 
 def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact_step, step,

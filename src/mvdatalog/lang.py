@@ -34,10 +34,11 @@ for a model check the relations hold the atoms present, and nothing is
 derived; the full grounding runs each rule's plan that reads no atom.
 Each join plan runs as a kernel compiled from Python source with one
 nested loop per body atom and the plan's variables in locals
-(`_kernel_source`), which interns the atoms of each instance and stores
-the instance as it finds it.  The source holds only the plan's shape, as
-integers, so rules that differ only in their names share a kernel, kept
-in a bounded cache for the life of the process.
+(`_kernel_source`), which interns the atoms of each instance in place and
+stores the instance as it finds it; the new heads it marks are widened
+when it returns.  The source holds only the plan's shape, as integers,
+so rules that differ only in their names share a kernel, kept in a
+bounded cache for the life of the process.
 """
 
 from __future__ import annotations
@@ -699,8 +700,9 @@ class AtomTable:
     An atom is entered by its predicate and key: the argument name of a
     unary atom and the tuple of argument names otherwise; the arity of a
     predicate is fixed, so the keys of one predicate never mix the two
-    forms.  `Atom` objects are built only on request, once per id, with
-    their hash set (`_ground_atom`), and share their `Constant`s.
+    forms.  An atom is entered by `add` or, in place, by the join kernels.
+    `Atom` objects are built only on request, once per id, with their hash
+    set (as by `_ground_atom`), and share their `Constant`s.
     """
 
     def __init__(self):
@@ -732,16 +734,20 @@ class AtomTable:
         return self.atoms((aid,))[0]
 
     def atoms(self, ids) -> list:
-        """The Atom of each id, in the order given."""
+        """The Atom of each id, in the order given, built as `_ground_atom` does."""
         built, entries = self._atoms, self.entries
         constant = self._constants.__getitem__
+        new, set_pred, set_args, set_hash = _new, _set_pred, _set_args, _set_hash
         out = []
         for aid in ids:
             atom = built.get(aid)
             if atom is None:
                 pred, key = entries[aid]
                 args = (constant(key),) if key.__class__ is str else tuple(map(constant, key))
-                atom = built[aid] = _ground_atom(pred, args)
+                atom = built[aid] = new(Atom)
+                set_pred(atom, pred)
+                set_args(atom, args)
+                set_hash(atom, hash((pred, args)))
             out.append(atom)
         return out
 
@@ -850,7 +856,7 @@ _BIND, _CHECK, _KEYED = 0, 1, 2
 # many steps and hands its bindings on to a kernel for the steps after them.
 _STEPS_PER_KERNEL = 16
 # The parameters of a kernel after R and K (see `_kernel_source`).
-_PARAMS = "universe, names, seen, widened, derive, add, A, I"
+_PARAMS = "universe, names, seen, widened, new, E, A, I"
 
 
 def _tup(items) -> str:
@@ -895,19 +901,20 @@ def _kernel_source(shape, first: int = 0) -> str:
     position; rest are the slots of variables that no step binds, nvars the
     number of rule variables (slots 0 .. nvars - 1), head the slots of the
     head's arguments, body one (slots, negated) per body atom in textual
-    order, and widening whether the kernel derives heads.  The kernel is
+    order, and widening whether the kernel marks new heads.  The kernel is
     called as
 
-        kernel(R, K, universe, names, seen, widened, derive, add, A, I)
+        kernel(R, K, universe, names, seen, widened, new, E, A, I)
 
     with R the row set or index each step reads.  Each step is one loop,
     or a membership test when it binds no slot, with the value of each
     slot in a local; a name it binds must be in universe.  Variables in
     rest range over names.  A complete binding whose substitution (the
     tuple of variable values) is not in the dict seen is emitted: with
-    widening, a head whose names are not in widened calls derive(head
-    predicate, names); the head and body atoms are interned, A holding
-    the (pred, `AtomTable.ids` of pred) of each and add the table's `add`;
+    widening, a head whose names are not in the set widened is added to
+    it and to the set new, and calls nothing; the head and body atoms are
+    interned in place, A holding the (pred, `AtomTable.ids` of pred) of
+    each and E the table's `entries`, which a missing atom is appended to;
     and seen maps the substitution to (head id, body ids) + I, with ~id
     for a negated atom.  After `_STEPS_PER_KERNEL` steps the bindings go
     on to the kernel of the later steps, `tail`.
@@ -957,13 +964,15 @@ def _kernel_source(shape, first: int = 0) -> str:
     if widening:
         lines += [f"{pad}h = {'s' if head == tuple(range(nvars)) else _values(head)}",
                   f"{pad}if h not in widened:",
-                  f"{pad}    derive(p0, h)"]
+                  f"{pad}    widened.add(h)",
+                  f"{pad}    new.add(h)"]
         if len(head) != 1:
             keys[0] = "h"
     for j, key in enumerate(keys):
         lines += [f"{pad}a{j} = i{j}.get({key})",
                   f"{pad}if a{j} is None:",
-                  f"{pad}    a{j} = add(p{j}, {key})"]
+                  f"{pad}    a{j} = i{j}[{key}] = len(E)",
+                  f"{pad}    E.append((p{j}, {key}))"]
     ids = _tup(f"~a{j}" if negated else f"a{j}" for j, (_, negated) in enumerate(body, 1))
     lines.append(f"{pad}seen[s] = (a0, {ids}, fn, lvl, pos)")
     return "\n".join(lines) + "\n"
@@ -982,21 +991,24 @@ class _RuleJoin:
     plan runs as a compiled kernel (`_kernel`), which sees the plan's shape
     only: no predicate, constant or variable name is in its source.  It
     emits into the dict seen, with atoms interned in table and tail the
-    instance's (level function, rule level, rule position); with derive, it
-    derives the heads not in widened, the set for the head's predicate.
+    instance's (level function, rule level, rule position).  With widened,
+    the head predicate's set of widened heads, it marks a head not in it
+    there and in its own set new, which `_instances` widens and empties.
     """
 
     def __init__(self, rule: Rule, universe: set, names: list, table: AtomTable, seen: dict,
-                 tail: tuple, derive=None, widened=None):
+                 tail: tuple, widened=None):
         self.nvars, self.constants, head, body = _rule_slots(rule)
+        self.pred = rule.head.pred
         self.atoms = [(lit.atom.pred, slots) for lit, slots in zip(rule.body, body)]
         self.emit = (head, tuple((slots, lit.negated) for lit, slots in zip(rule.body, body)),
-                     derive is not None)
+                     widened is not None)
+        self.new = set()
         ids = table.ids
         atom_ids = tuple((pred, ids.setdefault(pred, {}))
                          for pred in [rule.head.pred] + [pred for pred, _ in self.atoms])
-        self.args = (self.constants, universe, names, seen, widened, derive, table.add, atom_ids,
-                     tail)
+        self.args = (self.constants, universe, names, seen, widened, self.new, table.entries,
+                     atom_ids, tail)
         self.plans = {}
 
     def _shape(self, order):
@@ -1053,6 +1065,11 @@ def _level_fn(rule: Rule, system):
         return error
 
 
+def _unwidened(pred, names):
+    """The plain engine's widening, the head alone; `_instances` never calls it."""
+    return ((pred, names),)
+
+
 def _instances(program: Program, names: list, table: AtomTable, system, widen, present):
     """Per rule, the interned instances of `ground` in substitution order,
     each emitted by a join kernel as it finds it; a ground fact has the one
@@ -1066,7 +1083,9 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     first derived in the round before, as plain row sets per predicate,
     against all atoms derived so far: it runs only the plans that read a
     predicate of that delta, in rule and then atom order, so a round costs
-    its delta."""
+    its delta.  The new heads a join's run has marked are widened into the
+    next delta when it returns: by one set union for `_unwidened`, else by
+    one call of widen per head."""
     arity = program.predicates()
     universe = set(names)
     relations = _Relations()
@@ -1075,14 +1094,19 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     # pred -> the atoms first derived in the current round: a synonym that
     # is derivable already is dropped here
     found = defaultdict(set)
-    if widen is not None:
-        def derive(pred, head):
-            widened[pred].add(head)
-            for syn_pred, syn_names in widen(pred, head):
-                if syn_names not in rows[syn_pred]:
-                    found[syn_pred].add(syn_names)
-    else:
-        derive = None
+
+    def flush(pred, new):
+        """Widen the new heads of pred into found, and empty new."""
+        if new and widen is _unwidened:
+            found[pred] |= new     # no new head is in the rows yet
+        else:
+            for head in new:
+                for syn_pred, syn_names in widen(pred, head):
+                    if syn_names not in rows[syn_pred]:
+                        found[syn_pred].add(syn_names)
+        new.clear()
+
+    if widen is None:
         for atom in present or ():
             if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
                 found[atom.pred].add(tuple(t.name for t in atom.args))
@@ -1091,19 +1115,20 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     level_fns = [_level_fn(rule, system) for rule in program.rules]
     joins = []
     for pos, (rule, seen, level_fn) in enumerate(zip(program.rules, seens, level_fns)):
-        pred = rule.head.pred
+        marked = None if widen is None else widened[rule.head.pred]
         if not rule.body and not rule.head.variables():
             seen[()] = (table.intern_atom(rule.head), (), level_fn, rule.level, pos)
-            head = tuple(t.name for t in rule.head.args)
-            if derive and head not in widened[pred]:
-                derive(pred, head)
+            if marked is not None:
+                marked.add(tuple(t.name for t in rule.head.args))
             continue
-        join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos), derive,
-                         widened[pred])
+        join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos), marked)
         if join.atoms and not full:
             joins.append(join)
         else:
             join.solve(None, None, relations)
+    # every head marked so far, of a fact or of a rule that reads no atom, is new
+    for pred, heads in widened.items():
+        flush(pred, set(heads))
     readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
     for j, join in enumerate(joins):
         for i, (pred, _) in enumerate(join.atoms):
@@ -1117,6 +1142,8 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
                            if not (first and pair[1])):
             join = joins[j]
             join.solve(i, delta[join.atoms[i][0]], relations)
+            if join.new:
+                flush(join.pred, join.new)
         first = False
     out = []
     for seen, level_fn in zip(seens, level_fns):
@@ -1148,8 +1175,10 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     each fact head and for the head of each instance whose body atoms are
     derivable.  widen returns (pred, names) pairs, the head itself among
     them, and may leave out the atoms of predicates no rule body reads.
-    An instance with an underivable body atom is never applicable, so it
-    changes no evaluation; the survivors keep their relative order.
+    It is called once per new head, after the join run that found it,
+    except `_unwidened`, which is never called.  An instance with an underivable
+    body atom is never applicable, so it changes no evaluation; the
+    survivors keep their relative order.
 
     With present (and no widen), an iterable of Atoms, only the instances
     whose every body atom, negated ones included, is among them: the

@@ -137,6 +137,34 @@ def test_order_flag(capsys):
     assert code == 2 and "permutation" in err
 
 
+def test_commands_stratify_once(monkeypatch, capsys):
+    """`fixpoint` and `consequence` pass the order they checked on to the
+    evaluation, which then does not stratify the program again."""
+    from mvdatalog import cli, engine
+    calls = []
+    stratify = engine.stratify
+
+    def counted(program):
+        calls.append(program)
+        return stratify(program)
+
+    monkeypatch.setattr(cli, "stratify", counted)
+    monkeypatch.setattr(engine, "stratify", counted)
+    runs = [("fixpoint", DATA / "ex1.mvd", "--safety", "paper-examples"),
+            ("fixpoint", DATA / "ex17.mvd"),
+            ("consequence", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox",
+             "--phi", DATA / "ex23.phi")]
+    for argv in runs:
+        calls.clear()
+        assert invoke(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+    # an order directive is taken as it stands: nothing is stratified
+    calls.clear()
+    assert invoke(capsys, "fixpoint", DATA / "ex1.mvd", "--safety", "paper-examples",
+                  "--order", "2,3,1")[0] == 0
+    assert calls == []
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = invoke(capsys, "fixpoint", "no-such-file.mvd")
     assert code == 1

@@ -194,18 +194,28 @@ def test_ground_without_widen_is_full_grounding(ex1):
 def _check_against_definition(program, knowledge=None):
     """ground, with and without a table, against `_reference_full` and
     against `_reference_pruned` for the knowledge base's spread and for the
-    plain engine's widening; returns the last of them.  Also ground with
-    present, over atoms that a knowledge-base consequence derives and atoms
-    that no instance can hold, against the full grounding filtered."""
+    plain engine's widening, both as itself and as an equal function;
+    returns the last of them.  After each tabled grounding, the table's ids
+    are dense and each entry's id is the one its predicate's map holds.
+    Also ground with present, over atoms that a knowledge-base consequence
+    derives and atoms that no instance can hold, against the full
+    grounding filtered."""
     knowledge = knowledge or build_kb(program)
     universe = kb.modified_universe(knowledge)
-    for widen in (None, kb._Spread(knowledge).widen, engine._unwidened):
+    # the last widening equals `_unwidened` but is another function, so
+    # `ground` calls it once per new head instead of taking a set union
+    for widen in (None, kb._Spread(knowledge).widen, engine._unwidened,
+                  lambda pred, names: ((pred, names),)):
         expected = (_reference_full(program, universe) if widen is None
                     else _reference_pruned(program, universe, widen))
         assert lang.ground(program, universe, widen=widen) == expected
         table = lang.AtomTable()
         interned = lang.ground(program, universe, widen=widen, table=table)
         assert _decoded(table, program, interned) == expected
+        # the kernels enter atoms without `AtomTable.add`: ids stay dense
+        assert sum(map(len, table.ids.values())) == len(table.entries)
+        for aid, (pred, key) in enumerate(table.entries):
+            assert table.ids[pred][key] == aid
     present = set(consequence(knowledge).interpretation.entries)
     present |= {Atom(a.pred, a.args + (Constant("a"),)) for a in present}
     present |= {Atom(a.pred, (Variable("X"),) + a.args[1:]) for a in present if a.args}
