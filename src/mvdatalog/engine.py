@@ -21,9 +21,9 @@ instances whose body atoms are all derivable are grounded at all (see
 ever be applicable, and `is_model` likewise checks only the instances whose
 body atoms are all present in the interpretation.  `fixpoint` and
 `kb.consequence` share this one evaluation path; they differ only in their
-step operators and in how derived heads widen, which grounding does once
-per new head, after the join run that found it, and for `fixpoint` with
-no call.
+step operators and in how derived heads widen, which grounding does with
+one call per join run that finds new heads: for `fixpoint` the heads
+alone, merged by one set union, and for `consequence` their synonyms.
 
 The path works on interned atoms.  Grounding enters every ground atom in
 one `lang.AtomTable` as an int id and returns each instance as a tuple of
@@ -39,13 +39,13 @@ intern them on entry and run the same kernels.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _key, _unwidened,
+from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _instances, _unwidened,
                    decode_instance, ground)
 
 
@@ -609,29 +609,31 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     order whenever all its body kernels are present; rules with a missing
     kernel hold vacuously, so only the instances whose body atoms are all
     in interp are grounded (`lang.ground` with present), in rule and then
-    substitution order.  They are interned, and the body and head levels
-    read from a level list, as in the sweep; an instance is decoded to its
-    atoms only to report a violation.  A rule's implication is bound once:
-    grounding has checked it against the system for any rule that has
-    instances.
+    substitution order.  One pass over interp reads each atom once: it
+    takes its names into the universe and, for a ground atom of the
+    program's arities, its row into the present relations and its value
+    into the level list, interned first in the table.  The body and head
+    levels are read from that list, as in the sweep; an instance is decoded
+    to its atoms only to report a violation.  A rule's implication is bound
+    once: grounding has checked it against the system for any rule that
+    has instances.
     """
     sys = program.system
     lattice = V.lattice(sys)
+    arity = program.predicates()
     universe = set(program.constants()) | set(extra_constants)
-    unground = set()    # the atoms of interp that are not ground
-    for atom in interp.entries:
-        for t in atom.args:
-            universe.add(t.name)
-            if not isinstance(t, Constant):
-                unground.add(atom)
     table = AtomTable()
-    grounded = ground(program, universe, table=table, present=interp.entries)
-    levels = [None] * len(table)
-    ids = table.ids
+    present = defaultdict(set)    # pred -> the name tuples of its atoms in interp
+    levels = []
     for atom, value in interp.entries.items():
-        aid = None if atom in unground else ids.get(atom.pred, {}).get(_key(atom))
-        if aid is not None:
-            levels[aid] = value
+        names = tuple(t.name for t in atom.args)
+        universe.update(names)
+        if arity.get(atom.pred) == len(names) and all(t.__class__ is Constant for t in atom.args):
+            present[atom.pred].add(names)
+            table.add(atom.pred, names[0] if len(names) == 1 else names)
+            levels.append(value)
+    grounded = _instances(program, sorted(universe), table, sys, None, present)
+    levels += [None] * (len(table) - len(levels))
     violations = []
     for rule, instances in zip(program.rules, grounded):
         implication = Imp.IMPLICATIONS[(rule.impl, sys)] if instances else None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -348,55 +348,72 @@ def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
     fold ("meet" or "product") and the number n of lambdas it folds.  The
     kernel is called as
 
-        kernel(prefix, keys, lambdas, ids, q, intern, levels, log)
+        kernel(run, entries, plans, plan, targets, intern, levels, log)
 
-    for one predicate synonym q, with prefix = fold(start(alpha), lambda_q).
-    For each synonym key of q, in order, with lambdas[k] the n lambdas of
-    keys[k], it folds them into prefix one by one, looks the atom q(key)
-    up in ids (its predicate's map in the atom table), interning it
-    through intern when it has no id, and joins the value into the working
-    levels as `engine._Levels.join` does: a bottom value is dropped, and a
-    join that does not rise by more than 1e-12 is dropped; a rise is
-    stored in levels and its id appended to log.  Every coordinate of a
-    value is a local, and meet, join and equal are written out from the
-    lattice's declaration (`values.Lattice.meets`), so each level comes from
-    the float operations of the bound lattice, in the same order.
+    for one run of fired (head id, alpha) of one predicate, with targets
+    its (q, lambda_q, ids) per predicate synonym q, ids being q's map in
+    the atom table.  For each head it reads the key from entries and the
+    plan from plans, made by plan(key) when missing, and computes
+    start(alpha).  Per target it folds lambda_q in, then, per synonym key
+    of q, in order, with lambdas[k] the n lambdas of keys[k], it folds them
+    in one by one, looks the atom q(key) up in ids, interning it through
+    intern when it has no id, and joins the value into the working levels
+    as `engine._Levels.join` does: a bottom value is dropped, and a join
+    that does not rise by more than 1e-12 is dropped; a rise is stored in
+    levels and its id appended to log.  Every coordinate of a value is a
+    local, and meet, join and equal are written out from the lattice's
+    declaration (`values.Lattice.meets`), so each level comes from the
+    float operations of `phi_apply`, in the same order.
     """
-    prefix, value, old, new = (lattice.coordinates(name) for name in ("p", "v", "o", "r"))
+    alpha, start, lam_q, prefix, value, old, new = (
+        lattice.coordinates(name) for name in ("a", "s", "m", "p", "v", "o", "r"))
     lambdas = [lattice.coordinates(f"l{k}_") for k in range(n)]
     display = lattice.value_source
-    bottom = [repr(c) for c in (lattice.bottom if len(prefix) > 1 else (lattice.bottom,))]
-    lines = ["def kernel(prefix, keys, lambdas, ids, q, intern, levels, log):",
-             f"    {display(prefix)} = prefix",
-             "    get = ids.get",
-             "    append = log.append"]
+    top, bottom = ([repr(c) for c in (v if len(prefix) > 1 else (v,))]
+                   for v in (lattice.top, lattice.bottom))
+
+    def fold(x, y):
+        return (lattice.meet_source(x, y) if kind == "meet"
+                else [f"{a} * {b}" for a, b in zip(x, y)])
+
+    lines = ["def kernel(run, entries, plans, plan, targets, intern, levels, log):",
+             "    append = log.append",
+             "    for head, alpha in run:",
+             "        key = entries[head][1]",
+             "        keys, lambdas, _ = plans.get(key) or plan(key)",
+             f"        {display(alpha)} = alpha"]
+    starts = fold(top, alpha) if kind == "meet" else alpha    # a product starts at alpha
+    lines += [f"        {s} = {source}" for s, source in zip(start, starts)]
+    lines += ["        for q, lam_q, ids in targets:",
+              f"            {display(lam_q)} = lam_q"]
+    lines += [f"            {p} = {source}" for p, source in zip(prefix, fold(start, lam_q))]
+    lines.append("            get = ids.get")
     if n:
-        lines.append(f"    for key, ({', '.join(map(display, lambdas))},) in zip(keys, lambdas):")
+        lines.append(f"            for key, ({', '.join(map(display, lambdas))},) "
+                     "in zip(keys, lambdas):")
     else:
-        lines.append("    for key in keys:")
+        lines.append("            for key in keys:")
     current = prefix
     for lam in lambdas:
-        folded = (lattice.meet_source(current, lam) if kind == "meet" else
-                  [f"{x} * {y}" for x, y in zip(current, lam)])
-        lines += [f"        {v} = {source}" for v, source in zip(value, folded)]
+        lines += [f"                {v} = {u}" for v, u in zip(value, fold(current, lam))]
         current = value
     join = lattice.join_source(old, current)
-    lines += ["        aid = get(key)",
-              "        if aid is None:",
-              "            aid = intern(q, key)",
-              f"        if {lattice.equal_source(current, bottom, repr(V.EPS))}:",
-              "            continue",
-              "        old = levels[aid]",
-              "        if old is None:",
-              f"            levels[aid] = {display(current)}",
-              "            append(aid)",
-              "            continue",
-              f"        {display(old)} = old"]
-    lines += [f"        {r} = {source}" for r, source in zip(new, join)]
-    lines += [f"        if {lattice.equal_source(new, old, repr(1e-12))}:",
-              "            continue",
-              f"        levels[aid] = {display(new)}",
-              "        append(aid)"]
+    lines += ["                aid = get(key)",
+              "                if aid is None:",
+              "                    aid = intern(q, key)",
+              f"                if {lattice.equal_source(current, bottom, repr(V.EPS))}:",
+              "                    continue",
+              "                old = levels[aid]",
+              "                if old is None:",
+              f"                    levels[aid] = {display(current)}",
+              "                    append(aid)",
+              "                    continue",
+              f"                {display(old)} = old"]
+    lines += [f"                {r} = {source}" for r, source in zip(new, join)]
+    lines += [f"                if {lattice.equal_source(new, old, repr(1e-12))}:",
+              "                    continue",
+              f"                levels[aid] = {display(new)}",
+              "                append(aid)"]
     return "\n".join(lines) + "\n"
 
 
@@ -410,6 +427,27 @@ def _spread_kernel(system: str, kind: str, n: int):
     return namespace["kernel"]
 
 
+def _options(table, rel, system, symbol):
+    """The (symbols, lambdas) of the proximity set of symbol, kept in table."""
+    options = table.get(symbol)
+    if options is None:
+        pairs = proximity_set(rel, symbol, system)
+        options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
+    return options
+
+
+def _plan(term_options, plans, fold_args, key):
+    """The plan of a head key (a name, or a tuple of names unless unary,
+    as in `lang.AtomTable`), made and entered in plans."""
+    names = (key,) if key.__class__ is str else key
+    syms, lams = tuple(zip(*map(term_options, names))) or ((), ())
+    combos = list(itertools.product(*syms))
+    lambdas = itertools.product(*lams)
+    lambdas = list(lambdas) if fold_args is None else list(map(fold_args, lambdas))
+    plan = plans[key] = (syms[0] if len(names) == 1 else combos, lambdas, combos)
+    return plan
+
+
 class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
@@ -418,90 +456,76 @@ class _Spread:
     outermost, then each s_i over that of t_i, the first argument varying
     slowest.
 
-    Each head predicate resolves its uncertainty function once, to its
-    start and fold and a kernel compiled for the shape (system, kind of
-    fold, number of lambdas folded per synonym; see `_spread_kernel`).
-    Each head key has a plan, made once and read by `widen` and `fire`
-    alike: the keys of its argument synonyms, their name tuples, and their
-    lambdas after the function's fold_args.  A firing calls start(alpha)
-    once and the kernel once per predicate synonym q, with
-    fold(start(alpha), lambda_q); the kernel does the per-synonym work.
+    Each head predicate resolves its uncertainty function once, to a kernel
+    compiled for the shape (system, kind of fold, number of lambdas folded
+    per synonym; see `_spread_kernel`).  Each head key has a plan, made
+    once and read by `widen` and `fire` alike: the keys of its argument
+    synonyms, their lambdas after the function's fold_args, and their name
+    tuples.  `fire` makes one kernel call per run of fired heads of one
+    predicate.  `widen` makes one set of synonyms per predicate synonym and
+    join run, without the names it returned before, so a spread serves one
+    grounding.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.system = kb.program.system
-        self.pred_options = {}   # predicate -> (symbols, lambdas) of its proximity set
-        self.term_options = {}   # constant name -> the same for it
-        # head predicate -> (start, fold, kernel, plans, fold_args, symbols,
-        # lambdas of its proximity set); a predicate's arity is fixed
+        self.arity = kb.program.predicates()
+        # predicate, or constant name -> (symbols, lambdas) of its proximity set
+        self.pred_options = partial(_options, {}, kb.bk.pred_prox, self.system)
+        self.term_options = partial(_options, {}, kb.bk.term_prox, self.system)
+        # head predicate -> (kernel, plans, plan, symbols, lambdas of its
+        # proximity set), plan(key) making a missing plan
         self.heads = {}
         self.plans = {}          # fold_args -> {head key: (keys, lambdas, name tuples)}
         self.read = {lit.atom.pred for rule in kb.program.rules for lit in rule.body}
+        self.returned = defaultdict(set)   # predicate -> the names widen returned for it
 
-    def _options(self, table, rel, symbol):
-        options = table.get(symbol)
-        if options is None:
-            pairs = proximity_set(rel, symbol, self.system)
-            options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
-        return options
-
-    def _head(self, pred, arity):
+    def _head(self, pred):
         """The entry of a head predicate in heads, made on first use."""
-        start, fold, fold_args, kind = _phi_kernel(self.kb.phi.phi_for(pred, arity), self.system)
+        arity = self.arity[pred]
+        _, _, fold_args, kind = _phi_kernel(self.kb.phi.phi_for(pred, arity), self.system)
         n = arity if fold_args is None else min(arity, 1)
-        qs, lam_qs = self._options(self.pred_options, self.kb.bk.pred_prox, pred)
-        head = self.heads[pred] = (start, fold, _spread_kernel(self.system, kind, n),
-                                   self.plans.setdefault(fold_args, {}), fold_args, qs, lam_qs)
+        plans = self.plans.setdefault(fold_args, {})
+        # the plan maker holds no reference to the spread, which would be a cycle
+        head = self.heads[pred] = (_spread_kernel(self.system, kind, n), plans,
+                                   partial(_plan, self.term_options, plans, fold_args),
+                                   *self.pred_options(pred))
         return head
 
-    def _plan(self, plans, fold_args, key):
-        """The plan of a head key (a name, or a tuple of names unless unary,
-        as in `lang.AtomTable`), made and entered in plans."""
-        names = (key,) if key.__class__ is str else key
-        term_prox, term_options = self.kb.bk.term_prox, self.term_options
-        options = [self._options(term_options, term_prox, n) for n in names]
-        combos = list(itertools.product(*(syms for syms, _ in options)))
-        lambdas = itertools.product(*(lams for _, lams in options))
-        lambdas = list(lambdas) if fold_args is None else [fold_args(lams) for lams in lambdas]
-        plan = plans[key] = (options[0][0] if len(names) == 1 else combos, lambdas, combos)
-        return plan
+    def widen(self, pred, heads):
+        """For `ground`: the (q, names) of every predicate synonym q of pred
+        that a rule body reads, names being the set of the argument synonyms
+        of the heads (name tuples of pred) that no earlier call returned
+        for q."""
+        _, plans, plan, qs, _ = self.heads.get(pred) or self._head(pred)
+        synonyms = set()
+        for key in (names[0] for names in heads) if self.arity[pred] == 1 else heads:
+            synonyms.update((plans.get(key) or plan(key))[2])
+        widened = [(q, synonyms - self.returned[q]) for q in qs if q in self.read]
+        for q, fresh in widened:
+            self.returned[q] |= fresh
+        return [(q, fresh) for q, fresh in widened if fresh]
 
-    def widen(self, pred, names):
-        """The (pred, names) of every synonym of pred(names) whose predicate
-        a rule body reads, for `ground`, in synonym order."""
-        _, _, _, plans, fold_args, qs, _ = self.heads.get(pred) or self._head(pred, len(names))
-        key = names[0] if len(names) == 1 else names
-        combos = (plans.get(key) or self._plan(plans, fold_args, key))[2]
-        return [(q, chosen) for q in qs if q in self.read for chosen in combos]
-
-    def fire(self, head: int, alpha, levels) -> None:
-        """Join every synonym of the interned head derived at level alpha
-        into the working levels, interning the synonyms in their table.
-
-        Each level is the one `phi_apply` gives, from the same pieces:
-        start(alpha) once per head, its fold with lambda_q once per
-        predicate synonym q, and the argument lambdas folded on by the
-        kernel."""
-        table = levels.table
-        pred, key = table.entries[head]
-        start, fold, kernel, plans, fold_args, qs, lam_qs = (
-            self.heads.get(pred) or self._head(pred, 1 if key.__class__ is str else len(key)))
-        keys, lambdas, _ = plans.get(key) or self._plan(plans, fold_args, key)
-        head_start = start(alpha)
-        ids_of, intern, values, log = table.ids, levels.intern, levels.levels, levels.log
-        for q, lam_q in zip(qs, lam_qs):
-            ids = ids_of.get(q)
-            if ids is None:
-                ids = ids_of[q] = {}
-            kernel(fold(head_start, lam_q), keys, lambdas, ids, q, intern, values, log)
+    def fire(self, pred, run, levels) -> None:
+        """Join every synonym of each (head id, alpha) of run, interned heads
+        of pred derived at level alpha, into the working levels, interning
+        the synonyms in their table, with one kernel call.  Each level is
+        the one `phi_apply` gives, from the same pieces in the same order."""
+        kernel, plans, plan, qs, lam_qs = self.heads.get(pred) or self._head(pred)
+        ids = levels.table.ids
+        targets = [(q, lam_q, ids.setdefault(q, {})) for q, lam_q in zip(qs, lam_qs)]
+        kernel(run, levels.table.entries, plans, plan, targets, levels.intern, levels.levels,
+               levels.log)
 
 
 def _mod(spread: _Spread, instances, interp, diagnostics):
-    """The kernel of `mod_nt_step`: every head fired is spread into interp."""
-    fired = _fired(instances, interp, diagnostics)
-    for head, alpha in fired:
-        spread.fire(head, alpha, interp)
+    """The kernel of `mod_nt_step`: the heads fired are spread into interp
+    in their order, one call per run of consecutive heads of a predicate."""
+    entries = interp.table.entries
+    for pred, run in itertools.groupby(_fired(instances, interp, diagnostics),
+                                       lambda fired: entries[fired[0]][0]):
+        spread.fire(pred, run, interp)
     return interp
 
 

@@ -1065,9 +1065,9 @@ def _level_fn(rule: Rule, system):
         return error
 
 
-def _unwidened(pred, names):
-    """The plain engine's widening, the head alone; `_instances` never calls it."""
-    return ((pred, names),)
+def _unwidened(pred, heads):
+    """The plain engine's widening: the heads alone, merged by one set union."""
+    return ((pred, heads),)
 
 
 def _instances(program: Program, names: list, table: AtomTable, system, widen, present):
@@ -1077,39 +1077,28 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     `AtomTable.intern_atom`.  Without widen and present, each rule runs its
     plan that reads no atom.  Otherwise one semi-naive pass over crisp
     relations runs the joins.  The relations start from the fact heads,
-    each passed through widen, or from the ground present atoms of the
-    program's arities, which derive nothing.  The first round runs each
-    join's first plan once over them.  Each later round joins the atoms
-    first derived in the round before, as plain row sets per predicate,
-    against all atoms derived so far: it runs only the plans that read a
-    predicate of that delta, in rule and then atom order, so a round costs
-    its delta.  The new heads a join's run has marked are widened into the
-    next delta when it returns: by one set union for `_unwidened`, else by
-    one call of widen per head."""
-    arity = program.predicates()
+    passed through widen, or from present, the name tuples per predicate
+    of the ground atoms present, which derive nothing.  The first round
+    runs each join's first plan once over them.  Each later round joins the
+    atoms first derived in the round before, as plain row sets per
+    predicate, against all atoms derived so far: it runs only the plans
+    that read a predicate of that delta, in rule and then atom order, so a
+    round costs its delta.  When a join's run has marked new heads, widen
+    is called once on all of them, and each set of names it returns is
+    merged into the next delta by one set union."""
+    program.predicates()           # a predicate used with two arities raises
     universe = set(names)
     relations = _Relations()
-    rows = relations.rows
     widened = defaultdict(set)     # pred -> the heads already widened
-    # pred -> the atoms first derived in the current round: a synonym that
-    # is derivable already is dropped here
-    found = defaultdict(set)
+    found = defaultdict(set)       # pred -> the atoms first derived in the current round
 
     def flush(pred, new):
         """Widen the new heads of pred into found, and empty new."""
-        if new and widen is _unwidened:
-            found[pred] |= new     # no new head is in the rows yet
-        else:
-            for head in new:
-                for syn_pred, syn_names in widen(pred, head):
-                    if syn_names not in rows[syn_pred]:
-                        found[syn_pred].add(syn_names)
+        for syn_pred, synonyms in widen(pred, new):
+            found[syn_pred].update(synonyms)
         new.clear()
 
-    if widen is None:
-        for atom in present or ():
-            if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
-                found[atom.pred].add(tuple(t.name for t in atom.args))
+    found.update(present or ())
     full = widen is None and present is None
     seens = [{} for _ in program.rules]
     level_fns = [_level_fn(rule, system) for rule in program.rules]
@@ -1128,7 +1117,8 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
             join.solve(None, None, relations)
     # every head marked so far, of a fact or of a rule that reads no atom, is new
     for pred, heads in widened.items():
-        flush(pred, set(heads))
+        if heads:
+            flush(pred, set(heads))
     readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
     for j, join in enumerate(joins):
         for i, (pred, _) in enumerate(join.atoms):
@@ -1171,14 +1161,17 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
 
     Without widen, every instance over the universe.  With widen, only the
     instances whose every body atom, negated ones included, is derivable:
-    in the least set that holds the atoms widen(pred, names) returns for
-    each fact head and for the head of each instance whose body atoms are
-    derivable.  widen returns (pred, names) pairs, the head itself among
-    them, and may leave out the atoms of predicates no rule body reads.
-    It is called once per new head, after the join run that found it,
-    except `_unwidened`, which is never called.  An instance with an underivable
-    body atom is never applicable, so it changes no evaluation; the
-    survivors keep their relative order.
+    in the least set that holds the atoms widen(pred, heads) returns for
+    the fact heads and for the head of each instance whose body atoms are
+    derivable.  heads is a set of name tuples of pred, and widen returns
+    (pred, iterable of name tuples) pairs, the heads themselves among them;
+    it may leave out the atoms of predicates no rule body reads.  It is
+    called once per join run, on the heads that the run found first, and
+    each iterable is merged into the next round by one set union, so a
+    name that widen returns again is joined again, which changes no
+    instance (`kb._Spread.widen` returns each name once).  An instance with
+    an underivable body atom is never applicable, so it changes no
+    evaluation; the survivors keep their relative order.
 
     With present (and no widen), an iterable of Atoms, only the instances
     whose every body atom, negated ones included, is among them: the
@@ -1189,6 +1182,12 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     """
     if universe is None:
         universe = program.constants()
+    if present is not None:
+        arity, rows = program.predicates(), defaultdict(set)
+        for atom in present:
+            if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
+                rows[atom.pred].add(tuple(t.name for t in atom.args))
+        present = rows if widen is None else None
     decode = table is None
     if decode:
         table = AtomTable()

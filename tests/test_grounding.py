@@ -134,8 +134,9 @@ def _reference_full(program, universe):
 
 def _reference_pruned(program, universe, widen):
     """The pruned grounding by its definition, computed naively over the
-    full grounding: the least set holding widen(head) for every instance
-    whose body atoms are all in it, then the instances whose are."""
+    full grounding: the least set holding the atoms widen(pred, {names})
+    returns for every instance head pred(names) whose body atoms are all in
+    it, then the instances whose are."""
     full = _reference_full(program, universe)
 
     def key(atom):
@@ -143,9 +144,10 @@ def _reference_pruned(program, universe, widen):
 
     derivable = set()
     while True:
-        new = {syn for rules in full for g in rules
+        new = {(syn_pred, syn_names) for rules in full for g in rules
                if all(key(lit.atom) in derivable for lit in g.body)
-               for syn in widen(*key(g.head))} - derivable
+               for syn_pred, names in widen(g.head.pred, {key(g.head)[1]})
+               for syn_names in names} - derivable
         if not new:
             break
         derivable |= new
@@ -164,9 +166,12 @@ def test_pruned_grounding_matches_its_definition():
             program = _with_constants(rng, program)
         knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
         universe = kb.modified_universe(knowledge)
-        for widen in (engine._unwidened, kb._Spread(knowledge).widen):
-            assert (lang.ground(program, universe, widen=widen)
-                    == _reference_pruned(program, universe, widen)), trial
+        # a spread's widening leaves out the names it returned before, so
+        # the grounding and its reference each get a spread of their own
+        for widening in (lambda: engine._unwidened,
+                         lambda: _returning_each_name_once(kb._Spread(knowledge).widen)):
+            assert (lang.ground(program, universe, widen=widening())
+                    == _reference_pruned(program, universe, widening())), trial
         # the consequence's atoms, each with a wrong-arity variant and, if it
         # has arguments, a non-ground one and one with a name outside the
         # universe; as in `is_model`, the universe holds the variable's name
@@ -191,26 +196,57 @@ def test_ground_without_widen_is_full_grounding(ex1):
     assert full[2] == [dataclasses.replace(g, rule_pos=2) for g in alone]
 
 
+def _redundant_widening(universe):
+    """A widening that returns each head twice, in a list, and with it, for
+    every head, the synonym of the same predicate whose names are all the
+    least name of the universe: one synonym shared by all heads, which is
+    derivable already from the second call on."""
+    least = min(universe)
+
+    def widen(pred, heads):
+        heads = list(heads)
+        return [(pred, heads + heads)] + [(pred, [(least,) * len(names)]) for names in heads]
+
+    return widen
+
+
+def _returning_each_name_once(widen):
+    """widen, checked to return no (pred, names) that it returned before."""
+    returned = set()
+
+    def checked(pred, heads):
+        widened = widen(pred, heads)
+        for syn_pred, names in widened:
+            pairs = {(syn_pred, syn_names) for syn_names in names}
+            assert len(pairs) == len(names) and not pairs & returned
+            returned.update(pairs)
+        return widened
+
+    return checked
+
+
 def _check_against_definition(program, knowledge=None):
     """ground, with and without a table, against `_reference_full` and
-    against `_reference_pruned` for the knowledge base's spread and for the
-    plain engine's widening, both as itself and as an equal function;
-    returns the last of them.  After each tabled grounding, the table's ids
-    are dense and each entry's id is the one its predicate's map holds.
-    Also ground with present, over atoms that a knowledge-base consequence
-    derives and atoms that no instance can hold, against the full
-    grounding filtered."""
+    against `_reference_pruned` for the knowledge base's spread, for a
+    widening that returns names more than once, and for the plain engine's
+    widening, both as itself and as an equal function; returns the last of
+    them.  After each tabled grounding, the table's ids are dense and each
+    entry's id is the one its predicate's map holds.  Also ground with
+    present, over atoms that a knowledge-base consequence derives and atoms
+    that no instance can hold, against the full grounding filtered."""
     knowledge = knowledge or build_kb(program)
     universe = kb.modified_universe(knowledge)
-    # the last widening equals `_unwidened` but is another function, so
-    # `ground` calls it once per new head instead of taking a set union
-    for widen in (None, kb._Spread(knowledge).widen, engine._unwidened,
-                  lambda pred, names: ((pred, names),)):
-        expected = (_reference_full(program, universe) if widen is None
-                    else _reference_pruned(program, universe, widen))
-        assert lang.ground(program, universe, widen=widen) == expected
+    # each call makes a widening afresh: a spread leaves out the names it
+    # returned before.  The last widening equals `_unwidened` but is
+    # another function
+    for widening in (lambda: None, lambda: _returning_each_name_once(kb._Spread(knowledge).widen),
+                     lambda: _redundant_widening(universe), lambda: engine._unwidened,
+                     lambda: lambda pred, heads: ((pred, heads),)):
+        expected = (_reference_full(program, universe) if widening() is None
+                    else _reference_pruned(program, universe, widening()))
+        assert lang.ground(program, universe, widen=widening()) == expected
         table = lang.AtomTable()
-        interned = lang.ground(program, universe, widen=widen, table=table)
+        interned = lang.ground(program, universe, widen=widening(), table=table)
         assert _decoded(table, program, interned) == expected
         # the kernels enter atoms without `AtomTable.add`: ids stay dense
         assert sum(map(len, table.ids.values())) == len(table.entries)

@@ -285,6 +285,100 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
     assert compared == 11
 
 
+# The fact predicates a and b alternate, so the fact step's fired list
+# changes predicate at every head: runs of one head.  c and d are derived by
+# four rules of one stratum, and d and s have no predicate synonyms; f has
+# one instance, and no atom of h is ever derived, so g's rule never fires
+RUNS_PROGRAM = """%system {system}.
+fact a(x) = {hi}.
+fact b(x) = {mid}.
+fact a(y) = {mid}.
+fact b(y) = {lo}.
+fact a(z) = {lo}.
+fact s = {hi}.
+rule c(X) <- a(X) : {impl}, {hi}.
+rule d(X) <- b(X), s : {impl}, {mid}.
+rule c(X) <- d(X) : {impl}, {mid}.
+rule d(X) <- c(X) : {impl}, {hi}.
+rule e(X) <- a(X), not c(X) : {impl}, {mid}.
+rule f <- e(z) : {impl}, {hi}.
+rule g(X) <- h(X) : {impl}, {hi}.
+"""
+RUNS_PROX = """%domain terms.
+x ~ x1 = {mid}.
+y ~ y1 = {lo}.
+z ~ x = {lo}.
+%domain predicates.
+a ~ a1 = {mid}.
+b ~ b1 = {lo}.
+c ~ c1 = {mid}.
+e ~ e1 = {lo}.
+f ~ f1 = {mid}.
+"""
+
+
+def test_runs_of_fired_heads_match_reference_mod_step(monkeypatch):
+    """Spreading a run of fired heads of one predicate at a time, where the
+    fired lists change predicate mid-list, gives the reference step's
+    results, step by step and for the whole consequence."""
+    runs = []
+    fire = kb._Spread.fire
+
+    def recording(spread, pred, run, levels):
+        run = list(run)
+        runs.append((pred, len(run)))
+        fire(spread, pred, run, levels)
+
+    def step_marked(*args):
+        runs.append(None)
+        return mod(*args)
+
+    mod = kb._mod
+    monkeypatch.setattr(kb._Spread, "fire", recording)
+    monkeypatch.setattr(kb, "_mod", step_marked)
+    compared = 0
+    for system, (impl, lo, mid, hi, _, _) in FAN_OUT_SYSTEMS.items():
+        program_text = RUNS_PROGRAM.format(system=system, impl=impl, lo=lo, mid=mid, hi=hi)
+        term_prox, pred_prox, _ = parse_proximity_file(RUNS_PROX.format(lo=lo, mid=mid))
+        for phi in ["meet", "meet-product"] + (["product"] if system == V.IVS else []):
+            phi_spec = parse_phi_file("".join(f"phi {p}/{k} = {phi}.\n" for p, k in
+                                              (("a", 1), ("b", 1), ("c", 1), ("d", 1),
+                                               ("e", 1), ("f", 0), ("g", 1), ("s", 0))))
+            knowledge = build_kb(parse_program(program_text),
+                                 BackgroundKnowledge(term_prox, pred_prox), phi_spec)
+            rules = [g for rs in lang.ground(knowledge.program, kb.modified_universe(knowledge))
+                     for g in rs]
+            # the proper rules fire nothing on the empty interpretation
+            interp = engine.Interpretation(knowledge.program.system)
+            del runs[:]
+            assert _items(kb.mod_nt_step(knowledge, interp, rules[6:], [])) == []
+            assert runs == [None]
+            for step in range(6):
+                diagnostics, expected_diagnostics = ["earlier note"], ["earlier note"]
+                stepped = kb.mod_nt_step(knowledge, interp, rules, diagnostics)
+                expected = reference_mod_nt_step(knowledge, interp, rules, expected_diagnostics)
+                assert _items(stepped) == _items(expected), (system, phi, step)
+                assert diagnostics == expected_diagnostics, (system, phi, step)
+                interp = expected
+            for max_iters in MAX_ITERS:
+                del runs[:]
+                report = _report(consequence(knowledge, max_iters=max_iters))
+                assert report == _report(reference_consequence(knowledge, max_iters)), \
+                    (system, phi, max_iters)
+                compared += 1
+            # the fact step spreads a, b, a, b, a, s: six runs of one head;
+            # the stratum of rules 3 and 4 fires c and d heads in one step
+            assert runs[:8] == [None, ("a", 1), ("b", 1), ("a", 1), ("b", 1), ("a", 1),
+                                ("s", 1), None]
+            steps = " ".join("|" if run is None else run[0] for run in runs).split("|")
+            assert any({"c", "d"} <= set(step.split()) for step in steps)
+            fired = {run[0] for run in runs if run}
+            assert {"c", "d", "e", "f"} <= fired and "g" not in fired
+            assert any(run and run[1] > 1 for run in runs)
+    assert engine.stratify(knowledge.program).strata == [[1], [2], [3, 4], [5], [6], [7]]
+    assert compared == 11 * len(MAX_ITERS)
+
+
 def _items(interp):
     return list(interp.entries.items())
 
