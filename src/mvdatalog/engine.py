@@ -41,6 +41,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from . import values as V
@@ -49,10 +50,13 @@ from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _instances, _
                    decode_instance, ground)
 
 
+_name = attrgetter("name")
+
+
 def _item_key(item):
     """Sort key of an (atom, value) item: predicate, then argument names."""
     atom = item[0]
-    return (atom.pred, tuple(t.name for t in atom.args))
+    return atom.pred, tuple(map(_name, atom.args))
 
 
 class Interpretation:
@@ -137,11 +141,6 @@ class _Levels:
         for aid, value in seeds:
             self.levels[aid] = value
             self.log.append(aid)
-
-    def intern(self, pred, key) -> int:
-        """Enter an atom that has no id yet, at bottom; returns its id."""
-        self.levels.append(None)
-        return self.table.add(pred, key)
 
     def store(self, aid: int, value) -> None:
         """Set the value of atom id, logging it as a rise."""

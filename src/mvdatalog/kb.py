@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 from . import values as V
-from .lang import ParseError, Program, _Parser, _SYSTEM_NAMES, ground
+from .lang import _FACT_NUMBER, _SKIP, _SYSTEM_NAMES, ParseError, Program, _Parser, ground
 from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired, _on_objects
 
 PHI_MEET = "meet"
@@ -157,8 +158,26 @@ class KnowledgeBase:
 # File parsing
 # ----------------------------------------------------------------------
 
+# An entry `a ~ b = level.` of a proximity file, and a line `phi p/n = f.`
+# of a function-set file, on one line, with what follows up to the next
+# statement.  Each piece reads as `lang._TOKEN_RE` would read it, numbers
+# as in `lang._FACT_RE`, so the matched text has the tokens the general
+# parser reads.
+_IDENT = r"([A-Za-z][A-Za-z0-9_-]*)"
+_ENTRY_RE = re.compile(
+    rf"{_IDENT}[ \t]*~[ \t]*{_IDENT}[ \t]*=[ \t]*(?:({_FACT_NUMBER})|"
+    rf"\([ \t]*({_FACT_NUMBER})[ \t]*,[ \t]*({_FACT_NUMBER})[ \t]*\))[ \t]*\.(?!\d)" + _SKIP)
+_PHI_RE = re.compile(
+    rf"phi[ \t]+{_IDENT}[ \t]*/[ \t]*([0-9]+)[ \t]*=[ \t]*{_IDENT}[ \t]*\.(?!\d)" + _SKIP)
+
+
 def parse_proximity_file(text: str):
-    """Parse a proximity file into (term_prox, pred_prox, declared_system)."""
+    """Parse a proximity file into (term_prox, pred_prox, declared_system).
+
+    An entry on one line is read by `_ENTRY_RE` alone when it relates two
+    distinct symbols that its section has no pair for yet.  Directives,
+    every other entry and every error are read by the general parser from
+    the same offset."""
     p = _Parser(text)
     system = None
     if p.at("directive", "%system"):
@@ -172,7 +191,20 @@ def parse_proximity_file(text: str):
     term_prox = ProximityRelation("terms", system)
     pred_prox = ProximityRelation("predicates", system)
     current = None
-    while not p.at("eof"):
+    pos = p.tok[2]
+    while True:
+        m = None if current is None else _ENTRY_RE.match(text, pos)
+        if m is not None:
+            a, b, scalar, m1, m2 = m.groups()
+            if a != b and ProximityRelation._key(a, b) not in current.pairs:
+                current.set_pair(a, b, round(float(scalar), 9) if scalar else
+                                 (round(float(m1), 9), round(float(m2), 9)))
+                pos = m.end()
+                continue
+        if p.tok[2] != pos:
+            p.seek(pos)
+        if p.at("eof"):
+            break
         if p.at("directive", "%domain"):
             p.next()
             which = p.expect("ident")
@@ -183,6 +215,7 @@ def parse_proximity_file(text: str):
             else:
                 p.fail(f"%domain must be 'terms' or 'predicates', got {which[1]!r}", which)
             p.expect("punct", ".")
+            pos = p.tok[2]
             continue
         if current is None:
             p.fail("proximity entries must follow a %domain directive")
@@ -200,13 +233,32 @@ def parse_proximity_file(text: str):
         if current.pairs.get(ProximityRelation._key(a, b), lvl) != lvl:
             p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
         current.set_pair(a, b, lvl)
+        pos = p.tok[2]
     return term_prox, pred_prox, system
 
 
 def parse_phi_file(text: str) -> PhiSpec:
+    """Parse a function-set file.  A line is read by `_PHI_RE` alone when
+    it names a known function for a functor not given one yet; every other
+    line and every error is read by the general parser from the same
+    offset."""
     p = _Parser(text)
     spec = PhiSpec()
-    while not p.at("eof"):
+    by_functor = spec.by_functor
+    pos = p.tok[2]
+    while True:
+        m = _PHI_RE.match(text, pos)
+        if m is not None:
+            name, arity, which = m.groups()
+            functor = (name, int(arity))
+            if which in _PHI_FILE_NAMES and functor not in by_functor:
+                by_functor[functor] = _PHI_FILE_NAMES[which]
+                pos = m.end()
+                continue
+        if p.tok[2] != pos:
+            p.seek(pos)
+        if p.at("eof"):
+            break
         kw = p.expect("ident")
         if kw[1] != "phi":
             p.fail(f"expected 'phi', found {kw[1]!r}", kw)
@@ -219,8 +271,9 @@ def parse_phi_file(text: str) -> PhiSpec:
             p.fail(f"unknown uncertainty function {which[1]!r}", which)
         p.expect("punct", ".")
         phi_id = _PHI_FILE_NAMES[which[1]]
-        if spec.by_functor.setdefault((name, arity), phi_id) != phi_id:
+        if by_functor.setdefault((name, arity), phi_id) != phi_id:
             p.fail(f"contradictory uncertainty functions for {name}/{arity}", eq)
+        pos = p.tok[2]
     return spec
 
 
@@ -270,72 +323,41 @@ def _pair_product(a, b):
     return (a[0] * b[0], a[1] * b[1])
 
 
-def _scalar_product(a, b):
-    return a * b
-
-
-def _lambda_product(lambdas, product):
-    """lambda_n * (.. * (lambda_2 * lambda_1)), for meet_product."""
-    prod = lambdas[0]
-    for lam in lambdas[1:]:
-        prod = product(lam, prod)
-    return prod
-
-
 def _require_product_system(system: str) -> None:
     if system != V.IVS:
         raise ValueError("the product uncertainty function is only valid "
                          "in the interval-valued case")
 
 
-@functools.lru_cache(maxsize=16)
-def _phi_kernel(phi_id: str, system: str):
-    """The pieces of one uncertainty function: (start, fold, fold_args,
-    kind), the same objects on every call.
-
-    phi(alpha, lambda_pred, lambdas) is fold(start(alpha), lambda_pred)
-    folded on with fold over fold_args(lambdas), or over lambdas themselves
-    when fold_args is None; kind names fold, "meet" or "product".  meet
-    folds with the lattice meet from top meet alpha (the operand order of
-    the checked meet_all fold, so levels stay bit-for-bit the same);
-    meet_product folds the same way over the argument lambdas' product;
-    product multiplies everything (interval-valued programs only).
-    """
-    if phi_id == PHI_PRODUCT:
-        _require_product_system(system)
-        return (lambda alpha: alpha), _pair_product, None, "product"
-    if phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
-        raise ValueError(f"unknown uncertainty function {phi_id!r}")
-    lattice = V.lattice(system)
-    meet, top = lattice.meet, lattice.top
-
-    def start(alpha):
-        return meet(top, alpha)
-
-    if phi_id == PHI_MEET:
-        return start, meet, None, "meet"
-    product = _scalar_product if system == V.FUZZY else _pair_product
-
-    def fold_args(lambdas):
-        # the pairwise product's neutral element is (1, 1), which is not the
-        # ifs lattice top; fold the argument lambdas only
-        return (_lambda_product(lambdas, product),) if lambdas else lambdas
-
-    return start, meet, fold_args, "meet"
-
-
 def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     """Combine a derived level with proximity degrees.
 
-    meet takes the lattice meet of all arguments; meet_product replaces the
-    argument lambdas by their pairwise product; product multiplies
-    everything (interval-valued programs only).  All three are identity at
-    top and monotone in every argument.  The values are not shape-checked.
+    meet takes the lattice meet of all arguments, from top meet alpha (the
+    operand order of the checked meet_all fold); meet_product replaces the
+    argument lambdas by their pairwise product, lambda_n * (.. * (lambda_2
+    * lambda_1)); product multiplies everything (interval-valued programs
+    only).  All three are identity at top and monotone in every argument.
+    The values are not shape-checked.
     """
-    start, fold, fold_args, _ = _phi_kernel(phi_id, system)
-    out = fold(start(alpha), lambda_pred)
-    for lam in lambda_args if fold_args is None else fold_args(lambda_args):
-        out = fold(out, lam)
+    if phi_id == PHI_PRODUCT:
+        _require_product_system(system)
+        out = _pair_product(alpha, lambda_pred)
+        for lam in lambda_args:
+            out = _pair_product(out, lam)
+        return out
+    if phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
+        raise ValueError(f"unknown uncertainty function {phi_id!r}")
+    if phi_id == PHI_MEET_PRODUCT and lambda_args:
+        # the pairwise product's neutral element is (1, 1), which is not the
+        # ifs lattice top; fold the argument lambdas only
+        prod = lambda_args[0]
+        for lam in lambda_args[1:]:
+            prod = lam * prod if system == V.FUZZY else _pair_product(lam, prod)
+        lambda_args = (prod,)
+    lattice = V.lattice(system)
+    out = lattice.meet(lattice.meet(lattice.top, alpha), lambda_pred)
+    for lam in lambda_args:
+        out = lattice.meet(out, lam)
     return out
 
 
@@ -343,165 +365,211 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
 # Modified consequence transformation
 # ----------------------------------------------------------------------
 
-def _spread_source(lattice: V.Lattice, kind: str, n: int) -> str:
-    """The source of the fan-out kernel of a shape: the lattice, the kind of
-    fold ("meet" or "product") and the number n of lambdas it folds.  The
-    kernel is called as
+_NESTED_LOOPS = 10     # the argument loops a fan-out kernel nests at most
 
-        kernel(run, entries, plans, plan, targets, intern, levels, log)
+
+def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
+    """The source of the fan-out kernel of a shape: the lattice, the
+    uncertainty function (meet_product only for n > 1, where it differs
+    from meet) and the arity n of the heads.  The kernel is called as
+
+        kernel(run, entries, terms, targets, levels, log)
 
     for one run of fired (head id, alpha) of one predicate, with targets
     its (q, lambda_q, ids) per predicate synonym q, ids being q's map in
-    the atom table.  For each head it reads the key from entries and the
-    plan from plans, made by plan(key) when missing, and computes
-    start(alpha).  Per target it folds lambda_q in, then, per synonym key
-    of q, in order, with lambdas[k] the n lambdas of keys[k], it folds them
-    in one by one, looks the atom q(key) up in ids, interning it through
-    intern when it has no id, and joins the value into the working levels
-    as `engine._Levels.join` does: a bottom value is dropped, and a join
-    that does not rise by more than 1e-12 is dropped; a rise is stored in
-    levels and its id appended to log.  Every coordinate of a value is a
-    local, and meet, join and equal are written out from the lattice's
-    declaration (`values.Lattice.meets`), so each level comes from the
-    float operations of `phi_apply`, in the same order.
+    the atom table and entries its list of (pred, key).  For each head it
+    reads the key from entries and each argument's symbols and lambdas
+    from terms (an `_Options`), and computes start(alpha).  Per target it
+    folds lambda_q in, then walks the argument synonyms in one nested loop
+    per argument, the first varying slowest, and builds each synonym's key
+    in the innermost loop.  product folds each argument's lambda in at its
+    loop, so each prefix is folded once per target.  meet and meet_product
+    fold the argument lambdas the same way, prefix by prefix, but once per
+    head, into a list of (key, folded lambdas), since that fold depends on
+    neither q nor alpha; per target each is met with start meet lambda_q.
+    min and max are exact, so every level is the one `phi_apply` gives.
+
+    A synonym q(key) with no id in ids is interned in place, as the join
+    kernels do: appended to entries, to levels at bottom and to ids.  Its
+    value is then joined into levels as `engine._Levels.join` does: a
+    bottom value is dropped, and a join that does not rise by more than
+    1e-12 is dropped; a rise is stored and its id appended to log.  Every
+    coordinate of a value is a local, and meet, join and equal are
+    written out from the lattice's declaration (`values.Lattice.meets`).
     """
     alpha, start, lam_q, prefix, value, old, new = (
         lattice.coordinates(name) for name in ("a", "s", "m", "p", "v", "o", "r"))
     lambdas = [lattice.coordinates(f"l{k}_") for k in range(n)]
+    folds = [lattice.coordinates(f"f{k}_") for k in range(n)]
     display = lattice.value_source
     top, bottom = ([repr(c) for c in (v if len(prefix) > 1 else (v,))]
                    for v in (lattice.top, lattice.bottom))
+    multiply = phi_id == PHI_PRODUCT
+    hoisted = not multiply and n > 1
+    names = ["key"] if n == 1 else [f"n{k}" for k in range(n)]
+    key = f"({', '.join(names)})"
+    # one loop per argument; past _NESTED_LOOPS, one loop over the product of
+    # the rest, so that Python's limit on nested blocks holds at any arity
+    groups = [[k] for k in range(min(n, _NESTED_LOOPS - 1))]
+    if n >= _NESTED_LOOPS:
+        groups.append(range(_NESTED_LOOPS - 1, n))
 
     def fold(x, y):
-        return (lattice.meet_source(x, y) if kind == "meet"
-                else [f"{a} * {b}" for a, b in zip(x, y)])
+        return [f"{a} * {b}" for a, b in zip(x, y)] if multiply else lattice.meet_source(x, y)
 
-    lines = ["def kernel(run, entries, plans, plan, targets, intern, levels, log):",
-             "    append = log.append",
-             "    for head, alpha in run:",
-             "        key = entries[head][1]",
-             "        keys, lambdas, _ = plans.get(key) or plan(key)",
-             f"        {display(alpha)} = alpha"]
-    starts = fold(top, alpha) if kind == "meet" else alpha    # a product starts at alpha
-    lines += [f"        {s} = {source}" for s, source in zip(start, starts)]
-    lines += ["        for q, lam_q, ids in targets:",
-              f"            {display(lam_q)} = lam_q"]
-    lines += [f"            {p} = {source}" for p, source in zip(prefix, fold(start, lam_q))]
-    lines.append("            get = ids.get")
+    def assign(pad, targets, sources):
+        lines.extend(f"{pad}{t} = {s}" for t, s in zip(targets, sources))
+
+    def loops(pad, current):
+        """The loops over the argument synonyms, folding each lambda into
+        current (None: start from the first); the innermost padding and
+        the folded coordinates."""
+        for group in groups:
+            binds = [f"{names[k]}, {display(lambdas[k])}" for k in group]
+            sources = [f"zip(syms{k}, lams{k})" for k in group]
+            lines.append(f"{pad}for {binds[0]} in {sources[0]}:" if len(group) == 1 else
+                         f"{pad}for ({'), ('.join(binds)}) in product({', '.join(sources)}):")
+            pad += "    "
+            for k in group:
+                if current is not None:
+                    # meet_product multiplies each lambda in on the left, as phi_apply
+                    assign(pad, folds[k], fold(current, lambdas[k]) if phi_id != PHI_MEET_PRODUCT
+                           else [f"{b} * {a}" for a, b in zip(current, lambdas[k])])
+                current = folds[k] if current is not None else lambdas[k]
+        return pad, current
+
+    lines = ["def kernel(run, entries, terms, targets, levels, log):",
+             "    append, grow = log.append, levels.append",
+             "    for head, alpha in run:"]
     if n:
-        lines.append(f"            for key, ({', '.join(map(display, lambdas))},) "
-                     "in zip(keys, lambdas):")
+        lines.append(f"        {', '.join(f'k{k}' for k in range(n))} = entries[head][1]")
+        lines += [f"        syms{k}, lams{k}, _ = terms[k{k}]" for k in range(n)]
+    lines.append(f"        {display(alpha)} = alpha")
+    assign("        ", start, alpha if multiply else fold(top, alpha))  # a product starts at alpha
+    if hoisted:
+        lines += ["        folded = []", "        add = folded.append"]
+        pad, argument = loops("        ", None)
+        lines.append(f"{pad}add(({key}, {', '.join(argument)}))")
+    lines += ["        for q, lam_q, ids in targets:", f"            {display(lam_q)} = lam_q"]
+    assign("            ", prefix, fold(start, lam_q))
+    lines.append("            get = ids.get")
+    if hoisted:
+        argument = lattice.coordinates("g")
+        lines.append(f"            for key, {', '.join(argument)} in folded:")
+        pad = "                "
     else:
-        lines.append("            for key in keys:")
-    current = prefix
-    for lam in lambdas:
-        lines += [f"                {v} = {u}" for v, u in zip(value, fold(current, lam))]
-        current = value
-    join = lattice.join_source(old, current)
-    lines += ["                aid = get(key)",
-              "                if aid is None:",
-              "                    aid = intern(q, key)",
-              f"                if {lattice.equal_source(current, bottom, repr(V.EPS))}:",
-              "                    continue",
-              "                old = levels[aid]",
-              "                if old is None:",
-              f"                    levels[aid] = {display(current)}",
-              "                    append(aid)",
-              "                    continue",
-              f"                {display(old)} = old"]
-    lines += [f"                {r} = {source}" for r, source in zip(new, join)]
-    lines += [f"                if {lattice.equal_source(new, old, repr(1e-12))}:",
-              "                    continue",
-              f"                levels[aid] = {display(new)}",
-              "                append(aid)"]
+        # a product folds on from the prefix, a meet from the first lambda
+        pad, argument = loops("            ", prefix if multiply else None)
+        if n != 1:
+            lines.append(f"{pad}key = {key}")
+    if argument is None or multiply:
+        value = argument or prefix
+    else:
+        assign(pad, value, fold(prefix, argument))
+    lines += [pad + line for line in (
+        "aid = get(key)",
+        "if aid is None:",
+        "    aid = ids[key] = len(entries)",
+        "    entries.append((q, key))",
+        "    grow(None)",
+        f"if {lattice.equal_source(value, bottom, repr(V.EPS))}:",
+        "    continue",
+        "old = levels[aid]",
+        "if old is None:",
+        f"    levels[aid] = {display(value)}",
+        "    append(aid)",
+        "    continue",
+        f"{display(old)} = old",
+        *(f"{r} = {source}" for r, source in zip(new, lattice.join_source(old, value))),
+        f"if {lattice.equal_source(new, old, repr(1e-12))}:",
+        "    continue",
+        f"levels[aid] = {display(new)}",
+        "append(aid)")]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=64)
-def _spread_kernel(system: str, kind: str, n: int):
+def _spread_kernel(system: str, phi_id: str, n: int):
     """The fan-out kernel of a shape (see `_spread_source`), compiled once
     per shape."""
-    namespace = {}
-    source = _spread_source(V.lattice(system), kind, n)
+    namespace = {"product": itertools.product}
+    source = _spread_source(V.lattice(system), phi_id, n)
     exec(compile(source, "<spread kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _options(table, rel, system, symbol):
-    """The (symbols, lambdas) of the proximity set of symbol, kept in table."""
-    options = table.get(symbol)
-    if options is None:
-        pairs = proximity_set(rel, symbol, system)
-        options = table[symbol] = (tuple(d for d, _ in pairs), tuple(v for _, v in pairs))
-    return options
+class _Options(dict):
+    """Symbol -> (symbols, lambdas, symbols as 1-tuples) of its proximity set
+    in a relation, made on first lookup."""
 
+    def __init__(self, rel: ProximityRelation, system: str):
+        super().__init__()
+        self.rel = rel
+        self.system = system
 
-def _plan(term_options, plans, fold_args, key):
-    """The plan of a head key (a name, or a tuple of names unless unary,
-    as in `lang.AtomTable`), made and entered in plans."""
-    names = (key,) if key.__class__ is str else key
-    syms, lams = tuple(zip(*map(term_options, names))) or ((), ())
-    combos = list(itertools.product(*syms))
-    lambdas = itertools.product(*lams)
-    lambdas = list(lambdas) if fold_args is None else list(map(fold_args, lambdas))
-    plan = plans[key] = (syms[0] if len(names) == 1 else combos, lambdas, combos)
-    return plan
+    def __missing__(self, symbol):
+        pairs = proximity_set(self.rel, symbol, self.system)
+        symbols = tuple(d for d, _ in pairs)
+        options = self[symbol] = (symbols, tuple(v for _, v in pairs), tuple(zip(symbols)))
+        return options
 
 
 class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
-    The proximity set of each predicate and term symbol is fetched once.  A
-    synonym of p(t1..tn) is q(s1..sn) with q over the proximity set of p,
-    outermost, then each s_i over that of t_i, the first argument varying
-    slowest.
+    The proximity set of each predicate and term symbol is fetched once, as
+    its symbols and lambdas (`_Options`).  A synonym of p(t1..tn) is
+    q(s1..sn) with q over the proximity set of p, outermost, then each s_i
+    over that of t_i, the first argument varying slowest.  Nothing is kept
+    per head key: `widen` and the kernels walk the argument synonyms from
+    the options each time.
 
     Each head predicate resolves its uncertainty function once, to a kernel
-    compiled for the shape (system, kind of fold, number of lambdas folded
-    per synonym; see `_spread_kernel`).  Each head key has a plan, made
-    once and read by `widen` and `fire` alike: the keys of its argument
-    synonyms, their lambdas after the function's fold_args, and their name
-    tuples.  `fire` makes one kernel call per run of fired heads of one
-    predicate.  `widen` makes one set of synonyms per predicate synonym and
-    join run, without the names it returned before, so a spread serves one
-    grounding.
+    compiled for the shape (system, function, arity; see `_spread_source`).
+    `fire` makes one kernel call per run of fired heads of one predicate.
+    `widen` makes one set of synonyms per predicate synonym and join run,
+    without the names it returned before, so a spread serves one grounding.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.system = kb.program.system
         self.arity = kb.program.predicates()
-        # predicate, or constant name -> (symbols, lambdas) of its proximity set
-        self.pred_options = partial(_options, {}, kb.bk.pred_prox, self.system)
-        self.term_options = partial(_options, {}, kb.bk.term_prox, self.system)
-        # head predicate -> (kernel, plans, plan, symbols, lambdas of its
-        # proximity set), plan(key) making a missing plan
+        self.preds = _Options(kb.bk.pred_prox, self.system)
+        self.terms = _Options(kb.bk.term_prox, self.system)
+        # head predicate -> (kernel, symbols, lambdas of its proximity set)
         self.heads = {}
-        self.plans = {}          # fold_args -> {head key: (keys, lambdas, name tuples)}
         self.read = {lit.atom.pred for rule in kb.program.rules for lit in rule.body}
         self.returned = defaultdict(set)   # predicate -> the names widen returned for it
 
     def _head(self, pred):
         """The entry of a head predicate in heads, made on first use."""
         arity = self.arity[pred]
-        _, _, fold_args, kind = _phi_kernel(self.kb.phi.phi_for(pred, arity), self.system)
-        n = arity if fold_args is None else min(arity, 1)
-        plans = self.plans.setdefault(fold_args, {})
-        # the plan maker holds no reference to the spread, which would be a cycle
-        head = self.heads[pred] = (_spread_kernel(self.system, kind, n), plans,
-                                   partial(_plan, self.term_options, plans, fold_args),
-                                   *self.pred_options(pred))
+        phi_id = self.kb.phi.phi_for(pred, arity)
+        if phi_id == PHI_PRODUCT:
+            _require_product_system(self.system)
+        elif phi_id == PHI_MEET_PRODUCT and arity < 2:
+            phi_id = PHI_MEET        # the product of at most one lambda is that lambda
+        elif phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
+            raise ValueError(f"unknown uncertainty function {phi_id!r}")
+        head = self.heads[pred] = (_spread_kernel(self.system, phi_id, arity),
+                                   *self.preds[pred][:2])
         return head
 
     def widen(self, pred, heads):
         """For `ground`: the (q, names) of every predicate synonym q of pred
         that a rule body reads, names being the set of the argument synonyms
         of the heads (name tuples of pred) that no earlier call returned
-        for q."""
-        _, plans, plan, qs, _ = self.heads.get(pred) or self._head(pred)
-        synonyms = set()
-        for key in (names[0] for names in heads) if self.arity[pred] == 1 else heads:
-            synonyms.update((plans.get(key) or plan(key))[2])
+        for q.  A head's synonyms are the product of its constants' symbol
+        tuples; a unary head's are its constant's cached 1-tuples."""
+        _, qs, _ = self.heads.get(pred) or self._head(pred)
+        synonyms, terms = set(), self.terms
+        if self.arity[pred] == 1:
+            for (name,) in heads:
+                synonyms.update(terms[name][2])
+        else:
+            for names in heads:
+                synonyms.update(itertools.product(*[terms[name][0] for name in names]))
         widened = [(q, synonyms - self.returned[q]) for q in qs if q in self.read]
         for q, fresh in widened:
             self.returned[q] |= fresh
@@ -509,14 +577,15 @@ class _Spread:
 
     def fire(self, pred, run, levels) -> None:
         """Join every synonym of each (head id, alpha) of run, interned heads
-        of pred derived at level alpha, into the working levels, interning
-        the synonyms in their table, with one kernel call.  Each level is
-        the one `phi_apply` gives, from the same pieces in the same order."""
-        kernel, plans, plan, qs, lam_qs = self.heads.get(pred) or self._head(pred)
-        ids = levels.table.ids
+        of pred derived at level alpha, into the working levels, with one
+        call of pred's kernel, which walks the argument synonyms in nested
+        loops and interns a missing synonym in place in the levels' table.
+        Each level is the one `phi_apply` gives."""
+        kernel, qs, lam_qs = self.heads.get(pred) or self._head(pred)
+        table = levels.table
+        ids = table.ids
         targets = [(q, lam_q, ids.setdefault(q, {})) for q, lam_q in zip(qs, lam_qs)]
-        kernel(run, levels.table.entries, plans, plan, targets, levels.intern, levels.levels,
-               levels.log)
+        kernel(run, table.entries, self.terms, targets, levels.levels, levels.log)
 
 
 def _mod(spread: _Spread, instances, interp, diagnostics):

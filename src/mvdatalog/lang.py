@@ -700,7 +700,8 @@ class AtomTable:
     An atom is entered by its predicate and key: the argument name of a
     unary atom and the tuple of argument names otherwise; the arity of a
     predicate is fixed, so the keys of one predicate never mix the two
-    forms.  An atom is entered by `add` or, in place, by the join kernels.
+    forms.  An atom is entered by `add` or, in place, by the join kernels
+    and the fan-out kernels (`kb._spread_source`).
     `Atom` objects are built only on request, once per id, with their hash
     set (as by `_ground_atom`), and share their `Constant`s.
     """

@@ -202,9 +202,11 @@ class Lattice:
     and bottom are the ends of that order.  leq_source, meet_source,
     join_source and equal_source write the operations from it as Python
     source over the names of the coordinates, and the bound leq, meet, join
-    and equal are compiled from that source, as are the kernels that inline
-    it (`kb._spread_kernel`).  min(a, b) is written `b if b < a else a` and
-    max(a, b) `b if b > a else a`, as the builtins decide ties.
+    and equal are compiled from that source, as are the fan-out kernels
+    that inline it (`kb._spread_source`: the start, the folds of lambda_q
+    and of the argument lambdas, the bottom and rise tests).  min(a, b) is
+    written `b if b < a else a` and max(a, b) `b if b > a else a`, as the
+    builtins decide ties.
 
     valid(a) holds when each coordinate is in [0, 1] and a meets
     constraint, up to EPS; valid_input(a), for input levels, holds it even

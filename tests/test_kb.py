@@ -366,11 +366,11 @@ def test_knowledge_bases_differing_in_names_share_their_kernels(monkeypatch):
         runs.append(([v for v in report.interpretation.entries.values()], asked[start:]))
     (levels, first), (renamed_levels, second) = runs
     assert levels == renamed_levels
-    # one kernel per head predicate, made as the grounding first widens it:
-    # a unary product, a unary and a nullary meet, and a binary meet-product,
-    # which folds the one product of its argument lambdas
+    # one kernel per head predicate, made as the grounding first widens it,
+    # keyed by (system, function, arity): a unary product, a unary and a
+    # nullary meet, and a binary meet-product, which keeps its own kernel
     assert [shape for shape, _ in first] == [("ivs", "product", 1), ("ivs", "meet", 1),
-                                             ("ivs", "meet", 0), ("ivs", "meet", 1)]
+                                             ("ivs", "meet", 0), ("ivs", "meet_product", 2)]
     assert [shape for shape, _ in second] == [shape for shape, _ in first]
     assert all(a is b for (_, a), (_, b) in zip(first, second))
     # the kernels are kept in a bounded cache, as the join kernels are

@@ -285,6 +285,104 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
     assert compared == 11
 
 
+# binary, 4-ary and 11-ary heads: a repeated constant a that has synonyms,
+# a constant k that has none, and t, whose one synonym t0 sits at a tiny
+# lambda that drives some of its synonyms to bottom; the 11-ary x has more
+# arguments than a kernel nests loops for (`kb._NESTED_LOOPS`)
+BINARY_PROGRAM = """%system {system}.
+fact e(a, b) = {hi}.
+fact e(a, a) = {mid}.
+fact e(k, a) = {hi}.
+fact e(b, t) = {low_fact}.
+fact w(a, b, k, a) = {mid}.
+fact x(a, k, k, k, k, k, k, k, k, b, a) = {hi}.
+rule r(X, Y) <- e(X, Y) : {impl}, {hi}.
+rule v(X, Y, Z, U) <- w(X, Y, Z, U), e(X, Y) : {impl}, {hi}.
+rule s(X) <- r(X, X) : {impl}, {mid}.
+"""
+BINARY_PROX = """%domain terms.
+a ~ a1 = {mid}.
+a ~ a2 = {lo}.
+b ~ b1 = {lo}.
+t ~ t0 = {tiny}.
+%domain predicates.
+e ~ e1 = {mid}.
+r ~ r1 = {lo}.
+r ~ r2 = {mid}.
+v ~ v1 = {mid}.
+w ~ w1 = {lo}.
+s ~ s1 = {mid}.
+x ~ x1 = {mid}.
+"""
+BINARY_SYSTEMS = {
+    # system: (implication, low, middle, high level, the tiny lambda, the
+    # level of e(b, t)); the products of the tiny lambda with low fall
+    # within EPS of bottom, and under bipolar-a so does its meet with e(b, t)
+    "fuzzy": ("godel", "0.4", "0.7", "0.9", "0.000000002", "0.9"),
+    "ifs": ("fg2", "(0.4, 0.5)", "(0.7, 0.2)", "(0.9, 0.05)", "(0.000000002, 0.9)",
+            "(0.9, 0.05)"),
+    "ivs": ("vg2", "(0.4, 0.45)", "(0.7, 0.85)", "(0.9, 0.95)",
+            "(0.000000002, 0.000000002)", "(0.9, 0.95)"),
+    "bipolar-a": ("(godel, godel)", "(0.4, 0.2)", "(0.6, 0.3)", "(0.65, 0.35)", "(0.0, 0.6)",
+                  "(0.6, 0.0)"),
+    "bipolar-b": ("(godel, godel)", "(0.4, 0.5)", "(0.7, 0.2)", "(0.9, 0.05)",
+                  "(0.000000002, 0.9)", "(0.9, 0.05)"),
+}
+
+
+def test_fan_out_matches_reference_mod_step_on_binary_and_wider_heads(monkeypatch):
+    tables = []
+    decode = engine._Levels.interpretation
+
+    def recording(levels):
+        tables.append(levels.table)
+        return decode(levels)
+
+    monkeypatch.setattr(engine._Levels, "interpretation", recording)
+    bottomed, compared = set(), 0
+    for system, (impl, lo, mid, hi, tiny, low_fact) in BINARY_SYSTEMS.items():
+        program_text = BINARY_PROGRAM.format(system=system, impl=impl, mid=mid, hi=hi,
+                                             low_fact=low_fact)
+        term_prox, pred_prox, _ = parse_proximity_file(BINARY_PROX.format(lo=lo, mid=mid,
+                                                                          tiny=tiny))
+        for phi in ["meet", "meet-product"] + (["product"] if system == V.IVS else []):
+            phi_spec = parse_phi_file("".join(f"phi {p}/{k} = {phi}.\n" for p, k in
+                                              (("e", 2), ("r", 2), ("v", 4), ("w", 4),
+                                               ("s", 1), ("x", 11))))
+            knowledge = build_kb(parse_program(program_text),
+                                 BackgroundKnowledge(term_prox, pred_prox), phi_spec)
+            rules = [g for rs in lang.ground(knowledge.program, kb.modified_universe(knowledge))
+                     for g in rs]
+            interp = engine.Interpretation(knowledge.program.system)
+            for step in range(4):
+                diagnostics, expected_diagnostics = ["earlier note"], ["earlier note"]
+                stepped = kb.mod_nt_step(knowledge, interp, rules, diagnostics)
+                expected = reference_mod_nt_step(knowledge, interp, rules, expected_diagnostics)
+                assert _items(stepped) == _items(expected), (system, phi, step)
+                assert diagnostics == expected_diagnostics, (system, phi, step)
+                interp = expected
+            for max_iters in MAX_ITERS:
+                del tables[:]
+                report = _report(consequence(knowledge, max_iters=max_iters))
+                assert report == _report(reference_consequence(knowledge, max_iters)), \
+                    (system, phi, max_iters)
+                compared += 1
+            entries = dict(report[0])
+            # the 4-ary head spreads over 3 * 2 * 1 * 3 argument synonyms
+            assert len([a for a in entries if a.pred == "v1"]) == 18, (system, phi)
+            assert len([a for a in entries if a.pred == "x1"]) == 3 * 2 * 3
+            assert kb._NESTED_LOOPS < 11
+            assert _atom("s1", "a2") in entries and _atom("r2", "k", "a1") in entries
+            # a synonym driven to bottom is interned in the table, never stored
+            table = tables[-1]
+            interned = [table.atom(aid) for aid in range(len(table))]
+            if any("t0" in [t.name for t in a.args] and a not in entries for a in interned):
+                bottomed.add((system, phi))
+    assert compared == 11 * len(MAX_ITERS)
+    assert bottomed == {("fuzzy", "meet-product"), ("ivs", "meet-product"), ("ivs", "product"),
+                        ("bipolar-a", "meet"), ("bipolar-a", "meet-product")}
+
+
 # The fact predicates a and b alternate, so the fact step's fired list
 # changes predicate at every head: runs of one head.  c and d are derived by
 # four rules of one stratum, and d and s have no predicate synonyms; f has
