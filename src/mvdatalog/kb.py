@@ -323,10 +323,14 @@ def _pair_product(a, b):
     return (a[0] * b[0], a[1] * b[1])
 
 
-def _require_product_system(system: str) -> None:
-    if system != V.IVS:
+def _checked_phi(phi_id: str, system: str) -> str:
+    """phi_id, when it names an uncertainty function admissible in system."""
+    if phi_id == PHI_PRODUCT and system != V.IVS:
         raise ValueError("the product uncertainty function is only valid "
                          "in the interval-valued case")
+    if phi_id not in _PHI_FILE_NAMES.values():
+        raise ValueError(f"unknown uncertainty function {phi_id!r}")
+    return phi_id
 
 
 def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
@@ -339,14 +343,11 @@ def phi_apply(phi_id: str, system: str, alpha, lambda_pred, lambda_args):
     only).  All three are identity at top and monotone in every argument.
     The values are not shape-checked.
     """
-    if phi_id == PHI_PRODUCT:
-        _require_product_system(system)
+    if _checked_phi(phi_id, system) == PHI_PRODUCT:
         out = _pair_product(alpha, lambda_pred)
         for lam in lambda_args:
             out = _pair_product(out, lam)
         return out
-    if phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
-        raise ValueError(f"unknown uncertainty function {phi_id!r}")
     if phi_id == PHI_MEET_PRODUCT and lambda_args:
         # the pairwise product's neutral element is (1, 1), which is not the
         # ifs lattice top; fold the argument lambdas only
@@ -376,18 +377,19 @@ def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
         kernel(run, entries, terms, targets, levels, log)
 
     for one run of fired (head id, alpha) of one predicate, with targets
-    its (q, lambda_q, ids) per predicate synonym q, ids being q's map in
-    the atom table and entries its list of (pred, key).  For each head it
-    reads the key from entries and each argument's symbols and lambdas
-    from terms (an `_Options`), and computes start(alpha).  Per target it
-    folds lambda_q in, then walks the argument synonyms in one nested loop
-    per argument, the first varying slowest, and builds each synonym's key
-    in the innermost loop.  product folds each argument's lambda in at its
-    loop, so each prefix is folded once per target.  meet and meet_product
-    fold the argument lambdas the same way, prefix by prefix, but once per
-    head, into a list of (key, folded lambdas), since that fold depends on
-    neither q nor alpha; per target each is met with start meet lambda_q.
-    min and max are exact, so every level is the one `phi_apply` gives.
+    the (q, lambda_q, ids) of each pair (q, lambda_q) of the predicate's
+    proximity set, ids being q's map in the atom table and entries its
+    list of (pred, key).  For each head it reads the key from entries and
+    each argument's (symbol, lambda) pairs from terms (an `_Options`), and
+    computes start(alpha).  A head of arity n != 1 lists the (key, lambdas)
+    of its argument synonyms once, in one nested loop per argument, the
+    first varying slowest: product keeps each argument lambda, and meet
+    and meet_product fold them prefix by prefix into one.  A unary head's
+    list is its constant's pairs.  Per target the kernel folds lambda_q
+    into start, then walks the list: meet and meet_product meet that
+    prefix with the fold, which is exact, as min and max are; product
+    multiplies the prefix by each argument lambda in turn, in the operand
+    order of `phi_apply`.  So every level is the one `phi_apply` gives.
 
     A synonym q(key) with no id in ids is interned in place, as the join
     kernels do: appended to entries, to levels at bottom and to ids.  Its
@@ -405,9 +407,6 @@ def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
     top, bottom = ([repr(c) for c in (v if len(prefix) > 1 else (v,))]
                    for v in (lattice.top, lattice.bottom))
     multiply = phi_id == PHI_PRODUCT
-    hoisted = not multiply and n > 1
-    names = ["key"] if n == 1 else [f"n{k}" for k in range(n)]
-    key = f"({', '.join(names)})"
     # one loop per argument; past _NESTED_LOOPS, one loop over the product of
     # the rest, so that Python's limit on nested blocks holds at any arity
     groups = [[k] for k in range(min(n, _NESTED_LOOPS - 1))]
@@ -420,52 +419,48 @@ def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
     def assign(pad, targets, sources):
         lines.extend(f"{pad}{t} = {s}" for t, s in zip(targets, sources))
 
-    def loops(pad, current):
-        """The loops over the argument synonyms, folding each lambda into
-        current (None: start from the first); the innermost padding and
-        the folded coordinates."""
-        for group in groups:
-            binds = [f"{names[k]}, {display(lambdas[k])}" for k in group]
-            sources = [f"zip(syms{k}, lams{k})" for k in group]
-            lines.append(f"{pad}for {binds[0]} in {sources[0]}:" if len(group) == 1 else
-                         f"{pad}for ({'), ('.join(binds)}) in product({', '.join(sources)}):")
-            pad += "    "
-            for k in group:
-                if current is not None:
-                    # meet_product multiplies each lambda in on the left, as phi_apply
-                    assign(pad, folds[k], fold(current, lambdas[k]) if phi_id != PHI_MEET_PRODUCT
-                           else [f"{b} * {a}" for a, b in zip(current, lambdas[k])])
-                current = folds[k] if current is not None else lambdas[k]
-        return pad, current
-
     lines = ["def kernel(run, entries, terms, targets, levels, log):",
              "    append, grow = log.append, levels.append",
              "    for head, alpha in run:"]
     if n:
         lines.append(f"        {', '.join(f'k{k}' for k in range(n))} = entries[head][1]")
-        lines += [f"        syms{k}, lams{k}, _ = terms[k{k}]" for k in range(n)]
+        lines += [f"        _, pairs{k} = terms[k{k}]" for k in range(n)]
     lines.append(f"        {display(alpha)} = alpha")
     assign("        ", start, alpha if multiply else fold(top, alpha))  # a product starts at alpha
-    if hoisted:
-        lines += ["        folded = []", "        add = folded.append"]
-        pad, argument = loops("        ", None)
-        lines.append(f"{pad}add(({key}, {', '.join(argument)}))")
+    # the lambdas listed with each key: each argument's for product, their fold otherwise
+    listed = lambdas if multiply or n < 2 else [folds[-1]]
+    if n == 1:
+        walk = f"key, {display(listed[0])} in pairs0"
+    else:
+        pad = "        "
+        lines += [f"{pad}synonyms = []", f"{pad}add = synonyms.append"]
+        for group in groups:
+            binds = [f"n{k}, {display(lambdas[k])}" for k in group]
+            sources = [f"pairs{k}" for k in group]
+            lines.append(f"{pad}for {binds[0]} in {sources[0]}:" if len(group) == 1 else
+                         f"{pad}for ({'), ('.join(binds)}) in product({', '.join(sources)}):")
+            pad += "    "
+            for k in group:
+                if k and not multiply:
+                    # meet_product multiplies each lambda in on the left, as phi_apply
+                    current = lambdas[0] if k == 1 else folds[k - 1]
+                    assign(pad, folds[k], fold(current, lambdas[k]) if phi_id != PHI_MEET_PRODUCT
+                           else [f"{b} * {a}" for a, b in zip(current, lambdas[k])])
+        fields = [c for lam in listed for c in lam]
+        key = f"({', '.join(f'n{k}' for k in range(n))})"
+        lines.append(f"{pad}add(({', '.join([key, *fields])},))")
+        walk = f"{', '.join(['key', *fields])}, in synonyms"
     lines += ["        for q, lam_q, ids in targets:", f"            {display(lam_q)} = lam_q"]
     assign("            ", prefix, fold(start, lam_q))
-    lines.append("            get = ids.get")
-    if hoisted:
-        argument = lattice.coordinates("g")
-        lines.append(f"            for key, {', '.join(argument)} in folded:")
-        pad = "                "
+    lines += ["            get = ids.get", f"            for {walk}:"]
+    pad = "                "
+    if multiply:
+        # left to right: ((prefix * lambda_0) * lambda_1) ..
+        assign(pad, value, [" * ".join(cs) for cs in zip(prefix, *listed)])
+    elif listed:
+        assign(pad, value, fold(prefix, listed[0]))
     else:
-        # a product folds on from the prefix, a meet from the first lambda
-        pad, argument = loops("            ", prefix if multiply else None)
-        if n != 1:
-            lines.append(f"{pad}key = {key}")
-    if argument is None or multiply:
-        value = argument or prefix
-    else:
-        assign(pad, value, fold(prefix, argument))
+        value = prefix
     lines += [pad + line for line in (
         "aid = get(key)",
         "if aid is None:",
@@ -499,8 +494,9 @@ def _spread_kernel(system: str, phi_id: str, n: int):
 
 
 class _Options(dict):
-    """Symbol -> (symbols, lambdas, symbols as 1-tuples) of its proximity set
-    in a relation, made on first lookup."""
+    """Symbol -> (symbols, pairs) of its proximity set in a relation, pairs
+    being the (symbol, lambda) of `proximity_set` in its order and symbols
+    their first items, made on first lookup."""
 
     def __init__(self, rel: ProximityRelation, system: str):
         super().__init__()
@@ -508,9 +504,8 @@ class _Options(dict):
         self.system = system
 
     def __missing__(self, symbol):
-        pairs = proximity_set(self.rel, symbol, self.system)
-        symbols = tuple(d for d, _ in pairs)
-        options = self[symbol] = (symbols, tuple(v for _, v in pairs), tuple(zip(symbols)))
+        pairs = tuple(proximity_set(self.rel, symbol, self.system))
+        options = self[symbol] = (tuple(d for d, _ in pairs), pairs)
         return options
 
 
@@ -518,11 +513,11 @@ class _Spread:
     """The proximity fan-out of derived heads, for one `consequence` call.
 
     The proximity set of each predicate and term symbol is fetched once, as
-    its symbols and lambdas (`_Options`).  A synonym of p(t1..tn) is
-    q(s1..sn) with q over the proximity set of p, outermost, then each s_i
-    over that of t_i, the first argument varying slowest.  Nothing is kept
-    per head key: `widen` and the kernels walk the argument synonyms from
-    the options each time.
+    its (symbol, lambda) pairs and their symbols (`_Options`).  A synonym
+    of p(t1..tn) is q(s1..sn) with q over the proximity set of p,
+    outermost, then each s_i over that of t_i, the first argument varying
+    slowest.  Nothing is kept per head key: `widen` and the kernels walk
+    the argument synonyms from the options each time.
 
     Each head predicate resolves its uncertainty function once, to a kernel
     compiled for the shape (system, function, arity; see `_spread_source`).
@@ -537,7 +532,7 @@ class _Spread:
         self.arity = kb.program.predicates()
         self.preds = _Options(kb.bk.pred_prox, self.system)
         self.terms = _Options(kb.bk.term_prox, self.system)
-        # head predicate -> (kernel, symbols, lambdas of its proximity set)
+        # head predicate -> (kernel, symbols, pairs of its proximity set)
         self.heads = {}
         self.read = {lit.atom.pred for rule in kb.program.rules for lit in rule.body}
         self.returned = defaultdict(set)   # predicate -> the names widen returned for it
@@ -545,15 +540,10 @@ class _Spread:
     def _head(self, pred):
         """The entry of a head predicate in heads, made on first use."""
         arity = self.arity[pred]
-        phi_id = self.kb.phi.phi_for(pred, arity)
-        if phi_id == PHI_PRODUCT:
-            _require_product_system(self.system)
-        elif phi_id == PHI_MEET_PRODUCT and arity < 2:
+        phi_id = _checked_phi(self.kb.phi.phi_for(pred, arity), self.system)
+        if phi_id == PHI_MEET_PRODUCT and arity < 2:
             phi_id = PHI_MEET        # the product of at most one lambda is that lambda
-        elif phi_id != PHI_MEET and phi_id != PHI_MEET_PRODUCT:
-            raise ValueError(f"unknown uncertainty function {phi_id!r}")
-        head = self.heads[pred] = (_spread_kernel(self.system, phi_id, arity),
-                                   *self.preds[pred][:2])
+        head = self.heads[pred] = (_spread_kernel(self.system, phi_id, arity), *self.preds[pred])
         return head
 
     def widen(self, pred, heads):
@@ -561,15 +551,11 @@ class _Spread:
         that a rule body reads, names being the set of the argument synonyms
         of the heads (name tuples of pred) that no earlier call returned
         for q.  A head's synonyms are the product of its constants' symbol
-        tuples; a unary head's are its constant's cached 1-tuples."""
+        tuples."""
         _, qs, _ = self.heads.get(pred) or self._head(pred)
         synonyms, terms = set(), self.terms
-        if self.arity[pred] == 1:
-            for (name,) in heads:
-                synonyms.update(terms[name][2])
-        else:
-            for names in heads:
-                synonyms.update(itertools.product(*[terms[name][0] for name in names]))
+        for names in heads:
+            synonyms.update(itertools.product(*[terms[name][0] for name in names]))
         widened = [(q, synonyms - self.returned[q]) for q in qs if q in self.read]
         for q, fresh in widened:
             self.returned[q] |= fresh
@@ -578,13 +564,14 @@ class _Spread:
     def fire(self, pred, run, levels) -> None:
         """Join every synonym of each (head id, alpha) of run, interned heads
         of pred derived at level alpha, into the working levels, with one
-        call of pred's kernel, which walks the argument synonyms in nested
-        loops and interns a missing synonym in place in the levels' table.
-        Each level is the one `phi_apply` gives."""
-        kernel, qs, lam_qs = self.heads.get(pred) or self._head(pred)
+        call of pred's kernel, which lists each head's argument synonyms
+        once, walks the list per pair (q, lambda_q) of pred's proximity set
+        and interns a missing synonym in place in the levels' table.  Each
+        level is the one `phi_apply` gives."""
+        kernel, _, pairs = self.heads.get(pred) or self._head(pred)
         table = levels.table
         ids = table.ids
-        targets = [(q, lam_q, ids.setdefault(q, {})) for q, lam_q in zip(qs, lam_qs)]
+        targets = [(q, lam_q, ids.setdefault(q, {})) for q, lam_q in pairs]
         kernel(run, table.entries, self.terms, targets, levels.levels, levels.log)
 
 

@@ -158,7 +158,7 @@ class _TreeBuilder:
         (expand_*, child) for every child to expand and resumes once that
         child's subtree is built; the stack of open expansions stands in
         for the call stack, so the depth of the tree is not bounded by it."""
-        stack = [self.expand_goal(root)]
+        stack = [self.expand_prox_phase(root)]
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -169,25 +169,17 @@ class _TreeBuilder:
 
     # --- the two unification phases ---
 
-    def expand_goal(self, node: SearchNode):
-        """First proximity-based unification: predicate over its proximity
-        set, ground terms replaced by their proximity sets."""
-        if self._cut(node):
+    def expand_prox_phase(self, node: SearchNode):
+        """Depth 3k: the sub-goal predicate ranges over its proximity set.
+        At the goal (depth 0), which is never a repeat, its ground terms
+        are also replaced by their proximity sets."""
+        if (node.depth and self._mark(node, "prox")) or self._cut(node):
             return
-        args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t
-                     for t in node.atom.args)
+        args = node.atom.args
+        if node.depth == 0:
+            args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in args)
         for q, _ in proximity_set(self.kb.bk.pred_prox, node.atom.pred, self.system):
             child = SearchNode("subgoal", node.depth + 1, Atom(q, args),
-                               connective=_connective(node.depth + 1))
-            node.children.append(child)
-            yield self.expand_rule_phase, child
-
-    def expand_prox_phase(self, node: SearchNode):
-        """Depth 3k: the sub-goal predicate ranges over its proximity set."""
-        if self._mark(node, "prox") or self._cut(node):
-            return
-        for q, _ in proximity_set(self.kb.bk.pred_prox, node.atom.pred, self.system):
-            child = SearchNode("subgoal", node.depth + 1, Atom(q, node.atom.args),
                                connective=_connective(node.depth + 1))
             node.children.append(child)
             yield self.expand_rule_phase, child

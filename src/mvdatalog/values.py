@@ -203,8 +203,8 @@ class Lattice:
     join_source and equal_source write the operations from it as Python
     source over the names of the coordinates, and the bound leq, meet, join
     and equal are compiled from that source, as are the fan-out kernels
-    that inline it (`kb._spread_source`: the start, the folds of lambda_q
-    and of the argument lambdas, the bottom and rise tests).  min(a, b) is
+    that inline it (`kb._spread_source`: the meets of alpha, lambda_q and
+    the argument lambdas, the join, the bottom and rise tests).  min(a, b) is
     written `b if b < a else a` and max(a, b) `b if b > a else a`, as the
     builtins decide ties.
 

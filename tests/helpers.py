@@ -488,8 +488,8 @@ class ReferenceTreeBuilder(_TreeBuilder):
     another head functor, kept as the reference for differential tests: it
     renames every proper rule apart at every rule-phase node, and builds a
     new candidate atom from the names of each fact that matches.  Only the
-    node helpers `_cut`, `_mark`, `expand`, `expand_goal` and
-    `expand_prox_phase` come from `query._TreeBuilder`."""
+    node helpers `_cut`, `_mark`, `expand` and `expand_prox_phase` come
+    from `query._TreeBuilder`."""
 
     def __init__(self, kb, depth_limit: int):
         self.kb = kb

@@ -378,3 +378,14 @@ def test_knowledge_bases_differing_in_names_share_their_kernels(monkeypatch):
     for n in range(compiled.cache_info().maxsize + 1):
         compiled(V.FUZZY, "meet", n)
     assert compiled.cache_info().currsize == compiled.cache_info().maxsize
+
+
+def test_every_kernel_shape_compiles():
+    # every system, each admissible function and arities 0..20, across the
+    # argument-loop boundary (`kb._NESTED_LOOPS`)
+    shapes = [(system, phi, n) for system in V.SYSTEMS
+              for phi in [kb.PHI_MEET, kb.PHI_MEET_PRODUCT] + [kb.PHI_PRODUCT] * (system == V.IVS)
+              for n in range(21)]
+    assert len(shapes) == 231
+    for shape in shapes:
+        assert callable(kb._spread_kernel(*shape)), shape

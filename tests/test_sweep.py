@@ -285,10 +285,12 @@ def test_fan_out_matches_reference_mod_step_on_nullary_and_ternary_heads():
     assert compared == 11
 
 
-# binary, 4-ary and 11-ary heads: a repeated constant a that has synonyms,
-# a constant k that has none, and t, whose one synonym t0 sits at a tiny
-# lambda that drives some of its synonyms to bottom; the 11-ary x has more
-# arguments than a kernel nests loops for (`kb._NESTED_LOOPS`)
+# binary, 3-, 4-, 9-, 10- and 11-ary heads: a repeated constant a that has
+# synonyms, a constant k that has none, and t, whose one synonym t0 sits at
+# a tiny lambda that drives some of its synonyms to bottom; with
+# `kb._NESTED_LOOPS` at 10, the 9-ary y9 is the widest head with one loop
+# per argument, and the 10-ary y10 and the 11-ary x have more arguments
+# than a kernel nests loops for
 BINARY_PROGRAM = """%system {system}.
 fact e(a, b) = {hi}.
 fact e(a, a) = {mid}.
@@ -296,9 +298,12 @@ fact e(k, a) = {hi}.
 fact e(b, t) = {low_fact}.
 fact w(a, b, k, a) = {mid}.
 fact x(a, k, k, k, k, k, k, k, k, b, a) = {hi}.
+fact y9(b, k, k, k, k, k, k, k, a) = {mid}.
+fact y10(a, k, k, k, k, k, k, k, k, a) = {hi}.
 rule r(X, Y) <- e(X, Y) : {impl}, {hi}.
 rule v(X, Y, Z, U) <- w(X, Y, Z, U), e(X, Y) : {impl}, {hi}.
 rule s(X) <- r(X, X) : {impl}, {mid}.
+rule y3(X, Z, Y) <- e(X, Y), w(X, Y, Z, X) : {impl}, {mid}.
 """
 BINARY_PROX = """%domain terms.
 a ~ a1 = {mid}.
@@ -313,6 +318,9 @@ v ~ v1 = {mid}.
 w ~ w1 = {lo}.
 s ~ s1 = {mid}.
 x ~ x1 = {mid}.
+y3 ~ y31 = {lo}.
+y9 ~ y91 = {mid}.
+y10 ~ y101 = {lo}.
 """
 BINARY_SYSTEMS = {
     # system: (implication, low, middle, high level, the tiny lambda, the
@@ -348,7 +356,8 @@ def test_fan_out_matches_reference_mod_step_on_binary_and_wider_heads(monkeypatc
         for phi in ["meet", "meet-product"] + (["product"] if system == V.IVS else []):
             phi_spec = parse_phi_file("".join(f"phi {p}/{k} = {phi}.\n" for p, k in
                                               (("e", 2), ("r", 2), ("v", 4), ("w", 4),
-                                               ("s", 1), ("x", 11))))
+                                               ("s", 1), ("x", 11), ("y3", 3), ("y9", 9),
+                                               ("y10", 10))))
             knowledge = build_kb(parse_program(program_text),
                                  BackgroundKnowledge(term_prox, pred_prox), phi_spec)
             rules = [g for rs in lang.ground(knowledge.program, kb.modified_universe(knowledge))
@@ -371,6 +380,9 @@ def test_fan_out_matches_reference_mod_step_on_binary_and_wider_heads(monkeypatc
             # the 4-ary head spreads over 3 * 2 * 1 * 3 argument synonyms
             assert len([a for a in entries if a.pred == "v1"]) == 18, (system, phi)
             assert len([a for a in entries if a.pred == "x1"]) == 3 * 2 * 3
+            assert len([a for a in entries if a.pred == "y31"]) == 3 * 2
+            assert len([a for a in entries if a.pred == "y91"]) == 2 * 3
+            assert len([a for a in entries if a.pred == "y101"]) == 3 * 3
             assert kb._NESTED_LOOPS < 11
             assert _atom("s1", "a2") in entries and _atom("r2", "k", "a1") in entries
             # a synonym driven to bottom is interned in the table, never stored
@@ -381,6 +393,25 @@ def test_fan_out_matches_reference_mod_step_on_binary_and_wider_heads(monkeypatc
     assert compared == 11 * len(MAX_ITERS)
     assert bottomed == {("fuzzy", "meet-product"), ("ivs", "meet-product"), ("ivs", "product"),
                         ("bipolar-a", "meet"), ("bipolar-a", "meet-product")}
+
+
+def test_product_fan_out_multiplies_in_the_order_of_phi_apply():
+    """p1(a1, b1) is ((0.5 * 0.53) * 0.53) * 0.56 in each coordinate, as
+    `phi_apply` multiplies; multiplying the argument lambdas together first
+    gives another float."""
+    term_prox, pred_prox, _ = parse_proximity_file(
+        "%domain terms.\na ~ a1 = (0.53, 0.53).\nb ~ b1 = (0.56, 0.56).\n"
+        "%domain predicates.\np ~ p1 = (0.53, 0.53).\n")
+    knowledge = build_kb(parse_program("%system ivs.\nfact p(a, b) = (0.5, 0.5).\n"),
+                         BackgroundKnowledge(term_prox, pred_prox),
+                         parse_phi_file("phi p/2 = product.\n"))
+    report = _report(consequence(knowledge))
+    assert report == _report(reference_consequence(knowledge))
+    level = dict(report[0])[_atom("p1", "a1", "b1")]
+    assert level == (0.07865200000000001, 0.07865200000000001)
+    assert level == kb.phi_apply(kb.PHI_PRODUCT, V.IVS, (0.5, 0.5), (0.53, 0.53),
+                                 [(0.53, 0.53), (0.56, 0.56)])
+    assert (0.5 * 0.53) * (0.53 * 0.56) != level[0]
 
 
 # The fact predicates a and b alternate, so the fact step's fired list
