@@ -7,14 +7,14 @@ from typing import Optional
 
 from mvdatalog import implications as Imp
 from mvdatalog import values as V
-from mvdatalog.engine import (EvalOrder, FixpointReport, Interpretation, _raised,
+from mvdatalog.engine import (EvalOrder, FixpointReport, Interpretation, _item_key, _raised,
                               _stratum_rule_lists, _unwidened, applicable, order_from_directive)
-from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, Variable,
-                            ground, substitute, unify)
+from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, ProximityRef, Rule,
+                            Variable, ground, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, _Spread, modified_universe, proximity_set)
-from mvdatalog.query import SearchNode, SearchTree, _connective, _TreeBuilder
+from mvdatalog.query import SearchNode, SearchTree
 
 CONSTS = ["a", "b", "c", "d", "e", "f"]
 PRED_POOL = [("p", 1), ("q", 1), ("r", 2), ("s", 2)]
@@ -483,26 +483,81 @@ def rename_apart(rule: Rule, suffix: str) -> Rule:
     return Rule(head, body, rule.impl, rule.level, rule.line)
 
 
-class ReferenceTreeBuilder(_TreeBuilder):
+def _reference_connective(depth: int) -> str:
+    return "and" if depth % 3 == 2 else "or"
+
+
+def _reference_variant_key(atom: Atom) -> tuple:
+    """The atom with its variables numbered in first-occurrence order; a
+    constant or a proximity reference stands for itself, so it is never
+    taken for a variable, whatever its name."""
+    numbers = {}
+    return (atom.pred, tuple(numbers.setdefault(t, len(numbers)) if isinstance(t, Variable)
+                             else t for t in atom.args))
+
+
+class ReferenceTreeBuilder:
     """The search-tree builder before its rule phase skipped the rules of
     another head functor, kept as the reference for differential tests: it
-    renames every proper rule apart at every rule-phase node, and builds a
-    new candidate atom from the names of each fact that matches.  Only the
-    node helpers `_cut`, `_mark`, `expand` and `expand_prox_phase` come
-    from `query._TreeBuilder`."""
+    renames every proper rule apart at every rule-phase node, builds a new
+    candidate atom from the names of each fact that matches, and finds the
+    starting facts by walking the finished tree.  It shares no code with
+    `query._TreeBuilder`."""
 
     def __init__(self, kb, depth_limit: int):
         self.kb = kb
         self.program = kb.program
         self.system = kb.program.system
         self.depth_limit = depth_limit
-        self.expanded = set()    # (canonical atom, phase)
+        self.expanded = set()    # (variant key, phase)
         self.truncated = False
         self.fresh = 0
         self.facts_by_pred = {}
         for atom, _ in self.program.facts():
             self.facts_by_pred.setdefault(atom.pred, []).append(atom)
         self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
+
+    def _cut(self, node: SearchNode) -> bool:
+        if node.depth + 1 > self.depth_limit:
+            node.children.append(SearchNode("no", node.depth + 1,
+                                            note="depth limit reached"))
+            self.truncated = True
+            return True
+        return False
+
+    def _mark(self, node: SearchNode, phase: str) -> bool:
+        key = (_reference_variant_key(node.atom), phase)
+        if key in self.expanded:
+            node.repeated = True
+            return True
+        self.expanded.add(key)
+        return False
+
+    def expand(self, root: SearchNode) -> None:
+        """Each expand_* yields (expand_*, child) for every child to expand
+        and resumes once that child's subtree is built."""
+        stack = [self.expand_prox_phase(root)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+            else:
+                expand, child = step
+                stack.append(expand(child))
+
+    def expand_prox_phase(self, node: SearchNode):
+        """Depth 3k: the sub-goal predicate ranges over its proximity set;
+        at the goal its constants are replaced by their proximity sets."""
+        if (node.depth and self._mark(node, "prox")) or self._cut(node):
+            return
+        args = node.atom.args
+        if node.depth == 0:
+            args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in args)
+        for q, _ in proximity_set(self.kb.bk.pred_prox, node.atom.pred, self.system):
+            child = SearchNode("subgoal", node.depth + 1, Atom(q, args),
+                               connective=_reference_connective(node.depth + 1))
+            node.children.append(child)
+            yield self.expand_rule_phase, child
 
     def expand_rule_phase(self, node: SearchNode):
         """Depth 3k+1: unify with rule heads and with facts."""
@@ -518,12 +573,12 @@ class ReferenceTreeBuilder(_TreeBuilder):
             literals = tuple(type(l)(substitute(l.atom, theta), l.negated)
                              for l in fresh.body)
             body = SearchNode("body", depth, atom=substitute(fresh.head, theta),
-                              literals=literals, connective=_connective(depth))
+                              literals=literals, connective=_reference_connective(depth))
             node.children.append(body)
             if not self._cut(body):
                 for lit in literals:
                     child = SearchNode("subgoal", depth + 1, lit.atom,
-                                       connective=_connective(depth + 1),
+                                       connective=_reference_connective(depth + 1),
                                        note="negated" if lit.negated else "")
                     body.children.append(child)
                     yield self.expand_prox_phase, child
@@ -567,7 +622,7 @@ class ReferenceTreeBuilder(_TreeBuilder):
                     candidates.append(Atom(node.atom.pred,
                                            tuple(Constant(c) for c in combo)))
         for cand in candidates:
-            cnode = SearchNode("fact", depth, cand, connective=_connective(depth))
+            cnode = SearchNode("fact", depth, cand, connective=_reference_connective(depth))
             node.children.append(cnode)
             if cand in self.fact_atoms:
                 cnode.children.append(SearchNode("yes", depth + 1))
@@ -578,6 +633,20 @@ class ReferenceTreeBuilder(_TreeBuilder):
 def reference_build_tree(kb, goal, depth_limit: int = 64) -> SearchTree:
     """`query.build_tree` on the reference builder."""
     builder = ReferenceTreeBuilder(kb, depth_limit)
-    root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
+    root = SearchNode("goal", 0, goal.atom, connective=_reference_connective(0))
     builder.expand(root)
     return SearchTree(root, builder.truncated, depth_limit)
+
+
+def reference_starting_facts(tree: SearchTree, program: Program):
+    """The starting facts by their definition: the atoms of the fact nodes
+    with a YES child, found by walking the tree, each with its program
+    level, joined over repeated facts, in `_item_key` order."""
+    harvested = {node.atom for node in tree.walk() if node.kind == "fact"
+                 and any(child.kind == "yes" for child in node.children)}
+    levels = {}
+    for atom, level in program.facts():
+        if atom in harvested:
+            old = levels.get(atom)
+            levels[atom] = level if old is None else V.join(program.system, old, level)
+    return sorted(levels.items(), key=_item_key)

@@ -18,7 +18,7 @@ from mvdatalog.query import (Goal, answer, build_tree, parse_goal, parse_level,
 
 from conftest import load_kb
 from helpers import (random_bk, random_level, random_phi, random_program,
-                     reference_build_tree)
+                     reference_build_tree, reference_starting_facts)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -294,14 +294,7 @@ def test_answers_match_their_definition():
                 (atom, value) for atom, value in entries
                 if unify(goal.atom, atom) is not None
                 and (goal.level is None or V.leq(system, goal.level, value))], (seed, goal)
-            harvested = {node.atom for node in result.tree.walk() if node.kind == "fact"
-                         and any(child.kind == "yes" for child in node.children)}
-            levels = {}
-            for atom, level in program.facts():
-                if atom in harvested:
-                    old = levels.get(atom)
-                    levels[atom] = level if old is None else V.join(system, old, level)
-            assert result.starting == sorted(levels.items(), key=_item_key), (seed, goal)
+            assert result.starting == reference_starting_facts(result.tree, program), (seed, goal)
 
 
 def test_reused_consequences_match_fresh_knowledge_bases(count_consequences):
