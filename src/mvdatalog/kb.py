@@ -152,6 +152,10 @@ class KnowledgeBase:
     # base, least recently used first; see `query._reused_consequence`
     _consequences: OrderedDict = field(default_factory=OrderedDict, init=False,
                                        repr=False, compare=False)
+    # (key, index) of the search index `query.build_tree` reads; see
+    # `query._search_index`
+    _search_index: Optional[tuple] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,13 @@ Negative body literals expand through their kernel atom.  Repeated
 sub-goals (same atom up to variable renaming, same phase) are not
 re-expanded: the repeat is marked on the node, which both cuts recursion
 and keeps the harvested starting facts complete.
+
+Every goal's tree reads one search index of its knowledge base, kept on it
+and keyed on the program's rules, its value system and both proximity
+relations: the proper rules by head functor, the facts by predicate, and,
+filled as trees grow, the proximity sets met and the fact candidates of
+each sub-goal pattern.  The builder records each fact it adds under YES on
+the tree, so `starting_facts` reads that record and does not walk the tree.
 """
 
 from __future__ import annotations
@@ -100,6 +107,8 @@ class SearchTree:
     root: SearchNode
     truncated: bool = False
     depth_limit: int = 64
+    # the atoms of the fact nodes with a YES child, as the builder added them
+    harvest: Optional[set] = field(default=None, repr=False, compare=False)
 
     def walk(self):
         return self.root.walk()
@@ -109,41 +118,71 @@ def _connective(depth: int) -> str:
     return "and" if depth % 3 == 2 else "or"
 
 
-def _canonical(atom: Atom) -> str:
-    """Atom with variables renamed in first-occurrence order, for memoing."""
-    names = {}
-    parts = []
-    for t in atom.args:
-        if isinstance(t, Variable):
-            parts.append(names.setdefault(t, f"V{len(names)}"))
-        elif isinstance(t, ProximityRef):
-            parts.append(f"~{t.name}")
-        else:
-            parts.append(t.name)
-    return f"{atom.pred}({','.join(parts)})"
+def _pattern(args) -> tuple:
+    """The arguments with each variable replaced by the number of its first
+    occurrence.  Two atoms of one predicate are variants exactly when their
+    patterns are equal: a constant or a proximity reference stands for
+    itself, so no constant is taken for a variable, whatever its name."""
+    numbers = {}
+    return tuple(numbers.setdefault(t, len(numbers)) if t.__class__ is Variable else t
+                 for t in args)
+
+
+class _SearchIndex:
+    """What the search tree of every goal reads of one knowledge base: its
+    proper rules by head functor, each with its position among them and its
+    variables; its fact atoms by predicate, and for each predicate the map
+    from the names of a ground fact to its atom.  The tables filled as trees
+    grow hold the symbols of proximity sets, of predicates and of terms, and
+    each sub-goal pattern's fact candidates as (candidate atom, is a program
+    fact) pairs."""
+
+    def __init__(self, program: Program):
+        self.proper, self.rules, self.facts = 0, {}, {}
+        for rule in program.rules:
+            head = rule.head
+            if rule.body:
+                self.rules.setdefault(head.functor, []).append(
+                    (self.proper, rule, rule.variables()))
+                self.proper += 1
+            else:
+                self.facts.setdefault(head.pred, []).append(head)
+        self.known = {pred: {tuple(c.name for c in f.args): f for f in atoms if f.is_ground()}
+                      for pred, atoms in self.facts.items()}
+        self.synonyms = {}       # predicate -> the symbols of its proximity set
+        self.members = {}        # term name -> the symbols of its proximity set
+        self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
+
+
+# sub-goal patterns an index holds before it starts over: the patterns of
+# goals with new constants would otherwise grow it without bound
+_INDEXED_PATTERNS = 4096
+
+
+def _search_index(kb: KnowledgeBase) -> _SearchIndex:
+    """The search index of kb, kept on it.  It is rebuilt when what it reads
+    has changed: the key holds the program's rules, its value system and
+    the pairs of both proximity relations, so it is never served stale."""
+    program, bk = kb.program, kb.bk
+    key = (tuple(program.rules), program.system, tuple(bk.term_prox.pairs.items()),
+           tuple(bk.pred_prox.pairs.items()))
+    stored = kb._search_index
+    if (stored is None or stored[0] != key
+            or len(stored[1].candidates) > _INDEXED_PATTERNS):
+        stored = kb._search_index = (key, _SearchIndex(program))
+    return stored[1]
 
 
 class _TreeBuilder:
     def __init__(self, kb: KnowledgeBase, depth_limit: int):
         self.kb = kb
-        self.program = kb.program
         self.system = kb.program.system
+        self.index = _search_index(kb)
         self.depth_limit = depth_limit
-        self.expanded = set()    # (canonical atom, phase)
+        self.expanded = set()    # (phase, predicate, pattern)
         self.truncated = False
         self.fresh = 0
-        # one pass over the rules: the proper rules by head functor, each
-        # with its position among them, and the fact atoms by predicate
-        self.proper, self.by_functor, self.facts_by_pred = 0, {}, {}
-        for rule in self.program.rules:
-            head = rule.head
-            if rule.body:
-                self.by_functor.setdefault(head.functor, []).append((self.proper, rule))
-                self.proper += 1
-            else:
-                self.facts_by_pred.setdefault(head.pred, []).append(head)
-        self.known = {}          # predicate -> {names: atom} of its ground facts
-        self.variables = {}      # proper rule position -> its variables, once renamed
+        self.harvest = set()     # the fact atoms parenting YES
 
     def _cut(self, node: SearchNode) -> bool:
         if node.depth + 1 > self.depth_limit:
@@ -153,19 +192,25 @@ class _TreeBuilder:
             return True
         return False
 
+    def _mark(self, node: SearchNode, key: tuple) -> bool:
+        if key in self.expanded:
+            node.repeated = True
+            return True
+        self.expanded.add(key)
+        return False
+
     def expand(self, root: SearchNode) -> None:
         """Build the tree below the goal node root.  Each expand_* yields
-        (expand_*, child) for every child to expand and resumes once that
+        the expansion of every child to expand and resumes once that
         child's subtree is built; the stack of open expansions stands in
         for the call stack, so the depth of the tree is not bounded by it."""
         stack = [self.expand_prox_phase(root)]
         while stack:
-            step = next(stack[-1], None)
-            if step is None:
+            child = next(stack[-1], None)
+            if child is None:
                 stack.pop()
             else:
-                expand, child = step
-                stack.append(expand(child))
+                stack.append(child)
 
     # --- the two unification phases ---
 
@@ -173,32 +218,36 @@ class _TreeBuilder:
         """Depth 3k: the sub-goal predicate ranges over its proximity set.
         At the goal (depth 0), which is never a repeat, its ground terms
         are also replaced by their proximity sets."""
-        if (node.depth and self._mark(node, "prox")) or self._cut(node):
-            return
-        args = node.atom.args
+        pred, args = node.atom.pred, node.atom.args
         if node.depth == 0:
             args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in args)
-        for q, _ in proximity_set(self.kb.bk.pred_prox, node.atom.pred, self.system):
-            child = SearchNode("subgoal", node.depth + 1, Atom(q, args),
-                               connective=_connective(node.depth + 1))
+        pattern = _pattern(args)
+        if (node.depth and self._mark(node, ("prox", pred, pattern))) or self._cut(node):
+            return
+        synonyms = self.index.synonyms.get(pred)
+        if synonyms is None:
+            synonyms = self.index.synonyms[pred] = [
+                q for q, _ in proximity_set(self.kb.bk.pred_prox, pred, self.system)]
+        depth = node.depth + 1
+        connective = _connective(depth)
+        for q in synonyms:
+            child = SearchNode("subgoal", depth, Atom(q, args), connective=connective)
             node.children.append(child)
-            yield self.expand_rule_phase, child
+            yield self.expand_rule_phase(child, pattern)
 
-    def expand_rule_phase(self, node: SearchNode):
+    def expand_rule_phase(self, node: SearchNode, pattern: tuple):
         """Depth 3k+1: unify with rule heads and with facts."""
-        if self._mark(node, "rule") or self._cut(node):
+        atom = node.atom
+        pred = atom.pred
+        if self._mark(node, ("rule", pred, pattern)) or self._cut(node):
             return
         depth = node.depth + 1
-        atom = node.atom
         # every proper rule takes a renaming number in turn, but only the
         # rules of this functor are renamed: unify would reject the others
         last = -1
-        for pos, rule in self.by_functor.get(atom.functor, ()):
+        for pos, rule, variables in self.index.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
             last = pos
-            variables = self.variables.get(pos)
-            if variables is None:
-                variables = self.variables[pos] = rule.variables()
             renaming = {v: Variable(f"{v.name}_r{self.fresh}") for v in variables}
             theta = unify(atom, substitute(rule.head, renaming))
             if theta is None:
@@ -214,56 +263,57 @@ class _TreeBuilder:
                                        connective=_connective(depth + 1),
                                        note="negated" if lit.negated else "")
                     body.children.append(child)
-                    yield self.expand_prox_phase, child
-        self.fresh += self.proper - 1 - last
-        self._fact_candidates(node, depth)
+                    yield self.expand_prox_phase(child)
+        self.fresh += self.index.proper - 1 - last
+        candidates = self.index.candidates.get((pred, pattern))
+        if candidates is None:
+            candidates = self.index.candidates[pred, pattern] = self._fact_candidates(
+                pred, pattern)
+        connective = _connective(depth)
+        for cand, is_fact in candidates:
+            if is_fact:
+                self.harvest.add(cand)
+            leaf = SearchNode("yes" if is_fact else "no", depth + 1)
+            node.children.append(SearchNode("fact", depth, cand, connective=connective,
+                                            children=[leaf]))
         if not node.children:
             node.children.append(SearchNode("no", depth))
 
-    def _fact_candidates(self, node: SearchNode, depth: int) -> None:
-        """All member/binding combinations for the facts of this predicate;
-        each candidate closes with YES exactly when it is a program fact,
-        and is then that fact's own atom."""
-        pred, args = node.atom.pred, node.atom.args
-        facts = self.facts_by_pred.get(pred)
+    def _fact_candidates(self, pred: str, pattern: tuple) -> list:
+        """All member/binding combinations for the facts of this predicate,
+        as (candidate, is a program fact) pairs; a candidate that is a
+        program fact is that fact's own atom.  A fact with variables (one
+        built through the API) gives the candidate of its names, which is
+        no program fact unless a ground fact has the same names."""
+        facts = self.index.facts.get(pred)
         if not facts:
-            return
-        if pred not in self.known:
-            self.known[pred] = {tuple(c.name for c in f.args): f for f in facts if f.is_ground()}
-        known = self.known[pred]
-        members = {t: [s for s, _ in proximity_set(self.kb.bk.term_prox, t.name, self.system)]
-                   for t in args if isinstance(t, ProximityRef)}
-        connective = _connective(depth)
-        seen = set()
+            return []
+        known = self.index.known[pred]
+        for t in pattern:
+            if isinstance(t, ProximityRef) and t.name not in self.index.members:
+                self.index.members[t.name] = [
+                    s for s, _ in proximity_set(self.kb.bk.term_prox, t.name, self.system)]
+        out, seen = [], set()
         for fact in facts:
-            if len(fact.args) != len(args):
+            if len(fact.args) != len(pattern):
                 continue
             theta = {}
-            for t, c in zip(args, fact.args):
-                if isinstance(t, Constant):
-                    if t != c:
+            for t, c in zip(pattern, fact.args):
+                if t.__class__ is int:
+                    if theta.setdefault(t, c) != c:
                         break
-                elif isinstance(t, Variable) and theta.setdefault(t, c) != c:
+                elif isinstance(t, Constant) and t != c:
                     break
             else:
-                domains = [members[t] if isinstance(t, ProximityRef) else [c.name]
-                           for t, c in zip(args, fact.args)]
+                domains = [self.index.members[t.name] if isinstance(t, ProximityRef)
+                           else [c.name] for t, c in zip(pattern, fact.args)]
                 for combo in itertools.product(*domains):
                     if combo not in seen:
                         seen.add(combo)
                         fact_atom = known.get(combo)
-                        cand = fact_atom or Atom(pred, tuple(Constant(n) for n in combo))
-                        leaf = SearchNode("no" if fact_atom is None else "yes", depth + 1)
-                        node.children.append(SearchNode("fact", depth, cand,
-                                                        connective=connective, children=[leaf]))
-
-    def _mark(self, node: SearchNode, phase: str) -> bool:
-        key = (_canonical(node.atom), phase)
-        if key in self.expanded:
-            node.repeated = True
-            return True
-        self.expanded.add(key)
-        return False
+                        out.append((fact_atom or Atom(pred, tuple(Constant(n) for n in combo)),
+                                    fact_atom is not None))
+        return out
 
 
 def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTree:
@@ -272,14 +322,17 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
     builder = _TreeBuilder(kb, depth_limit)
     root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
     builder.expand(root)
-    return SearchTree(root, builder.truncated, depth_limit)
+    return SearchTree(root, builder.truncated, depth_limit, builder.harvest)
 
 
 def starting_facts(tree: SearchTree, program: Program):
     """The ground facts parenting YES, with their program levels (joined
-    over repeated facts)."""
-    harvested = {node.atom for node in tree.walk()
-                 if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
+    over repeated facts).  `build_tree` records these facts on the tree as
+    it adds them; a tree without that record is walked for them."""
+    harvested = tree.harvest
+    if harvested is None:
+        harvested = {node.atom for node in tree.walk()
+                     if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
     levels = {}
     for rule in program.rules:
         atom, level = rule.head, rule.level

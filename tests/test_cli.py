@@ -242,6 +242,20 @@ def test_query_on_a_deep_search_tree(tmp_path, capsys):
     assert out == "p0(a) = 0.5\n"
 
 
+def test_query_with_a_constant_named_like_a_variable(tmp_path, capsys):
+    """p(X) is not taken for a repeat of p(V0) when V0 is a constant, so the
+    query answers what the consequence derives."""
+    program = tmp_path / "v0.mvd"
+    program.write_text("%system fuzzy. %const V0. fact p(V0) = 0.9. fact p(a) = 0.8. "
+                       "rule s(X) <- p(V0), p(X) : godel, 1.0.\n")
+    code, out, err = invoke(capsys, "query", program, "--goal", "s(Y)")
+    assert code == 0, err
+    assert out == "s(V0) = 0.9\ns(a) = 0.8\n"
+    code, out, err = invoke(capsys, "consequence", program)
+    assert code == 0, err
+    assert "s(V0) = 0.9\ns(a) = 0.8\n" in out
+
+
 def test_non_utf8_program_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.mvd"
     bad.write_bytes("%system fuzzy.\nfact p(a) = 0.5.  # café\n".encode("latin-1"))

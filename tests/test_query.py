@@ -9,7 +9,7 @@ import pytest
 from mvdatalog import query
 from mvdatalog import values as V
 from mvdatalog.engine import _item_key
-from mvdatalog.lang import (Atom, Constant, Literal, ProximityRef, Rule, Variable,
+from mvdatalog.lang import (Atom, Constant, Literal, Program, ProximityRef, Rule, Variable,
                             parse_program, unify)
 from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, consequence,
                           parse_proximity_file)
@@ -173,6 +173,12 @@ def test_parse_goal_checks_arity(ex1):
         parse_goal("s(X, Y)", ex1)
 
 
+def walk_rows(tree):
+    """Every field of every node, in walk order, with its number of children."""
+    return [(node.kind, node.depth, node.atom, node.literals, node.connective,
+             node.repeated, node.note, len(node.children)) for node in tree.walk()]
+
+
 def tree_rows(tree):
     return [(n.kind, n.depth, str(n.atom), n.literals, n.repeated, n.note)
             for n in tree.walk()]
@@ -190,12 +196,8 @@ def test_deep_tree_prints_copies_and_pickles():
                                "args=(Variable(name='X'),)), children=1)")
     assert repr(tree).startswith(f"SearchTree(root={tree.root!r}, truncated=False")
 
-    def rows(tree):
-        return [(node.kind, node.depth, node.atom, node.literals, node.connective,
-                 node.repeated, node.note, len(node.children)) for node in tree.walk()]
-
     for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-        assert rows(copied) == rows(tree)
+        assert walk_rows(copied) == walk_rows(tree)
         assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
         assert not {id(node) for node in copied.walk()} & {id(node) for node in tree.walk()}
         assert copied == tree
@@ -220,6 +222,27 @@ def test_tree_matches_unfiltered_builder(ex1, ex23_kb, ex17_kb, depth_limit):
             reference = reference_build_tree(kb, goal, depth_limit)
             assert tree_rows(tree) == tree_rows(reference), text
             assert tree.truncated == reference.truncated
+
+
+CONST_V0 = """%system fuzzy.
+%const V0.
+fact p(V0) = 0.9.
+fact p(a) = 0.8.
+rule s(X) <- p(V0), p(X) : godel, 1.0.
+"""
+
+
+def test_constant_named_like_a_variable_is_no_repeat():
+    """With V0 declared a constant, the sub-goal p(X) is no variant of p(V0):
+    it is expanded too, and harvests p(a)."""
+    program = parse_program(CONST_V0)
+    kb = build_kb(program)
+    result = answer(kb, Goal(parse_goal("s(Y)", program)))
+    assert [(str(a), v) for a, v in result.answers] == [("s(V0)", 0.9), ("s(a)", 0.8)]
+    assert [str(a) for a, _ in result.starting] == ["p(V0)", "p(a)"]
+    full = consequence(kb).interpretation
+    assert result.answers == sorted(((a, v) for a, v in full.entries.items() if a.pred == "s"),
+                                    key=_item_key)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +351,7 @@ a ~ b = (0.7, 0.2).
 q ~ qq = (0.8, 0.1).
 """
 
-X, Y = Variable("X"), Variable("Y")
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
 
 def stale_kb():
@@ -413,3 +436,137 @@ def test_reuse_table_is_bounded_least_recently_used(count_consequences):
     assert len(count_consequences) == bound + 1
     answer(kb, goal, max_iters=2)           # evicted as the least recently used
     assert len(count_consequences) == bound + 2
+
+
+# ----------------------------------------------------------------------
+# The search index a knowledge base keeps for the trees of its goals
+# ----------------------------------------------------------------------
+
+def fact(atom, level, system=V.FUZZY):
+    return Rule(atom, (), V.LATTICES[system].fact_impl, level)
+
+
+def api_knowledge_base():
+    """A program only the API builds: facts repeated, at other levels, and
+    facts with variables, whose candidates (named after the variables) are
+    no program facts; with term and predicate proximity."""
+    a = Constant("a")
+    program = Program(V.FUZZY, [
+        fact(A("p", "a"), 0.5), fact(Atom("p", (X,)), 0.4), fact(A("p", "b"), 0.6),
+        fact(A("p", "a"), 0.7),
+        fact(Atom("e", (X, a)), 0.3), fact(A("e", "a", "b"), 0.9), fact(Atom("e", (X, X)), 0.2),
+        fact(A("e", "a", "b"), 0.8), fact(A("e", "c", "c"), 0.6),
+        Rule(Atom("q", (X,)), (Literal(Atom("p", (X,))),), "godel", 0.9),
+        Rule(Atom("t", (X, Y)), (Literal(Atom("e", (X, Y))), Literal(Atom("q", (Y,)))),
+             "godel", 0.8),
+        Rule(Atom("t", (X, Y)), (Literal(Atom("e", (X, Z))), Literal(Atom("t", (Z, Y)))),
+             "godel", 0.8),
+        Rule(Atom("u", (X,)), (Literal(Atom("e", (X, X))), Literal(Atom("q", (X,)), True)),
+             "godel", 0.7),
+    ])
+    term_prox, pred_prox, _ = parse_proximity_file(
+        "%system fuzzy.\n%domain terms.\na ~ b = 0.8.\nb ~ c = 0.6.\n"
+        "%domain predicates.\nq ~ qq = 0.9.\n")
+    return build_kb(program, BackgroundKnowledge(term_prox, pred_prox))
+
+
+def api_goals():
+    pa, pb = ProximityRef("a"), ProximityRef("b")
+    atoms = [Atom("q", (X,)), A("q", "a"), Atom("q", (pb,)), Atom("p", (X,)), A("p", "b"),
+             Atom("p", (pa,)), Atom("e", (X, X)), Atom("e", (X, Constant("a"))),
+             Atom("e", (pa, Y)), Atom("e", (pb, pb)), Atom("t", (X, Y)), Atom("t", (X, X)),
+             Atom("t", (Constant("a"), Y)), Atom("u", (X,)), Atom("qq", (X,)), Atom("zz", (X,))]
+    return [Goal(atom) for atom in atoms]
+
+
+def assert_tree_matches_reference(kb, goal, depth_limit):
+    tree = build_tree(kb, goal, depth_limit)
+    reference = reference_build_tree(kb, goal, depth_limit)
+    assert walk_rows(tree) == walk_rows(reference), goal
+    assert tree.truncated == reference.truncated, goal
+    expected = reference_starting_facts(reference, kb.program)
+    assert reference_starting_facts(tree, kb.program) == expected, goal
+    assert starting_facts(tree, kb.program) == expected, goal
+    return tree
+
+
+@pytest.mark.parametrize("depth_limit", [64, 4, 3])
+def test_tree_matches_reference_on_random_and_api_built_programs(depth_limit):
+    """Row for row, with the same truncation and the same starting facts as
+    the reference builder and the walk definition: on seeded knowledge
+    bases and goals (constants, repeated variables and proximity references
+    in the goal), and on the API-built program with duplicate and
+    non-ground facts."""
+    for seed in range(80):
+        kb = build_kb(*random_inputs(seed))
+        rng = random.Random(f"trees/{seed}")
+        for goal in random_goals(rng, kb.program, 8):
+            assert_tree_matches_reference(kb, goal, depth_limit)
+    kb = api_knowledge_base()
+    for goal in api_goals():
+        assert_tree_matches_reference(kb, goal, depth_limit)
+
+
+def test_non_ground_facts_give_no_candidates():
+    kb = api_knowledge_base()
+    tree = build_tree(kb, Goal(Atom("p", (Y,))))
+    candidates = [(str(n.atom), n.children[0].kind) for n in tree.walk() if n.kind == "fact"]
+    assert candidates == [("p(a)", "yes"), ("p(X)", "no"), ("p(b)", "yes")]
+    assert [(str(a), v) for a, v in starting_facts(tree, kb.program)] == [
+        ("p(a)", 0.7), ("p(b)", 0.6)]
+
+
+def test_copied_trees_keep_their_starting_facts():
+    """A deep copy or a pickled copy of a tree carries the builder's harvest;
+    a tree put together without it is walked for its starting facts."""
+    kb = api_knowledge_base()
+    for goal in api_goals():
+        tree = build_tree(kb, goal)
+        expected = reference_starting_facts(tree, kb.program)
+        for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree)),
+                       query.SearchTree(copy.deepcopy(tree.root))):
+            assert starting_facts(copied, kb.program) == expected, goal
+
+
+def _append_rule(kb):
+    kb.program.rules.append(Rule(Atom("t", (X, Y)), (Literal(Atom("e", (Y, X))),),
+                                 ("godel", "godel"), (0.9, 0.05)))
+
+
+# each case changes one thing the search index reads, or one it must not
+# be fooled by
+INDEX_CHANGES = {
+    "append-fact": lambda kb: kb.program.rules.append(
+        fact(A("p", "c"), (0.7, 0.2), V.BIPOLAR_A)),
+    "append-rule": _append_rule,
+    "fact-level": _new_fact_level,
+    "predicate-pair": lambda kb: kb.bk.pred_prox.set_pair("t", "tt", (0.8, 0.1)),
+    "term-pair": lambda kb: kb.bk.term_prox.set_pair("b", "c", (0.6, 0.3)),
+    "term-symbol": lambda kb: kb.bk.term_prox.symbols.add("z"),
+    "system": lambda kb: setattr(kb.program, "system", V.BIPOLAR_B),
+}
+
+INDEX_GOALS = [Goal(Atom("t", (X, Y))), Goal(Atom("t", (ProximityRef("a"), Y))),
+               Goal(Atom("q", (ProximityRef("b"),))), Goal(Atom("p", (X,))),
+               Goal(Atom("u", (X, Y)))]
+
+
+def answered(kb):
+    """Tree rows, starting facts and outcome of every index goal."""
+    out = []
+    for goal in INDEX_GOALS:
+        result = answer(kb, goal)
+        out.append((walk_rows(result.tree), result.starting, outcome(result)))
+    return out
+
+
+@pytest.mark.parametrize("case", list(INDEX_CHANGES))
+def test_search_index_is_never_served_stale(case):
+    kb = stale_kb()
+    before = answered(kb)
+    INDEX_CHANGES[case](kb)
+    after = answered(kb)
+    fresh = stale_kb()
+    INDEX_CHANGES[case](fresh)
+    assert after == answered(fresh)
+    assert after != before
