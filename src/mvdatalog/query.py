@@ -130,25 +130,24 @@ def _pattern(args) -> tuple:
 
 class _SearchIndex:
     """What the search tree of every goal reads of one knowledge base: its
-    proper rules by head functor, each with its position among them and its
-    variables; its fact atoms by predicate, and for each predicate the map
-    from the names of a ground fact to its atom.  The tables filled as trees
-    grow hold the symbols of proximity sets, of predicates and of terms, and
-    each sub-goal pattern's fact candidates as (candidate atom, is a program
-    fact) pairs."""
+    proper rules by head functor, each with its position among them, and
+    its fact atoms by predicate.  The tables filled as trees grow hold the
+    variables of the rules renamed, for each predicate met the map from the
+    names of a ground fact to its atom, the symbols of proximity sets, of
+    predicates and of terms, and each sub-goal pattern's fact candidates as
+    (candidate atom, is a program fact) pairs."""
 
     def __init__(self, program: Program):
         self.proper, self.rules, self.facts = 0, {}, {}
         for rule in program.rules:
             head = rule.head
             if rule.body:
-                self.rules.setdefault(head.functor, []).append(
-                    (self.proper, rule, rule.variables()))
+                self.rules.setdefault(head.functor, []).append((self.proper, rule))
                 self.proper += 1
             else:
                 self.facts.setdefault(head.pred, []).append(head)
-        self.known = {pred: {tuple(c.name for c in f.args): f for f in atoms if f.is_ground()}
-                      for pred, atoms in self.facts.items()}
+        self.variables = {}      # proper rule position -> its variables
+        self.known = {}          # predicate -> {names: atom} of its ground facts
         self.synonyms = {}       # predicate -> the symbols of its proximity set
         self.members = {}        # term name -> the symbols of its proximity set
         self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
@@ -245,9 +244,12 @@ class _TreeBuilder:
         # every proper rule takes a renaming number in turn, but only the
         # rules of this functor are renamed: unify would reject the others
         last = -1
-        for pos, rule, variables in self.index.rules.get((pred, len(pattern)), ()):
+        for pos, rule in self.index.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
             last = pos
+            variables = self.index.variables.get(pos)
+            if variables is None:
+                variables = self.index.variables[pos] = rule.variables()
             renaming = {v: Variable(f"{v.name}_r{self.fresh}") for v in variables}
             theta = unify(atom, substitute(rule.head, renaming))
             if theta is None:
@@ -288,7 +290,10 @@ class _TreeBuilder:
         facts = self.index.facts.get(pred)
         if not facts:
             return []
-        known = self.index.known[pred]
+        known = self.index.known.get(pred)
+        if known is None:
+            known = self.index.known[pred] = {tuple(c.name for c in f.args): f
+                                              for f in facts if f.is_ground()}
         for t in pattern:
             if isinstance(t, ProximityRef) and t.name not in self.index.members:
                 self.index.members[t.name] = [

@@ -499,10 +499,10 @@ def _reference_variant_key(atom: Atom) -> tuple:
 class ReferenceTreeBuilder:
     """The search-tree builder before its rule phase skipped the rules of
     another head functor, kept as the reference for differential tests: it
-    renames every proper rule apart at every rule-phase node, builds a new
-    candidate atom from the names of each fact that matches, and finds the
-    starting facts by walking the finished tree.  It shares no code with
-    `query._TreeBuilder`."""
+    renames every proper rule apart at every rule-phase node and builds a
+    new candidate atom from the names of each fact that matches.  It shares
+    no code with `query._TreeBuilder`, and records no harvest:
+    `reference_starting_facts` walks its trees."""
 
     def __init__(self, kb, depth_limit: int):
         self.kb = kb

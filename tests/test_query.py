@@ -570,3 +570,21 @@ def test_search_index_is_never_served_stale(case):
     INDEX_CHANGES[case](fresh)
     assert after == answered(fresh)
     assert after != before
+
+
+def test_search_index_starts_over_past_its_pattern_bound(monkeypatch):
+    """Goals with ever new constants add patterns; past the bound the index
+    is built again, and the answers do not change."""
+    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 4)
+    kb = stale_kb()
+    indexes = []
+    for name in ("a", "b", "c", "d", "e", "f", "a"):
+        goal = Goal(Atom("t", (Constant(name), Y)))
+        fresh = stale_kb()
+        assert outcome(answer(kb, goal)) == outcome(answer(fresh, goal)), name
+        index = kb._search_index[1]
+        if not any(index is seen for seen in indexes):
+            indexes.append(index)
+        # one goal's patterns more than the bound, at most
+        assert len(index.candidates) <= 4 + len(fresh._search_index[1].candidates)
+    assert len(indexes) > 1
