@@ -21,9 +21,11 @@ knowledge-base consequence is grown from exactly those facts; every
 fixed-point atom that unifies with the goal (and reaches the requested
 level, when one is given) is an answer.
 
+The tree is a list of rows in walk order, each naming its parent's row,
+so a tree of any depth compares, copies and pickles without recursion.
 Negative body literals expand through their kernel atom.  Repeated
 sub-goals (same atom up to variable renaming, same phase) are not
-re-expanded: the repeat is marked on the node, which both cuts recursion
+re-expanded: the repeat is marked on the row, which both cuts recursion
 and keeps the harvested starting facts complete.
 
 Every goal's tree reads one search index of its knowledge base, kept on it
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import values as V
 from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _Parser,
@@ -53,65 +55,31 @@ class Goal:
     level: Optional[object] = None
 
 
-@dataclass
-class SearchNode:
+class SearchNode(NamedTuple):
+    """One row of a search tree: its parent is the index of the row it
+    hangs below, -1 at the goal, and it follows its parent in walk order."""
+    parent: int
     kind: str                    # goal | subgoal | body | fact | yes | no
     depth: int
     atom: Optional[Atom] = None
     literals: tuple = ()         # body nodes: the instantiated literals
     connective: str = "or"       # connective joining this node's children
-    children: list = field(default_factory=list)
     repeated: bool = False       # sub-goal already expanded elsewhere
     note: str = ""
-
-    def walk(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def _rows(self) -> list:
-        """The tree flat, in walk order: per node its fields, with the
-        number of its children in place of the children."""
-        return [(n.kind, n.depth, n.atom, n.literals, n.connective, n.repeated, n.note,
-                 len(n.children)) for n in self.walk()]
-
-    def __eq__(self, other):
-        # over the rows: comparing does not recurse per level
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._rows() == other._rows()
-
-    def __repr__(self):
-        return (f"SearchNode(kind={self.kind!r}, depth={self.depth}, atom={self.atom!r}, "
-                f"children={len(self.children)})")
-
-    def __reduce__(self):
-        # flat, in walk order: pickling and copying do not recurse per level
-        return _unflatten, (self._rows(),)
-
-
-def _unflatten(rows) -> SearchNode:
-    """The tree whose nodes `SearchNode.__reduce__` lists: in reverse walk
-    order, a node's children are the last subtrees built."""
-    built = []
-    for kind, depth, atom, literals, connective, repeated, note, n in reversed(rows):
-        children = [built.pop() for _ in range(n)]
-        built.append(SearchNode(kind, depth, atom, literals, connective, children, repeated, note))
-    return built[0]
 
 
 @dataclass
 class SearchTree:
-    root: SearchNode
+    """The rows of an AND/OR search tree in walk order (pre-order, a node's
+    children in their order), the goal first."""
+    nodes: list
     truncated: bool = False
     depth_limit: int = 64
     # the atoms of the fact nodes with a YES child, as the builder added them
     harvest: Optional[set] = field(default=None, repr=False, compare=False)
 
     def walk(self):
-        return self.root.walk()
+        return iter(self.nodes)
 
 
 def _connective(depth: int) -> str:
@@ -178,32 +146,31 @@ class _TreeBuilder:
         self.system = kb.program.system
         self.index = _search_index(kb)
         self.depth_limit = depth_limit
+        self.nodes = []          # the rows, appended in walk order
         self.expanded = set()    # (phase, predicate, pattern)
         self.truncated = False
         self.fresh = 0
         self.harvest = set()     # the fact atoms parenting YES
 
-    def _cut(self, node: SearchNode) -> bool:
-        if node.depth + 1 > self.depth_limit:
-            node.children.append(SearchNode("no", node.depth + 1,
-                                            note="depth limit reached"))
+    def _cut(self, row: int, depth: int) -> bool:
+        if depth + 1 > self.depth_limit:
+            self.nodes.append(SearchNode(row, "no", depth + 1, note="depth limit reached"))
             self.truncated = True
             return True
         return False
 
-    def _mark(self, node: SearchNode, key: tuple) -> bool:
-        if key in self.expanded:
-            node.repeated = True
-            return True
-        self.expanded.add(key)
-        return False
-
-    def expand(self, root: SearchNode) -> None:
-        """Build the tree below the goal node root.  Each expand_* yields
-        the expansion of every child to expand and resumes once that
-        child's subtree is built; the stack of open expansions stands in
-        for the call stack, so the depth of the tree is not bounded by it."""
-        stack = [self.expand_prox_phase(root)]
+    def grow(self, goal: Atom) -> None:
+        """Append the rows of the tree of goal.  A row is appended right
+        before its subtree, so the rows come in walk order.  Each expand_*
+        yields the expansion of every child to expand and resumes once that
+        child's subtree is built; the stack of open expansions stands in for
+        the call stack, so the depth of the tree is not bounded by it.  A
+        sub-goal is marked repeated as its row is appended, and then not
+        expanded.  The goal, whose ground terms are replaced by their
+        proximity sets, is never a repeat."""
+        self.nodes.append(SearchNode(-1, "goal", 0, goal, (), _connective(0)))
+        args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in goal.args)
+        stack = [self.expand_prox_phase(0, args, _pattern(args))]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -213,16 +180,13 @@ class _TreeBuilder:
 
     # --- the two unification phases ---
 
-    def expand_prox_phase(self, node: SearchNode):
-        """Depth 3k: the sub-goal predicate ranges over its proximity set.
-        At the goal (depth 0), which is never a repeat, its ground terms
-        are also replaced by their proximity sets."""
-        pred, args = node.atom.pred, node.atom.args
-        if node.depth == 0:
-            args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in args)
-        pattern = _pattern(args)
-        if (node.depth and self._mark(node, ("prox", pred, pattern))) or self._cut(node):
+    def expand_prox_phase(self, row: int, args: tuple, pattern: tuple):
+        """Depth 3k: the sub-goal predicate ranges over its proximity set."""
+        nodes = self.nodes
+        node = nodes[row]
+        if self._cut(row, node.depth):
             return
+        pred = node.atom.pred
         synonyms = self.index.synonyms.get(pred)
         if synonyms is None:
             synonyms = self.index.synonyms[pred] = [
@@ -230,19 +194,26 @@ class _TreeBuilder:
         depth = node.depth + 1
         connective = _connective(depth)
         for q in synonyms:
-            child = SearchNode("subgoal", depth, Atom(q, args), connective=connective)
-            node.children.append(child)
-            yield self.expand_rule_phase(child, pattern)
+            key = ("rule", q, pattern)
+            repeated = key in self.expanded
+            nodes.append(SearchNode(row, "subgoal", depth, Atom(q, args), (), connective,
+                                    repeated))
+            if not repeated:
+                self.expanded.add(key)
+                yield self.expand_rule_phase(len(nodes) - 1, pattern)
 
-    def expand_rule_phase(self, node: SearchNode, pattern: tuple):
+    def expand_rule_phase(self, row: int, pattern: tuple):
         """Depth 3k+1: unify with rule heads and with facts."""
+        nodes = self.nodes
+        node = nodes[row]
+        if self._cut(row, node.depth):
+            return
         atom = node.atom
         pred = atom.pred
-        if self._mark(node, ("rule", pred, pattern)) or self._cut(node):
-            return
         depth = node.depth + 1
         # every proper rule takes a renaming number in turn, but only the
-        # rules of this functor are renamed: unify would reject the others
+        # rules of this functor are renamed: unify would reject the others.
+        # A renamed variable's name holds "#", which no parsed variable does.
         last = -1
         for pos, rule in self.index.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
@@ -250,22 +221,27 @@ class _TreeBuilder:
             variables = self.index.variables.get(pos)
             if variables is None:
                 variables = self.index.variables[pos] = rule.variables()
-            renaming = {v: Variable(f"{v.name}_r{self.fresh}") for v in variables}
+            renaming = {v: Variable(f"{v.name}#r{self.fresh}") for v in variables}
             theta = unify(atom, substitute(rule.head, renaming))
             if theta is None:
                 continue
             theta = {v: theta.get(r, r) for v, r in renaming.items()}
             literals = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
-            body = SearchNode("body", depth, atom=substitute(rule.head, theta),
-                              literals=literals, connective=_connective(depth))
-            node.children.append(body)
-            if not self._cut(body):
+            nodes.append(SearchNode(row, "body", depth, substitute(rule.head, theta), literals,
+                                    _connective(depth)))
+            body = len(nodes) - 1
+            if not self._cut(body, depth):
+                connective = _connective(depth + 1)
                 for lit in literals:
-                    child = SearchNode("subgoal", depth + 1, lit.atom,
-                                       connective=_connective(depth + 1),
-                                       note="negated" if lit.negated else "")
-                    body.children.append(child)
-                    yield self.expand_prox_phase(child)
+                    args = lit.atom.args
+                    sub_pattern = _pattern(args)
+                    key = ("prox", lit.atom.pred, sub_pattern)
+                    repeated = key in self.expanded
+                    nodes.append(SearchNode(body, "subgoal", depth + 1, lit.atom, (), connective,
+                                            repeated, "negated" if lit.negated else ""))
+                    if not repeated:
+                        self.expanded.add(key)
+                        yield self.expand_prox_phase(len(nodes) - 1, args, sub_pattern)
         self.fresh += self.index.proper - 1 - last
         candidates = self.index.candidates.get((pred, pattern))
         if candidates is None:
@@ -275,11 +251,11 @@ class _TreeBuilder:
         for cand, is_fact in candidates:
             if is_fact:
                 self.harvest.add(cand)
-            leaf = SearchNode("yes" if is_fact else "no", depth + 1)
-            node.children.append(SearchNode("fact", depth, cand, connective=connective,
-                                            children=[leaf]))
-        if not node.children:
-            node.children.append(SearchNode("no", depth))
+            fact = len(nodes)
+            nodes.append(SearchNode(row, "fact", depth, cand, (), connective))
+            nodes.append(SearchNode(fact, "yes" if is_fact else "no", depth + 1))
+        if len(nodes) == row + 1:
+            nodes.append(SearchNode(row, "no", depth))
 
     def _fact_candidates(self, pred: str, pattern: tuple) -> list:
         """All member/binding combinations for the facts of this predicate,
@@ -325,19 +301,19 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
     if depth_limit < 3:
         raise ValueError("depth_limit must be at least 3")
     builder = _TreeBuilder(kb, depth_limit)
-    root = SearchNode("goal", 0, goal.atom, connective=_connective(0))
-    builder.expand(root)
-    return SearchTree(root, builder.truncated, depth_limit, builder.harvest)
+    builder.grow(goal.atom)
+    return SearchTree(builder.nodes, builder.truncated, depth_limit, builder.harvest)
 
 
 def starting_facts(tree: SearchTree, program: Program):
     """The ground facts parenting YES, with their program levels (joined
     over repeated facts).  `build_tree` records these facts on the tree as
-    it adds them; a tree without that record is walked for them."""
+    it adds them; a tree without that record is read for the parent of each
+    YES row."""
     harvested = tree.harvest
     if harvested is None:
-        harvested = {node.atom for node in tree.walk()
-                     if node.kind == "fact" and any(c.kind == "yes" for c in node.children)}
+        nodes = tree.nodes
+        harvested = {nodes[node.parent].atom for node in nodes if node.kind == "yes"}
     levels = {}
     for rule in program.rules:
         atom, level = rule.head, rule.level

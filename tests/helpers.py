@@ -3,6 +3,7 @@ implementations that the differential tests compare against."""
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from typing import Optional
 
 from mvdatalog import implications as Imp
@@ -14,7 +15,6 @@ from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Proxim
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, _Spread, modified_universe, proximity_set)
-from mvdatalog.query import SearchNode, SearchTree
 
 CONSTS = ["a", "b", "c", "d", "e", "f"]
 PRED_POOL = [("p", 1), ("q", 1), ("r", 2), ("s", 2)]
@@ -476,11 +476,65 @@ def _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambda_args):
 
 
 def rename_apart(rule: Rule, suffix: str) -> Rule:
-    """The rule with each variable V renamed to V_suffix."""
-    theta = {v: Variable(f"{v.name}_{suffix}") for v in rule.variables()}
+    """The rule with each variable V renamed to V#suffix, a name no parsed
+    variable has."""
+    theta = {v: Variable(f"{v.name}#{suffix}") for v in rule.variables()}
     head = substitute(rule.head, theta)
     body = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
     return Rule(head, body, rule.impl, rule.level, rule.line)
+
+
+@dataclass
+class ReferenceNode:
+    """A node of a reference search tree, with its children nested in it."""
+    kind: str
+    depth: int
+    atom: Optional[Atom] = None
+    literals: tuple = ()
+    connective: str = "or"
+    children: list = field(default_factory=list)
+    repeated: bool = False
+    note: str = ""
+
+
+@dataclass
+class ReferenceTree:
+    root: ReferenceNode
+    truncated: bool = False
+    depth_limit: int = 64
+
+    def walk(self):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+
+def children(tree, i: int) -> list:
+    """The indexes of the rows of a `query.SearchTree` whose parent is row i."""
+    return [j for j, node in enumerate(tree.nodes) if node.parent == i]
+
+
+def walk_rows(tree) -> list:
+    """Every field but the parent of every node of a search tree or of a
+    reference tree, in walk order, with its number of children.  The rows
+    of a search tree are checked to be in walk order (each row's parent is
+    on the path from the goal to the row before it), so the parents follow
+    from the projection."""
+    if isinstance(tree, ReferenceTree):
+        return [(n.kind, n.depth, n.atom, n.literals, n.connective, n.repeated, n.note,
+                 len(n.children)) for n in tree.walk()]
+    counts, path = [0] * len(tree.nodes), []
+    for i, node in enumerate(tree.nodes):
+        while path and path[-1] != node.parent:
+            path.pop()
+        assert path or (i == 0 and node.parent == -1), f"row {i} is out of walk order"
+        if path:
+            counts[node.parent] += 1
+        path.append(i)
+    return [(n.kind, n.depth, n.atom, n.literals, n.connective, n.repeated, n.note, count)
+            for n, count in zip(tree.nodes, counts)]
 
 
 def _reference_connective(depth: int) -> str:
@@ -501,7 +555,8 @@ class ReferenceTreeBuilder:
     another head functor, kept as the reference for differential tests: it
     renames every proper rule apart at every rule-phase node and builds a
     new candidate atom from the names of each fact that matches.  It shares
-    no code with `query._TreeBuilder`, and records no harvest:
+    no code with `query._TreeBuilder`, nests its nodes in `ReferenceNode`s
+    rather than appending rows, and records no harvest:
     `reference_starting_facts` walks its trees."""
 
     def __init__(self, kb, depth_limit: int):
@@ -517,15 +572,15 @@ class ReferenceTreeBuilder:
             self.facts_by_pred.setdefault(atom.pred, []).append(atom)
         self.fact_atoms = {atom for atoms in self.facts_by_pred.values() for atom in atoms}
 
-    def _cut(self, node: SearchNode) -> bool:
+    def _cut(self, node: ReferenceNode) -> bool:
         if node.depth + 1 > self.depth_limit:
-            node.children.append(SearchNode("no", node.depth + 1,
-                                            note="depth limit reached"))
+            node.children.append(ReferenceNode("no", node.depth + 1,
+                                               note="depth limit reached"))
             self.truncated = True
             return True
         return False
 
-    def _mark(self, node: SearchNode, phase: str) -> bool:
+    def _mark(self, node: ReferenceNode, phase: str) -> bool:
         key = (_reference_variant_key(node.atom), phase)
         if key in self.expanded:
             node.repeated = True
@@ -533,7 +588,7 @@ class ReferenceTreeBuilder:
         self.expanded.add(key)
         return False
 
-    def expand(self, root: SearchNode) -> None:
+    def expand(self, root: ReferenceNode) -> None:
         """Each expand_* yields (expand_*, child) for every child to expand
         and resumes once that child's subtree is built."""
         stack = [self.expand_prox_phase(root)]
@@ -545,7 +600,7 @@ class ReferenceTreeBuilder:
                 expand, child = step
                 stack.append(expand(child))
 
-    def expand_prox_phase(self, node: SearchNode):
+    def expand_prox_phase(self, node: ReferenceNode):
         """Depth 3k: the sub-goal predicate ranges over its proximity set;
         at the goal its constants are replaced by their proximity sets."""
         if (node.depth and self._mark(node, "prox")) or self._cut(node):
@@ -554,12 +609,12 @@ class ReferenceTreeBuilder:
         if node.depth == 0:
             args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in args)
         for q, _ in proximity_set(self.kb.bk.pred_prox, node.atom.pred, self.system):
-            child = SearchNode("subgoal", node.depth + 1, Atom(q, args),
-                               connective=_reference_connective(node.depth + 1))
+            child = ReferenceNode("subgoal", node.depth + 1, Atom(q, args),
+                                  connective=_reference_connective(node.depth + 1))
             node.children.append(child)
             yield self.expand_rule_phase, child
 
-    def expand_rule_phase(self, node: SearchNode):
+    def expand_rule_phase(self, node: ReferenceNode):
         """Depth 3k+1: unify with rule heads and with facts."""
         if self._mark(node, "rule") or self._cut(node):
             return
@@ -572,21 +627,21 @@ class ReferenceTreeBuilder:
                 continue
             literals = tuple(type(l)(substitute(l.atom, theta), l.negated)
                              for l in fresh.body)
-            body = SearchNode("body", depth, atom=substitute(fresh.head, theta),
-                              literals=literals, connective=_reference_connective(depth))
+            body = ReferenceNode("body", depth, atom=substitute(fresh.head, theta),
+                                 literals=literals, connective=_reference_connective(depth))
             node.children.append(body)
             if not self._cut(body):
                 for lit in literals:
-                    child = SearchNode("subgoal", depth + 1, lit.atom,
-                                       connective=_reference_connective(depth + 1),
-                                       note="negated" if lit.negated else "")
+                    child = ReferenceNode("subgoal", depth + 1, lit.atom,
+                                          connective=_reference_connective(depth + 1),
+                                          note="negated" if lit.negated else "")
                     body.children.append(child)
                     yield self.expand_prox_phase, child
         self._fact_candidates(node, depth)
         if not node.children:
-            node.children.append(SearchNode("no", depth))
+            node.children.append(ReferenceNode("no", depth))
 
-    def _fact_candidates(self, node: SearchNode, depth: int) -> None:
+    def _fact_candidates(self, node: ReferenceNode, depth: int) -> None:
         """All member/binding combinations for the facts of this predicate;
         each candidate closes with YES exactly when it is a program fact."""
         facts = self.facts_by_pred.get(node.atom.pred, [])
@@ -622,28 +677,34 @@ class ReferenceTreeBuilder:
                     candidates.append(Atom(node.atom.pred,
                                            tuple(Constant(c) for c in combo)))
         for cand in candidates:
-            cnode = SearchNode("fact", depth, cand, connective=_reference_connective(depth))
+            cnode = ReferenceNode("fact", depth, cand, connective=_reference_connective(depth))
             node.children.append(cnode)
             if cand in self.fact_atoms:
-                cnode.children.append(SearchNode("yes", depth + 1))
+                cnode.children.append(ReferenceNode("yes", depth + 1))
             else:
-                cnode.children.append(SearchNode("no", depth + 1))
+                cnode.children.append(ReferenceNode("no", depth + 1))
 
 
-def reference_build_tree(kb, goal, depth_limit: int = 64) -> SearchTree:
+def reference_build_tree(kb, goal, depth_limit: int = 64) -> ReferenceTree:
     """`query.build_tree` on the reference builder."""
     builder = ReferenceTreeBuilder(kb, depth_limit)
-    root = SearchNode("goal", 0, goal.atom, connective=_reference_connective(0))
+    root = ReferenceNode("goal", 0, goal.atom, connective=_reference_connective(0))
     builder.expand(root)
-    return SearchTree(root, builder.truncated, depth_limit)
+    return ReferenceTree(root, builder.truncated, depth_limit)
 
 
-def reference_starting_facts(tree: SearchTree, program: Program):
+def reference_starting_facts(tree, program: Program):
     """The starting facts by their definition: the atoms of the fact nodes
-    with a YES child, found by walking the tree, each with its program
-    level, joined over repeated facts, in `_item_key` order."""
-    harvested = {node.atom for node in tree.walk() if node.kind == "fact"
-                 and any(child.kind == "yes" for child in node.children)}
+    with a YES child, found by walking a reference tree or by reading the
+    rows of a search tree, each with its program level, joined over
+    repeated facts, in `_item_key` order."""
+    if isinstance(tree, ReferenceTree):
+        harvested = {node.atom for node in tree.walk() if node.kind == "fact"
+                     and any(child.kind == "yes" for child in node.children)}
+    else:
+        nodes = tree.nodes
+        harvested = {nodes[node.parent].atom for node in nodes
+                     if node.kind == "yes" and nodes[node.parent].kind == "fact"}
     levels = {}
     for atom, level in program.facts():
         if atom in harvested:

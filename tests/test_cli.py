@@ -256,6 +256,18 @@ def test_query_with_a_constant_named_like_a_variable(tmp_path, capsys):
     assert "s(V0) = 0.9\ns(a) = 0.8\n" in out
 
 
+def test_query_with_a_goal_variable_named_like_a_renamed_rule_variable(tmp_path, capsys):
+    """The search tree renames rule variables to names no goal can write, so
+    a goal variable named Y_r1 is not aliased with the renamed rule's Y."""
+    program = tmp_path / "alias.mvd"
+    program.write_text("%system fuzzy.\nfact p(c, a) = 0.9.\n"
+                       "rule q(X, Y) <- p(X, Y) : godel, 1.0.\n")
+    for goal in ("q(Z, a)", "q(Y_r1, a)", "q(X_r1, a)"):
+        code, out, err = invoke(capsys, "query", program, "--goal", goal)
+        assert code == 0, err
+        assert out == "q(c, a) = 0.9\n", goal
+
+
 def test_non_utf8_program_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.mvd"
     bad.write_bytes("%system fuzzy.\nfact p(a) = 0.5.  # café\n".encode("latin-1"))

@@ -17,8 +17,8 @@ from mvdatalog.query import (Goal, answer, build_tree, parse_goal, parse_level,
                              starting_facts)
 
 from conftest import load_kb
-from helpers import (random_bk, random_level, random_phi, random_program,
-                     reference_build_tree, reference_starting_facts)
+from helpers import (children, random_bk, random_level, random_phi, random_program,
+                     reference_build_tree, reference_starting_facts, walk_rows)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -33,19 +33,20 @@ def kinds_by_depth(tree):
 def test_tree_ex23(ex23_kb):
     goal = Goal(parse_goal("li(M, X)", ex23_kb.program))
     tree = build_tree(ex23_kb, goal)
+    nodes = tree.nodes
     # level 1 holds the goal's proximity variants li and lo
-    level1 = [n.atom.pred for n in tree.root.children]
+    level1 = [nodes[i].atom.pred for i in children(tree, 0)]
     assert sorted(level1) == ["li", "lo"]
     # the li branch dies (no li rules or facts), the lo branch carries a body
-    by_atom = {n.atom.pred: n for n in tree.root.children}
-    assert [c.kind for c in by_atom["li"].children] == ["no"]
-    body = by_atom["lo"].children[0]
-    assert body.kind == "body" and body.connective == "and"
-    members = sorted(lit.atom.pred for lit in body.literals)
+    by_atom = {nodes[i].atom.pred: i for i in children(tree, 0)}
+    assert [nodes[c].kind for c in children(tree, by_atom["li"])] == ["no"]
+    body = children(tree, by_atom["lo"])[0]
+    assert nodes[body].kind == "body" and nodes[body].connective == "and"
+    members = sorted(lit.atom.pred for lit in nodes[body].literals)
     assert members == ["gc", "mu"]
     # proximity expands gc -> {gc, fv} and mu -> {mu, mf}
-    for child in body.children:
-        expanded = sorted(c.atom.pred for c in child.children)
+    for child in children(tree, body):
+        expanded = sorted(nodes[c].atom.pred for c in children(tree, child))
         assert expanded in (["fv", "gc"], ["mf", "mu"])
     x0 = starting_facts(tree, ex23_kb.program)
     assert {str(a): v for a, v in x0} == {"fv(V)": (0.85, 0.9), "mf(M)": (0.7, 0.8)}
@@ -60,12 +61,14 @@ def test_tree_shape_invariants(ex23_kb, ex1):
     ]
     for kb, tree in cases:
         program_facts = {a for a, _ in kb.program.facts()}
-        for node in tree.walk():
+        walk_rows(tree)    # checks that the rows are in walk order
+        for i, node in enumerate(tree.nodes):
+            kids = [tree.nodes[j] for j in children(tree, i)]
             # AND connectives only at depth 2 mod 3
-            if node.connective == "and" and node.children:
+            if node.connective == "and" and kids:
                 assert node.depth % 3 == 2
             # every YES parent is a ground program fact
-            if node.kind == "fact" and any(c.kind == "yes" for c in node.children):
+            if node.kind == "fact" and any(c.kind == "yes" for c in kids):
                 assert node.atom.is_ground()
                 assert node.atom in program_facts
 
@@ -74,7 +77,8 @@ def test_all_no_for_unknown_predicate(ex1):
     kb = build_kb(ex1)
     tree = build_tree(kb, Goal(parse_goal("zz(X)", ex1)))
     assert starting_facts(tree, ex1) == []
-    leaves = [n.kind for n in tree.walk() if not n.children and n.kind != "goal"]
+    leaves = [n.kind for i, n in enumerate(tree.nodes)
+              if not children(tree, i) and n.kind != "goal"]
     assert set(leaves) == {"no"}
 
 
@@ -167,16 +171,22 @@ def test_memoization_keeps_answers_complete(ex1):
     assert x0 == {"p(a)", "r(b)"}
 
 
+def test_goal_variable_named_like_a_renamed_rule_variable():
+    """Rule variables are renamed to names no goal can write, so a goal
+    variable named Y_r1 is not aliased with the renamed rule's Y."""
+    program = parse_program("%system fuzzy.\nfact p(c, a) = 0.9.\n"
+                            "rule q(X, Y) <- p(X, Y) : godel, 1.0.\n")
+    kb = build_kb(program)
+    for text in ("q(Z, a)", "q(Y_r1, a)", "q(X_r1, a)"):
+        result = answer(kb, Goal(parse_goal(text, program)))
+        assert [(str(a), v) for a, v in result.answers] == [("q(c, a)", 0.9)], text
+        assert [str(a) for a, _ in result.starting] == ["p(c, a)"], text
+
+
 def test_parse_goal_checks_arity(ex1):
     from mvdatalog.lang import ParseError
     with pytest.raises(ParseError, match="arity"):
         parse_goal("s(X, Y)", ex1)
-
-
-def walk_rows(tree):
-    """Every field of every node, in walk order, with its number of children."""
-    return [(node.kind, node.depth, node.atom, node.literals, node.connective,
-             node.repeated, node.note, len(node.children)) for node in tree.walk()]
 
 
 def tree_rows(tree):
@@ -185,27 +195,40 @@ def tree_rows(tree):
 
 
 def test_deep_tree_prints_copies_and_pickles():
-    """A tree deeper than the recursion limit prints without its subtree,
-    and deep-copies and pickles node for node."""
+    """A tree deeper than the recursion limit prints, converts to a dict,
+    and deep-copies and pickles row for row."""
     n = 1500
     rules = "".join(f"rule p{i}(X) <- p{i + 1}(X) : godel, 0.9.\n" for i in range(n))
     prog = parse_program(f"%system fuzzy.\n{rules}fact p{n}(a) = 0.8.\n")
     tree = build_tree(build_kb(prog), Goal(parse_goal("p0(X)", prog)), depth_limit=100000)
     assert max(node.depth for node in tree.walk()) > sys.getrecursionlimit()
-    assert repr(tree.root) == ("SearchNode(kind='goal', depth=0, atom=Atom(pred='p0', "
-                               "args=(Variable(name='X'),)), children=1)")
-    assert repr(tree).startswith(f"SearchTree(root={tree.root!r}, truncated=False")
+    assert repr(tree.nodes[0]) == (
+        "SearchNode(parent=-1, kind='goal', depth=0, atom=Atom(pred='p0', "
+        "args=(Variable(name='X'),)), literals=(), connective='or', repeated=False, note='')")
+    assert len(children(tree, 0)) == 1
+    text = repr(tree)
+    assert text.startswith(f"SearchTree(nodes=[{tree.nodes[0]!r}, ")
+    assert text.endswith(f"{tree.nodes[-1]!r}], truncated=False, depth_limit=100000)")
+
+    as_dict = dataclasses.asdict(tree)
+    assert (as_dict["truncated"], as_dict["depth_limit"]) == (False, 100000)
+    assert as_dict["nodes"] == [
+        node._replace(literals=tuple(map(dataclasses.asdict, node.literals)))
+        for node in tree.nodes]
 
     for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert walk_rows(copied) == walk_rows(tree)
         assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
-        assert not {id(node) for node in copied.walk()} & {id(node) for node in tree.walk()}
+        # the rows are immutable, so a copy that owns its list owns its tree
+        assert copied.nodes is not tree.nodes
         assert copied == tree
-    # equality compares every node: one changed deep leaf tells the trees apart
+    # equality compares every row: one changed deep leaf tells the trees apart
     copied = copy.deepcopy(tree)
-    leaf = list(copied.walk())[-1]
-    leaf.note += "x"
-    assert copied != tree and copied.root != tree.root
+    leaf = copied.nodes[-1]
+    assert leaf.depth == max(node.depth for node in tree.walk())
+    copied.nodes[-1] = leaf._replace(note=leaf.note + "x")
+    assert copied != tree and copied.nodes != tree.nodes
+    assert tree.nodes[-1].note == ""
 
 
 @pytest.mark.parametrize("depth_limit", [64, 4, 3])
@@ -510,7 +533,8 @@ def test_tree_matches_reference_on_random_and_api_built_programs(depth_limit):
 def test_non_ground_facts_give_no_candidates():
     kb = api_knowledge_base()
     tree = build_tree(kb, Goal(Atom("p", (Y,))))
-    candidates = [(str(n.atom), n.children[0].kind) for n in tree.walk() if n.kind == "fact"]
+    candidates = [(str(n.atom), tree.nodes[children(tree, i)[0]].kind)
+                  for i, n in enumerate(tree.nodes) if n.kind == "fact"]
     assert candidates == [("p(a)", "yes"), ("p(X)", "no"), ("p(b)", "yes")]
     assert [(str(a), v) for a, v in starting_facts(tree, kb.program)] == [
         ("p(a)", 0.7), ("p(b)", 0.6)]
@@ -524,7 +548,7 @@ def test_copied_trees_keep_their_starting_facts():
         tree = build_tree(kb, goal)
         expected = reference_starting_facts(tree, kb.program)
         for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree)),
-                       query.SearchTree(copy.deepcopy(tree.root))):
+                       query.SearchTree(copy.deepcopy(tree.nodes))):
             assert starting_facts(copied, kb.program) == expected, goal
 
 
