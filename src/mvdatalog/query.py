@@ -31,9 +31,12 @@ and keeps the harvested starting facts complete.
 Every goal's tree reads one search index of its knowledge base, kept on it
 and keyed on the program's rules, its value system and both proximity
 relations: the proper rules by head functor, the facts by predicate, and,
-filled as trees grow, the proximity sets met and the fact candidates of
-each sub-goal pattern.  The builder records each fact it adds under YES on
-the tree, so `starting_facts` reads that record and does not walk the tree.
+filled as trees grow, the proximity sets met, the fact candidates of each
+sub-goal pattern and the body row each rule gives it, unified once and
+filled per node.  The builder records each fact it adds under YES on the
+tree, so `starting_facts` reads that record and does not walk the tree.
+An answer filters its goal's functor's atoms, kept in answer order with
+the reused consequence.
 """
 
 from __future__ import annotations
@@ -99,11 +102,11 @@ def _pattern(args) -> tuple:
 class _SearchIndex:
     """What the search tree of every goal reads of one knowledge base: its
     proper rules by head functor, each with its position among them, and
-    its fact atoms by predicate.  The tables filled as trees grow hold the
-    variables of the rules renamed, for each predicate met the map from the
-    names of a ground fact to its atom, the symbols of proximity sets, of
-    predicates and of terms, and each sub-goal pattern's fact candidates as
-    (candidate atom, is a program fact) pairs."""
+    its fact atoms by predicate.  The tables filled as trees grow hold, for
+    each predicate met, the map from the names of a ground fact to its
+    atom, the symbols of proximity sets, of predicates and of terms, each
+    sub-goal pattern's fact candidates as (candidate atom, is a program
+    fact) pairs, and the `_template` of each (rule position, pattern)."""
 
     def __init__(self, program: Program):
         self.proper, self.rules, self.facts = 0, {}, {}
@@ -114,11 +117,35 @@ class _SearchIndex:
                 self.proper += 1
             else:
                 self.facts.setdefault(head.pred, []).append(head)
-        self.variables = {}      # proper rule position -> its variables
         self.known = {}          # predicate -> {names: atom} of its ground facts
         self.synonyms = {}       # predicate -> the symbols of its proximity set
         self.members = {}        # term name -> the symbols of its proximity set
         self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
+        self.templates = {}      # (proper rule position, pattern) -> template or None
+
+
+def _template(rule, pred: str, pattern: tuple):
+    """The body row the rule gives a sub-goal of this pattern, or None when
+    its head does not unify: the rule variables left unbound, named V#, the
+    (predicate, arguments) of the head and of each body atom, an argument
+    being a fixed term or the index of such a variable, the body's signs
+    and its sub-goal patterns.  `unify` binds a sub-goal variable (#0, #1,
+    ..) only as a key, so none reaches the head or body, and a node fills
+    the template with its renamed variables alone."""
+    renaming = {v: Variable(v.name + "#") for v in rule.variables()}
+    goal = Atom(pred, tuple(Variable(f"#{t}") if t.__class__ is int else t for t in pattern))
+    theta = unify(goal, substitute(rule.head, renaming))
+    if theta is None:
+        return None
+    theta = {v: theta.get(r, r) for v, r in renaming.items()}
+    numbers = {}             # unbound renamed variable -> its index
+    spec = {v: numbers.setdefault(t, len(numbers)) if t.__class__ is Variable else t
+            for v, t in theta.items()}
+    atoms = [rule.head] + [l.atom for l in rule.body]
+    return (tuple(r.name for r in numbers),
+            tuple((a.pred, tuple(spec.get(t, t) for t in a.args)) for a in atoms),
+            tuple(l.negated for l in rule.body),
+            tuple(_pattern(substitute(l.atom, theta).args) for l in rule.body))
 
 
 # sub-goal patterns an index holds before it starts over: the patterns of
@@ -135,7 +162,7 @@ def _search_index(kb: KnowledgeBase) -> _SearchIndex:
            tuple(bk.pred_prox.pairs.items()))
     stored = kb._search_index
     if (stored is None or stored[0] != key
-            or len(stored[1].candidates) > _INDEXED_PATTERNS):
+            or len(stored[1].candidates) + len(stored[1].templates) > _INDEXED_PATTERNS):
         stored = kb._search_index = (key, _SearchIndex(program))
     return stored[1]
 
@@ -208,40 +235,39 @@ class _TreeBuilder:
         node = nodes[row]
         if self._cut(row, node.depth):
             return
-        atom = node.atom
-        pred = atom.pred
+        pred = node.atom.pred
         depth = node.depth + 1
         # every proper rule takes a renaming number in turn, but only the
-        # rules of this functor are renamed: unify would reject the others.
+        # rules of this functor are renamed: their heads alone can unify.
         # A renamed variable's name holds "#", which no parsed variable does.
+        templates = self.index.templates
         last = -1
         for pos, rule in self.index.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
             last = pos
-            variables = self.index.variables.get(pos)
-            if variables is None:
-                variables = self.index.variables[pos] = rule.variables()
-            renaming = {v: Variable(f"{v.name}#r{self.fresh}") for v in variables}
-            theta = unify(atom, substitute(rule.head, renaming))
-            if theta is None:
+            template = templates.get((pos, pattern), False)
+            if template is False:
+                template = templates[pos, pattern] = _template(rule, pred, pattern)
+            if template is None:
                 continue
-            theta = {v: theta.get(r, r) for v, r in renaming.items()}
-            literals = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
-            nodes.append(SearchNode(row, "body", depth, substitute(rule.head, theta), literals,
+            names, specs, negated, sub_patterns = template
+            suffix = f"r{self.fresh}"
+            renamed = [Variable(name + suffix) for name in names]
+            head, *atoms = [Atom(p, tuple(renamed[t] if t.__class__ is int else t for t in args))
+                            for p, args in specs]
+            nodes.append(SearchNode(row, "body", depth, head, tuple(map(Literal, atoms, negated)),
                                     _connective(depth)))
             body = len(nodes) - 1
             if not self._cut(body, depth):
                 connective = _connective(depth + 1)
-                for lit in literals:
-                    args = lit.atom.args
-                    sub_pattern = _pattern(args)
-                    key = ("prox", lit.atom.pred, sub_pattern)
+                for atom, neg, sub_pattern in zip(atoms, negated, sub_patterns):
+                    key = ("prox", atom.pred, sub_pattern)
                     repeated = key in self.expanded
-                    nodes.append(SearchNode(body, "subgoal", depth + 1, lit.atom, (), connective,
-                                            repeated, "negated" if lit.negated else ""))
+                    nodes.append(SearchNode(body, "subgoal", depth + 1, atom, (), connective,
+                                            repeated, "negated" if neg else ""))
                     if not repeated:
                         self.expanded.add(key)
-                        yield self.expand_prox_phase(len(nodes) - 1, args, sub_pattern)
+                        yield self.expand_prox_phase(len(nodes) - 1, atom.args, sub_pattern)
         self.fresh += self.index.proper - 1 - last
         candidates = self.index.candidates.get((pred, pattern))
         if candidates is None:
@@ -341,11 +367,11 @@ def _copy_report(report: FixpointReport) -> FixpointReport:
 
 
 def _reused_consequence(kb: KnowledgeBase, restricted: KnowledgeBase,
-                        max_iters: int) -> FixpointReport:
+                        max_iters: int) -> tuple:
     """consequence(restricted, max_iters), reused across the goals answered
-    on kb.  The key holds everything that call reads, so any change to the
-    program, the background knowledge or phi misses the table; the table
-    and every caller get copies of a stored report."""
+    on kb, and its atoms by functor in `_item_key` order.  The key holds all
+    that call reads, so a change to the program, the background knowledge
+    or phi misses the table; the table and callers get copies of a report."""
     program, bk = restricted.program, restricted.bk
     key = (tuple(program.rules), program.system, tuple(program.order_directive or ()),
            max_iters, frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
@@ -354,12 +380,15 @@ def _reused_consequence(kb: KnowledgeBase, restricted: KnowledgeBase,
     stored = table.get(key)
     if stored is None:
         report = consequence(restricted, max_iters)
-        table[key] = _copy_report(report)
+        by_functor = {}
+        for item in report.interpretation.sorted_items():
+            by_functor.setdefault(item[0].functor, []).append(item)
+        table[key] = (_copy_report(report), by_functor)
         if len(table) > _REUSED_CONSEQUENCES:
             table.popitem(last=False)
-        return report
+        return report, by_functor
     table.move_to_end(key)
-    return _copy_report(stored)
+    return _copy_report(stored[0]), stored[1]
 
 
 @dataclass
@@ -377,20 +406,21 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     tree = build_tree(kb, goal, depth_limit)
     x0 = starting_facts(tree, kb.program)
     restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
-    report = _reused_consequence(kb, restricted, max_iters)
+    report, by_functor = _reused_consequence(kb, restricted, max_iters)
     # the fixed point is ground, so an atom of the goal's functor unifies
     # with the goal when it has the names of the goal's constants and
     # proximity references, and repeats the goal's repeated variables
-    pred, args = goal.atom.pred, goal.atom.args
-    names = [(i, t.name) for i, t in enumerate(args) if not isinstance(t, Variable)]
-    repeats = [(args.index(t), i) for i, t in enumerate(args)
-               if isinstance(t, Variable) and args.index(t) != i]
-    leq = None if goal.level is None else V._checked(kb.program.system, goal.level).leq
-    answers = sorted(((atom, val) for atom, val in report.interpretation.entries.items()
-                      if atom.pred == pred and len(atom.args) == len(args)
-                      and all(atom.args[i].name == name for i, name in names)
-                      and all(atom.args[i] == atom.args[j] for i, j in repeats)
-                      and (leq is None or leq(goal.level, val))), key=_item_key)
+    answers = list(by_functor.get(goal.atom.functor, ()))
+    args = goal.atom.args
+    for i, t in enumerate(args):
+        if not isinstance(t, Variable):
+            answers = [item for item in answers if item[0].args[i].name == t.name]
+        elif args.index(t) != i:
+            j = args.index(t)
+            answers = [item for item in answers if item[0].args[i] == item[0].args[j]]
+    if goal.level is not None:
+        leq = V._checked(kb.program.system, goal.level).leq
+        answers = [item for item in answers if leq(goal.level, item[1])]
     if tree.truncated:
         report.diagnostics.append(
             f"search tree truncated at depth {depth_limit}; answers may be incomplete")

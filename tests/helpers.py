@@ -711,3 +711,20 @@ def reference_starting_facts(tree, program: Program):
             old = levels.get(atom)
             levels[atom] = level if old is None else V.join(program.system, old, level)
     return sorted(levels.items(), key=_item_key)
+
+
+def reference_answers(report: FixpointReport, goal, system: str) -> list:
+    """The answers by the scan `query.answer` made before it kept each
+    reused consequence's atoms by functor: every atom of the fixed point of
+    the goal's functor that has the names of the goal's constants and
+    proximity references, repeats its repeated variables and reaches its
+    level, sorted in `_item_key` order."""
+    pred, args = goal.atom.pred, goal.atom.args
+    names = [(i, t.name) for i, t in enumerate(args) if not isinstance(t, Variable)]
+    repeats = [(args.index(t), i) for i, t in enumerate(args)
+               if isinstance(t, Variable) and args.index(t) != i]
+    return sorted(((atom, val) for atom, val in report.interpretation.entries.items()
+                   if atom.pred == pred and len(atom.args) == len(args)
+                   and all(atom.args[i].name == name for i, name in names)
+                   and all(atom.args[i] == atom.args[j] for i, j in repeats)
+                   and (goal.level is None or V.leq(system, goal.level, val))), key=_item_key)
