@@ -394,10 +394,10 @@ def test_answers_match_the_reference_scan():
         rng = random.Random(f"scan/{seed}")
         for goal in random_goals(rng, kb.program, 10):
             for level in (None, random_level(rng, system)):
-                goal = Goal(goal.atom, level)
-                result = answer(kb, goal)
-                assert result.answers == reference_answers(result.report, goal, system), (
-                    seed, goal)
+                asked = Goal(goal.atom, level)
+                result = answer(kb, asked)
+                assert result.answers == reference_answers(result.report, asked, system), (
+                    seed, asked)
 
 
 def test_reused_consequences_match_fresh_knowledge_bases(count_consequences):
