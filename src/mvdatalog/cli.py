@@ -77,7 +77,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         if name == "query":
             sp.add_argument("--goal", required=True, help='goal atom, e.g. "li(M, X)"')
             sp.add_argument("--at-least", help='minimum answer level, e.g. "(0.4, 0.5)"')
-            sp.add_argument("--depth-limit", type=_int_at_least(3), default=64)
+            sp.add_argument("--depth-limit", type=_int_at_least(3), default=64,
+                            help="depth bound of the search tree; answers do not depend on it")
     return ap
 
 

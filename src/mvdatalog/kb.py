@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -148,12 +148,8 @@ class KnowledgeBase:
     bk: BackgroundKnowledge
     program: Program
     phi: PhiSpec
-    # the restricted consequences `query.answer` computed on this knowledge
-    # base, least recently used first; see `query._reused_consequence`
-    _consequences: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                       repr=False, compare=False)
-    # (key, index) of the search index `query.build_tree` reads; see
-    # `query._search_index`
+    # (key, index) of the search index `query.answer` reads, which holds
+    # the restricted consequences too; see `query._search_index`
     _search_index: Optional[tuple] = field(default=None, init=False, repr=False,
                                            compare=False)
 

@@ -1,8 +1,16 @@
 """Goal-directed evaluation.
 
-The answer to a goal is computed in two stages.  First an AND/OR searching
-tree is built top-down without any uncertainty levels, alternating
-proximity-based and rule-based unification:
+Every fixed-point atom of the consequence grown from the facts of the
+goal predicate's cone alone that unifies with the goal (and reaches the
+requested level, when one is given) is an answer.  The cone is the goal
+predicate's proximity set and that of each body predicate, negated or not,
+of every proper rule whose head predicate is in the cone.  It is closed
+under every dependency of the modified transformation (body to head, head
+to predicate synonym), so the restricted consequence equals the full one
+on the goal's predicate.
+
+Each goal also gets an AND/OR searching tree, built top-down without any
+uncertainty levels, alternating proximity- and rule-based unification:
 
   depth 0        the goal; its ground arguments are replaced by their
                  proximity sets, its predicate ranges over its proximity set
@@ -16,33 +24,24 @@ proximity-based and rule-based unification:
                  program fact, NO otherwise), or NO
   depth 3k, k>=1 proximity-based unification of the sub-goal predicate
 
-The parents of YES are the required starting facts.  Second, the
-knowledge-base consequence is grown from exactly those facts; every
-fixed-point atom that unifies with the goal (and reaches the requested
-level, when one is given) is an answer.
-
 The tree is a list of rows in walk order, each naming its parent's row,
 so a tree of any depth compares, copies and pickles without recursion.
 Negative body literals expand through their kernel atom.  Repeated
 sub-goals (same atom up to variable renaming, same phase) are not
-re-expanded: the repeat is marked on the row, which both cuts recursion
-and keeps the harvested starting facts complete.
+re-expanded: the repeat is marked on the row, which cuts recursion.
+The depth limit bounds the tree alone; the answers do not depend on it.
 
-Every goal's tree reads one search index of its knowledge base, kept on it
-and keyed on the program's rules, its value system and both proximity
-relations: the proper rules by head functor, the facts by predicate, and,
-filled as trees grow, the proximity sets met, the fact candidates of each
-sub-goal pattern and the body row each rule gives it, unified once and
-filled per node.  The builder records each fact it adds under YES on the
-tree, so `starting_facts` reads that record and does not walk the tree.
-An answer filters its goal's functor's atoms, kept in answer order with
-the reused consequence.
+Every goal reads one search index of its knowledge base, kept on it: the
+rules and facts by head, and, filled as goals are answered, the proximity
+sets and cones met, the fact candidates of each sub-goal pattern, the
+body row each rule gives it, and the restricted consequences.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import values as V
@@ -78,8 +77,6 @@ class SearchTree:
     nodes: list
     truncated: bool = False
     depth_limit: int = 64
-    # the atoms of the fact nodes with a YES child, as the builder added them
-    harvest: Optional[set] = field(default=None, repr=False, compare=False)
 
     def walk(self):
         return iter(self.nodes)
@@ -100,28 +97,51 @@ def _pattern(args) -> tuple:
 
 
 class _SearchIndex:
-    """What the search tree of every goal reads of one knowledge base: its
-    proper rules by head functor, each with its position among them, and
-    its fact atoms by predicate.  The tables filled as trees grow hold, for
-    each predicate met, the map from the names of a ground fact to its
-    atom, the symbols of proximity sets, of predicates and of terms, each
-    sub-goal pattern's fact candidates as (candidate atom, is a program
-    fact) pairs, and the `_template` of each (rule position, pattern)."""
+    """What every goal reads of one knowledge base: its proper rules by
+    head functor, each with its position among them, their body predicates
+    by head predicate, and its fact atoms by predicate, then the tables
+    filled as goals are answered."""
 
     def __init__(self, program: Program):
-        self.proper, self.rules, self.facts = 0, {}, {}
+        self.proper, self.rules, self.bodies, self.facts = 0, {}, {}, {}
         for rule in program.rules:
             head = rule.head
             if rule.body:
                 self.rules.setdefault(head.functor, []).append((self.proper, rule))
+                self.bodies.setdefault(head.pred, []).extend(l.atom.pred for l in rule.body)
                 self.proper += 1
             else:
                 self.facts.setdefault(head.pred, []).append(head)
         self.known = {}          # predicate -> {names: atom} of its ground facts
         self.synonyms = {}       # predicate -> the symbols of its proximity set
         self.members = {}        # term name -> the symbols of its proximity set
+        self.cones = {}          # predicate -> frozenset of the predicates of its cone
         self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
         self.templates = {}      # (proper rule position, pattern) -> template or None
+        # (cone, max_iters) -> (report, atoms by functor), least recently used first
+        self.consequences = OrderedDict()
+
+    def synonyms_of(self, kb: KnowledgeBase, pred: str) -> list:
+        """The symbols of pred's proximity set in kb, first the predicate."""
+        synonyms = self.synonyms.get(pred)
+        if synonyms is None:
+            synonyms = self.synonyms[pred] = [
+                q for q, _ in proximity_set(kb.bk.pred_prox, pred, kb.program.system)]
+        return synonyms
+
+    def cone(self, kb: KnowledgeBase, pred: str) -> frozenset:
+        """The predicates whose facts the consequence reads for the atoms of
+        pred, as the module docstring defines them."""
+        cone = self.cones.get(pred)
+        if cone is None:
+            cone, todo = set(), [pred]
+            while todo:
+                for q in self.synonyms_of(kb, todo.pop()):
+                    if q not in cone:
+                        cone.add(q)
+                        todo.extend(self.bodies.get(q, ()))
+            cone = self.cones[pred] = frozenset(cone)
+        return cone
 
 
 def _template(rule, pred: str, pattern: tuple):
@@ -154,12 +174,14 @@ _INDEXED_PATTERNS = 4096
 
 
 def _search_index(kb: KnowledgeBase) -> _SearchIndex:
-    """The search index of kb, kept on it.  It is rebuilt when what it reads
-    has changed: the key holds the program's rules, its value system and
-    the pairs of both proximity relations, so it is never served stale."""
+    """The search index of kb, kept on it.  It is rebuilt when what it or a
+    restricted consequence reads has changed: the key holds the program's
+    rules, system and `%order`, the term symbols, the pairs of both
+    proximity relations and the function set."""
     program, bk = kb.program, kb.bk
-    key = (tuple(program.rules), program.system, tuple(bk.term_prox.pairs.items()),
-           tuple(bk.pred_prox.pairs.items()))
+    key = (tuple(program.rules), program.system, tuple(program.order_directive or ()),
+           frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
+           tuple(bk.pred_prox.pairs.items()), tuple(kb.phi.by_functor.items()))
     stored = kb._search_index
     if (stored is None or stored[0] != key
             or len(stored[1].candidates) + len(stored[1].templates) > _INDEXED_PATTERNS):
@@ -177,7 +199,6 @@ class _TreeBuilder:
         self.expanded = set()    # (phase, predicate, pattern)
         self.truncated = False
         self.fresh = 0
-        self.harvest = set()     # the fact atoms parenting YES
 
     def _cut(self, row: int, depth: int) -> bool:
         if depth + 1 > self.depth_limit:
@@ -213,14 +234,9 @@ class _TreeBuilder:
         node = nodes[row]
         if self._cut(row, node.depth):
             return
-        pred = node.atom.pred
-        synonyms = self.index.synonyms.get(pred)
-        if synonyms is None:
-            synonyms = self.index.synonyms[pred] = [
-                q for q, _ in proximity_set(self.kb.bk.pred_prox, pred, self.system)]
         depth = node.depth + 1
         connective = _connective(depth)
-        for q in synonyms:
+        for q in self.index.synonyms_of(self.kb, node.atom.pred):
             key = ("rule", q, pattern)
             repeated = key in self.expanded
             nodes.append(SearchNode(row, "subgoal", depth, Atom(q, args), (), connective,
@@ -275,8 +291,6 @@ class _TreeBuilder:
                 pred, pattern)
         connective = _connective(depth)
         for cand, is_fact in candidates:
-            if is_fact:
-                self.harvest.add(cand)
             fact = len(nodes)
             nodes.append(SearchNode(row, "fact", depth, cand, (), connective))
             nodes.append(SearchNode(fact, "yes" if is_fact else "no", depth + 1))
@@ -328,33 +342,19 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
         raise ValueError("depth_limit must be at least 3")
     builder = _TreeBuilder(kb, depth_limit)
     builder.grow(goal.atom)
-    return SearchTree(builder.nodes, builder.truncated, depth_limit, builder.harvest)
+    return SearchTree(builder.nodes, builder.truncated, depth_limit)
 
 
-def starting_facts(tree: SearchTree, program: Program):
-    """The ground facts parenting YES, with their program levels (joined
-    over repeated facts).  `build_tree` records these facts on the tree as
-    it adds them; a tree without that record is read for the parent of each
-    YES row."""
-    harvested = tree.harvest
-    if harvested is None:
-        nodes = tree.nodes
-        harvested = {nodes[node.parent].atom for node in nodes if node.kind == "yes"}
+def starting_facts(cone, program: Program):
+    """The program facts of the cone's predicates, with their levels
+    (joined over repeated facts), in `_item_key` order."""
     levels = {}
     for rule in program.rules:
         atom, level = rule.head, rule.level
-        if not rule.body and atom in harvested:
+        if not rule.body and atom.pred in cone:
             old = levels.get(atom)
             levels[atom] = level if old is None else V.join(program.system, old, level)
     return sorted(levels.items(), key=_item_key)
-
-
-def _restrict_to_facts(program: Program, kept) -> Program:
-    """Keep the proper rules and only the fact rules for the given atoms."""
-    kept_atoms = {atom for atom, _ in kept}
-    rules = [r for r in program.rules if r.body or r.head in kept_atoms]
-    return Program(program.system, rules, program.declared_constants,
-                   program.order_directive, list(program.warnings))
 
 
 # restricted consequences a knowledge base keeps for reuse
@@ -366,47 +366,45 @@ def _copy_report(report: FixpointReport) -> FixpointReport:
                           report.converged, list(report.diagnostics))
 
 
-def _reused_consequence(kb: KnowledgeBase, restricted: KnowledgeBase,
-                        max_iters: int) -> tuple:
-    """consequence(restricted, max_iters), reused across the goals answered
-    on kb, and its atoms by functor in `_item_key` order.  The key holds all
-    that call reads, so a change to the program, the background knowledge
-    or phi misses the table; the table and callers get copies of a report."""
-    program, bk = restricted.program, restricted.bk
-    key = (tuple(program.rules), program.system, tuple(program.order_directive or ()),
-           max_iters, frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
-           tuple(bk.pred_prox.pairs.items()), tuple(restricted.phi.by_functor.items()))
-    table = kb._consequences
-    stored = table.get(key)
-    if stored is None:
-        report = consequence(restricted, max_iters)
-        by_functor = {}
-        for item in report.interpretation.sorted_items():
-            by_functor.setdefault(item[0].functor, []).append(item)
-        table[key] = (_copy_report(report), by_functor)
-        if len(table) > _REUSED_CONSEQUENCES:
-            table.popitem(last=False)
-        return report, by_functor
-    table.move_to_end(key)
-    return _copy_report(stored[0]), stored[1]
-
-
 @dataclass
 class QueryResult:
     answers: list                 # [(ground Atom, value)] sorted
-    starting: list                # the harvested starting facts
+    starting: list                # the facts of the goal predicate's cone
     tree: SearchTree
     report: FixpointReport
 
 
 def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
            max_iters: int = 10000) -> QueryResult:
-    """Grow the consequence from the harvested starting facts only, then
-    read the goal's instances off the fixed point."""
+    """Grow the consequence from the facts of the goal predicate's cone
+    only, then read the goal's instances off the fixed point.  The search
+    tree is built as well; depth_limit bounds the tree alone."""
     tree = build_tree(kb, goal, depth_limit)
-    x0 = starting_facts(tree, kb.program)
-    restricted = KnowledgeBase(kb.bk, _restrict_to_facts(kb.program, x0), kb.phi)
-    report, by_functor = _reused_consequence(kb, restricted, max_iters)
+    # the index the tree was built from: fetching it again could start it
+    # over past its pattern bound
+    index = kb._search_index[1]
+    cone = index.cone(kb, goal.atom.pred)
+    x0 = starting_facts(cone, kb.program)
+    # the restricted consequence, reused across the goals answered on kb with
+    # its atoms by functor in answer order; the index is rebuilt when anything
+    # else it reads changes, and the table and callers get copies of a report
+    table, key = index.consequences, (cone, max_iters)
+    stored = table.get(key)
+    if stored is None:
+        program = kb.program
+        kept = [r for r in program.rules if r.body or r.head.pred in cone]
+        restricted = Program(program.system, kept, program.declared_constants,
+                             program.order_directive, list(program.warnings))
+        report = consequence(KnowledgeBase(kb.bk, restricted, kb.phi), max_iters)
+        by_functor = {}
+        for item in report.interpretation.sorted_items():
+            by_functor.setdefault(item[0].functor, []).append(item)
+        table[key] = (_copy_report(report), by_functor)
+        if len(table) > _REUSED_CONSEQUENCES:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+        report, by_functor = _copy_report(stored[0]), stored[1]
     # the fixed point is ground, so an atom of the goal's functor unifies
     # with the goal when it has the names of the goal's constants and
     # proximity references, and repeats the goal's repeated variables
@@ -421,9 +419,6 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     if goal.level is not None:
         leq = V._checked(kb.program.system, goal.level).leq
         answers = [item for item in answers if leq(goal.level, item[1])]
-    if tree.truncated:
-        report.diagnostics.append(
-            f"search tree truncated at depth {depth_limit}; answers may be incomplete")
     return QueryResult(answers, x0, tree, report)
 
 

@@ -69,6 +69,23 @@ def random_program(rng: random.Random, system: str, allow_negation: bool = False
     return Program(system, rules)
 
 
+def write_constants(rng: random.Random, program: Program) -> Program:
+    """The program with about half of its proper rules writing one of the
+    program's constants in place of one of their body variables, in the
+    head too, so every rule stays safe."""
+    constants = sorted(program.constants())
+    rules = []
+    for rule in program.rules:
+        if rule.body and rng.random() < 0.5:
+            variables = list(dict.fromkeys(v for lit in rule.body for v in lit.atom.variables()))
+            theta = {rng.choice(variables): Constant(rng.choice(constants))}
+            rule = Rule(substitute(rule.head, theta),
+                        tuple(Literal(substitute(lit.atom, theta), lit.negated)
+                              for lit in rule.body), rule.impl, rule.level)
+        rules.append(rule)
+    return Program(program.system, rules)
+
+
 def _random_rule(rng: random.Random, preds, system: str, allow_negation: bool) -> Rule:
     # first body literal is positive and carries all the rule's variables,
     # which keeps every generated rule safe by construction
@@ -693,11 +710,21 @@ def reference_build_tree(kb, goal, depth_limit: int = 64) -> ReferenceTree:
     return ReferenceTree(root, builder.truncated, depth_limit)
 
 
+def reference_facts(program: Program, keep) -> list:
+    """The program facts whose atom keep accepts, each with its program
+    level, joined over repeated facts, in `_item_key` order."""
+    levels = {}
+    for atom, level in program.facts():
+        if keep(atom):
+            old = levels.get(atom)
+            levels[atom] = level if old is None else V.join(program.system, old, level)
+    return sorted(levels.items(), key=_item_key)
+
+
 def reference_starting_facts(tree, program: Program):
-    """The starting facts by their definition: the atoms of the fact nodes
-    with a YES child, found by walking a reference tree or by reading the
-    rows of a search tree, each with its program level, joined over
-    repeated facts, in `_item_key` order."""
+    """The facts a tree harvests, by their definition: the atoms of the fact
+    nodes with a YES child, found by walking a reference tree or by reading
+    the rows of a search tree, as `reference_facts` lists them."""
     if isinstance(tree, ReferenceTree):
         harvested = {node.atom for node in tree.walk() if node.kind == "fact"
                      and any(child.kind == "yes" for child in node.children)}
@@ -705,12 +732,30 @@ def reference_starting_facts(tree, program: Program):
         nodes = tree.nodes
         harvested = {nodes[node.parent].atom for node in nodes
                      if node.kind == "yes" and nodes[node.parent].kind == "fact"}
-    levels = {}
-    for atom, level in program.facts():
-        if atom in harvested:
-            old = levels.get(atom)
-            levels[atom] = level if old is None else V.join(program.system, old, level)
-    return sorted(levels.items(), key=_item_key)
+    return reference_facts(program, harvested.__contains__)
+
+
+def reference_cone(kb, pred: str) -> frozenset:
+    """The cone of pred by a naive fixpoint over every proper rule and every
+    predicate pair, without the search index: the predicates read for the
+    atoms of pred, and the cone, the proximity sets of those, grow until
+    neither changes.  A pair at bottom relates nothing."""
+    system = kb.program.system
+    read, cone = {pred}, set()
+    while True:
+        size = len(read) + len(cone)
+        cone |= read
+        for (a, b), value in kb.bk.pred_prox.pairs.items():
+            if not V.is_bottom(system, value):
+                if a in read:
+                    cone.add(b)
+                if b in read:
+                    cone.add(a)
+        for rule in kb.program.rules:
+            if rule.body and rule.head.pred in cone:
+                read.update(lit.atom.pred for lit in rule.body)
+        if len(read) + len(cone) == size:
+            return frozenset(cone)
 
 
 def reference_answers(report: FixpointReport, goal, system: str) -> list:

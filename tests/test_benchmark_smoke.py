@@ -8,7 +8,7 @@ recorded digest.  No timing is asserted.
 The pass also pins the seed-1 counts of work and results that an
 evaluation change must not move: instances grounded, step calls and the
 instances they scan, productive steps, atoms derived, modified steps, and
-the query's answers, search-tree nodes and harvested starting facts."""
+the query's answers, search-tree nodes and starting facts."""
 
 import json
 import pathlib

@@ -268,6 +268,28 @@ def test_query_with_a_goal_variable_named_like_a_renamed_rule_variable(tmp_path,
         assert out == "q(c, a) = 0.9\n", goal
 
 
+@pytest.mark.parametrize("program_text, prox_text, goal, expected", [
+    ("fact p(c, b) = 0.9.\nrule q(X) <- p(X, a) : godel, 1.0.\n", "a ~ b = 0.8.", "q(Y)",
+     "q(c) = 0.8\n"),
+    ("fact r(c) = 0.9.\nrule q(a) <- r(c) : godel, 1.0.\n", "a ~ b = 0.8.", "q(b)",
+     "q(b) = 0.8\n"),
+    ("fact r(f, c) = 0.9.\nrule s(X) <- r(X, X) : godel, 1.0.\n", "c ~ f = 0.8.", "s(Y)",
+     "s(c) = 0.8\ns(f) = 0.8\n"),
+    ("fact r(f, c) = 0.9.\nrule s(X) <- r(X, X) : godel, 1.0.\n", "c ~ f = 0.8.", "r(X, X)",
+     "r(c, c) = 0.8\nr(f, f) = 0.8\n"),
+])
+def test_query_answers_atoms_reached_through_synonyms(tmp_path, capsys, program_text,
+                                                      prox_text, goal, expected):
+    """Answers derived only through a term synonym of a constant a rule
+    writes, or of a repeated variable, are found as `consequence` finds them."""
+    program, prox = tmp_path / "p.mvd", tmp_path / "p.prox"
+    program.write_text("%system fuzzy.\n" + program_text)
+    prox.write_text(f"%system fuzzy.\n%domain terms.\n{prox_text}\n")
+    code, out, err = invoke(capsys, "query", program, "--prox", prox, "--goal", goal)
+    assert code == 0, err
+    assert out == expected
+
+
 def test_non_utf8_program_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.mvd"
     bad.write_bytes("%system fuzzy.\nfact p(a) = 0.5.  # café\n".encode("latin-1"))

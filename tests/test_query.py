@@ -13,13 +13,12 @@ from mvdatalog.lang import (Atom, Constant, Literal, Program, ProximityRef, Rule
                             parse_program, unify)
 from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, consequence,
                           parse_proximity_file)
-from mvdatalog.query import (Goal, answer, build_tree, parse_goal, parse_level,
-                             starting_facts)
+from mvdatalog.query import Goal, answer, build_tree, parse_goal, parse_level
 
 from conftest import load_kb
 from helpers import (children, random_bk, random_level, random_phi, random_program,
-                     reference_answers, reference_build_tree, reference_starting_facts,
-                     walk_rows)
+                     reference_answers, reference_build_tree, reference_cone, reference_facts,
+                     reference_starting_facts, walk_rows, write_constants)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -49,7 +48,7 @@ def test_tree_ex23(ex23_kb):
     for child in children(tree, body):
         expanded = sorted(nodes[c].atom.pred for c in children(tree, child))
         assert expanded in (["fv", "gc"], ["mf", "mu"])
-    x0 = starting_facts(tree, ex23_kb.program)
+    x0 = reference_starting_facts(tree, ex23_kb.program)
     assert {str(a): v for a, v in x0} == {"fv(V)": (0.85, 0.9), "mf(M)": (0.7, 0.8)}
 
 
@@ -77,7 +76,7 @@ def test_tree_shape_invariants(ex23_kb, ex1):
 def test_all_no_for_unknown_predicate(ex1):
     kb = build_kb(ex1)
     tree = build_tree(kb, Goal(parse_goal("zz(X)", ex1)))
-    assert starting_facts(tree, ex1) == []
+    assert reference_starting_facts(tree, ex1) == []
     leaves = [n.kind for i, n in enumerate(tree.nodes)
               if not children(tree, i) and n.kind != "goal"]
     assert set(leaves) == {"no"}
@@ -86,7 +85,7 @@ def test_all_no_for_unknown_predicate(ex1):
 def test_goal_that_is_a_fact(ex1):
     kb = build_kb(ex1)
     tree = build_tree(kb, Goal(parse_goal("p(a)", ex1)))
-    x0 = starting_facts(tree, ex1)
+    x0 = reference_starting_facts(tree, ex1)
     assert [(str(a), v) for a, v in x0] == [("p(a)", 0.8)]
     res = answer(kb, Goal(parse_goal("p(a)", ex1)))
     assert [(str(a), v) for a, v in res.answers] == [("p(a)", 0.8)]
@@ -125,9 +124,9 @@ def test_answers_match_full_consequence(ex23_kb, ex1):
             assert V.values_equal(kb.program.system, val, full.entries[atom])
 
 
-# ROADMAP item 9: constants a rule writes, and repeated variables, are not
-# widened to their proximity sets below the goal, so these answers miss
-# atoms of the full consequence (all fuzzy, with one term proximity)
+# atoms of the full consequence reached only through a term synonym of a
+# constant a rule writes, or of a repeated variable, which the search tree
+# does not widen below the goal (all fuzzy, with one term proximity)
 MISSED_THROUGH_SYNONYMS = [
     ("fact p(c, b) = 0.9.\nrule q(X) <- p(X, a) : godel, 1.0.\n", "a ~ b = 0.8.", "q(Y)",
      [("q(c)", 0.8)]),
@@ -157,13 +156,33 @@ def test_full_consequence_holds_atoms_reached_through_synonyms(program_text, pro
             if unify(goal.atom, a) is not None] == expected
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 9: the tree does not widen constants below the goal")
 @pytest.mark.parametrize("program_text, prox_text, goal_text, expected",
                          MISSED_THROUGH_SYNONYMS)
 def test_answers_reach_atoms_through_synonyms(program_text, prox_text, goal_text, expected):
     kb, goal = synonym_case(program_text, prox_text, goal_text)
     assert [(str(a), v) for a, v in answer(kb, goal).answers] == expected
+
+
+def test_answers_match_the_full_consequence_on_rules_that_write_constants():
+    """Differential of `answer` against `consequence`: on seeded knowledge
+    bases (every system and function set, with and without negation) where
+    about half the rules write a program constant in place of a body
+    variable, each goal's answers are the full consequence's atoms that
+    unify with it and reach its level, atom for atom, at equal levels."""
+    for seed in range(160):
+        rng = random.Random(f"constants/{seed}")
+        system = V.SYSTEMS[seed % len(V.SYSTEMS)]
+        program = write_constants(rng, random_program(rng, system, seed // 5 % 2 == 1))
+        kb = build_kb(program, random_bk(rng, program), random_phi(rng, program))
+        full = consequence(kb).interpretation.sorted_items()
+        for goal in random_goals(rng, program, 7):
+            expected = [(atom, value) for atom, value in full
+                        if unify(goal.atom, atom) is not None
+                        and (goal.level is None or V.leq(system, goal.level, value))]
+            got = answer(kb, goal).answers
+            assert [atom for atom, _ in got] == [atom for atom, _ in expected], (seed, goal)
+            assert all(V.values_equal(system, value, level)
+                       for (_, value), (_, level) in zip(got, expected)), (seed, goal)
 
 
 def test_query_restriction_is_economical(ex1):
@@ -209,7 +228,7 @@ def test_memoization_keeps_answers_complete(ex1):
     kb = build_kb(ex1)
     tree = build_tree(kb, Goal(parse_goal("s(X)", ex1)))
     assert any(n.repeated for n in tree.walk())
-    x0 = {str(a) for a, _ in starting_facts(tree, ex1)}
+    x0 = {str(a) for a, _ in reference_starting_facts(tree, ex1)}
     assert x0 == {"p(a)", "r(b)"}
 
 
@@ -370,7 +389,8 @@ def random_goals(rng, program, count):
 def test_answers_match_their_definition():
     """The answers are the fixed-point atoms that unify with the goal and
     reach its level, in `_item_key` order; the starting facts are the
-    program facts harvested by the tree, levels joined over repeats."""
+    program facts of the goal predicate's cone, levels joined over
+    repeats."""
     for seed in range(60):
         kb = build_kb(*random_inputs(seed))
         program, system = kb.program, kb.program.system
@@ -382,7 +402,9 @@ def test_answers_match_their_definition():
                 (atom, value) for atom, value in entries
                 if unify(goal.atom, atom) is not None
                 and (goal.level is None or V.leq(system, goal.level, value))], (seed, goal)
-            assert result.starting == reference_starting_facts(result.tree, program), (seed, goal)
+            cone = reference_cone(kb, goal.atom.pred)
+            assert result.starting == reference_facts(program, lambda a: a.pred in cone), (
+                seed, goal)
 
 
 def test_answers_match_the_reference_scan():
@@ -490,22 +512,24 @@ def test_reused_consequence_is_isolated(count_consequences):
             result.answers.clear()
             result.report.diagnostics.append("caller note")
             result.report.interpretation.join_in(Atom("zz", (Constant("a"),)), (1.0, 1.0))
-    # each goal's consequence is computed once on kb and once fresh
-    assert len(count_consequences) == 2 * len(goals)
+    # each goal's consequence is computed fresh, and once on kb, where the
+    # two goals share their predicate's cone
+    assert len(count_consequences) == len(goals) + 1
 
 
-def test_truncation_note_only_for_the_truncated_goal(count_consequences):
+def test_answers_do_not_depend_on_the_depth_limit(count_consequences):
+    """A depth limit that truncates the tree changes neither the answers,
+    nor the starting facts, nor the diagnostics."""
     prog = parse_program("%system fuzzy.\nfact q(a) = 0.9.\n"
                          "rule q(X) <- q(X) : godel, 0.8.\n")
     kb = build_kb(prog)
     goal = Goal(parse_goal("q(X)", prog))
-    note = "search tree truncated at depth 3; answers may be incomplete"
     for depth_limit in (64, 3, 64, 3, 3):
         result = answer(kb, goal, depth_limit)
         assert result.tree.truncated == (depth_limit == 3)
+        assert [(str(a), v) for a, v in result.answers] == [("q(a)", 0.9)]
         assert [str(a) for a, _ in result.starting] == ["q(a)"]
-        expected = [note] if depth_limit == 3 else []
-        assert result.report.diagnostics == expected
+        assert result.report.diagnostics == []
     assert len(count_consequences) == 1
 
 
@@ -516,7 +540,7 @@ def test_reuse_table_is_bounded_least_recently_used(count_consequences):
     for max_iters in range(1, bound + 2):   # one more key than the table holds
         answer(kb, goal, max_iters=max_iters)
         answer(kb, goal, max_iters=1)       # the first key stays the most recently used
-    assert len(kb._consequences) == bound
+    assert len(kb._search_index[1].consequences) == bound
     assert len(count_consequences) == bound + 1
     answer(kb, goal, max_iters=1)           # still held, though inserted first
     assert len(count_consequences) == bound + 1
@@ -583,14 +607,16 @@ def assert_tree_matches_reference(kb, goal, depth_limit):
     assert tree.truncated == reference.truncated, goal
     expected = reference_starting_facts(reference, kb.program)
     assert reference_starting_facts(tree, kb.program) == expected, goal
-    assert starting_facts(tree, kb.program) == expected, goal
+    pred = goal.atom.pred
+    assert query._search_index(kb).cone(kb, pred) == reference_cone(kb, pred), goal
     return tree
 
 
 @pytest.mark.parametrize("depth_limit", [64, 4, 3])
 def test_tree_matches_reference_on_random_and_api_built_programs(depth_limit):
-    """Row for row, with the same truncation and the same starting facts as
-    the reference builder and the walk definition: on seeded knowledge
+    """Row for row, with the same truncation and the same harvested facts as
+    the reference builder and the walk definition, and with the cached cone
+    of the goal predicate equal to the naive one: on seeded knowledge
     bases and goals (constants, repeated variables and proximity references
     in the goal), and on the API-built program with duplicate and
     non-ground facts, repeated head variables and constants in rules.  Each
@@ -613,20 +639,8 @@ def test_non_ground_facts_give_no_candidates():
     candidates = [(str(n.atom), tree.nodes[children(tree, i)[0]].kind)
                   for i, n in enumerate(tree.nodes) if n.kind == "fact"]
     assert candidates == [("p(a)", "yes"), ("p(X)", "no"), ("p(b)", "yes")]
-    assert [(str(a), v) for a, v in starting_facts(tree, kb.program)] == [
+    assert [(str(a), v) for a, v in reference_starting_facts(tree, kb.program)] == [
         ("p(a)", 0.7), ("p(b)", 0.6)]
-
-
-def test_copied_trees_keep_their_starting_facts():
-    """A deep copy or a pickled copy of a tree carries the builder's harvest;
-    a tree put together without it is walked for its starting facts."""
-    kb = api_knowledge_base()
-    for goal in api_goals():
-        tree = build_tree(kb, goal)
-        expected = reference_starting_facts(tree, kb.program)
-        for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree)),
-                       query.SearchTree(copy.deepcopy(tree.nodes))):
-            assert starting_facts(copied, kb.program) == expected, goal
 
 
 def _append_rule(kb):
@@ -642,6 +656,8 @@ INDEX_CHANGES = {
     "append-rule": _append_rule,
     "fact-level": _new_fact_level,
     "predicate-pair": lambda kb: kb.bk.pred_prox.set_pair("t", "tt", (0.8, 0.1)),
+    # pulls the facts of e into the cone of u
+    "fact-predicate-pair": lambda kb: kb.bk.pred_prox.set_pair("u", "e", (0.7, 0.2)),
     "term-pair": lambda kb: kb.bk.term_prox.set_pair("b", "c", (0.6, 0.3)),
     "term-symbol": lambda kb: kb.bk.term_prox.symbols.add("z"),
     "system": lambda kb: setattr(kb.program, "system", V.BIPOLAR_B),
@@ -653,10 +669,13 @@ INDEX_GOALS = [Goal(Atom("t", (X, Y))), Goal(Atom("t", (ProximityRef("a"), Y))),
 
 
 def answered(kb):
-    """Tree rows, starting facts and outcome of every index goal."""
+    """Tree rows, starting facts and outcome of every index goal, whose
+    cached cone is checked against the naive one."""
     out = []
     for goal in INDEX_GOALS:
         result = answer(kb, goal)
+        pred = goal.atom.pred
+        assert kb._search_index[1].cone(kb, pred) == reference_cone(kb, pred), goal
         out.append((walk_rows(result.tree), result.starting, outcome(result)))
     return out
 
