@@ -164,8 +164,7 @@ def _run_check(args, program) -> int:
     else:
         for d in diagnostics:
             print(d)
-    if any(d.startswith("stratification: negative dependencies") for d in diagnostics) \
-            and args.safety == "strict":
+    if order.warnings and args.safety == "strict":
         return EXIT_SAFETY
     return EXIT_OK
 

@@ -18,6 +18,10 @@ Proximity file grammar (UTF-8, `#` comments):
     entry     := ident "~" ident "=" level "."
 
 Function-set file: lines `phi ident "/" arity "=" ("meet"|"meet-product"|"product") "."`.
+
+Both files are read by the statement loop of `lang._Parser`: an entry on
+one line by `_ENTRY_RE`, when it can be taken as it stands, and every
+other statement, and every error, by the general parser.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import partial
 from typing import Optional
 
 from . import values as V
-from .lang import _FACT_NUMBER, _SKIP, _SYSTEM_NAMES, ParseError, Program, _Parser, ground
+from .lang import _FACT_NUMBER, _SKIP, ParseError, Program, _Parser, ground
 from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired, _on_objects
 
 PHI_MEET = "meet"
@@ -158,54 +162,40 @@ class KnowledgeBase:
 # File parsing
 # ----------------------------------------------------------------------
 
-# An entry `a ~ b = level.` of a proximity file, and a line `phi p/n = f.`
-# of a function-set file, on one line, with what follows up to the next
-# statement.  Each piece reads as `lang._TOKEN_RE` would read it, numbers
-# as in `lang._FACT_RE`, so the matched text has the tokens the general
-# parser reads.
+# An entry `a ~ b = level.` of a proximity file on one line, with what
+# follows it up to the next statement.  Each piece reads as
+# `lang._TOKEN_RE` would read it, numbers as in `lang._FACT_RE`, so the
+# matched text has the tokens the general parser reads.
 _IDENT = r"([A-Za-z][A-Za-z0-9_-]*)"
 _ENTRY_RE = re.compile(
     rf"{_IDENT}[ \t]*~[ \t]*{_IDENT}[ \t]*=[ \t]*(?:({_FACT_NUMBER})|"
     rf"\([ \t]*({_FACT_NUMBER})[ \t]*,[ \t]*({_FACT_NUMBER})[ \t]*\))[ \t]*\.(?!\d)" + _SKIP)
-_PHI_RE = re.compile(
-    rf"phi[ \t]+{_IDENT}[ \t]*/[ \t]*([0-9]+)[ \t]*=[ \t]*{_IDENT}[ \t]*\.(?!\d)" + _SKIP)
 
 
 def parse_proximity_file(text: str):
     """Parse a proximity file into (term_prox, pred_prox, declared_system).
 
-    An entry on one line is read by `_ENTRY_RE` alone when it relates two
-    distinct symbols that its section has no pair for yet.  Directives,
-    every other entry and every error are read by the general parser from
-    the same offset."""
+    After a %domain directive, an entry on one line is read by `_ENTRY_RE`
+    alone when it relates two distinct symbols that its section has no
+    pair for yet.  Directives, every other entry and every error are read
+    by the general parser from the same offset."""
     p = _Parser(text)
-    system = None
-    if p.at("directive", "%system"):
-        p.next()
-        name = p.expect("ident")
-        if name[1] not in _SYSTEM_NAMES:
-            p.fail(f"unknown value system {name[1]!r}", name)
-        system = _SYSTEM_NAMES[name[1]]
-        p.expect("punct", ".")
+    system = p.system()
     top = V.top(system) if system else None
     term_prox = ProximityRelation("terms", system)
     pred_prox = ProximityRelation("predicates", system)
     current = None
-    pos = p.tok[2]
-    while True:
-        m = None if current is None else _ENTRY_RE.match(text, pos)
-        if m is not None:
-            a, b, scalar, m1, m2 = m.groups()
-            if a != b and ProximityRelation._key(a, b) not in current.pairs:
-                current.set_pair(a, b, round(float(scalar), 9) if scalar else
-                                 (round(float(m1), 9), round(float(m2), 9)))
-                pos = m.end()
-                continue
-        if p.tok[2] != pos:
-            p.seek(pos)
-        if p.at("eof"):
-            break
-        if p.at("directive", "%domain"):
+
+    def take_entry(m) -> bool:
+        a, b, scalar, m1, m2 = m.groups()
+        if current is None or a == b or ProximityRelation._key(a, b) in current.pairs:
+            return False
+        current.set_pair(a, b, round(float(scalar), 9) if scalar else
+                         (round(float(m1), 9), round(float(m2), 9)))
+        return True
+
+    for t in p.statements(_ENTRY_RE, take_entry):
+        if t[0] == "directive" and t[1] == "%domain":
             p.next()
             which = p.expect("ident")
             if which[1] == "terms":
@@ -215,7 +205,6 @@ def parse_proximity_file(text: str):
             else:
                 p.fail(f"%domain must be 'terms' or 'predicates', got {which[1]!r}", which)
             p.expect("punct", ".")
-            pos = p.tok[2]
             continue
         if current is None:
             p.fail("proximity entries must follow a %domain directive")
@@ -233,32 +222,14 @@ def parse_proximity_file(text: str):
         if current.pairs.get(ProximityRelation._key(a, b), lvl) != lvl:
             p.fail(f"contradictory proximity entries for {a} ~ {b}", eq)
         current.set_pair(a, b, lvl)
-        pos = p.tok[2]
     return term_prox, pred_prox, system
 
 
 def parse_phi_file(text: str) -> PhiSpec:
-    """Parse a function-set file.  A line is read by `_PHI_RE` alone when
-    it names a known function for a functor not given one yet; every other
-    line and every error is read by the general parser from the same
-    offset."""
+    """Parse a function-set file."""
     p = _Parser(text)
     spec = PhiSpec()
-    by_functor = spec.by_functor
-    pos = p.tok[2]
-    while True:
-        m = _PHI_RE.match(text, pos)
-        if m is not None:
-            name, arity, which = m.groups()
-            functor = (name, int(arity))
-            if which in _PHI_FILE_NAMES and functor not in by_functor:
-                by_functor[functor] = _PHI_FILE_NAMES[which]
-                pos = m.end()
-                continue
-        if p.tok[2] != pos:
-            p.seek(pos)
-        if p.at("eof"):
-            break
+    for _ in p.statements():
         kw = p.expect("ident")
         if kw[1] != "phi":
             p.fail(f"expected 'phi', found {kw[1]!r}", kw)
@@ -271,9 +242,8 @@ def parse_phi_file(text: str) -> PhiSpec:
             p.fail(f"unknown uncertainty function {which[1]!r}", which)
         p.expect("punct", ".")
         phi_id = _PHI_FILE_NAMES[which[1]]
-        if by_functor.setdefault((name, arity), phi_id) != phi_id:
+        if spec.by_functor.setdefault((name, arity), phi_id) != phi_id:
             p.fail(f"contradictory uncertainty functions for {name}/{arity}", eq)
-        pos = p.tok[2]
     return spec
 
 

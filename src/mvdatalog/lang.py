@@ -21,12 +21,15 @@ reparsing a program reproduces it exactly.
 
 The parser reads tokens, each a tuple (kind, text, source offset), made by
 one `_TOKEN_RE.finditer` pass as they are needed; a line is computed from
-an offset for `Rule.line` and an error, a column only for an error.  A
-`fact` statement written on one line is read without tokens: `_FACT_RE`,
-matched at the `fact` keyword, reads it whole, and `parse_program` takes it
-when it is valid as it stands.  Every other statement, and every fact with
-an error, is read by the general parser from the same offset, so the
-messages, lines and columns of errors are the general parser's.
+an offset for `Rule.line` and an error, a column only for an error.  Every
+input file (program, proximity, function set) is read by one statement
+loop, `_Parser.statements`, with the `%system` header and comma lists read
+by `_Parser.system` and `_Parser.items`.  A `fact` statement written on one
+line is read without tokens: `_FACT_RE`, matched at the statement's
+offset, reads it whole, and `parse_program` takes it when it is valid as
+it stands.  Every other statement, and every fact with an error, is read
+by the general parser from the same offset, so the messages, lines and
+columns of errors are the general parser's.
 
 Grounding joins each rule's body atoms over crisp relations, the sets of
 argument-name tuples of the atoms derived so far, in one semi-naive pass;
@@ -206,18 +209,6 @@ class Rule:
     impl: object = "godel"
     level: object = 1.0
     line: int = field(default=0, compare=False)
-
-    def __hash__(self):
-        # a program's rules key the consequences a query reuses: hash once
-        # per rule, on first use, and leave the hash out of the pickled state
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash((self.head, self.body, self.impl, self.level))
-            return value
-
-    def __getstate__(self):
-        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     @property
     def is_fact(self) -> bool:
@@ -416,6 +407,54 @@ class _Parser:
         t = self.tok
         return t[0] == kind and (text is None or t[1] == text)
 
+    def end(self, message: str):
+        """Fail with message unless the text is read to its end."""
+        if self.tok[0] != "eof":
+            self.fail(message)
+
+    # --- what every file reader shares ---
+
+    def statements(self, line_re=None, take=None):
+        """The statements from the current token to the end of the text.
+        At each statement's offset line_re, if given, is matched first, and
+        take(match) reads the statement from the match and returns True, or
+        returns False to leave it to the general parser.  For every other
+        statement the parser is moved to its offset and its first token is
+        yielded; the caller reads the statement's tokens before the next."""
+        text, pos = self.text, self.tok[2]
+        while True:
+            if line_re is not None:
+                m = line_re.match(text, pos)
+                if m is not None and take(m):
+                    pos = m.end()
+                    continue
+            if self.tok[2] != pos:
+                self.seek(pos)
+            if self.tok[0] == "eof":
+                return
+            yield self.tok
+            pos = self.tok[2]
+
+    def system(self) -> Optional[str]:
+        """The value system of a `%system name.` header at the current
+        token, read past; None when no header is there."""
+        if not self.at("directive", "%system"):
+            return None
+        self.next()
+        name = self.expect("ident")
+        if name[1] not in _SYSTEM_NAMES:
+            self.fail(f"unknown value system {name[1]!r}", name)
+        self.expect("punct", ".")
+        return _SYSTEM_NAMES[name[1]]
+
+    def items(self, read) -> list:
+        """What read() returns for each item of a comma list of at least one."""
+        out = [read()]
+        while self.at("punct", ","):
+            self.next()
+            out.append(read())
+        return out
+
     # --- shared small pieces ---
 
     def number(self) -> float:
@@ -444,18 +483,16 @@ class _Parser:
         pred = self.expect("ident")[1]
         if not self.at("punct", "("):
             return Atom(pred)
-        args = []
-        while True:
-            self.next()  # the "(" or a ","
-            name = self.expect("ident")[1]
-            if name[0].isupper() and name not in self.declared:
-                args.append(Variable(name))
-            else:
-                args.append(self.constants[name])
-            if not self.at("punct", ","):
-                break
+        self.next()
+        args = self.items(self.term)
         self.expect("punct", ")")
         return Atom(pred, tuple(args))
+
+    def term(self):
+        name = self.expect("ident")[1]
+        if name[0].isupper() and name not in self.declared:
+            return Variable(name)
+        return self.constants[name]
 
 
 def parse_program(text: str, safety: str = "strict") -> Program:
@@ -476,15 +513,9 @@ def parse_program(text: str, safety: str = "strict") -> Program:
     if safety not in ("strict", "paper-examples"):
         raise ValueError(f"unknown safety mode {safety!r}")
     p = _Parser(text)
-
-    tok = p.expect("directive")
-    if tok[1] != "%system":
-        p.fail("program must start with a %system header", tok)
-    name = p.expect("ident")
-    if name[1] not in _SYSTEM_NAMES:
-        p.fail(f"unknown value system {name[1]!r}", name)
-    system = _SYSTEM_NAMES[name[1]]
-    p.expect("punct", ".")
+    system = p.system()
+    if system is None:   # a first token that is no directive fails in expect
+        p.fail("program must start with a %system header", p.expect("directive"))
 
     rules = []
     order = None
@@ -501,41 +532,36 @@ def parse_program(text: str, safety: str = "strict") -> Program:
                    tok_)
         arities[atom.pred] = len(atom.args)
 
-    pos = p.tok[2]
-    while True:
-        m = _FACT_RE.match(text, pos)
-        if m is not None:
-            pred, arg_text, scalar, m1, m2 = m.groups()
-            names = arg_text.replace(" ", "").replace("\t", "").split(",") if arg_text else ()
-            lvl = round(float(scalar), 9) if scalar else (round(float(m1), 9), round(float(m2), 9))
-            if (_level_error(system, lvl) is None
-                    and (not arg_text or arg_text.islower()
-                         or all(n in declared or not n[0].isupper() for n in names))
-                    and arities.setdefault(pred, len(names)) == len(names)):
-                head = _ground_atom(pred, tuple(map(constants.__getitem__, names)))
-                rules.append(Rule(head, (), fact_impl, lvl, p.line(pos)))
-                pos = m.end()
-                continue
-        if p.tok[2] != pos:
-            p.seek(pos)
-        t = p.tok
-        if t[0] == "eof":
-            break
+    def take_fact(m) -> bool:
+        pred, arg_text, scalar, m1, m2 = m.groups()
+        names = arg_text.replace(" ", "").replace("\t", "").split(",") if arg_text else ()
+        lvl = round(float(scalar), 9) if scalar else (round(float(m1), 9), round(float(m2), 9))
+        if (_level_error(system, lvl) is None
+                and (not arg_text or arg_text.islower()
+                     or all(n in declared or not n[0].isupper() for n in names))
+                and arities.setdefault(pred, len(names)) == len(names)):
+            head = _ground_atom(pred, tuple(map(constants.__getitem__, names)))
+            rules.append(Rule(head, (), fact_impl, lvl, p.line(m.start())))
+            return True
+        return False
+
+    def literal() -> Literal:
+        negated = p.at("ident", "not")
+        if negated:
+            p.next()
+        atom_tok = p.tok
+        a = p.atom()
+        note_arity(a, atom_tok)
+        return Literal(a, negated)
+
+    for t in p.statements(_FACT_RE, take_fact):
         if t[0] == "directive" and t[1] == "%const":
             p.next()
-            while True:
-                c = p.expect("ident")
-                declared.add(c[1])
-                if not p.at("punct", ","):
-                    break
-                p.next()
+            declared.update(c[1] for c in p.items(lambda: p.expect("ident")))
             p.expect("punct", ".")
         elif t[0] == "directive" and t[1] == "%order":
             order_tok = p.next()
-            order = [p.integer()]
-            while p.at("punct", ","):
-                p.next()
-                order.append(p.integer())
+            order = p.items(p.integer)
             p.expect("punct", ".")
         elif t[0] == "ident" and t[1] == "fact":
             p.next()
@@ -555,20 +581,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
             head = p.atom()
             note_arity(head, head_tok)
             p.expect("arrow")
-            body = []
-            while True:
-                negated = False
-                if p.at("ident", "not"):
-                    p.next()
-                    negated = True
-                atom_tok = p.tok
-                a = p.atom()
-                note_arity(a, atom_tok)
-                body.append(Literal(a, negated))
-                if p.at("punct", ","):
-                    p.next()
-                    continue
-                break
+            body = p.items(literal)
             p.expect("punct", ":")
             impl = _parse_impl(p, system)
             p.expect("punct", ",")
@@ -590,7 +603,6 @@ def parse_program(text: str, safety: str = "strict") -> Program:
             rules.append(rule)
         else:
             p.fail(f"expected 'fact', 'rule' or a directive, found {t[1]!r}")
-        pos = p.tok[2]
 
     prog = Program(system, rules, frozenset(declared), order, warnings)
     if order is not None:
@@ -659,19 +671,13 @@ def print_program(program: Program) -> str:
 # Herbrand universe / base and grounding
 # ----------------------------------------------------------------------
 
-def herbrand(program: Program, extra_constants: Iterable[str] = (),
-             extra_predicates: Iterable = ()):
-    """Universe and base, optionally extended with background-knowledge
-    constants and predicates (extra_predicates: iterable of (name, arity))."""
+def herbrand(program: Program, extra_constants: Iterable[str] = ()):
+    """Universe and base, the universe optionally extended with
+    background-knowledge constants."""
     universe = set(program.constants()) | set(extra_constants)
-    preds = dict(program.predicates())
-    for name, arity in extra_predicates:
-        if name in preds and preds[name] != arity:
-            raise ValueError(f"predicate {name!r} arity conflict: {preds[name]} vs {arity}")
-        preds[name] = arity
     consts = sorted(universe)
     base = set()
-    for name, arity in preds.items():
+    for name, arity in program.predicates().items():
         if arity == 0:
             base.add(Atom(name))
             continue

@@ -118,7 +118,8 @@ class _SearchIndex:
         self.cones = {}          # predicate -> frozenset of the predicates of its cone
         self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
         self.templates = {}      # (proper rule position, pattern) -> template or None
-        # (cone, max_iters) -> (report, atoms by functor), least recently used first
+        # (fact predicates of a cone, max_iters) -> (report, atoms by functor),
+        # least recently used first
         self.consequences = OrderedDict()
 
     def synonyms_of(self, kb: KnowledgeBase, pred: str) -> list:
@@ -385,14 +386,17 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     index = kb._search_index[1]
     cone = index.cone(kb, goal.atom.pred)
     x0 = starting_facts(cone, kb.program)
-    # the restricted consequence, reused across the goals answered on kb with
-    # its atoms by functor in answer order; the index is rebuilt when anything
-    # else it reads changes, and the table and callers get copies of a report
-    table, key = index.consequences, (cone, max_iters)
+    # the restricted consequence: every proper rule and the facts of the
+    # cone, so it is reused across the goals answered on kb whose cones have
+    # the same fact predicates, with its atoms by functor in answer order;
+    # the index is rebuilt when anything else it reads changes, and the
+    # table and callers get copies of a report
+    fact_preds = cone.intersection(index.facts)
+    table, key = index.consequences, (fact_preds, max_iters)
     stored = table.get(key)
     if stored is None:
         program = kb.program
-        kept = [r for r in program.rules if r.body or r.head.pred in cone]
+        kept = [r for r in program.rules if r.body or r.head.pred in fact_preds]
         restricted = Program(program.system, kept, program.declared_constants,
                              program.order_directive, list(program.warnings))
         report = consequence(KnowledgeBase(kb.bk, restricted, kb.phi), max_iters)
@@ -438,8 +442,7 @@ def parse_goal(text: str, program: Program) -> Atom:
     p = _Parser(text, program.declared_constants)
     start = p.tok
     atom = p.atom()
-    if not p.at("eof"):
-        p.fail("goal must be a single atom")
+    p.end("goal must be a single atom")
     arity = _last_arity(program, atom.pred)
     if arity is not None and arity != len(atom.args):
         p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
@@ -451,8 +454,7 @@ def parse_level(text: str, system: str):
     p = _Parser(text)
     start = p.tok
     lvl = p.level()
-    if not p.at("eof"):
-        p.fail("trailing input after level")
+    p.end("trailing input after level")
     err = V.validate_input(system, lvl)
     if err is not None:
         p.fail(f"invalid level: {err}", start)

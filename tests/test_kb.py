@@ -14,7 +14,8 @@ from mvdatalog.kb import (BackgroundKnowledge, PhiSpec, ProximityRelation,
                           proximity_set, validate_proximity)
 
 from conftest import load_kb, load_program, read
-from helpers import random_bk, random_phi, random_program, valid_pairs
+from helpers import (_reference_phi_apply, random_bk, random_level, random_phi,
+                     random_program, valid_pairs)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -194,6 +195,25 @@ def test_phi_apply_cases():
     assert abs(v[0] - 0.42) < 1e-9 and abs(v[1] - 0.56) < 1e-9
     with pytest.raises(ValueError, match="interval"):
         phi_apply("product", V.IFS, (0.5, 0.2), (0.5, 0.2), [])
+
+
+def test_phi_apply_matches_the_reference():
+    """Every admissible uncertainty function in every system, with zero to
+    three argument lambdas, some of them top: meet_product folds two or
+    more lambdas by their product before the meet."""
+    rng = random.Random(30)
+    for system in V.SYSTEMS:
+        draw = lambda: V.top(system) if rng.random() < 0.2 else random_level(rng, system)
+        for phi_id in (kb.PHI_MEET, kb.PHI_MEET_PRODUCT, kb.PHI_PRODUCT):
+            if phi_id == kb.PHI_PRODUCT and system != V.IVS:
+                continue
+            for n in range(4):
+                for _ in range(30):
+                    alpha, lambda_pred = draw(), draw()
+                    lambdas = [draw() for _ in range(n)]
+                    assert phi_apply(phi_id, system, alpha, lambda_pred, lambdas) == \
+                        _reference_phi_apply(phi_id, system, alpha, lambda_pred, lambdas), (
+                            system, phi_id, alpha, lambda_pred, lambdas)
 
 
 @pytest.mark.parametrize("system", [V.FUZZY, V.IFS, V.IVS])

@@ -1,14 +1,13 @@
-"""The line fast paths of the proximity and function-set parsers against the
-general parser.
+"""The entry fast path of the proximity parser against the general parser.
 
-`kb.parse_proximity_file` reads an entry on one line by `kb._ENTRY_RE`, and
-`kb.parse_phi_file` a `phi` line by `kb._PHI_RE`; everything else goes to
-the general parser from the same offset.  On seeded mutations of the
-benchmark's proximity texts and of the files in tests/data, each parser must
-give exactly what it gives with its pattern forced never to match: the same
-relations (pairs and neighbours in the same order, symbols, declared
-system), the same function set, or the same `ParseError` text, line and
-column."""
+`kb.parse_proximity_file` reads an entry on one line by `kb._ENTRY_RE`;
+everything else goes to the general parser from the same offset, as every
+line of a function-set file does.  On seeded mutations of the benchmark's
+proximity and function-set texts and of the files in tests/data, each
+parser must give exactly what it gives with the entry pattern forced never
+to match: the same relations (pairs and neighbours in the same order,
+symbols, declared system), the same function set, or the same
+`ParseError` text, line and column."""
 
 import random
 import re
@@ -107,7 +106,6 @@ def test_fast_paths_agree_with_the_general_parser(monkeypatch):
         cases += [(name, _mutated(rng, text)) for _ in range(MUTATIONS)]
     fast = [_outcome(name, text) for name, text in cases]
     monkeypatch.setattr(kb, "_ENTRY_RE", _NeverMatch())
-    monkeypatch.setattr(kb, "_PHI_RE", _NeverMatch())
     general = [_outcome(name, text) for name, text in cases]
     for case, got, expected in zip(cases, fast, general):
         assert got == expected, case
@@ -119,16 +117,13 @@ def test_fast_paths_agree_with_the_general_parser(monkeypatch):
 
 
 def test_fast_paths_read_the_entry_lines(monkeypatch):
-    """Every entry and phi line of the unmutated texts is read by its
+    """Every entry line of the unmutated proximity texts is read by the
     pattern, none by the general parser."""
-    entry, phi = _MatchSpy(kb._ENTRY_RE), _MatchSpy(kb._PHI_RE)
+    entry = _MatchSpy(kb._ENTRY_RE)
     monkeypatch.setattr(kb, "_ENTRY_RE", entry)
-    monkeypatch.setattr(kb, "_PHI_RE", phi)
-    lines = {"prox": 0, "phi": 0}
+    lines = 0
     for name, text in _texts():
-        parse = kb.parse_phi_file if name == "phi" else kb.parse_proximity_file
-        parse(text)
-        lines[name] += sum(("~" in line) if name == "prox" else line.startswith("phi ")
-                           for line in text.split("\n"))
-    assert entry.matched == lines["prox"] > 64 * 10
-    assert phi.matched == lines["phi"] > 64 * 5
+        if name == "prox":
+            kb.parse_proximity_file(text)
+            lines += sum("~" in line for line in text.split("\n"))
+    assert entry.matched == lines > 64 * 10

@@ -517,6 +517,24 @@ def test_reused_consequence_is_isolated(count_consequences):
     assert len(count_consequences) == len(goals) + 1
 
 
+def test_cones_with_the_same_facts_share_one_consequence(count_consequences):
+    """The restricted consequence keeps every proper rule and the facts of
+    the cone, so goals whose cones hold the same fact predicates reuse one:
+    all the predicates no rule or fact names share the consequence of the
+    proper rules alone, and q and r share the one over the facts of p."""
+    text = ("%system fuzzy.\nfact p(a) = 0.9.\n"
+            "rule q(X) <- p(X) : godel, 0.8.\nrule r(X) <- q(X) : godel, 0.7.\n")
+    kb = build_kb(parse_program(text))
+    goals = [Goal(Atom(f"zz{n}", (X,))) for n in range(50)]
+    goals += [Goal(Atom(pred, (X,))) for pred in ("q", "r")]
+    for goal in goals:
+        result = answer(kb, goal)
+        assert outcome(result) == outcome(answer(build_kb(parse_program(text)), goal)), goal
+    assert [str(a) for a, _ in answer(kb, goals[-1]).answers] == ["r(a)"]
+    # two on kb, and one for each goal on its fresh knowledge base
+    assert len(count_consequences) == 2 + len(goals)
+
+
 def test_answers_do_not_depend_on_the_depth_limit(count_consequences):
     """A depth limit that truncates the tree changes neither the answers,
     nor the starting facts, nor the diagnostics."""
