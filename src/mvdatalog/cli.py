@@ -3,12 +3,15 @@
     mvdatalog check PROGRAM [--prox FILE] [--phi FILE] ...
     mvdatalog fixpoint PROGRAM [--mode det|nondet] ...
     mvdatalog consequence PROGRAM --prox FILE [--phi FILE] ...
-    mvdatalog query PROGRAM --goal "li(M, X)" [--at-least LEVEL] ...
+    mvdatalog query PROGRAM --goal "li(M, X)" [--at-least LEVEL] [--tree] ...
 
 Atoms are printed sorted by predicate, then arguments, one `atom = level`
 per line.  --json emits {"system", "converged", "iterations", "atoms":
 [{"atom", "level"}], "diagnostics"} with levels as one- or two-element
-arrays.  Exit codes: 0 ok, 1 usage, 2 parse error, 3 safety or
+arrays.  `query --tree` then prints the goal's search tree, one row per
+line indented by its depth, or under --json adds "tree": {"truncated",
+"depth_limit", "nodes"}, each node a `SearchNode` with its atom and
+literals as text.  Exit codes: 0 ok, 1 usage, 2 parse error, 3 safety or
 stratification error (strict mode), 4 value violation (--strict-values),
 5 iteration limit reached.
 """
@@ -21,7 +24,7 @@ import sys
 
 from . import values as V
 from .lang import ParseError, SafetyError, parse_program
-from .engine import fixpoint, order_from_directive, stratify
+from .engine import evaluation_order, fixpoint
 from .implications import always_closed
 
 EXIT_OK = 0
@@ -79,6 +82,8 @@ def _build_argparser() -> argparse.ArgumentParser:
             sp.add_argument("--at-least", help='minimum answer level, e.g. "(0.4, 0.5)"')
             sp.add_argument("--depth-limit", type=_int_at_least(3), default=64,
                             help="depth bound of the search tree; answers do not depend on it")
+            sp.add_argument("--tree", action="store_true",
+                            help="print the goal's search tree after the answers")
     return ap
 
 
@@ -118,7 +123,21 @@ def _closure_violations(diagnostics):
     return [d for d in diagnostics if d.startswith("closure violation")]
 
 
-def _render(args, system, atoms, converged, iterations, diagnostics) -> str:
+def _tree_row(node) -> str:
+    """A search-tree row as `query --tree` prints it."""
+    text = "  " * node.depth + node.kind
+    if node.atom is not None:
+        text += f" {node.atom}"
+    if node.literals:
+        text += " <- " + ", ".join(map(str, node.literals))
+    if node.repeated:
+        text += " (repeated)"
+    if node.note:
+        text += f" ({node.note})"
+    return text
+
+
+def _render(args, system, atoms, converged, iterations, diagnostics, tree=None) -> str:
     if args.json:
         payload = {
             "system": system,
@@ -128,15 +147,25 @@ def _render(args, system, atoms, converged, iterations, diagnostics) -> str:
                       for a, v in atoms],
             "diagnostics": list(diagnostics),
         }
+        if tree is not None:
+            payload["tree"] = {
+                "truncated": tree.truncated,
+                "depth_limit": tree.depth_limit,
+                "nodes": [{**node._asdict(), "atom": None if node.atom is None else str(node.atom),
+                           "literals": [str(lit) for lit in node.literals]}
+                          for node in tree.walk()],
+            }
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = [f"{a} = {V.fmt(v)}" for a, v in atoms]
     lines.extend(f"# {d}" for d in diagnostics)
+    if tree is not None:
+        lines.extend(map(_tree_row, tree.walk()))
     return "\n".join(lines)
 
 
-def _finish(args, system, atoms, report) -> int:
+def _finish(args, system, atoms, report, tree=None) -> int:
     print(_render(args, system, atoms, report.converged, report.iterations,
-                  report.diagnostics))
+                  report.diagnostics, tree))
     if args.strict_values and _closure_violations(report.diagnostics):
         print("error: derived values violate the value-system constraints "
               "(--strict-values)", file=sys.stderr)
@@ -148,7 +177,7 @@ def _finish(args, system, atoms, report) -> int:
 
 def _run_check(args, program) -> int:
     diagnostics = list(program.warnings)
-    order = stratify(program)
+    order = evaluation_order(program)
     diagnostics.extend(order.warnings)
     strata = " ".join("{" + ",".join(str(i) for i in s) + "}" for s in order.strata)
     diagnostics.append(f"stratification: evaluation order {strata or '(no rules)'}")
@@ -179,9 +208,7 @@ def run(argv=None) -> int:
               else None)
         if args.command == "check":
             return _run_check(args, program)
-        # the order the evaluation takes; an explicit order has no warnings
-        order = (order_from_directive(program.order_directive) if program.order_directive
-                 else stratify(program))
+        order = evaluation_order(program)
         if order.warnings and args.safety == "strict":
             for w in order.warnings:
                 print(f"error: {w}", file=sys.stderr)
@@ -193,7 +220,8 @@ def run(argv=None) -> int:
             level = parse_level(args.at_least, system) if args.at_least else None
             result = answer(kb, Goal(goal_atom, level),
                             depth_limit=args.depth_limit, max_iters=args.max_iters)
-            return _finish(args, system, result.answers, result.report)
+            return _finish(args, system, result.answers, result.report,
+                           result.tree if args.tree else None)
         if args.command == "fixpoint":
             report = fixpoint(program, mode=args.mode, order=order, max_iters=args.max_iters)
         else:

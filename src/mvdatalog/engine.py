@@ -423,6 +423,14 @@ def order_from_directive(indices) -> EvalOrder:
     return EvalOrder([[i] for i in indices])
 
 
+def evaluation_order(program: Program) -> EvalOrder:
+    """The order an evaluation of the program takes: its %order directive,
+    which has no warnings, else stratify()."""
+    if program.order_directive:
+        return order_from_directive(program.order_directive)
+    return stratify(program)
+
+
 # ----------------------------------------------------------------------
 # Fixed points
 # ----------------------------------------------------------------------
@@ -559,19 +567,15 @@ def _stratum_rule_lists(program: Program, grounded, order: EvalOrder):
 
 def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact_step, step,
               universe=None, widen=_unwidened) -> FixpointReport:
-    """The evaluation path of `fixpoint` and `kb.consequence`: select the
-    order (the %order directive, else stratify()), ground the derivable
-    instances with heads widened by widen, interned in one `AtomTable`,
-    then sweep the fact stratum with fact_step and every other stratum with
-    step over a `_Levels` on that table.  Atoms are built for the result
-    only."""
+    """The evaluation path of `fixpoint` and `kb.consequence`: take the
+    order given, else `evaluation_order`, ground the derivable instances
+    with heads widened by widen, interned in one `AtomTable`, then sweep
+    the fact stratum with fact_step and every other stratum with step over
+    a `_Levels` on that table.  Atoms are built for the result only."""
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if order is None:
-        if program.order_directive:
-            order = order_from_directive(program.order_directive)
-        else:
-            order = stratify(program)
+        order = evaluation_order(program)
     diagnostics = list(order.warnings)
     table = AtomTable()
     grounded = ground(program, universe, widen=widen, table=table)

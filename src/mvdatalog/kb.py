@@ -153,7 +153,8 @@ class KnowledgeBase:
     program: Program
     phi: PhiSpec
     # (key, index) of the search index `query.answer` reads, which holds
-    # the restricted consequences too; see `query._search_index`
+    # the restricted consequences and the tree index too; see
+    # `query._search_index`
     _search_index: Optional[tuple] = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -584,18 +585,19 @@ def modified_universe(kb: KnowledgeBase):
 
 
 def consequence(kb: KnowledgeBase, max_iters: int = 10000,
-                order: Optional[EvalOrder] = None) -> FixpointReport:
+                order: Optional[EvalOrder] = None, _universe=None) -> FixpointReport:
     """Least fixed point of the modified transformation: the knowledge-base
     consequence.  Facts are proximity-expanded before any proper rule can
     fire, since they are always-applicable empty-body rules in the leading
     stratum.  Grounding keeps the instances whose body atoms are derivable
     when every derived head is widened over its synonyms.  One spread serves
     the widening and every step of the call; its synonyms are interned in
-    the evaluation's atom table."""
+    the evaluation's atom table.  A goal's restricted consequence passes
+    the universe of the whole knowledge base as _universe."""
     spread = _Spread(kb)
 
     def step(rules, interp, diagnostics):
         return mod_nt_step(kb, interp, rules, diagnostics, spread)
 
-    return _evaluate(kb.program, order, max_iters, step, step, modified_universe(kb),
-                     spread.widen)
+    universe = modified_universe(kb) if _universe is None else _universe
+    return _evaluate(kb.program, order, max_iters, step, step, universe, spread.widen)

@@ -9,8 +9,9 @@ under every dependency of the modified transformation (body to head, head
 to predicate synonym), so the restricted consequence equals the full one
 on the goal's predicate.
 
-Each goal also gets an AND/OR searching tree, built top-down without any
-uncertainty levels, alternating proximity- and rule-based unification:
+Each goal also gets an AND/OR searching tree, grown the first time it is
+read, top-down without any uncertainty levels, alternating proximity- and
+rule-based unification:
 
   depth 0        the goal; its ground arguments are replaced by their
                  proximity sets, its predicate ranges over its proximity set
@@ -32,9 +33,12 @@ re-expanded: the repeat is marked on the row, which cuts recursion.
 The depth limit bounds the tree alone; the answers do not depend on it.
 
 Every goal reads one search index of its knowledge base, kept on it: the
-rules and facts by head, and, filled as goals are answered, the proximity
-sets and cones met, the fact candidates of each sub-goal pattern, the
-body row each rule gives it, and the restricted consequences.
+facts and body predicates by head predicate, and, filled as goals are
+answered, the proximity sets of the predicates and the cones met and the
+restricted consequences.  The trees read a tree index kept on the search
+index: the proper rules by head functor, and, filled as trees grow, the
+proximity sets of the terms met, the fact candidates of each sub-goal
+pattern and the body row each rule gives it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from . import values as V
 from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _Parser,
                    substitute, unify)
 from .engine import FixpointReport, _item_key
-from .kb import KnowledgeBase, consequence, proximity_set
+from .kb import KnowledgeBase, consequence, modified_universe, proximity_set
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,44 @@ class SearchNode(NamedTuple):
     note: str = ""
 
 
+class _Grown:
+    """`SearchTree.nodes` and `truncated`.  A tree from `build_tree` holds
+    its builder until either is first read, which grows both into the
+    tree's own dictionary and drops the builder.  The dictionary answers
+    every later read; until then this descriptor does, so no read of a tree
+    not grown yet falls through to a class default."""
+
+    def __init__(self, *default):
+        self.default = default       # (the dataclass default,) or ()
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, tree, owner=None):
+        if tree is None:
+            if not self.default:
+                raise AttributeError(self.name)
+            return self.default[0]
+        fields = tree.__dict__
+        fields["nodes"], fields["truncated"] = fields.pop("_builder").grow()
+        return fields[self.name]
+
+
 @dataclass
 class SearchTree:
     """The rows of an AND/OR search tree in walk order (pre-order, a node's
     children in their order), the goal first."""
-    nodes: list
-    truncated: bool = False
+    nodes: list = _Grown()
+    truncated: bool = _Grown(False)
     depth_limit: int = 64
 
     def walk(self):
         return iter(self.nodes)
+
+    def __getstate__(self):
+        """A copy or a pickle holds the rows, never the knowledge base."""
+        return {"nodes": self.nodes, "truncated": self.truncated,
+                "depth_limit": self.depth_limit}
 
 
 def _connective(depth: int) -> str:
@@ -97,30 +129,24 @@ def _pattern(args) -> tuple:
 
 
 class _SearchIndex:
-    """What every goal reads of one knowledge base: its proper rules by
-    head functor, each with its position among them, their body predicates
-    by head predicate, and its fact atoms by predicate, then the tables
-    filled as goals are answered."""
+    """What every goal reads of one knowledge base: the fact atoms and the
+    body predicates of its proper rules by head predicate, then the tables
+    filled as goals are answered, and the tree index."""
 
     def __init__(self, program: Program):
-        self.proper, self.rules, self.bodies, self.facts = 0, {}, {}, {}
+        self.bodies, self.facts = {}, {}
         for rule in program.rules:
             head = rule.head
             if rule.body:
-                self.rules.setdefault(head.functor, []).append((self.proper, rule))
                 self.bodies.setdefault(head.pred, []).extend(l.atom.pred for l in rule.body)
-                self.proper += 1
             else:
                 self.facts.setdefault(head.pred, []).append(head)
-        self.known = {}          # predicate -> {names: atom} of its ground facts
         self.synonyms = {}       # predicate -> the symbols of its proximity set
-        self.members = {}        # term name -> the symbols of its proximity set
         self.cones = {}          # predicate -> frozenset of the predicates of its cone
-        self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
-        self.templates = {}      # (proper rule position, pattern) -> template or None
         # (fact predicates of a cone, max_iters) -> (report, atoms by functor),
         # least recently used first
         self.consequences = OrderedDict()
+        self.tree = None         # the _TreeIndex of the trees grown from this index
 
     def synonyms_of(self, kb: KnowledgeBase, pred: str) -> list:
         """The symbols of pred's proximity set in kb, first the predicate."""
@@ -169,8 +195,26 @@ def _template(rule, pred: str, pattern: tuple):
             tuple(_pattern(substitute(l.atom, theta).args) for l in rule.body))
 
 
-# sub-goal patterns an index holds before it starts over: the patterns of
-# goals with new constants would otherwise grow it without bound
+class _TreeIndex:
+    """What the trees of the goals read besides the search index: the
+    proper rules by head functor, each with its position among them, then
+    the tables filled as trees grow."""
+
+    def __init__(self, program: Program):
+        self.proper, self.rules = 0, {}
+        for rule in program.rules:
+            if rule.body:
+                self.rules.setdefault(rule.head.functor, []).append((self.proper, rule))
+                self.proper += 1
+        self.known = {}          # predicate -> {names: atom} of its ground facts
+        self.members = {}        # term name -> the symbols of its proximity set
+        self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
+        self.templates = {}      # (proper rule position, pattern) -> template or None
+
+
+# sub-goal patterns a tree index, and goal predicates a search index, holds
+# before it starts over: goals with new constants or predicates would
+# otherwise grow it without bound
 _INDEXED_PATTERNS = 4096
 
 
@@ -184,17 +228,15 @@ def _search_index(kb: KnowledgeBase) -> _SearchIndex:
            frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
            tuple(bk.pred_prox.pairs.items()), tuple(kb.phi.by_functor.items()))
     stored = kb._search_index
-    if (stored is None or stored[0] != key
-            or len(stored[1].candidates) + len(stored[1].templates) > _INDEXED_PATTERNS):
+    if stored is None or stored[0] != key or len(stored[1].cones) > _INDEXED_PATTERNS:
         stored = kb._search_index = (key, _SearchIndex(program))
     return stored[1]
 
 
 class _TreeBuilder:
-    def __init__(self, kb: KnowledgeBase, depth_limit: int):
+    def __init__(self, kb: KnowledgeBase, goal: Atom, depth_limit: int):
         self.kb = kb
-        self.system = kb.program.system
-        self.index = _search_index(kb)
+        self.goal = goal
         self.depth_limit = depth_limit
         self.nodes = []          # the rows, appended in walk order
         self.expanded = set()    # (phase, predicate, pattern)
@@ -208,15 +250,24 @@ class _TreeBuilder:
             return True
         return False
 
-    def grow(self, goal: Atom) -> None:
-        """Append the rows of the tree of goal.  A row is appended right
-        before its subtree, so the rows come in walk order.  Each expand_*
-        yields the expansion of every child to expand and resumes once that
-        child's subtree is built; the stack of open expansions stands in for
-        the call stack, so the depth of the tree is not bounded by it.  A
-        sub-goal is marked repeated as its row is appended, and then not
-        expanded.  The goal, whose ground terms are replaced by their
-        proximity sets, is never a repeat."""
+    def grow(self) -> tuple:
+        """The rows of the tree of the goal and whether the depth limit cut
+        it.  A row is appended right before its subtree, so the rows come
+        in walk order.  Each expand_* yields the expansion of every child to
+        expand and resumes once that child's subtree is built; the stack of
+        open expansions stands in for the call stack, so the depth of the
+        tree is not bounded by it.  A sub-goal is marked repeated as its row
+        is appended, and then not expanded.  The goal, whose ground terms
+        are replaced by their proximity sets, is never a repeat.  The tree
+        reads the indexes of the knowledge base as it stands now."""
+        index = self.index = _search_index(self.kb)
+        # the tree index alone starts over past its pattern bound, so
+        # growing trees never drops a reused consequence
+        tree = index.tree
+        if tree is None or len(tree.candidates) + len(tree.templates) > _INDEXED_PATTERNS:
+            tree = index.tree = _TreeIndex(self.kb.program)
+        self.tree_index = tree
+        goal = self.goal
         self.nodes.append(SearchNode(-1, "goal", 0, goal, (), _connective(0)))
         args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in goal.args)
         stack = [self.expand_prox_phase(0, args, _pattern(args))]
@@ -226,6 +277,7 @@ class _TreeBuilder:
                 stack.pop()
             else:
                 stack.append(child)
+        return self.nodes, self.truncated
 
     # --- the two unification phases ---
 
@@ -257,9 +309,9 @@ class _TreeBuilder:
         # every proper rule takes a renaming number in turn, but only the
         # rules of this functor are renamed: their heads alone can unify.
         # A renamed variable's name holds "#", which no parsed variable does.
-        templates = self.index.templates
+        templates = self.tree_index.templates
         last = -1
-        for pos, rule in self.index.rules.get((pred, len(pattern)), ()):
+        for pos, rule in self.tree_index.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
             last = pos
             template = templates.get((pos, pattern), False)
@@ -285,10 +337,10 @@ class _TreeBuilder:
                     if not repeated:
                         self.expanded.add(key)
                         yield self.expand_prox_phase(len(nodes) - 1, atom.args, sub_pattern)
-        self.fresh += self.index.proper - 1 - last
-        candidates = self.index.candidates.get((pred, pattern))
+        self.fresh += self.tree_index.proper - 1 - last
+        candidates = self.tree_index.candidates.get((pred, pattern))
         if candidates is None:
-            candidates = self.index.candidates[pred, pattern] = self._fact_candidates(
+            candidates = self.tree_index.candidates[pred, pattern] = self._fact_candidates(
                 pred, pattern)
         connective = _connective(depth)
         for cand, is_fact in candidates:
@@ -307,14 +359,15 @@ class _TreeBuilder:
         facts = self.index.facts.get(pred)
         if not facts:
             return []
-        known = self.index.known.get(pred)
+        known, members = self.tree_index.known.get(pred), self.tree_index.members
         if known is None:
-            known = self.index.known[pred] = {tuple(c.name for c in f.args): f
-                                              for f in facts if f.is_ground()}
+            known = self.tree_index.known[pred] = {tuple(c.name for c in f.args): f
+                                                   for f in facts if f.is_ground()}
         for t in pattern:
-            if isinstance(t, ProximityRef) and t.name not in self.index.members:
-                self.index.members[t.name] = [
-                    s for s, _ in proximity_set(self.kb.bk.term_prox, t.name, self.system)]
+            if isinstance(t, ProximityRef) and t.name not in members:
+                members[t.name] = [
+                    s for s, _ in proximity_set(self.kb.bk.term_prox, t.name,
+                                                self.kb.program.system)]
         out, seen = [], set()
         for fact in facts:
             if len(fact.args) != len(pattern):
@@ -327,7 +380,7 @@ class _TreeBuilder:
                 elif isinstance(t, Constant) and t != c:
                     break
             else:
-                domains = [self.index.members[t.name] if isinstance(t, ProximityRef)
+                domains = [members[t.name] if isinstance(t, ProximityRef)
                            else [c.name] for t, c in zip(pattern, fact.args)]
                 for combo in itertools.product(*domains):
                     if combo not in seen:
@@ -339,11 +392,14 @@ class _TreeBuilder:
 
 
 def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTree:
+    """The search tree of goal on kb, grown the first time its rows or its
+    truncation are read, from kb as it stands then."""
     if depth_limit < 3:
         raise ValueError("depth_limit must be at least 3")
-    builder = _TreeBuilder(kb, depth_limit)
-    builder.grow(goal.atom)
-    return SearchTree(builder.nodes, builder.truncated, depth_limit)
+    tree = SearchTree.__new__(SearchTree)     # nodes and truncated not set yet
+    tree.__dict__.update(depth_limit=depth_limit,
+                         _builder=_TreeBuilder(kb, goal.atom, depth_limit))
+    return tree
 
 
 def starting_facts(cone, program: Program):
@@ -371,7 +427,7 @@ def _copy_report(report: FixpointReport) -> FixpointReport:
 class QueryResult:
     answers: list                 # [(ground Atom, value)] sorted
     starting: list                # the facts of the goal predicate's cone
-    tree: SearchTree
+    tree: SearchTree              # grown the first time it is read
     report: FixpointReport
 
 
@@ -379,11 +435,9 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
            max_iters: int = 10000) -> QueryResult:
     """Grow the consequence from the facts of the goal predicate's cone
     only, then read the goal's instances off the fixed point.  The search
-    tree is built as well; depth_limit bounds the tree alone."""
+    tree is grown when it is first read; depth_limit bounds the tree alone."""
     tree = build_tree(kb, goal, depth_limit)
-    # the index the tree was built from: fetching it again could start it
-    # over past its pattern bound
-    index = kb._search_index[1]
+    index = _search_index(kb)
     cone = index.cone(kb, goal.atom.pred)
     x0 = starting_facts(cone, kb.program)
     # the restricted consequence: every proper rule and the facts of the
@@ -399,7 +453,10 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
         kept = [r for r in program.rules if r.body or r.head.pred in fact_preds]
         restricted = Program(program.system, kept, program.declared_constants,
                              program.order_directive, list(program.warnings))
-        report = consequence(KnowledgeBase(kb.bk, restricted, kb.phi), max_iters)
+        # over kb's universe: a head variable no body atom binds ranges over
+        # the constants of the facts outside the cone too
+        report = consequence(KnowledgeBase(kb.bk, restricted, kb.phi), max_iters,
+                             _universe=modified_universe(kb))
         by_functor = {}
         for item in report.interpretation.sorted_items():
             by_functor.setdefault(item[0].functor, []).append(item)

@@ -86,6 +86,21 @@ def write_constants(rng: random.Random, program: Program) -> Program:
     return Program(program.system, rules)
 
 
+def head_only_variables(rng: random.Random, program: Program,
+                        allow_negation: bool = False) -> Program:
+    """The program with two more rules that only the API builds: one head
+    argument of each is a variable, W, that no body atom binds, so it
+    ranges over the universe."""
+    preds = sorted(program.predicates().items())
+    rules = list(program.rules)
+    for _ in range(2):
+        rule = _random_rule(rng, preds, program.system, allow_negation)
+        args = list(rule.head.args)
+        args[rng.randrange(len(args))] = Variable("W")
+        rules.append(Rule(Atom(rule.head.pred, tuple(args)), rule.body, rule.impl, rule.level))
+    return Program(program.system, rules)
+
+
 def _random_rule(rng: random.Random, preds, system: str, allow_negation: bool) -> Rule:
     # first body literal is positive and carries all the rule's variables,
     # which keeps every generated rule safe by construction

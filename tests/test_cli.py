@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mvdatalog.cli import run
+from mvdatalog.lang import parse_program
 
 from conftest import DATA
 
@@ -54,6 +55,55 @@ def test_query_ex23(capsys):
         "li(M, B) = (0.42, 0.56)",
         "li(M, V) = (0.42, 0.56)",
     ]
+
+
+EX23_TREE = """\
+goal li(M, X)
+  subgoal li(~M, X)
+    no
+  subgoal lo(~M, X)
+    body lo(~M, Y#r2) <- gc(Y#r2), mu(~M)
+      subgoal gc(Y#r2)
+        subgoal gc(Y#r2)
+          no
+        subgoal fv(Y#r2)
+          fact fv(V)
+            yes
+      subgoal mu(~M)
+        subgoal mu(~M)
+          no
+        subgoal mf(~M)
+          fact mf(M)
+            yes
+"""
+
+
+def test_query_tree(capsys, ex23_kb):
+    """--tree prints the search tree after the answers, one row per line
+    indented by its depth; under --json it adds a "tree" key whose nodes
+    are the library's rows with their atoms and literals as text, and
+    changes no other key."""
+    from mvdatalog.query import Goal, build_tree, parse_goal
+    argv = ["query", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox",
+            "--phi", DATA / "ex23.phi", "--goal", "li(M, X)"]
+    code, plain, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert invoke(capsys, *argv, "--tree") == (0, plain + EX23_TREE, "")
+    plain_json = json.loads(invoke(capsys, *argv, "--json")[1])
+    goal = Goal(parse_goal("li(M, X)", ex23_kb.program))
+    for depth_limit in (64, 4):
+        code, out, _ = invoke(capsys, *argv, "--json", "--tree",
+                              "--depth-limit", depth_limit)
+        assert code == 0
+        payload = json.loads(out)
+        tree = build_tree(ex23_kb, goal, depth_limit)
+        assert tree.truncated == (depth_limit == 4)
+        assert payload.pop("tree") == {
+            "truncated": tree.truncated, "depth_limit": depth_limit,
+            "nodes": [{**node._asdict(), "atom": node.atom and str(node.atom),
+                       "literals": [str(lit) for lit in node.literals]}
+                      for node in tree.walk()]}
+        assert payload == plain_json
 
 
 def test_query_threshold_filters_everything(capsys):
@@ -140,7 +190,7 @@ def test_order_flag(capsys):
 def test_commands_stratify_once(monkeypatch, capsys):
     """`fixpoint` and `consequence` pass the order they checked on to the
     evaluation, which then does not stratify the program again."""
-    from mvdatalog import cli, engine
+    from mvdatalog import engine
     calls = []
     stratify = engine.stratify
 
@@ -148,7 +198,6 @@ def test_commands_stratify_once(monkeypatch, capsys):
         calls.append(program)
         return stratify(program)
 
-    monkeypatch.setattr(cli, "stratify", counted)
     monkeypatch.setattr(engine, "stratify", counted)
     runs = [("fixpoint", DATA / "ex1.mvd", "--safety", "paper-examples"),
             ("fixpoint", DATA / "ex17.mvd"),
@@ -163,6 +212,42 @@ def test_commands_stratify_once(monkeypatch, capsys):
     assert invoke(capsys, "fixpoint", DATA / "ex1.mvd", "--safety", "paper-examples",
                   "--order", "2,3,1")[0] == 0
     assert calls == []
+
+
+def _data_programs():
+    """Each program under tests/data, with the proximity and function-set
+    files of its name as flags."""
+    for program in sorted(DATA.glob("*.mvd")):
+        flags = []
+        for flag, suffix in (("--prox", ".prox"), ("--phi", ".phi")):
+            if program.with_suffix(suffix).exists():
+                flags += [flag, program.with_suffix(suffix)]
+        yield program, flags
+
+
+def test_check_and_fixpoint_agree_on_the_exit_code(tmp_path, capsys):
+    """`check` reports the order a run takes, the %order directive or
+    --order when one is given, so its exit code is the run's: on every
+    program under tests/data, in both safety modes, with and without
+    --order (the rules backwards), and on two rules that negate each other
+    under `%order 1,2.`, where stratify alone finds a negative cycle."""
+    mutual = tmp_path / "mutual.mvd"
+    mutual.write_text("%system fuzzy.\n%order 1,2.\nfact a = 0.9.\n"
+                      "rule p <- a, not q : godel, 0.8.\nrule q <- a, not p : godel, 0.8.\n")
+    code, out, _ = invoke(capsys, "check", mutual)
+    assert code == 0 and out == "stratification: evaluation order {1} {2}\n"
+    for program, flags in [*_data_programs(), (mutual, [])]:
+        rules = len(parse_program(program.read_text(), safety="paper-examples").proper_rules())
+        backwards = list(range(rules, 0, -1))
+        orders = [[], ["--order", ",".join(map(str, backwards))]] if rules else [[]]
+        for safety in ("strict", "paper-examples"):
+            for order in orders:
+                argv = [program, *flags, "--safety", safety, *order]
+                code, out, _ = invoke(capsys, "check", *argv)
+                assert code == invoke(capsys, "fixpoint", *argv)[0], argv
+                if order and code == 0:
+                    strata = " ".join(f"{{{n}}}" for n in backwards)
+                    assert f"stratification: evaluation order {strata}\n" in out, argv
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -231,7 +316,7 @@ def test_small_depth_limit_is_usage_error(capsys):
 
 def test_query_on_a_deep_search_tree(tmp_path, capsys):
     """A chain of 1,500 rules builds a search tree thousands of levels deep;
-    the query answers without running out of stack."""
+    the query answers, and prints the tree, without running out of stack."""
     n = 1500
     rules = "".join(f"rule p{i}(X) <- p{i + 1}(X) : godel, 1.0.\n" for i in range(n))
     deep = tmp_path / "deep.mvd"
@@ -240,6 +325,13 @@ def test_query_on_a_deep_search_tree(tmp_path, capsys):
                             "--depth-limit", "100000")
     assert code == 0, err
     assert out == "p0(a) = 0.5\n"
+    code, out, err = invoke(capsys, "query", deep, "--goal", "p0(X)",
+                            "--depth-limit", "100000", "--tree")
+    assert code == 0, err
+    answers, goal, *rows = out.splitlines()
+    assert (answers, goal) == ("p0(a) = 0.5", "goal p0(X)")
+    assert rows[-1] == "  " * (3 * n + 3) + "yes"
+    assert rows[-2] == "  " * (3 * n + 2) + f"fact p{n}(a)"
 
 
 def test_query_with_a_constant_named_like_a_variable(tmp_path, capsys):

@@ -16,9 +16,9 @@ from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, conse
 from mvdatalog.query import Goal, answer, build_tree, parse_goal, parse_level
 
 from conftest import load_kb
-from helpers import (children, random_bk, random_level, random_phi, random_program,
-                     reference_answers, reference_build_tree, reference_cone, reference_facts,
-                     reference_starting_facts, walk_rows, write_constants)
+from helpers import (children, head_only_variables, random_bk, random_level, random_phi,
+                     random_program, reference_answers, reference_build_tree, reference_cone,
+                     reference_facts, reference_starting_facts, walk_rows, write_constants)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -167,12 +167,15 @@ def test_answers_match_the_full_consequence_on_rules_that_write_constants():
     """Differential of `answer` against `consequence`: on seeded knowledge
     bases (every system and function set, with and without negation) where
     about half the rules write a program constant in place of a body
-    variable, each goal's answers are the full consequence's atoms that
-    unify with it and reach its level, atom for atom, at equal levels."""
+    variable, and two more rules have a head variable that no body atom
+    binds, each goal's answers are the full consequence's atoms that unify
+    with it and reach its level, atom for atom, at equal levels."""
     for seed in range(160):
         rng = random.Random(f"constants/{seed}")
         system = V.SYSTEMS[seed % len(V.SYSTEMS)]
-        program = write_constants(rng, random_program(rng, system, seed // 5 % 2 == 1))
+        negation = seed // 5 % 2 == 1
+        program = write_constants(rng, random_program(rng, system, negation))
+        program = head_only_variables(random.Random(f"head-only/{seed}"), program, negation)
         kb = build_kb(program, random_bk(rng, program), random_phi(rng, program))
         full = consequence(kb).interpretation.sorted_items()
         for goal in random_goals(rng, program, 7):
@@ -183,6 +186,18 @@ def test_answers_match_the_full_consequence_on_rules_that_write_constants():
             assert [atom for atom, _ in got] == [atom for atom, _ in expected], (seed, goal)
             assert all(V.values_equal(system, value, level)
                        for (_, value), (_, level) in zip(got, expected)), (seed, goal)
+
+
+def test_a_head_only_variable_ranges_over_every_constant():
+    """u(X, Y) <- p(X), which only the API builds, derives u(a, b) through
+    the constant of a fact outside the cone of u, as the consequence does."""
+    program = parse_program("%system fuzzy.\nfact p(a) = 0.9.\nfact e(b) = 0.8.\n")
+    program.rules.append(Rule(Atom("u", (X, Y)), (Literal(Atom("p", (X,))),), "godel", 1.0))
+    kb = build_kb(program)
+    expected = [("u(a, a)", 0.9), ("u(a, b)", 0.9)]
+    assert [(str(a), v) for a, v in consequence(kb).interpretation.sorted_items()
+            if a.pred == "u"] == expected
+    assert [(str(a), v) for a, v in answer(kb, Goal(Atom("u", (X, Y)))).answers] == expected
 
 
 def test_query_restriction_is_economical(ex1):
@@ -257,32 +272,47 @@ def tree_rows(tree):
 
 def test_deep_tree_prints_copies_and_pickles():
     """A tree deeper than the recursion limit prints, converts to a dict,
-    and deep-copies and pickles row for row."""
+    and deep-copies and pickles row for row, read or not: each of these
+    grows a tree not read yet, and a copy or a pickle holds the rows,
+    never the knowledge base."""
     n = 1500
     rules = "".join(f"rule p{i}(X) <- p{i + 1}(X) : godel, 0.9.\n" for i in range(n))
     prog = parse_program(f"%system fuzzy.\n{rules}fact p{n}(a) = 0.8.\n")
-    tree = build_tree(build_kb(prog), Goal(parse_goal("p0(X)", prog)), depth_limit=100000)
+    kb, goal = build_kb(prog), Goal(parse_goal("p0(X)", prog))
+    tree = build_tree(kb, goal, depth_limit=100000)
     assert max(node.depth for node in tree.walk()) > sys.getrecursionlimit()
     assert repr(tree.nodes[0]) == (
         "SearchNode(parent=-1, kind='goal', depth=0, atom=Atom(pred='p0', "
         "args=(Variable(name='X'),)), literals=(), connective='or', repeated=False, note='')")
     assert len(children(tree, 0)) == 1
-    text = repr(tree)
-    assert text.startswith(f"SearchTree(nodes=[{tree.nodes[0]!r}, ")
-    assert text.endswith(f"{tree.nodes[-1]!r}], truncated=False, depth_limit=100000)")
 
-    as_dict = dataclasses.asdict(tree)
-    assert (as_dict["truncated"], as_dict["depth_limit"]) == (False, 100000)
-    assert as_dict["nodes"] == [
-        node._replace(literals=tuple(map(dataclasses.asdict, node.literals)))
-        for node in tree.nodes]
+    for read in (True, False):
+        def fresh():
+            other = build_tree(kb, goal, depth_limit=100000)
+            if read:
+                other.walk()
+            return other
 
-    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-        assert walk_rows(copied) == walk_rows(tree)
-        assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
-        # the rows are immutable, so a copy that owns its list owns its tree
-        assert copied.nodes is not tree.nodes
-        assert copied == tree
+        text = repr(fresh())
+        assert text.startswith(f"SearchTree(nodes=[{tree.nodes[0]!r}, ")
+        assert text.endswith(f"{tree.nodes[-1]!r}], truncated=False, depth_limit=100000)")
+
+        as_dict = dataclasses.asdict(fresh())
+        assert (as_dict["truncated"], as_dict["depth_limit"]) == (False, 100000)
+        assert as_dict["nodes"] == [
+            node._replace(literals=tuple(map(dataclasses.asdict, node.literals)))
+            for node in tree.nodes]
+
+        assert b"KnowledgeBase" not in pickle.dumps(fresh())
+        for copied in (copy.copy(fresh()), copy.deepcopy(fresh()),
+                       pickle.loads(pickle.dumps(fresh()))):
+            assert vars(copied).keys() == {"nodes", "truncated", "depth_limit"}
+            assert walk_rows(copied) == walk_rows(tree)
+            assert (copied.truncated, copied.depth_limit) == (tree.truncated, tree.depth_limit)
+            # the rows are immutable, so a copy that owns its list owns its tree
+            assert copied.nodes is not tree.nodes
+            assert copied == tree
+        assert fresh() == tree
     # equality compares every row: one changed deep leaf tells the trees apart
     copied = copy.deepcopy(tree)
     leaf = copied.nodes[-1]
@@ -701,6 +731,7 @@ def answered(kb):
 @pytest.mark.parametrize("case", list(INDEX_CHANGES))
 def test_search_index_is_never_served_stale(case):
     kb = stale_kb()
+    unread = [answer(kb, goal) for goal in INDEX_GOALS]
     before = answered(kb)
     INDEX_CHANGES[case](kb)
     after = answered(kb)
@@ -708,21 +739,27 @@ def test_search_index_is_never_served_stale(case):
     INDEX_CHANGES[case](fresh)
     assert after == answered(fresh)
     assert after != before
+    # a tree first read after the change grows from kb as it stands
+    assert [walk_rows(result.tree) for result in unread] == [rows for rows, _, _ in after]
 
 
-def test_search_index_starts_over_past_its_pattern_bound(monkeypatch):
-    """Goals with ever new constants add patterns, to the fact candidates
-    and to the templates; past the bound on both together the index is
-    built again, holding only the next goal's, and the answers do not
-    change."""
+def test_search_index_starts_over_past_its_pattern_bound(monkeypatch, count_consequences):
+    """The trees of goals with ever new constants add patterns, to the fact
+    candidates and to the templates; past the bound on both together the
+    tree index is built again, holding only the next tree's, and the
+    answers do not change.  The search index is kept, so every goal on kb
+    reuses its one restricted consequence."""
     monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
     kb = stale_kb()
     indexes = []
-    for name in ("a", "b", "c", "d", "e", "f", "a"):
+    names = ("a", "b", "c", "d", "e", "f", "a")
+    for name in names:
         goal = Goal(Atom("t", (Constant(name), Y)))
         fresh = stale_kb()
-        assert outcome(answer(kb, goal)) == outcome(answer(fresh, goal)), name
-        index, own = kb._search_index[1], fresh._search_index[1]
+        result, own_result = answer(kb, goal), answer(fresh, goal)
+        result.tree.nodes, own_result.tree.nodes
+        assert outcome(result) == outcome(own_result), name
+        index, own = kb._search_index[1].tree, fresh._search_index[1].tree
         assert own.templates
         if not any(index is seen for seen in indexes):
             indexes.append(index)
@@ -732,3 +769,77 @@ def test_search_index_starts_over_past_its_pattern_bound(monkeypatch):
         assert (len(index.candidates) + len(index.templates)
                 <= 6 + len(own.candidates) + len(own.templates))
     assert len(indexes) > 2
+    # one on kb, and one for each goal on its fresh knowledge base
+    assert len(count_consequences) == 1 + len(names)
+
+
+def test_search_index_starts_over_past_its_goal_predicate_bound(monkeypatch):
+    """Goals on ever new predicates add cones, which the same bound keeps
+    from growing the search index without end."""
+    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
+    kb = stale_kb()
+    for n in range(20):
+        assert answer(kb, Goal(Atom(f"zz{n}", (X,)))).answers == []
+        assert 1 <= len(kb._search_index[1].cones) <= 7
+
+
+# ----------------------------------------------------------------------
+# The tree of an answer, grown when it is first read
+# ----------------------------------------------------------------------
+
+def test_answer_grows_no_tree_until_it_is_read(monkeypatch):
+    """`answer` grows the tree of a goal on the first read of its rows or
+    of its truncation, once, and refuses a depth limit below 3 at once."""
+    grown = []
+    grow = query._TreeBuilder.grow
+
+    def counted(builder):
+        grown.append(builder.goal)
+        return grow(builder)
+    monkeypatch.setattr(query._TreeBuilder, "grow", counted)
+    kb = stale_kb()
+    cases = [(goal, depth_limit) for goal in INDEX_GOALS for depth_limit in (64, 3)]
+    results = [answer(kb, goal, depth_limit) for goal, depth_limit in cases]
+    for result in results:
+        outcome(result)
+    assert grown == []
+    truncated = [reference_build_tree(kb, *case).truncated for case in cases]
+    assert any(truncated)
+    for n, result in enumerate(results):
+        # the truncation first: no class default answers for a tree not grown
+        assert result.tree.truncated == truncated[n], cases[n]
+        result.tree.nodes, list(result.tree.walk()), repr(result.tree)
+        assert len(grown) == n + 1
+    with pytest.raises(ValueError):
+        answer(kb, INDEX_GOALS[0], depth_limit=2)
+    assert len(grown) == len(results)
+
+
+def test_a_tree_read_late_equals_the_reference_tree(monkeypatch):
+    """A tree grows from the index its builder fetched in `answer`: read at
+    once, or only after the trees of later goals have filled the tree index
+    and started it over, it has the rows and the truncation of the
+    reference tree, on the goals of item 9's generator."""
+    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
+    kbs, indexes = 0, []
+    for seed in range(40):
+        rng = random.Random(f"constants/{seed}")
+        system = V.SYSTEMS[seed % len(V.SYSTEMS)]
+        program = write_constants(rng, random_program(rng, system, seed // 5 % 2 == 1))
+        kb = build_kb(program, random_bk(rng, program), random_phi(rng, program))
+        kbs += 1
+        goals = random_goals(rng, program, 7)
+        for depth_limit in (64, 3):
+            results = []
+            for n, goal in enumerate(goals):
+                results.append((goal, answer(kb, goal, depth_limit)))
+                if n % 2:
+                    results[-1][1].tree.nodes
+                tree_index = kb._search_index[1].tree
+                if not any(tree_index is seen for seen in indexes):
+                    indexes.append(tree_index)
+            for goal, result in results:
+                reference = reference_build_tree(kb, goal, depth_limit)
+                assert walk_rows(result.tree) == walk_rows(reference), (seed, goal)
+                assert result.tree.truncated == reference.truncated, (seed, goal)
+    assert len(indexes) > 2 * kbs
