@@ -216,7 +216,7 @@ def run(argv=None) -> int:
         system = program.system
         if args.command == "query":
             from .query import Goal, answer, parse_goal, parse_level
-            goal_atom = parse_goal(args.goal, program)
+            goal_atom = parse_goal(args.goal, program, _kb=kb)
             level = parse_level(args.at_least, system) if args.at_least else None
             result = answer(kb, Goal(goal_atom, level),
                             depth_limit=args.depth_limit, max_iters=args.max_iters)

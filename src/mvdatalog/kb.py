@@ -152,8 +152,8 @@ class KnowledgeBase:
     bk: BackgroundKnowledge
     program: Program
     phi: PhiSpec
-    # (key, index) of the search index `query.answer` reads, which holds
-    # the restricted consequences and the tree index too; see
+    # (key, index) of the search index `query.answer` and the search trees
+    # read, which holds the cones and the restricted consequences too; see
     # `query._search_index`
     _search_index: Optional[tuple] = field(default=None, init=False, repr=False,
                                            compare=False)

@@ -35,10 +35,12 @@ The depth limit bounds the tree alone; the answers do not depend on it.
 Every goal reads one search index of its knowledge base, kept on it: the
 facts and body predicates by head predicate, and, filled as goals are
 answered, the proximity sets of the predicates and the cones met and the
-restricted consequences.  The trees read a tree index kept on the search
-index: the proper rules by head functor, and, filled as trees grow, the
-proximity sets of the terms met, the fact candidates of each sub-goal
-pattern and the body row each rule gives it.
+restricted consequences.  A tree reads the facts and the predicates'
+proximity sets off the search index as it grows, and nothing else is
+kept from one tree to the next: it lists the proper rules by head functor
+itself, unifies each sub-goal with the renamed heads of its functor's
+rules, and finds the fact candidates of each sub-goal pattern anew, since
+within one tree a sub-goal pattern is expanded at most once per phase.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _pattern(args) -> tuple:
 class _SearchIndex:
     """What every goal reads of one knowledge base: the fact atoms and the
     body predicates of its proper rules by head predicate, then the tables
-    filled as goals are answered, and the tree index."""
+    filled as goals are answered."""
 
     def __init__(self, program: Program):
         self.bodies, self.facts = {}, {}
@@ -146,7 +148,6 @@ class _SearchIndex:
         # (fact predicates of a cone, max_iters) -> (report, atoms by functor),
         # least recently used first
         self.consequences = OrderedDict()
-        self.tree = None         # the _TreeIndex of the trees grown from this index
 
     def synonyms_of(self, kb: KnowledgeBase, pred: str) -> list:
         """The symbols of pred's proximity set in kb, first the predicate."""
@@ -171,51 +172,9 @@ class _SearchIndex:
         return cone
 
 
-def _template(rule, pred: str, pattern: tuple):
-    """The body row the rule gives a sub-goal of this pattern, or None when
-    its head does not unify: the rule variables left unbound, named V#, the
-    (predicate, arguments) of the head and of each body atom, an argument
-    being a fixed term or the index of such a variable, the body's signs
-    and its sub-goal patterns.  `unify` binds a sub-goal variable (#0, #1,
-    ..) only as a key, so none reaches the head or body, and a node fills
-    the template with its renamed variables alone."""
-    renaming = {v: Variable(v.name + "#") for v in rule.variables()}
-    goal = Atom(pred, tuple(Variable(f"#{t}") if t.__class__ is int else t for t in pattern))
-    theta = unify(goal, substitute(rule.head, renaming))
-    if theta is None:
-        return None
-    theta = {v: theta.get(r, r) for v, r in renaming.items()}
-    numbers = {}             # unbound renamed variable -> its index
-    spec = {v: numbers.setdefault(t, len(numbers)) if t.__class__ is Variable else t
-            for v, t in theta.items()}
-    atoms = [rule.head] + [l.atom for l in rule.body]
-    return (tuple(r.name for r in numbers),
-            tuple((a.pred, tuple(spec.get(t, t) for t in a.args)) for a in atoms),
-            tuple(l.negated for l in rule.body),
-            tuple(_pattern(substitute(l.atom, theta).args) for l in rule.body))
-
-
-class _TreeIndex:
-    """What the trees of the goals read besides the search index: the
-    proper rules by head functor, each with its position among them, then
-    the tables filled as trees grow."""
-
-    def __init__(self, program: Program):
-        self.proper, self.rules = 0, {}
-        for rule in program.rules:
-            if rule.body:
-                self.rules.setdefault(rule.head.functor, []).append((self.proper, rule))
-                self.proper += 1
-        self.known = {}          # predicate -> {names: atom} of its ground facts
-        self.members = {}        # term name -> the symbols of its proximity set
-        self.candidates = {}     # (predicate, pattern) -> [(atom, is a program fact)]
-        self.templates = {}      # (proper rule position, pattern) -> template or None
-
-
-# sub-goal patterns a tree index, and goal predicates a search index, holds
-# before it starts over: goals with new constants or predicates would
-# otherwise grow it without bound
-_INDEXED_PATTERNS = 4096
+# goal predicates a search index holds cones for before it starts over:
+# goals on ever new predicates would otherwise grow it without bound
+_INDEXED_CONES = 4096
 
 
 def _search_index(kb: KnowledgeBase) -> _SearchIndex:
@@ -228,7 +187,7 @@ def _search_index(kb: KnowledgeBase) -> _SearchIndex:
            frozenset(bk.term_prox.symbols), tuple(bk.term_prox.pairs.items()),
            tuple(bk.pred_prox.pairs.items()), tuple(kb.phi.by_functor.items()))
     stored = kb._search_index
-    if stored is None or stored[0] != key or len(stored[1].cones) > _INDEXED_PATTERNS:
+    if stored is None or stored[0] != key or len(stored[1].cones) > _INDEXED_CONES:
         stored = kb._search_index = (key, _SearchIndex(program))
     return stored[1]
 
@@ -259,14 +218,15 @@ class _TreeBuilder:
         tree is not bounded by it.  A sub-goal is marked repeated as its row
         is appended, and then not expanded.  The goal, whose ground terms
         are replaced by their proximity sets, is never a repeat.  The tree
-        reads the indexes of the knowledge base as it stands now."""
-        index = self.index = _search_index(self.kb)
-        # the tree index alone starts over past its pattern bound, so
-        # growing trees never drops a reused consequence
-        tree = index.tree
-        if tree is None or len(tree.candidates) + len(tree.templates) > _INDEXED_PATTERNS:
-            tree = index.tree = _TreeIndex(self.kb.program)
-        self.tree_index = tree
+        reads the search index of the knowledge base as it stands now, and
+        lists its proper rules by head functor, each with its position among
+        them."""
+        self.index = _search_index(self.kb)
+        self.proper, self.rules = 0, {}
+        for rule in self.kb.program.rules:
+            if rule.body:
+                self.rules.setdefault(rule.head.functor, []).append((self.proper, rule))
+                self.proper += 1
         goal = self.goal
         self.nodes.append(SearchNode(-1, "goal", 0, goal, (), _connective(0)))
         args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in goal.args)
@@ -304,46 +264,40 @@ class _TreeBuilder:
         node = nodes[row]
         if self._cut(row, node.depth):
             return
-        pred = node.atom.pred
+        atom = node.atom
+        pred = atom.pred
         depth = node.depth + 1
         # every proper rule takes a renaming number in turn, but only the
-        # rules of this functor are renamed: their heads alone can unify.
+        # rules of this functor are renamed: unify would reject the others.
         # A renamed variable's name holds "#", which no parsed variable does.
-        templates = self.tree_index.templates
         last = -1
-        for pos, rule in self.tree_index.rules.get((pred, len(pattern)), ()):
+        for pos, rule in self.rules.get((pred, len(pattern)), ()):
             self.fresh += pos - last
             last = pos
-            template = templates.get((pos, pattern), False)
-            if template is False:
-                template = templates[pos, pattern] = _template(rule, pred, pattern)
-            if template is None:
+            renaming = {v: Variable(f"{v.name}#r{self.fresh}") for v in rule.variables()}
+            theta = unify(atom, substitute(rule.head, renaming))
+            if theta is None:
                 continue
-            names, specs, negated, sub_patterns = template
-            suffix = f"r{self.fresh}"
-            renamed = [Variable(name + suffix) for name in names]
-            head, *atoms = [Atom(p, tuple(renamed[t] if t.__class__ is int else t for t in args))
-                            for p, args in specs]
-            nodes.append(SearchNode(row, "body", depth, head, tuple(map(Literal, atoms, negated)),
+            theta = {v: theta.get(r, r) for v, r in renaming.items()}
+            literals = tuple(Literal(substitute(l.atom, theta), l.negated) for l in rule.body)
+            nodes.append(SearchNode(row, "body", depth, substitute(rule.head, theta), literals,
                                     _connective(depth)))
             body = len(nodes) - 1
             if not self._cut(body, depth):
                 connective = _connective(depth + 1)
-                for atom, neg, sub_pattern in zip(atoms, negated, sub_patterns):
-                    key = ("prox", atom.pred, sub_pattern)
+                for lit in literals:
+                    args = lit.atom.args
+                    sub_pattern = _pattern(args)
+                    key = ("prox", lit.atom.pred, sub_pattern)
                     repeated = key in self.expanded
-                    nodes.append(SearchNode(body, "subgoal", depth + 1, atom, (), connective,
-                                            repeated, "negated" if neg else ""))
+                    nodes.append(SearchNode(body, "subgoal", depth + 1, lit.atom, (), connective,
+                                            repeated, "negated" if lit.negated else ""))
                     if not repeated:
                         self.expanded.add(key)
-                        yield self.expand_prox_phase(len(nodes) - 1, atom.args, sub_pattern)
-        self.fresh += self.tree_index.proper - 1 - last
-        candidates = self.tree_index.candidates.get((pred, pattern))
-        if candidates is None:
-            candidates = self.tree_index.candidates[pred, pattern] = self._fact_candidates(
-                pred, pattern)
+                        yield self.expand_prox_phase(len(nodes) - 1, args, sub_pattern)
+        self.fresh += self.proper - 1 - last
         connective = _connective(depth)
-        for cand, is_fact in candidates:
+        for cand, is_fact in self._fact_candidates(pred, pattern):
             fact = len(nodes)
             nodes.append(SearchNode(row, "fact", depth, cand, (), connective))
             nodes.append(SearchNode(fact, "yes" if is_fact else "no", depth + 1))
@@ -359,15 +313,10 @@ class _TreeBuilder:
         facts = self.index.facts.get(pred)
         if not facts:
             return []
-        known, members = self.tree_index.known.get(pred), self.tree_index.members
-        if known is None:
-            known = self.tree_index.known[pred] = {tuple(c.name for c in f.args): f
-                                                   for f in facts if f.is_ground()}
-        for t in pattern:
-            if isinstance(t, ProximityRef) and t.name not in members:
-                members[t.name] = [
-                    s for s, _ in proximity_set(self.kb.bk.term_prox, t.name,
-                                                self.kb.program.system)]
+        known = {tuple(c.name for c in f.args): f for f in facts if f.is_ground()}
+        members = {t.name: [s for s, _ in proximity_set(self.kb.bk.term_prox, t.name,
+                                                        self.kb.program.system)]
+                   for t in pattern if isinstance(t, ProximityRef)}
         out, seen = [], set()
         for fact in facts:
             if len(fact.args) != len(pattern):
@@ -493,14 +442,21 @@ def _last_arity(program: Program, pred: str):
             return len(rule.head.args)
 
 
-def parse_goal(text: str, program: Program) -> Atom:
+def parse_goal(text: str, program: Program, _kb: Optional[KnowledgeBase] = None) -> Atom:
     """Goal syntax is a single atom; the program's declared constants keep
-    their constant reading inside goals."""
+    their constant reading inside goals.  Given the knowledge base, a goal
+    predicate that only its predicate proximity names takes the arity
+    `kb.build_kb` gives it: that of its neighbours in the program."""
     p = _Parser(text, program.declared_constants)
     start = p.tok
     atom = p.atom()
     p.end("goal must be a single atom")
     arity = _last_arity(program, atom.pred)
+    if arity is None and _kb is not None:
+        for q in _kb.bk.pred_prox.neighbours.get(atom.pred, ()):
+            arity = _last_arity(program, q)
+            if arity is not None:
+                break
     if arity is not None and arity != len(atom.args):
         p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
                f"goal uses {len(atom.args)}", start)

@@ -9,7 +9,7 @@ import pytest
 from mvdatalog.cli import run
 from mvdatalog.lang import parse_program
 
-from conftest import DATA
+from conftest import DATA, load_kb
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -104,6 +104,63 @@ def test_query_tree(capsys, ex23_kb):
                        "literals": [str(lit) for lit in node.literals]}
                       for node in tree.walk()]}
         assert payload == plain_json
+
+
+def _reference_json_nodes(tree) -> list:
+    """The nodes of a reference tree as `query --tree --json` prints them."""
+    out, stack = [], [(tree.root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        out.append({"parent": parent, "kind": node.kind, "depth": node.depth,
+                    "atom": node.atom and str(node.atom),
+                    "literals": [str(lit) for lit in node.literals],
+                    "connective": node.connective, "repeated": node.repeated,
+                    "note": node.note})
+        stack.extend((child, len(out) - 1) for child in reversed(node.children))
+    return out
+
+
+@pytest.mark.parametrize("name", ["ex17", "ex23"])
+def test_query_tree_of_every_predicate_matches_the_reference(capsys, name):
+    """Every predicate of the program and of its proximity file, posed as a
+    goal of variables alone, prints the reference builder's tree under
+    --tree --json, at a depth limit that cuts it and at one that does not."""
+    from helpers import reference_build_tree
+    from mvdatalog.query import Goal, parse_goal
+    kb = load_kb(f"{name}.mvd", f"{name}.prox", f"{name}.phi")
+    neighbours = kb.bk.pred_prox.neighbours
+    arity = kb.program.predicates()
+    for pred in sorted(kb.bk.pred_prox.symbols - arity.keys()):
+        arity[pred] = next(arity[q] for q in neighbours[pred] if q in arity)
+    assert kb.bk.pred_prox.symbols - kb.program.predicates().keys()
+    argv = ["query", DATA / f"{name}.mvd", "--prox", DATA / f"{name}.prox",
+            "--phi", DATA / f"{name}.phi", "--json", "--tree"]
+    for pred, n in sorted(arity.items()):
+        text = f"{pred}({', '.join(f'X{i}' for i in range(n))})"
+        goal = Goal(parse_goal(text, kb.program))
+        for depth_limit in (64, 4):
+            code, out, err = invoke(capsys, *argv, "--goal", text, "--depth-limit", depth_limit)
+            assert (code, err) == (0, ""), text
+            reference = reference_build_tree(kb, goal, depth_limit)
+            assert json.loads(out)["tree"] == {
+                "truncated": reference.truncated, "depth_limit": depth_limit,
+                "nodes": _reference_json_nodes(reference)}, (text, depth_limit)
+
+
+def test_goal_on_a_predicate_only_the_proximity_file_names_has_its_arity(capsys):
+    """A goal predicate that only the proximity file names has the arity of
+    its neighbours in the program, and a goal of another arity is the same
+    parse error as one on a program predicate."""
+    argv = ["query", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox", "--phi", DATA / "ex23.phi"]
+    for pred in ("lo", "li"):
+        assert invoke(capsys, *argv, "--goal", f"{pred}(M, X, Y)") == (
+            2, "", f"error: line 1, col 1: goal predicate {pred!r} has arity 2, goal uses 3\n")
+    assert invoke(capsys, "query", DATA / "ex17.mvd", "--prox", DATA / "ex17.prox",
+                  "--goal", "s(X, Y)") == (
+        2, "", "error: line 1, col 1: goal predicate 's' has arity 1, goal uses 2\n")
+    code, out, _ = invoke(capsys, "query", DATA / "ex17.mvd", "--prox", DATA / "ex17.prox",
+                          "--goal", "s(X)")
+    assert (code, out) == (0, "s(a) = (0.6, 0.3)\ns(b) = (0.6, 0.3)\n")
 
 
 def test_query_threshold_filters_everything(capsys):

@@ -669,7 +669,8 @@ def test_tree_matches_reference_on_random_and_api_built_programs(depth_limit):
     in the goal), and on the API-built program with duplicate and
     non-ground facts, repeated head variables and constants in rules.  Each
     API goal is built twice on one knowledge base, the second time in the
-    reverse order, so warm templates are filled with new renaming numbers."""
+    reverse order, so each tree is also grown after other goals' trees and
+    nothing one tree finds may carry over into the next."""
     for seed in range(80):
         kb = build_kb(*random_inputs(seed))
         rng = random.Random(f"trees/{seed}")
@@ -743,40 +744,29 @@ def test_search_index_is_never_served_stale(case):
     assert [walk_rows(result.tree) for result in unread] == [rows for rows, _, _ in after]
 
 
-def test_search_index_starts_over_past_its_pattern_bound(monkeypatch, count_consequences):
-    """The trees of goals with ever new constants add patterns, to the fact
-    candidates and to the templates; past the bound on both together the
-    tree index is built again, holding only the next tree's, and the
-    answers do not change.  The search index is kept, so every goal on kb
-    reuses its one restricted consequence."""
-    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
+def test_trees_of_goals_with_new_constants_equal_trees_on_fresh_knowledge_bases(
+        count_consequences):
+    """The trees of goals with ever new constants, read one after another on
+    one knowledge base, have the rows, the truncation and the answers of
+    the trees read on a fresh knowledge base each: no tree keeps anything
+    for the next.  The search index is kept, so every goal on kb reuses its
+    one restricted consequence."""
     kb = stale_kb()
-    indexes = []
     names = ("a", "b", "c", "d", "e", "f", "a")
     for name in names:
         goal = Goal(Atom("t", (Constant(name), Y)))
-        fresh = stale_kb()
-        result, own_result = answer(kb, goal), answer(fresh, goal)
-        result.tree.nodes, own_result.tree.nodes
+        result, own_result = answer(kb, goal), answer(stale_kb(), goal)
+        assert walk_rows(result.tree) == walk_rows(own_result.tree), name
+        assert result.tree.truncated == own_result.tree.truncated, name
         assert outcome(result) == outcome(own_result), name
-        index, own = kb._search_index[1].tree, fresh._search_index[1].tree
-        assert own.templates
-        if not any(index is seen for seen in indexes):
-            indexes.append(index)
-            assert index.templates.keys() == own.templates.keys(), name
-            assert index.candidates.keys() == own.candidates.keys(), name
-        # one goal's patterns more than the bound, at most
-        assert (len(index.candidates) + len(index.templates)
-                <= 6 + len(own.candidates) + len(own.templates))
-    assert len(indexes) > 2
     # one on kb, and one for each goal on its fresh knowledge base
     assert len(count_consequences) == 1 + len(names)
 
 
 def test_search_index_starts_over_past_its_goal_predicate_bound(monkeypatch):
-    """Goals on ever new predicates add cones, which the same bound keeps
-    from growing the search index without end."""
-    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
+    """Goals on ever new predicates add cones, which a bound keeps from
+    growing the search index without end."""
+    monkeypatch.setattr(query, "_INDEXED_CONES", 6)
     kb = stale_kb()
     for n in range(20):
         assert answer(kb, Goal(Atom(f"zz{n}", (X,)))).answers == []
@@ -816,18 +806,16 @@ def test_answer_grows_no_tree_until_it_is_read(monkeypatch):
 
 
 def test_a_tree_read_late_equals_the_reference_tree(monkeypatch):
-    """A tree grows from the index its builder fetched in `answer`: read at
-    once, or only after the trees of later goals have filled the tree index
-    and started it over, it has the rows and the truncation of the
-    reference tree, on the goals of item 9's generator."""
-    monkeypatch.setattr(query, "_INDEXED_PATTERNS", 6)
-    kbs, indexes = 0, []
+    """A tree read at once, or only after the trees of later goals and past
+    the start-overs of a search index held to a few cones, has the rows and
+    the truncation of the reference tree, on the goals of item 9's
+    generator."""
+    monkeypatch.setattr(query, "_INDEXED_CONES", 2)
     for seed in range(40):
         rng = random.Random(f"constants/{seed}")
         system = V.SYSTEMS[seed % len(V.SYSTEMS)]
         program = write_constants(rng, random_program(rng, system, seed // 5 % 2 == 1))
         kb = build_kb(program, random_bk(rng, program), random_phi(rng, program))
-        kbs += 1
         goals = random_goals(rng, program, 7)
         for depth_limit in (64, 3):
             results = []
@@ -835,11 +823,7 @@ def test_a_tree_read_late_equals_the_reference_tree(monkeypatch):
                 results.append((goal, answer(kb, goal, depth_limit)))
                 if n % 2:
                     results[-1][1].tree.nodes
-                tree_index = kb._search_index[1].tree
-                if not any(tree_index is seen for seen in indexes):
-                    indexes.append(tree_index)
             for goal, result in results:
                 reference = reference_build_tree(kb, goal, depth_limit)
                 assert walk_rows(result.tree) == walk_rows(reference), (seed, goal)
                 assert result.tree.truncated == reference.truncated, (seed, goal)
-    assert len(indexes) > 2 * kbs
