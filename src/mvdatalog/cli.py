@@ -100,9 +100,9 @@ def _load_program(args):
     program = parse_program(_read(args.program), safety=args.safety)
     if args.order:
         program.order_directive = args.order
-        n = len(program.proper_rules())
-        if sorted(program.order_directive) != list(range(1, n + 1)):
-            raise ParseError(f"--order must be a permutation of 1..{n}")
+        problem = program.order_error(args.order)
+        if problem is not None:
+            raise ParseError(f"--order {problem}")
     return program
 
 

@@ -39,15 +39,14 @@ intern them on entry and run the same kernels.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
 from . import values as V
 from . import implications as Imp
-from .lang import (Atom, AtomTable, Constant, GroundRule, Program, _instances, _unwidened,
-                   decode_instance, ground)
+from .lang import Atom, AtomTable, GroundRule, Program, _unwidened, decode_instance, ground
 
 
 _name = attrgetter("name")
@@ -246,15 +245,22 @@ def _fired(instances, interp: _Levels, diagnostics: Optional[list]):
     return fired
 
 
+def _interned(interp: Interpretation):
+    """A fresh `AtomTable` of the ground atoms of interp (a non-ground atom
+    may share their names), in its order, and their (id, value) seeds."""
+    table = AtomTable()
+    seeds = [(table.intern_atom(a), v) for a, v in interp.entries.items() if a.is_ground()]
+    return table, seeds
+
+
 def _on_objects(kernel, rules, interp: Interpretation, diagnostics: Optional[list],
                 copy_unchanged: bool = True) -> Interpretation:
     """Apply an interned step kernel, kernel(instances, levels, diagnostics),
     to GroundRules and an Interpretation: intern the ground atoms of interp
-    (a non-ground atom may share their names) and the atoms of the rules,
-    step, and return a copy of interp with every rise carried into it;
-    without copy_unchanged, interp itself comes back when nothing rose."""
-    table = AtomTable()
-    seeds = [(table.intern_atom(a), v) for a, v in interp.entries.items() if a.is_ground()]
+    (`_interned`) and the atoms of the rules, step, and return a copy of
+    interp with every rise carried into it; without copy_unchanged, interp
+    itself comes back when nothing rose."""
+    table, seeds = _interned(interp)
     bound = {}
     instances = []
     for rule in rules:
@@ -576,6 +582,9 @@ def _evaluate(program: Program, order: Optional[EvalOrder], max_iters: int, fact
         raise ValueError("max_iters must be at least 1")
     if order is None:
         order = evaluation_order(program)
+    problem = program.order_error([n for stratum in order.strata for n in stratum])
+    if problem is not None:
+        raise ValueError(f"evaluation order {problem}, got {order.strata}")
     diagnostics = list(order.warnings)
     table = AtomTable()
     grounded = ground(program, universe, widen=widen, table=table)
@@ -612,31 +621,21 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
     order whenever all its body kernels are present; rules with a missing
     kernel hold vacuously, so only the instances whose body atoms are all
     in interp are grounded (`lang.ground` with present), in rule and then
-    substitution order.  One pass over interp reads each atom once: it
-    takes its names into the universe and, for a ground atom of the
-    program's arities, its row into the present relations and its value
-    into the level list, interned first in the table.  The body and head
-    levels are read from that list, as in the sweep; an instance is decoded
-    to its atoms only to report a violation.  A rule's implication is bound
-    once: grounding has checked it against the system for any rule that
-    has instances.
+    substitution order, over a universe that holds the names of interp's
+    atoms too.  The ground atoms of interp are interned first, as the step
+    operators intern them (`_interned`), and the body and head levels are
+    read from a `_Levels` seeded with their values, as in the sweep; an
+    instance is decoded to its atoms only to report a violation.  A rule's
+    implication is bound once: grounding has checked it against the system
+    for any rule that has instances.
     """
     sys = program.system
     lattice = V.lattice(sys)
-    arity = program.predicates()
     universe = set(program.constants()) | set(extra_constants)
-    table = AtomTable()
-    present = defaultdict(set)    # pred -> the name tuples of its atoms in interp
-    levels = []
-    for atom, value in interp.entries.items():
-        names = tuple(t.name for t in atom.args)
-        universe.update(names)
-        if arity.get(atom.pred) == len(names) and all(t.__class__ is Constant for t in atom.args):
-            present[atom.pred].add(names)
-            table.add(atom.pred, names[0] if len(names) == 1 else names)
-            levels.append(value)
-    grounded = _instances(program, sorted(universe), table, sys, None, present)
-    levels += [None] * (len(table) - len(levels))
+    universe.update(t.name for atom in interp.entries for t in atom.args)
+    table, seeds = _interned(interp)
+    grounded = ground(program, universe, table=table, present=interp.entries)
+    levels = _Levels(sys, table, seeds).levels
     violations = []
     for rule, instances in zip(program.rules, grounded):
         implication = Imp.IMPLICATIONS[(rule.impl, sys)] if instances else None

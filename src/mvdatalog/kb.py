@@ -94,11 +94,12 @@ def validate_proximity(rel: ProximityRelation, system: str):
     entry must be top; reflexivity is otherwise implicit and symmetry is
     enforced by the canonical pair key."""
     problems = []
+    lattice = V.LATTICES.get(system)     # validate_input rejects an unknown system
     for (a, b), v in rel.pairs.items():
         err = V.validate_input(system, v)
         if err is not None:
             problems.append(f"proximity {a} ~ {b}: {err}")
-        elif a == b and not V.values_equal(system, v, V.top(system)):
+        elif a == b and not lattice.equal(v, lattice.top):
             problems.append(f"reflexive entry {a} ~ {a} must be the top element")
     return problems
 
@@ -120,11 +121,10 @@ def is_similarity(rel: ProximityRelation, system: str) -> bool:
 def proximity_set(rel: ProximityRelation, d: str, system: str):
     """All (d_i, lambda_i) with R(d, d_i) above bottom: (d, top) first, then
     the others in the order their pairs were first set."""
-    out = [(d, V.top(system))]
-    for other, v in rel.neighbours.get(d, {}).items():
-        if not V.is_bottom(system, v):
-            out.append((other, v))
-    return out
+    neighbours = rel.neighbours.get(d, {})
+    lattice = V._checked(system, *neighbours.values())
+    return [(d, lattice.top)] + [(other, v) for other, v in neighbours.items()
+                                  if not lattice.is_bottom(v)]
 
 
 @dataclass
@@ -182,7 +182,7 @@ def parse_proximity_file(text: str):
     by the general parser from the same offset."""
     p = _Parser(text)
     system = p.system()
-    top = V.top(system) if system else None
+    lattice = V.lattice(system) if system else None
     term_prox = ProximityRelation("terms", system)
     pred_prox = ProximityRelation("predicates", system)
     current = None
@@ -215,9 +215,8 @@ def parse_proximity_file(text: str):
         eq = p.expect("punct", "=")
         lvl = p.level()
         p.expect("punct", ".")
-        # the shape first: values_equal raises on a level of another shape
-        if a == b and system is not None and (isinstance(lvl, tuple) != isinstance(top, tuple)
-                                              or not V.values_equal(system, lvl, top)):
+        # the shape first: the bound equal reads a level of its lattice's shape
+        if a == b and lattice and (V._shape(lattice, lvl) or not lattice.equal(lvl, lattice.top)):
             p.fail(f"reflexive entry {a} ~ {a} must be the top element", eq)
         # parsed levels are exact, so a repeated pair contradicts when it differs
         if current.pairs.get(ProximityRelation._key(a, b), lvl) != lvl:
@@ -256,8 +255,9 @@ def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
     sys = program.system
     problems = []
     for rel in (bk.term_prox, bk.pred_prox):
-        if rel.system is not None and rel.system != sys:
-            problems.append(f"proximity file declares {rel.system}, program is {sys}")
+        mismatch = f"proximity file declares {rel.system}, program is {sys}"
+        if rel.system not in (None, sys) and mismatch not in problems:
+            problems.append(mismatch)
         problems.extend(validate_proximity(rel, sys))
     # predicate proximity may only relate predicates of equal arity, so a
     # symbol outside the program takes the one arity of its neighbours in it
@@ -280,8 +280,9 @@ def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
     if problems:
         raise ParseError("; ".join(problems))
     # drop bottom-valued proximity entries: they cannot produce stored atoms
+    is_bottom = V.lattice(sys).is_bottom
     for rel in (bk.term_prox, bk.pred_prox):
-        rel.pairs = {k: v for k, v in rel.pairs.items() if not V.is_bottom(sys, v)}
+        rel.pairs = {k: v for k, v in rel.pairs.items() if not is_bottom(v)}
         rel.reindex()
     return KnowledgeBase(bk, program, phi)
 
@@ -467,7 +468,9 @@ def _spread_kernel(system: str, phi_id: str, n: int):
 class _Options(dict):
     """Symbol -> (symbols, pairs) of its proximity set in a relation, pairs
     being the (symbol, lambda) of `proximity_set` in its order and symbols
-    their first items, made on first lookup."""
+    their first items, made on first lookup: the one cache of proximity
+    sets, kept by a `_Spread` for both relations, by `query._SearchIndex`
+    for the predicates and by each search tree for the terms."""
 
     def __init__(self, rel: ProximityRelation, system: str):
         super().__init__()

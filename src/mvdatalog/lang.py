@@ -245,6 +245,13 @@ class Program:
                 out.append((n, pos, r))
         return out
 
+    def order_error(self, order) -> Optional[str]:
+        """What order, a list of rule numbers, must be, unless it is a
+        permutation of the numbers 1..n of the n proper rules (None)."""
+        n = len(self.proper_rules())
+        if sorted(order) != list(range(1, n + 1)):
+            return f"must be a permutation of 1..{n}"
+
     def predicates(self):
         """Map functor name -> arity over all rule heads and bodies; a
         predicate used with two arities is a ValueError."""
@@ -605,10 +612,9 @@ def parse_program(text: str, safety: str = "strict") -> Program:
             p.fail(f"expected 'fact', 'rule' or a directive, found {t[1]!r}")
 
     prog = Program(system, rules, frozenset(declared), order, warnings)
-    if order is not None:
-        n = len(prog.proper_rules())
-        if sorted(order) != list(range(1, n + 1)):
-            p.fail(f"%order must be a permutation of 1..{n}, got {order}", order_tok)
+    problem = order and prog.order_error(order)
+    if problem:
+        p.fail(f"%order {problem}, got {order}", order_tok)
     return prog
 
 
@@ -706,8 +712,8 @@ class AtomTable:
     An atom is entered by its predicate and key: the argument name of a
     unary atom and the tuple of argument names otherwise; the arity of a
     predicate is fixed, so the keys of one predicate never mix the two
-    forms.  An atom is entered by `add` or, in place, by the join kernels
-    and the fan-out kernels (`kb._spread_source`).
+    forms.  An atom is entered by `intern_atom` or, in place, by the join
+    kernels and the fan-out kernels (`kb._spread_source`).
     `Atom` objects are built only on request, once per id, with their hash
     set (as by `_ground_atom`), and share their `Constant`s.
     """
@@ -721,19 +727,15 @@ class AtomTable:
     def __len__(self):
         return len(self.entries)
 
-    def add(self, pred, key) -> int:
-        """Enter an atom that has no id yet; returns its id."""
-        aid = len(self.entries)
-        self.ids.setdefault(pred, {})[key] = aid
-        self.entries.append((pred, key))
-        return aid
-
     def intern_atom(self, atom: Atom) -> int:
-        """The id of a ground Atom; `atom` returns this object for it."""
+        """The id of a ground Atom, entered when it has none; `atom` returns
+        this object for it."""
         key = _key(atom)
-        aid = self.ids.get(atom.pred, {}).get(key)
+        ids = self.ids.setdefault(atom.pred, {})
+        aid = ids.get(key)
         if aid is None:
-            aid = self.add(atom.pred, key)
+            aid = ids[key] = len(self.entries)
+            self.entries.append((atom.pred, key))
         self._atoms.setdefault(aid, atom)
         return aid
 

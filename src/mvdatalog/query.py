@@ -34,13 +34,14 @@ The depth limit bounds the tree alone; the answers do not depend on it.
 
 Every goal reads one search index of its knowledge base, kept on it: the
 facts and body predicates by head predicate, and, filled as goals are
-answered, the proximity sets of the predicates and the cones met and the
-restricted consequences.  A tree reads the facts and the predicates'
-proximity sets off the search index as it grows, and nothing else is
-kept from one tree to the next: it lists the proper rules by head functor
-itself, unifies each sub-goal with the renamed heads of its functor's
-rules, and finds the fact candidates of each sub-goal pattern anew, since
-within one tree a sub-goal pattern is expanded at most once per phase.
+answered, the predicates' proximity sets (a `kb._Options`), the cones
+met and the restricted consequences.  A tree reads the facts and those
+proximity sets off the index as it grows, and those of terms off an
+`_Options` of its own; it keeps nothing from one tree to the next: it
+lists the proper rules by head functor, unifies each sub-goal with the
+renamed heads of its functor's rules, and finds the fact candidates of
+each sub-goal pattern anew, as within one tree a pattern is expanded at
+most once per phase.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from . import values as V
 from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _Parser,
                    substitute, unify)
 from .engine import FixpointReport, _item_key
-from .kb import KnowledgeBase, consequence, modified_universe, proximity_set
+from .kb import KnowledgeBase, _Options, consequence, modified_universe
 
 
 @dataclass(frozen=True)
@@ -135,36 +136,28 @@ class _SearchIndex:
     body predicates of its proper rules by head predicate, then the tables
     filled as goals are answered."""
 
-    def __init__(self, program: Program):
+    def __init__(self, kb: KnowledgeBase):
         self.bodies, self.facts = {}, {}
-        for rule in program.rules:
+        for rule in kb.program.rules:
             head = rule.head
             if rule.body:
                 self.bodies.setdefault(head.pred, []).extend(l.atom.pred for l in rule.body)
             else:
                 self.facts.setdefault(head.pred, []).append(head)
-        self.synonyms = {}       # predicate -> the symbols of its proximity set
+        self.preds = _Options(kb.bk.pred_prox, kb.program.system)   # proximity sets
         self.cones = {}          # predicate -> frozenset of the predicates of its cone
         # (fact predicates of a cone, max_iters) -> (report, atoms by functor),
         # least recently used first
         self.consequences = OrderedDict()
 
-    def synonyms_of(self, kb: KnowledgeBase, pred: str) -> list:
-        """The symbols of pred's proximity set in kb, first the predicate."""
-        synonyms = self.synonyms.get(pred)
-        if synonyms is None:
-            synonyms = self.synonyms[pred] = [
-                q for q, _ in proximity_set(kb.bk.pred_prox, pred, kb.program.system)]
-        return synonyms
-
-    def cone(self, kb: KnowledgeBase, pred: str) -> frozenset:
+    def cone(self, pred: str) -> frozenset:
         """The predicates whose facts the consequence reads for the atoms of
         pred, as the module docstring defines them."""
         cone = self.cones.get(pred)
         if cone is None:
             cone, todo = set(), [pred]
             while todo:
-                for q in self.synonyms_of(kb, todo.pop()):
+                for q in self.preds[todo.pop()][0]:
                     if q not in cone:
                         cone.add(q)
                         todo.extend(self.bodies.get(q, ()))
@@ -188,7 +181,7 @@ def _search_index(kb: KnowledgeBase) -> _SearchIndex:
            tuple(bk.pred_prox.pairs.items()), tuple(kb.phi.by_functor.items()))
     stored = kb._search_index
     if stored is None or stored[0] != key or len(stored[1].cones) > _INDEXED_CONES:
-        stored = kb._search_index = (key, _SearchIndex(program))
+        stored = kb._search_index = (key, _SearchIndex(kb))
     return stored[1]
 
 
@@ -218,10 +211,11 @@ class _TreeBuilder:
         tree is not bounded by it.  A sub-goal is marked repeated as its row
         is appended, and then not expanded.  The goal, whose ground terms
         are replaced by their proximity sets, is never a repeat.  The tree
-        reads the search index of the knowledge base as it stands now, and
+        reads the search index of the knowledge base as it stands now,
         lists its proper rules by head functor, each with its position among
-        them."""
+        them, and fetches the proximity set of each term once."""
         self.index = _search_index(self.kb)
+        self.terms = _Options(self.kb.bk.term_prox, self.kb.program.system)
         self.proper, self.rules = 0, {}
         for rule in self.kb.program.rules:
             if rule.body:
@@ -249,7 +243,7 @@ class _TreeBuilder:
             return
         depth = node.depth + 1
         connective = _connective(depth)
-        for q in self.index.synonyms_of(self.kb, node.atom.pred):
+        for q in self.index.preds[node.atom.pred][0]:
             key = ("rule", q, pattern)
             repeated = key in self.expanded
             nodes.append(SearchNode(row, "subgoal", depth, Atom(q, args), (), connective,
@@ -314,9 +308,6 @@ class _TreeBuilder:
         if not facts:
             return []
         known = {tuple(c.name for c in f.args): f for f in facts if f.is_ground()}
-        members = {t.name: [s for s, _ in proximity_set(self.kb.bk.term_prox, t.name,
-                                                        self.kb.program.system)]
-                   for t in pattern if isinstance(t, ProximityRef)}
         out, seen = [], set()
         for fact in facts:
             if len(fact.args) != len(pattern):
@@ -329,8 +320,8 @@ class _TreeBuilder:
                 elif isinstance(t, Constant) and t != c:
                     break
             else:
-                domains = [members[t.name] if isinstance(t, ProximityRef)
-                           else [c.name] for t, c in zip(pattern, fact.args)]
+                domains = [self.terms[t.name][0] if isinstance(t, ProximityRef)
+                           else (c.name,) for t, c in zip(pattern, fact.args)]
                 for combo in itertools.product(*domains):
                     if combo not in seen:
                         seen.add(combo)
@@ -354,12 +345,13 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
 def starting_facts(cone, program: Program):
     """The program facts of the cone's predicates, with their levels
     (joined over repeated facts), in `_item_key` order."""
+    join = V.lattice(program.system).join
     levels = {}
     for rule in program.rules:
         atom, level = rule.head, rule.level
         if not rule.body and atom.pred in cone:
             old = levels.get(atom)
-            levels[atom] = level if old is None else V.join(program.system, old, level)
+            levels[atom] = level if old is None else join(old, level)
     return sorted(levels.items(), key=_item_key)
 
 
@@ -387,7 +379,7 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     tree is grown when it is first read; depth_limit bounds the tree alone."""
     tree = build_tree(kb, goal, depth_limit)
     index = _search_index(kb)
-    cone = index.cone(kb, goal.atom.pred)
+    cone = index.cone(goal.atom.pred)
     x0 = starting_facts(cone, kb.program)
     # the restricted consequence: every proper rule and the facts of the
     # cone, so it is reused across the goals answered on kb whose cones have

@@ -161,7 +161,7 @@ def lattice(system: str) -> Lattice:
 
 # ----------------------------------------------------------------------
 # Bound lattices: the formulas behind the checked functions above, for
-# callers that hold values of a known shape (the evaluator's inner loops).
+# callers that hold values of a known shape (every library evaluation path).
 # Inputs are validated where they enter: the parser, build_kb, parse_level.
 # ----------------------------------------------------------------------
 

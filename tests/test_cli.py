@@ -244,6 +244,20 @@ def test_order_flag(capsys):
     assert code == 2 and "permutation" in err
 
 
+def test_declared_system_mismatch_is_reported_once(tmp_path, capsys):
+    """Both relations of a proximity file carry the system it declares; a
+    mismatch with the program's is one problem, whatever the sections."""
+    prox = tmp_path / "ivs.prox"
+    prox.write_text("%system ivs.\n%domain terms.\na ~ b = (0.5, 0.6).\n"
+                    "%domain predicates.\np ~ w = (0.5, 0.6).\n")
+    code, out, err = invoke(capsys, "consequence", DATA / "ex1.mvd", "--prox", prox,
+                            "--safety", "paper-examples")
+    assert (code, out) == (2, "")
+    assert err == ("error: proximity file declares ivs, program is fuzzy; "
+                   "proximity a ~ b: fuzzy value must be a scalar, got (0.5, 0.6); "
+                   "proximity p ~ w: fuzzy value must be a scalar, got (0.5, 0.6)\n")
+
+
 def test_commands_stratify_once(monkeypatch, capsys):
     """`fixpoint` and `consequence` pass the order they checked on to the
     evaluation, which then does not stratify the program again."""

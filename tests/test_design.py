@@ -1,0 +1,74 @@
+"""Design invariants of the library's source: one value abstraction on
+every evaluation path, and no import left behind."""
+
+import ast
+import pathlib
+
+import pytest
+
+from mvdatalog import values as V
+from mvdatalog.engine import fixpoint, is_model
+from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_file,
+                          parse_proximity_file)
+from mvdatalog.lang import Atom, Constant, Variable, parse_program
+from mvdatalog.query import Goal, answer
+
+from conftest import DATA
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mvdatalog"
+
+# the checked value functions, which look the system up by name and check
+# the shape of every value on each call
+CHECKED = ("bottom", "top", "leq", "meet", "join", "meet_all", "negate", "values_equal",
+           "is_bottom")
+
+
+@pytest.mark.parametrize("program_path", sorted(DATA.glob("*.mvd")), ids=lambda p: p.stem)
+def test_evaluation_paths_compute_on_the_bound_lattice(monkeypatch, program_path):
+    """With every checked value function raising, each example program, with
+    its proximity and function-set files, still loads, evaluates, checks as
+    a model and answers a goal on each predicate, its tree read: the
+    library calls the bound `values.Lattice` alone."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"values.{name} called")
+        return call
+
+    for name in CHECKED:
+        monkeypatch.setattr(V, name, refuse(name))
+    program = parse_program(program_path.read_text(), safety="paper-examples")
+    bk = BackgroundKnowledge.empty()
+    prox, phi = program_path.with_suffix(".prox"), program_path.with_suffix(".phi")
+    if prox.exists():
+        bk = BackgroundKnowledge(*parse_proximity_file(prox.read_text())[:2])
+    kb = build_kb(program, bk, parse_phi_file(phi.read_text()) if phi.exists() else None)
+    for mode in ("det", "nondet"):
+        is_model(program, fixpoint(program, mode).interpretation)
+    consequence(kb)
+    constants = sorted(program.constants())
+    for pred, arity in program.predicates().items():
+        args = tuple(Variable(f"X{i}") for i in range(arity))
+        goals = [args] + [(Constant(name), *args[1:]) for name in constants[:1] if arity]
+        for goal_args in goals:
+            result = answer(kb, Goal(Atom(pred, goal_args)))
+            assert result.tree.nodes, (pred, goal_args)
+
+
+def test_every_top_level_import_is_read():
+    """Each module of the package (its __init__ re-exports) reads every name
+    it imports at top level, `from __future__` imports aside."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unread, unread

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, Rule, 
                             parse_program)
 from mvdatalog.engine import (Interpretation, applicable, dt_step, fixpoint,
                               is_model, nt_step, order_from_directive, stratify)
-from mvdatalog.kb import consequence
+from mvdatalog.kb import build_kb, consequence
 
 from conftest import load_kb
 from helpers import random_level, random_program, reference_is_model, reference_stratify
@@ -132,6 +133,37 @@ def test_fixpoint_ex1(ex1):
 def test_fixpoint_ex1_explicit_order(ex1):
     rep = fixpoint(ex1, "nondet", order=order_from_directive([2, 3, 1]))
     assert_same(as_dict(rep.interpretation), EX1_LFP)
+
+
+CHAIN = "%system fuzzy.\nfact e(a) = 0.5.\nrule p(X) <- e(X) : godel, 0.9.\n" \
+        "rule q(X) <- p(X) : godel, 0.9.\n"
+
+
+@pytest.mark.parametrize("indices", [[2], [1, 1], [3, 1, 2]])
+def test_evaluation_rejects_an_order_that_is_no_permutation(indices):
+    """An order that leaves a rule out, repeats one or names one that does
+    not exist is a ValueError naming 1..n and the order, whether it is
+    passed to `fixpoint` or `consequence` or set as the program's %order
+    directive, which `answer` evaluates by."""
+    from mvdatalog.query import Goal, answer
+    program = parse_program(CHAIN)
+    kb = build_kb(program)
+    message = re.escape(f"must be a permutation of 1..2, got {[[i] for i in indices]}")
+    for mode in ("det", "nondet"):
+        with pytest.raises(ValueError, match=message):
+            fixpoint(program, mode, order=order_from_directive(indices))
+    with pytest.raises(ValueError, match=message):
+        consequence(kb, order=order_from_directive(indices))
+    program.order_directive = indices
+    for evaluate in (fixpoint, lambda p: consequence(kb),
+                     lambda p: answer(kb, Goal(Atom("q", (Variable("X"),))))):
+        with pytest.raises(ValueError, match=message):
+            evaluate(program)
+    # a permutation evaluates, set as the directive or passed as order=
+    full = {"e(a)": 0.5, "p(a)": 0.5, "q(a)": 0.5}
+    program.order_directive = [2, 1]
+    assert as_dict(fixpoint(program).interpretation) == full
+    assert as_dict(consequence(kb, order=order_from_directive([1, 2])).interpretation) == full
 
 
 def test_fixpoint_ex12_ifs(ex12i):

@@ -248,7 +248,7 @@ def _check_against_definition(program, knowledge=None):
         table = lang.AtomTable()
         interned = lang.ground(program, universe, widen=widening(), table=table)
         assert _decoded(table, program, interned) == expected
-        # the kernels enter atoms without `AtomTable.add`: ids stay dense
+        # the kernels enter atoms without `AtomTable.intern_atom`: ids stay dense
         assert sum(map(len, table.ids.values())) == len(table.entries)
         for aid, (pred, key) in enumerate(table.entries):
             assert table.ids[pred][key] == aid

@@ -656,7 +656,7 @@ def assert_tree_matches_reference(kb, goal, depth_limit):
     expected = reference_starting_facts(reference, kb.program)
     assert reference_starting_facts(tree, kb.program) == expected, goal
     pred = goal.atom.pred
-    assert query._search_index(kb).cone(kb, pred) == reference_cone(kb, pred), goal
+    assert query._search_index(kb).cone(pred) == reference_cone(kb, pred), goal
     return tree
 
 
@@ -724,7 +724,7 @@ def answered(kb):
     for goal in INDEX_GOALS:
         result = answer(kb, goal)
         pred = goal.atom.pred
-        assert kb._search_index[1].cone(kb, pred) == reference_cone(kb, pred), goal
+        assert kb._search_index[1].cone(pred) == reference_cone(kb, pred), goal
         out.append((walk_rows(result.tree), result.starting, outcome(result)))
     return out
 
