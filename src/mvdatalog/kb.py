@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -84,9 +83,8 @@ class ProximityRelation:
         self.neighbours.setdefault(b, {})[a] = value
 
     def value_of(self, a: str, b: str, system: str):
-        if a == b:
-            return V.top(system)
-        return self.pairs.get(self._key(a, b), V.bottom(system))
+        lattice = V._checked(system)
+        return lattice.top if a == b else self.pairs.get(self._key(a, b), lattice.bottom)
 
 
 def validate_proximity(rel: ProximityRelation, system: str):
@@ -106,16 +104,12 @@ def validate_proximity(rel: ProximityRelation, system: str):
 
 def is_similarity(rel: ProximityRelation, system: str) -> bool:
     """True when the relation is min-transitive over its mentioned symbols
-    (absent pairs read as bottom)."""
+    (absent pairs read as bottom), computed on the lattice bound once."""
+    lattice = V._checked(system, *(v for (a, b), v in rel.pairs.items() if a != b))
     syms = sorted(rel.symbols)
-    for x in syms:
-        for y in syms:
-            for z in syms:
-                lhs = rel.value_of(x, z, system)
-                rhs = V.meet(system, rel.value_of(x, y, system), rel.value_of(y, z, system))
-                if not V.leq(system, rhs, lhs):
-                    return False
-    return True
+    value = {(x, y): rel.value_of(x, y, system) for x in syms for y in syms}
+    return all(lattice.leq(lattice.meet(value[x, y], value[y, z]), value[x, z])
+               for x in syms for y in syms for z in syms)
 
 
 def proximity_set(rel: ProximityRelation, d: str, system: str):
@@ -496,8 +490,8 @@ class _Spread:
     Each head predicate resolves its uncertainty function once, to a kernel
     compiled for the shape (system, function, arity; see `_spread_source`).
     `fire` makes one kernel call per run of fired heads of one predicate.
-    `widen` makes one set of synonyms per predicate synonym and join run,
-    without the names it returned before, so a spread serves one grounding.
+    `widen` maps heads to their synonyms and keeps nothing between calls:
+    which names are new is the grounding's to tell.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -508,8 +502,6 @@ class _Spread:
         self.terms = _Options(kb.bk.term_prox, self.system)
         # head predicate -> (kernel, symbols, pairs of its proximity set)
         self.heads = {}
-        self.read = {lit.atom.pred for rule in kb.program.rules for lit in rule.body}
-        self.returned = defaultdict(set)   # predicate -> the names widen returned for it
 
     def _head(self, pred):
         """The entry of a head predicate in heads, made on first use."""
@@ -521,19 +513,15 @@ class _Spread:
         return head
 
     def widen(self, pred, heads):
-        """For `ground`: the (q, names) of every predicate synonym q of pred
-        that a rule body reads, names being the set of the argument synonyms
-        of the heads (name tuples of pred) that no earlier call returned
-        for q.  A head's synonyms are the product of its constants' symbol
-        tuples."""
+        """For `ground`: one (q, names) per predicate synonym q of pred, all
+        with the one set names of the argument synonyms of the heads (name
+        tuples of pred), a head's being the product of its constants'
+        symbol tuples.  Nothing is kept between calls."""
         _, qs, _ = self.heads.get(pred) or self._head(pred)
         synonyms, terms = set(), self.terms
         for names in heads:
             synonyms.update(itertools.product(*[terms[name][0] for name in names]))
-        widened = [(q, synonyms - self.returned[q]) for q in qs if q in self.read]
-        for q, fresh in widened:
-            self.returned[q] |= fresh
-        return [(q, fresh) for q, fresh in widened if fresh]
+        return [(q, synonyms) for q in qs]
 
     def fire(self, pred, run, levels) -> None:
         """Join every synonym of each (head id, alpha) of run, interned heads

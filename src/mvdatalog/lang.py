@@ -38,7 +38,7 @@ derived; the full grounding runs each rule's plan that reads no atom.
 Each join plan runs as a kernel compiled from Python source with one
 nested loop per body atom and the plan's variables in locals
 (`_kernel_source`), which interns the atoms of each instance in place and
-stores the instance as it finds it; the new heads it marks are widened
+stores the instance as it finds it; the heads it reports are widened
 when it returns.  The source holds only the plan's shape, as integers,
 so rules that differ only in their names share a kernel, kept in a
 bounded cache for the life of the process.
@@ -865,7 +865,7 @@ _BIND, _CHECK, _KEYED = 0, 1, 2
 # many steps and hands its bindings on to a kernel for the steps after them.
 _STEPS_PER_KERNEL = 16
 # The parameters of a kernel after R and K (see `_kernel_source`).
-_PARAMS = "universe, names, seen, widened, new, E, A, I"
+_PARAMS = "universe, names, seen, new, E, A, I"
 
 
 def _tup(items) -> str:
@@ -910,23 +910,22 @@ def _kernel_source(shape, first: int = 0) -> str:
     position; rest are the slots of variables that no step binds, nvars the
     number of rule variables (slots 0 .. nvars - 1), head the slots of the
     head's arguments, body one (slots, negated) per body atom in textual
-    order, and widening whether the kernel marks new heads.  The kernel is
+    order, and widening whether the kernel reports heads.  The kernel is
     called as
 
-        kernel(R, K, universe, names, seen, widened, new, E, A, I)
+        kernel(R, K, universe, names, seen, new, E, A, I)
 
     with R the row set or index each step reads.  Each step is one loop,
     or a membership test when it binds no slot, with the value of each
     slot in a local; a name it binds must be in universe.  Variables in
     rest range over names.  A complete binding whose substitution (the
     tuple of variable values) is not in the dict seen is emitted: with
-    widening, a head whose names are not in the set widened is added to
-    it and to the set new, and calls nothing; the head and body atoms are
-    interned in place, A holding the (pred, `AtomTable.ids` of pred) of
-    each and E the table's `entries`, which a missing atom is appended to;
-    and seen maps the substitution to (head id, body ids) + I, with ~id
-    for a negated atom.  After `_STEPS_PER_KERNEL` steps the bindings go
-    on to the kernel of the later steps, `tail`.
+    widening, the head's names are added to the set new; the head and body
+    atoms are interned in place, A holding the (pred, `AtomTable.ids` of
+    pred) of each and E the table's `entries`, which a missing atom is
+    appended to; and seen maps the substitution to (head id, body ids) + I,
+    with ~id for a negated atom.  After `_STEPS_PER_KERNEL` steps the
+    bindings go on to the kernel of the later steps, `tail`.
     """
     preset, steps, rest, nvars, head, body, widening = shape
     last = min(len(steps), first + _STEPS_PER_KERNEL)
@@ -972,9 +971,7 @@ def _kernel_source(shape, first: int = 0) -> str:
     pad += "    "
     if widening:
         lines += [f"{pad}h = {'s' if head == tuple(range(nvars)) else _values(head)}",
-                  f"{pad}if h not in widened:",
-                  f"{pad}    widened.add(h)",
-                  f"{pad}    new.add(h)"]
+                  f"{pad}new.add(h)"]
         if len(head) != 1:
             keys[0] = "h"
     for j, key in enumerate(keys):
@@ -1000,24 +997,24 @@ class _RuleJoin:
     plan runs as a compiled kernel (`_kernel`), which sees the plan's shape
     only: no predicate, constant or variable name is in its source.  It
     emits into the dict seen, with atoms interned in table and tail the
-    instance's (level function, rule level, rule position).  With widened,
-    the head predicate's set of widened heads, it marks a head not in it
-    there and in its own set new, which `_instances` widens and empties.
+    instance's (level function, rule level, rule position).  With widening,
+    it reports the head of each instance in its set new, which `_instances`
+    widens and empties.
     """
 
     def __init__(self, rule: Rule, universe: set, names: list, table: AtomTable, seen: dict,
-                 tail: tuple, widened=None):
+                 tail: tuple, widening: bool = False):
         self.nvars, self.constants, head, body = _rule_slots(rule)
         self.pred = rule.head.pred
         self.atoms = [(lit.atom.pred, slots) for lit, slots in zip(rule.body, body)]
         self.emit = (head, tuple((slots, lit.negated) for lit, slots in zip(rule.body, body)),
-                     widened is not None)
+                     widening)
         self.new = set()
         ids = table.ids
         atom_ids = tuple((pred, ids.setdefault(pred, {}))
                          for pred in [rule.head.pred] + [pred for pred, _ in self.atoms])
-        self.args = (self.constants, universe, names, seen, widened, self.new, table.entries,
-                     atom_ids, tail)
+        self.args = (self.constants, universe, names, seen, self.new, table.entries, atom_ids,
+                     tail)
         self.plans = {}
 
     def _shape(self, order):
@@ -1085,53 +1082,68 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     instance of the empty substitution, its head interned by
     `AtomTable.intern_atom`.  Without widen and present, each rule runs its
     plan that reads no atom.  Otherwise one semi-naive pass over crisp
-    relations runs the joins.  The relations start from the fact heads,
-    passed through widen, or from present, the name tuples per predicate
-    of the ground atoms present, which derive nothing.  The first round
-    runs each join's first plan once over them.  Each later round joins the
+    relations runs the joins, and it alone keeps the pass's books.  The
+    relations start from the heads of the facts and of the rules that read
+    no atom, passed through widen, or from the ground atoms of present with
+    their predicate's arity, which derive nothing.  The first round runs
+    each join's first plan once over them.  Each later round joins the
     atoms first derived in the round before, as plain row sets per
     predicate, against all atoms derived so far: it runs only the plans
     that read a predicate of that delta, in rule and then atom order, so a
-    round costs its delta.  When a join's run has marked new heads, widen
-    is called once on all of them, and each set of names it returns is
-    merged into the next delta by one set union."""
-    program.predicates()           # a predicate used with two arities raises
+    round costs its delta.  When a join's run has reported heads, widen is
+    called once on those not widened before, and of the names it returns,
+    those of a predicate some join reads that the relations do not hold
+    yet are merged into the next delta by one set union, so no row joins
+    twice."""
+    arity = program.predicates()   # a predicate used with two arities raises
     universe = set(names)
     relations = _Relations()
     widened = defaultdict(set)     # pred -> the heads already widened
     found = defaultdict(set)       # pred -> the atoms first derived in the current round
-
-    def flush(pred, new):
-        """Widen the new heads of pred into found, and empty new."""
-        for syn_pred, synonyms in widen(pred, new):
-            found[syn_pred].update(synonyms)
-        new.clear()
-
-    found.update(present or ())
+    heads = defaultdict(set)       # pred -> the heads of facts and of rules that read no atom
     full = widen is None and present is None
     seens = [{} for _ in program.rules]
     level_fns = [_level_fn(rule, system) for rule in program.rules]
     joins = []
     for pos, (rule, seen, level_fn) in enumerate(zip(program.rules, seens, level_fns)):
-        marked = None if widen is None else widened[rule.head.pred]
         if not rule.body and not rule.head.variables():
             seen[()] = (table.intern_atom(rule.head), (), level_fn, rule.level, pos)
-            if marked is not None:
-                marked.add(tuple(t.name for t in rule.head.args))
+            heads[rule.head.pred].add(tuple(t.name for t in rule.head.args))
             continue
-        join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos), marked)
+        join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos),
+                         widen is not None)
         if join.atoms and not full:
             joins.append(join)
         else:
             join.solve(None, None, relations)
-    # every head marked so far, of a fact or of a rule that reads no atom, is new
-    for pred, heads in widened.items():
-        if heads:
-            flush(pred, set(heads))
+            heads[join.pred] |= join.new
     readers = defaultdict(list)    # pred -> the (join, atom position) pairs reading it
     for j, join in enumerate(joins):
         for i, (pred, _) in enumerate(join.atoms):
             readers[pred].append((j, i))
+
+    def flush(pred, new):
+        """Widen the heads in new that pred has not widened yet into found,
+        keeping the names that some join reads and the relations lack, and
+        empty new."""
+        done = widened[pred]
+        new -= done
+        if new:
+            done |= new
+            for q, synonyms in widen(pred, new):
+                if q in readers:
+                    fresh = synonyms - relations.rows[q]
+                    if fresh:
+                        found[q] |= fresh
+        new.clear()
+
+    if widen is not None:
+        for pred, new in heads.items():
+            flush(pred, new)
+    elif present is not None:
+        for atom in present:
+            if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
+                found[atom.pred].add(tuple(t.name for t in atom.args))
     first = True
     while found:
         delta, found = found, defaultdict(set)
@@ -1173,13 +1185,10 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     in the least set that holds the atoms widen(pred, heads) returns for
     the fact heads and for the head of each instance whose body atoms are
     derivable.  heads is a set of name tuples of pred, and widen returns
-    (pred, iterable of name tuples) pairs, the heads themselves among them;
-    it may leave out the atoms of predicates no rule body reads.  It is
-    called once per join run, on the heads that the run found first, and
-    each iterable is merged into the next round by one set union, so a
-    name that widen returns again is joined again, which changes no
-    instance (`kb._Spread.widen` returns each name once).  An instance with
-    an underivable body atom is never applicable, so it changes no
+    (q, set of name tuples) pairs, the heads themselves among them;
+    grounding ignores the names its relations already hold and the names
+    of predicates that no rule body reads.  An instance with an
+    underivable body atom is never applicable, so it changes no
     evaluation; the survivors keep their relative order.
 
     With present (and no widen), an iterable of Atoms, only the instances
@@ -1191,12 +1200,6 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
     """
     if universe is None:
         universe = program.constants()
-    if present is not None:
-        arity, rows = program.predicates(), defaultdict(set)
-        for atom in present:
-            if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
-                rows[atom.pred].add(tuple(t.name for t in atom.args))
-        present = rows if widen is None else None
     decode = table is None
     if decode:
         table = AtomTable()

@@ -106,6 +106,72 @@ def test_query_tree(capsys, ex23_kb):
         assert payload == plain_json
 
 
+# t recurses, so its sub-goals repeat; u negates stop; the chain c1 .. c3
+# reaches the depth limit of 10
+MARKED = """%system fuzzy.
+fact e(a, b) = 0.9.
+fact e(b, a) = 0.8.
+fact stop(b) = 0.5.
+rule t(X, Y) <- e(X, Y) : godel, 1.0.
+rule t(X, Y) <- e(X, Z), t(Z, Y) : godel, 0.9.
+rule u(X) <- t(X, X), not stop(X) : godel, 0.8.
+rule u(X) <- c1(X) : godel, 0.8.
+rule c1(X) <- c2(X) : godel, 0.8.
+rule c2(X) <- c3(X) : godel, 0.8.
+rule c3(X) <- stop(X) : godel, 0.8.
+"""
+
+MARKED_TREE = """\
+u(b) = 0.5
+goal u(X)
+  subgoal u(X)
+    body u(X#r3) <- t(X#r3, X#r3), not stop(X#r3)
+      subgoal t(X#r3, X#r3)
+        subgoal t(X#r3, X#r3)
+          body t(Y#r4, Y#r4) <- e(Y#r4, Y#r4)
+            subgoal e(Y#r4, Y#r4)
+              subgoal e(Y#r4, Y#r4)
+                no
+          body t(Y#r12, Y#r12) <- e(Y#r12, Z#r12), t(Z#r12, Y#r12)
+            subgoal e(Y#r12, Z#r12)
+              subgoal e(Y#r12, Z#r12)
+                fact e(a, b)
+                  yes
+                fact e(b, a)
+                  yes
+            subgoal t(Z#r12, Y#r12)
+              subgoal t(Z#r12, Y#r12)
+                body t(X#r20, Y#r20) <- e(X#r20, Y#r20)
+                  subgoal e(X#r20, Y#r20) (repeated)
+                body t(X#r21, Y#r21) <- e(X#r21, Z#r21), t(Z#r21, Y#r21)
+                  subgoal e(X#r21, Z#r21) (repeated)
+                  subgoal t(Z#r21, Y#r21) (repeated)
+      subgoal stop(X#r3) (negated)
+        subgoal stop(X#r3)
+          fact stop(b)
+            yes
+    body u(X#r39) <- c1(X#r39)
+      subgoal c1(X#r39)
+        subgoal c1(X#r39)
+          body c1(X#r44) <- c2(X#r44)
+            subgoal c2(X#r44)
+              subgoal c2(X#r44)
+                body c2(X#r50) <- c3(X#r50)
+                  subgoal c3(X#r50)
+                    subgoal c3(X#r50)
+                      no (depth limit reached)
+"""
+
+
+def test_query_tree_marks_repeats_negations_and_cuts(tmp_path, capsys):
+    """--tree marks a repeated sub-goal, a negated literal's sub-goal and a
+    branch cut at the depth limit after the row they annotate."""
+    program = tmp_path / "marked.mvd"
+    program.write_text(MARKED)
+    assert invoke(capsys, "query", program, "--goal", "u(X)", "--tree",
+                  "--depth-limit", "10") == (0, MARKED_TREE, "")
+
+
 def _reference_json_nodes(tree) -> list:
     """The nodes of a reference tree as `query --tree --json` prints them."""
     out, stack = [], [(tree.root, -1)]
@@ -371,6 +437,8 @@ def test_zero_max_iters_is_usage_error(capsys):
     for command in ("fixpoint", "consequence"):
         code, err = _usage_error(capsys, command, DATA / "ex12i.mvd", "--max-iters", "0")
         assert code == 1 and "error: argument --max-iters: must be at least 1" in err
+    code, err = _usage_error(capsys, "fixpoint", DATA / "ex12i.mvd", "--max-iters", "many")
+    assert code == 1 and "error: argument --max-iters: invalid int value: 'many'" in err
 
 
 def test_non_numeric_order_is_usage_error(capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from mvdatalog import values as V
 from mvdatalog.engine import fixpoint, is_model
-from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_file,
-                          parse_proximity_file)
+from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, is_similarity,
+                          parse_phi_file, parse_proximity_file)
 from mvdatalog.lang import Atom, Constant, Variable, parse_program
 from mvdatalog.query import Goal, answer
 
@@ -27,8 +27,9 @@ CHECKED = ("bottom", "top", "leq", "meet", "join", "meet_all", "negate", "values
 def test_evaluation_paths_compute_on_the_bound_lattice(monkeypatch, program_path):
     """With every checked value function raising, each example program, with
     its proximity and function-set files, still loads, evaluates, checks as
-    a model and answers a goal on each predicate, its tree read: the
-    library calls the bound `values.Lattice` alone."""
+    a model, tests both relations for similarity and answers a goal on each
+    predicate, its tree read: the library calls the bound `values.Lattice`
+    alone."""
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"values.{name} called")
@@ -45,6 +46,8 @@ def test_evaluation_paths_compute_on_the_bound_lattice(monkeypatch, program_path
     for mode in ("det", "nondet"):
         is_model(program, fixpoint(program, mode).interpretation)
     consequence(kb)
+    for rel in (bk.term_prox, bk.pred_prox):
+        is_similarity(rel, program.system)
     constants = sorted(program.constants())
     for pred, arity in program.predicates().items():
         args = tuple(Variable(f"X{i}") for i in range(arity))

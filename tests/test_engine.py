@@ -195,12 +195,23 @@ def test_facts_only_program():
     rep = fixpoint(prog)
     assert rep.converged and rep.iterations == 1
     assert_same(as_dict(rep.interpretation), {"p(a)": 0.8, "r(b)": 0.6})
+    assert len(rep.interpretation) == 2
+    assert repr(rep.interpretation) == "{p(a) = 0.8, r(b) = 0.6}"
+    # leq fails on an entry the other lacks, and on one it holds lower
+    p, r = (Atom(pred, (Constant(c),)) for pred, c in (("p", "a"), ("r", "b")))
+    assert not rep.interpretation.leq(Interpretation(V.FUZZY, {p: 0.8}))
+    assert not rep.interpretation.leq(Interpretation(V.FUZZY, {p: 0.7, r: 0.6}))
+    assert rep.interpretation.leq(Interpretation(V.FUZZY, {p: 0.8, r: 0.7}))
 
 
 def test_iteration_limit_reported(ex12i):
     rep = fixpoint(ex12i, "nondet", max_iters=2)
     assert not rep.converged
     assert any("iteration limit" in d for d in rep.diagnostics)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        fixpoint(ex12i, max_iters=0)
+    with pytest.raises(ValueError, match="mode must be 'det' or 'nondet', got 'parallel'"):
+        fixpoint(ex12i, "parallel")
 
 
 def test_is_model_cases(ex1):

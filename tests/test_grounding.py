@@ -3,6 +3,7 @@ instances whose body atoms are derivable.  Per rule, those are an
 order-preserving subsequence of the full Herbrand instances, and every
 instance left out is not applicable in the final interpretation."""
 
+import contextlib
 import dataclasses
 import itertools
 import random
@@ -166,12 +167,10 @@ def test_pruned_grounding_matches_its_definition():
             program = _with_constants(rng, program)
         knowledge = build_kb(program, random_bk(rng, program), random_phi(rng, program))
         universe = kb.modified_universe(knowledge)
-        # a spread's widening leaves out the names it returned before, so
-        # the grounding and its reference each get a spread of their own
-        for widening in (lambda: engine._unwidened,
-                         lambda: _returning_each_name_once(kb._Spread(knowledge).widen)):
-            assert (lang.ground(program, universe, widen=widening())
-                    == _reference_pruned(program, universe, widening())), trial
+        for widening in (engine._unwidened, _alike_twice(kb._Spread(knowledge).widen)):
+            with _joining_each_row_once():
+                grounded = lang.ground(program, universe, widen=widening)
+            assert grounded == _reference_pruned(program, universe, widening), trial
         # the consequence's atoms, each with a wrong-arity variant and, if it
         # has arguments, a non-ground one and one with a name outside the
         # universe; as in `is_model`, the universe holds the variable's name
@@ -197,32 +196,45 @@ def test_ground_without_widen_is_full_grounding(ex1):
 
 
 def _redundant_widening(universe):
-    """A widening that returns each head twice, in a list, and with it, for
-    every head, the synonym of the same predicate whose names are all the
-    least name of the universe: one synonym shared by all heads, which is
-    derivable already from the second call on."""
+    """A widening that returns the heads twice and with them, for every
+    head, the synonym of the same predicate whose names are all the least
+    name of the universe: one synonym shared by all heads, which is
+    derivable already from the second call on; and the least name again
+    for a predicate that no rule body reads."""
     least = min(universe)
 
     def widen(pred, heads):
-        heads = list(heads)
-        return [(pred, heads + heads)] + [(pred, [(least,) * len(names)]) for names in heads]
+        return ([(pred, set(heads)), (pred, set(heads))]
+                + [(pred, {(least,) * len(names)}) for names in heads]
+                + [("unread predicate", {(least,)})])
 
     return widen
 
 
-def _returning_each_name_once(widen):
-    """widen, checked to return no (pred, names) that it returned before."""
-    returned = set()
-
+def _alike_twice(widen):
+    """widen, checked to return equal results when called twice on the
+    same heads: it keeps nothing between calls."""
     def checked(pred, heads):
         widened = widen(pred, heads)
-        for syn_pred, names in widened:
-            pairs = {(syn_pred, syn_names) for syn_names in names}
-            assert len(pairs) == len(names) and not pairs & returned
-            returned.update(pairs)
+        assert widen(pred, set(heads)) == widened, pred
         return widened
 
     return checked
+
+
+@contextlib.contextmanager
+def _joining_each_row_once():
+    """While open, every row that grounding adds to its relations is one
+    they do not hold yet, whatever names a widening returns again."""
+    extend = lang._Relations.extend
+
+    def checked(relations, pred, new):
+        assert not new & relations.rows[pred], (pred, new & relations.rows[pred])
+        extend(relations, pred, new)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lang._Relations, "extend", checked)
+        yield
 
 
 def _check_against_definition(program, knowledge=None):
@@ -230,23 +242,24 @@ def _check_against_definition(program, knowledge=None):
     against `_reference_pruned` for the knowledge base's spread, for a
     widening that returns names more than once, and for the plain engine's
     widening, both as itself and as an equal function; returns the last of
-    them.  After each tabled grounding, the table's ids are dense and each
-    entry's id is the one its predicate's map holds.  Also ground with
-    present, over atoms that a knowledge-base consequence derives and atoms
-    that no instance can hold, against the full grounding filtered."""
+    them.  Every grounding joins each row once, and the spread answers
+    alike when asked twice.  After each tabled grounding, the table's ids
+    are dense and each entry's id is the one its predicate's map holds.
+    Also ground with present, over atoms that a knowledge-base consequence
+    derives and atoms that no instance can hold, against the full
+    grounding filtered."""
     knowledge = knowledge or build_kb(program)
     universe = kb.modified_universe(knowledge)
-    # each call makes a widening afresh: a spread leaves out the names it
-    # returned before.  The last widening equals `_unwidened` but is
-    # another function
-    for widening in (lambda: None, lambda: _returning_each_name_once(kb._Spread(knowledge).widen),
-                     lambda: _redundant_widening(universe), lambda: engine._unwidened,
-                     lambda: lambda pred, heads: ((pred, heads),)):
-        expected = (_reference_full(program, universe) if widening() is None
-                    else _reference_pruned(program, universe, widening()))
-        assert lang.ground(program, universe, widen=widening()) == expected
+    # the last widening equals `_unwidened` but is another function
+    for widening in (None, _alike_twice(kb._Spread(knowledge).widen),
+                     _redundant_widening(universe), engine._unwidened,
+                     lambda pred, heads: ((pred, heads),)):
+        expected = (_reference_full(program, universe) if widening is None
+                    else _reference_pruned(program, universe, widening))
         table = lang.AtomTable()
-        interned = lang.ground(program, universe, widen=widening(), table=table)
+        with _joining_each_row_once():
+            assert lang.ground(program, universe, widen=widening) == expected
+            interned = lang.ground(program, universe, widen=widening, table=table)
         assert _decoded(table, program, interned) == expected
         # the kernels enter atoms without `AtomTable.intern_atom`: ids stay dense
         assert sum(map(len, table.ids.values())) == len(table.entries)

@@ -83,6 +83,8 @@ def test_closure_check_cases():
     assert I.closure_check("fg1", (0.8, 0.1), (0.7, 0.2))
     assert I.closure_check(("lukasiewicz", "godel"), (0.5, 0.2), (0.5, 0.2))
     assert not I.closure_check(("godel", "lukasiewicz"), (0.5, 0.2), (0.5, 0.2))
+    with pytest.raises(ValueError, match="unknown implication 'fz'"):
+        I.closure_check("fz", (0.5, 0.2), (0.5, 0.2))
 
 
 def test_closure_flag_matches_validation():

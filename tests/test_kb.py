@@ -107,10 +107,15 @@ def test_is_similarity():
     r.set_pair("a", "b", (0.8, 0.9))
     r.set_pair("b", "c", (0.8, 0.9))
     assert not is_similarity(r, V.IVS)  # a ~ c missing reads as bottom
+    assert ([r.value_of("a", x, V.IVS) for x in "abc"]
+            == [V.top(V.IVS), (0.8, 0.9), V.bottom(V.IVS)])
     r2 = ProximityRelation("terms", V.FUZZY)
     for x, y in (("a", "b"), ("b", "c"), ("a", "c")):
         r2.set_pair(x, y, 0.7)
     assert is_similarity(r2, V.FUZZY)
+    # the system is checked before any pair is read, as in `proximity_set`
+    with pytest.raises(ValueError, match="unknown value system 'crisp'"):
+        is_similarity(ProximityRelation("terms"), "crisp")
 
 
 def test_proximity_set_cases(ex23_kb, ex17_kb):
@@ -195,6 +200,8 @@ def test_phi_apply_cases():
     assert abs(v[0] - 0.42) < 1e-9 and abs(v[1] - 0.56) < 1e-9
     with pytest.raises(ValueError, match="interval"):
         phi_apply("product", V.IFS, (0.5, 0.2), (0.5, 0.2), [])
+    with pytest.raises(ValueError, match="unknown uncertainty function 'max'"):
+        phi_apply("max", V.FUZZY, 0.5, 1.0, [])
 
 
 def test_phi_apply_matches_the_reference():

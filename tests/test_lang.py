@@ -36,6 +36,8 @@ def test_head_variable_safety_is_always_an_error():
     for mode in ("strict", "paper-examples"):
         with pytest.raises(SafetyError):
             parse_program(text, safety=mode)
+    with pytest.raises(ValueError, match="unknown safety mode 'lenient'"):
+        parse_program(text, safety="lenient")
 
 
 def test_check_safety_reports():
@@ -91,6 +93,9 @@ def test_herbrand_ex1(ex1):
 def test_herbrand_empty_program():
     prog = parse_program("%system fuzzy.\n")
     assert herbrand(prog) == (set(), set())
+    # a zero-arity predicate has its one atom over any universe
+    prog = parse_program("%system fuzzy.\nfact go = 0.5.\n")
+    assert herbrand(prog) == (set(), {Atom("go")})
 
 
 def test_herbrand_with_extras(ex23_kb):
@@ -152,6 +157,11 @@ def test_print_parse_round_trip():
         assert again.system == prog.system
         assert again.rules == prog.rules
         assert again.declared_constants == prog.declared_constants
+    ordered = parse_program("%system fuzzy.\n%order 2,1.\nfact p(a) = 0.5.\n"
+                            "rule q(X) <- p(X) : godel, 0.5.\nrule r(X) <- p(X) : godel, 0.4.\n")
+    assert "%order 2,1.\n" in print_program(ordered)
+    again = parse_program(print_program(ordered))
+    assert (again.order_directive, again.rules) == (ordered.order_directive, ordered.rules)
     rng = random.Random(12)
     for _ in range(30):
         prog = random_program(rng, rng.choice(list(V.SYSTEMS)))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,6 +262,9 @@ def test_conversion_cases():
     assert V.ivs_to_ifs(V.ifs_to_ivs((0.42, 0.56))) == (0.42, 0.56)
     with pytest.raises(ValueError):
         V.ifs_to_ivs((0.8, 0.3))
+    message = "ivs_to_ifs: ivs pair (0.8, 0.3) violates m1 <= m2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        V.ivs_to_ifs((0.8, 0.3))
 
 
 def test_conversion_is_order_isomorphism():
