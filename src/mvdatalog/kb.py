@@ -34,7 +34,7 @@ from functools import partial
 from typing import Optional
 
 from . import values as V
-from .lang import _FACT_NUMBER, _SKIP, ParseError, Program, _Parser, ground
+from .lang import _LEVEL_TAIL, ParseError, Program, _Parser, _written_level, ground
 from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired, _on_objects
 
 PHI_MEET = "meet"
@@ -57,6 +57,8 @@ class ProximityRelation:
     neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for pair in self.pairs:
+            self.symbols.update(pair)
         self.reindex()
 
     @staticmethod
@@ -159,12 +161,10 @@ class KnowledgeBase:
 
 # An entry `a ~ b = level.` of a proximity file on one line, with what
 # follows it up to the next statement.  Each piece reads as
-# `lang._TOKEN_RE` would read it, numbers as in `lang._FACT_RE`, so the
+# `lang._TOKEN_RE` would read it, the level as in `lang._FACT_RE`, so the
 # matched text has the tokens the general parser reads.
 _IDENT = r"([A-Za-z][A-Za-z0-9_-]*)"
-_ENTRY_RE = re.compile(
-    rf"{_IDENT}[ \t]*~[ \t]*{_IDENT}[ \t]*=[ \t]*(?:({_FACT_NUMBER})|"
-    rf"\([ \t]*({_FACT_NUMBER})[ \t]*,[ \t]*({_FACT_NUMBER})[ \t]*\))[ \t]*\.(?!\d)" + _SKIP)
+_ENTRY_RE = re.compile(rf"{_IDENT}[ \t]*~[ \t]*{_IDENT}[ \t]*" + _LEVEL_TAIL)
 
 
 def parse_proximity_file(text: str):
@@ -185,8 +185,7 @@ def parse_proximity_file(text: str):
         a, b, scalar, m1, m2 = m.groups()
         if current is None or a == b or ProximityRelation._key(a, b) in current.pairs:
             return False
-        current.set_pair(a, b, round(float(scalar), 9) if scalar else
-                         (round(float(m1), 9), round(float(m2), 9)))
+        current.set_pair(a, b, _written_level(scalar, m1, m2))
         return True
 
     for t in p.statements(_ENTRY_RE, take_entry):

@@ -321,20 +321,26 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# `= level.` ending a statement on one line, and what follows it up to
+# the next statement.  Its groups are the scalar level or the two numbers
+# of a pair, which `_written_level` reads; a number has at most nine
+# decimals.  Each piece reads as `_TOKEN_RE` would read it.
+_LEVEL_TAIL = (r"=[ \t]*(?:(NUM)|\([ \t]*(NUM)[ \t]*,[ \t]*(NUM)[ \t]*\))[ \t]*\.(?!\d)"
+               .replace("NUM", r"(?:[0-9]+\.[0-9]{1,9}|[0-9]+|\.[0-9]{1,9})(?!\d)") + _SKIP)
+
+
+def _written_level(scalar, m1, m2):
+    return round(float(scalar), 9) if scalar else (round(float(m1), 9), round(float(m2), 9))
+
+
 # A `fact` statement on one line, and what follows it up to the next
-# statement.  The groups are the predicate, the argument text, and the
-# scalar level or the two numbers of a pair; a number has at most nine
-# decimals.  Each piece reads as `_TOKEN_RE` would read it, so the matched
-# text has the tokens the general parser reads.
-_FACT_NUMBER = r"(?:[0-9]+\.[0-9]{1,9}|[0-9]+|\.[0-9]{1,9})(?!\d)"
+# statement.  The groups are the predicate, the argument text and those of
+# the level, so the matched text has the tokens the general parser reads.
 _FACT_RE = re.compile(
     r"""
     fact[ \t]+([A-Za-z][A-Za-z0-9_-]*)[ \t]*
     (?:\([ \t]*([A-Za-z][A-Za-z0-9_-]*(?:[ \t]*,[ \t]*[A-Za-z][A-Za-z0-9_-]*)*)[ \t]*\)[ \t]*)?
-    =[ \t]*
-    (?:(NUM)|\([ \t]*(NUM)[ \t]*,[ \t]*(NUM)[ \t]*\))
-    [ \t]*\.(?!\d)
-    """.replace("NUM", _FACT_NUMBER) + _SKIP,
+    """ + _LEVEL_TAIL,
     re.VERBOSE,
 )
 
@@ -542,7 +548,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
     def take_fact(m) -> bool:
         pred, arg_text, scalar, m1, m2 = m.groups()
         names = arg_text.replace(" ", "").replace("\t", "").split(",") if arg_text else ()
-        lvl = round(float(scalar), 9) if scalar else (round(float(m1), 9), round(float(m2), 9))
+        lvl = _written_level(scalar, m1, m2)
         if (_level_error(system, lvl) is None
                 and (not arg_text or arg_text.islower()
                      or all(n in declared or not n[0].isupper() for n in names))

@@ -33,15 +33,14 @@ re-expanded: the repeat is marked on the row, which cuts recursion.
 The depth limit bounds the tree alone; the answers do not depend on it.
 
 Every goal reads one search index of its knowledge base, kept on it: the
-facts and body predicates by head predicate, and, filled as goals are
+facts and proper rules by head predicate, and, filled as goals are
 answered, the predicates' proximity sets (a `kb._Options`), the cones
-met and the restricted consequences.  A tree reads the facts and those
-proximity sets off the index as it grows, and those of terms off an
-`_Options` of its own; it keeps nothing from one tree to the next: it
-lists the proper rules by head functor, unifies each sub-goal with the
-renamed heads of its functor's rules, and finds the fact candidates of
-each sub-goal pattern anew, as within one tree a pattern is expanded at
-most once per phase.
+met and the restricted consequences.  A tree reads the rules, the facts
+and those proximity sets off the index as it grows, and those of terms
+off an `_Options` of its own; it keeps nothing but its rows: it unifies
+each sub-goal with the renamed heads of its predicate's rules, and finds
+the fact candidates of each sub-goal pattern anew, as within one tree a
+pattern is expanded at most once per phase.
 """
 
 from __future__ import annotations
@@ -77,36 +76,23 @@ class SearchNode(NamedTuple):
     note: str = ""
 
 
-class _Grown:
-    """`SearchTree.nodes` and `truncated`.  A tree from `build_tree` holds
-    its builder until either is first read, which grows both into the
-    tree's own dictionary and drops the builder.  The dictionary answers
-    every later read; until then this descriptor does, so no read of a tree
-    not grown yet falls through to a class default."""
-
-    def __init__(self, *default):
-        self.default = default       # (the dataclass default,) or ()
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, tree, owner=None):
-        if tree is None:
-            if not self.default:
-                raise AttributeError(self.name)
-            return self.default[0]
-        fields = tree.__dict__
-        fields["nodes"], fields["truncated"] = fields.pop("_builder").grow()
-        return fields[self.name]
-
-
 @dataclass
 class SearchTree:
     """The rows of an AND/OR search tree in walk order (pre-order, a node's
-    children in their order), the goal first."""
-    nodes: list = _Grown()
-    truncated: bool = _Grown(False)
+    children in their order), the goal first.  A tree from `build_tree`
+    holds its builder until its rows or its truncation are first read,
+    which grows both into the tree's own dictionary and drops the builder."""
+    nodes: list
+    truncated: bool
     depth_limit: int = 64
+
+    def __getattr__(self, name):
+        # nodes and truncated have no class default: their first read comes here
+        if name not in ("nodes", "truncated"):
+            raise AttributeError(name)
+        fields = self.__dict__
+        fields["nodes"], fields["truncated"] = fields.pop("_builder").grow()
+        return fields[name]
 
     def walk(self):
         return iter(self.nodes)
@@ -133,15 +119,17 @@ def _pattern(args) -> tuple:
 
 class _SearchIndex:
     """What every goal reads of one knowledge base: the fact atoms and the
-    body predicates of its proper rules by head predicate, then the tables
-    filled as goals are answered."""
+    proper rules by head predicate, each rule with its position among the
+    proper rules, and their count; then the tables filled as goals are
+    answered."""
 
     def __init__(self, kb: KnowledgeBase):
-        self.bodies, self.facts = {}, {}
+        self.rules, self.facts, self.proper = {}, {}, 0
         for rule in kb.program.rules:
             head = rule.head
             if rule.body:
-                self.bodies.setdefault(head.pred, []).extend(l.atom.pred for l in rule.body)
+                self.rules.setdefault(head.pred, []).append((self.proper, rule))
+                self.proper += 1
             else:
                 self.facts.setdefault(head.pred, []).append(head)
         self.preds = _Options(kb.bk.pred_prox, kb.program.system)   # proximity sets
@@ -160,7 +148,8 @@ class _SearchIndex:
                 for q in self.preds[todo.pop()][0]:
                     if q not in cone:
                         cone.add(q)
-                        todo.extend(self.bodies.get(q, ()))
+                        for _, rule in self.rules.get(q, ()):
+                            todo.extend(l.atom.pred for l in rule.body)
             cone = self.cones[pred] = frozenset(cone)
         return cone
 
@@ -211,16 +200,11 @@ class _TreeBuilder:
         tree is not bounded by it.  A sub-goal is marked repeated as its row
         is appended, and then not expanded.  The goal, whose ground terms
         are replaced by their proximity sets, is never a repeat.  The tree
-        reads the search index of the knowledge base as it stands now,
-        lists its proper rules by head functor, each with its position among
-        them, and fetches the proximity set of each term once."""
+        reads its rules and facts off the search index of the knowledge
+        base as it stands now, and fetches the proximity set of each term
+        once."""
         self.index = _search_index(self.kb)
         self.terms = _Options(self.kb.bk.term_prox, self.kb.program.system)
-        self.proper, self.rules = 0, {}
-        for rule in self.kb.program.rules:
-            if rule.body:
-                self.rules.setdefault(rule.head.functor, []).append((self.proper, rule))
-                self.proper += 1
         goal = self.goal
         self.nodes.append(SearchNode(-1, "goal", 0, goal, (), _connective(0)))
         args = tuple(ProximityRef(t.name) if isinstance(t, Constant) else t for t in goal.args)
@@ -262,10 +246,12 @@ class _TreeBuilder:
         pred = atom.pred
         depth = node.depth + 1
         # every proper rule takes a renaming number in turn, but only the
-        # rules of this functor are renamed: unify would reject the others.
-        # A renamed variable's name holds "#", which no parsed variable does.
+        # rules of this predicate are renamed: unify would reject the
+        # others, as it does those of another arity, which only the API
+        # builds.  A renamed variable's name holds "#", which no parsed
+        # variable does.
         last = -1
-        for pos, rule in self.rules.get((pred, len(pattern)), ()):
+        for pos, rule in self.index.rules.get(pred, ()):
             self.fresh += pos - last
             last = pos
             renaming = {v: Variable(f"{v.name}#r{self.fresh}") for v in rule.variables()}
@@ -289,7 +275,7 @@ class _TreeBuilder:
                     if not repeated:
                         self.expanded.add(key)
                         yield self.expand_prox_phase(len(nodes) - 1, args, sub_pattern)
-        self.fresh += self.proper - 1 - last
+        self.fresh += self.index.proper - 1 - last
         connective = _connective(depth)
         for cand, is_fact in self._fact_candidates(pred, pattern):
             fact = len(nodes)
@@ -359,11 +345,6 @@ def starting_facts(cone, program: Program):
 _REUSED_CONSEQUENCES = 32
 
 
-def _copy_report(report: FixpointReport) -> FixpointReport:
-    return FixpointReport(report.interpretation.copy(), report.iterations,
-                          report.converged, list(report.diagnostics))
-
-
 @dataclass
 class QueryResult:
     answers: list                 # [(ground Atom, value)] sorted
@@ -384,8 +365,8 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     # the restricted consequence: every proper rule and the facts of the
     # cone, so it is reused across the goals answered on kb whose cones have
     # the same fact predicates, with its atoms by functor in answer order;
-    # the index is rebuilt when anything else it reads changes, and the
-    # table and callers get copies of a report
+    # the index is rebuilt when anything else it reads changes, and every
+    # caller gets a copy of the stored report
     fact_preds = cone.intersection(index.facts)
     table, key = index.consequences, (fact_preds, max_iters)
     stored = table.get(key)
@@ -401,12 +382,14 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
         by_functor = {}
         for item in report.interpretation.sorted_items():
             by_functor.setdefault(item[0].functor, []).append(item)
-        table[key] = (_copy_report(report), by_functor)
+        stored = table[key] = (report, by_functor)
         if len(table) > _REUSED_CONSEQUENCES:
             table.popitem(last=False)
     else:
         table.move_to_end(key)
-        report, by_functor = _copy_report(stored[0]), stored[1]
+    report, by_functor = stored
+    report = FixpointReport(report.interpretation.copy(), report.iterations,
+                            report.converged, list(report.diagnostics))
     # the fixed point is ground, so an atom of the goal's functor unifies
     # with the goal when it has the names of the goal's constants and
     # proximity references, and repeats the goal's repeated variables

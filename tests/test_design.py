@@ -1,8 +1,11 @@
 """Design invariants of the library's source: one value abstraction on
-every evaluation path, and no import left behind."""
+every evaluation path, no import left behind, and no code name in the
+docs that names nothing."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -15,7 +18,8 @@ from mvdatalog.query import Goal, answer
 
 from conftest import DATA
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mvdatalog"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mvdatalog"
 
 # the checked value functions, which look the system up by name and check
 # the shape of every value on each call
@@ -75,3 +79,25 @@ def test_every_top_level_import_is_read():
                            for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in read]
     assert not unread, unread
+
+
+# a backticked `module.name` or `module.name.attr`, the module one of the
+# package's, written with or without its `mvdatalog.` prefix
+CODE_NAME = re.compile(r"`(?:mvdatalog\.)?(values|implications|lang|engine|kb|query|cli)"
+                       r"((?:\.[A-Za-z_][A-Za-z0-9_]*){1,2})`")
+
+
+def test_code_names_in_the_docs_resolve():
+    """Every code name that README.md or a module of the package writes in
+    backticks names something: a rename or a removal that leaves a
+    docstring behind fails here.  ROADMAP.md and CHANGES.md are left out,
+    as they name metrics and code that is gone."""
+    stale, missing = [], object()
+    for path in [ROOT / "README.md", *sorted(PACKAGE.glob("*.py"))]:
+        for m in CODE_NAME.finditer(path.read_text(encoding="utf-8")):
+            obj = importlib.import_module(f"mvdatalog.{m[1]}")
+            for name in m[2].split(".")[1:]:
+                obj = getattr(obj, name, missing)
+            if obj is missing:
+                stale.append(f"{path.name}: {m[0]}")
+    assert not stale, stale

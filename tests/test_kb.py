@@ -6,12 +6,12 @@ import pytest
 
 from mvdatalog import kb, lang
 from mvdatalog import values as V
-from mvdatalog.lang import Atom, Constant, ParseError, parse_program
+from mvdatalog.lang import Atom, Constant, Literal, ParseError, Rule, Variable, parse_program
 from mvdatalog.engine import Interpretation, fixpoint
 from mvdatalog.kb import (BackgroundKnowledge, PhiSpec, ProximityRelation,
                           build_kb, consequence, is_similarity, mod_nt_step,
-                          parse_phi_file, parse_proximity_file, phi_apply,
-                          proximity_set, validate_proximity)
+                          modified_universe, parse_phi_file, parse_proximity_file,
+                          phi_apply, proximity_set, validate_proximity)
 
 from conftest import load_kb, load_program, read
 from helpers import (_reference_phi_apply, random_bk, random_level, random_phi,
@@ -113,6 +113,25 @@ def test_is_similarity():
     for x, y in (("a", "b"), ("b", "c"), ("a", "c")):
         r2.set_pair(x, y, 0.7)
     assert is_similarity(r2, V.FUZZY)
+    # pairs given to the constructor record their symbols, as set_pair does
+    built = ProximityRelation("terms", V.IVS, dict(r.pairs))
+    assert built.symbols == r.symbols == {"a", "b", "c"}
+    assert not is_similarity(built, V.IVS)
+    assert not is_similarity(
+        ProximityRelation("terms", V.FUZZY, {("a", "b"): 0.5, ("b", "c"): 0.5}), V.FUZZY)
+    # so the universe and the consequence do not depend on how a relation
+    # was built: u(a, z) is 0.9 by Y ranging over z, not 0.7 by a ~ z alone
+    prog = parse_program("%system fuzzy.\nfact p(a) = 0.9.\n")
+    X, Y = Variable("X"), Variable("Y")
+    prog.rules.append(Rule(Atom("u", (X, Y)), (Literal(Atom("p", (X,))),), "godel", 1.0))
+    by_pair = ProximityRelation("terms", V.FUZZY)
+    by_pair.set_pair("a", "z", 0.7)
+    kbs = [build_kb(prog, BackgroundKnowledge(rel, ProximityRelation("predicates")))
+           for rel in (by_pair, ProximityRelation("terms", V.FUZZY, {("a", "z"): 0.7}))]
+    assert modified_universe(kbs[0]) == modified_universe(kbs[1]) == {"a", "z"}
+    interps = [consequence(k).interpretation for k in kbs]
+    assert interps[0].entries == interps[1].entries
+    assert interps[1].entries[A("u", "a", "z")] == 0.9
     # the system is checked before any pair is read, as in `proximity_set`
     with pytest.raises(ValueError, match="unknown value system 'crisp'"):
         is_similarity(ProximityRelation("terms"), "crisp")

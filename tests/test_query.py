@@ -13,7 +13,7 @@ from mvdatalog.lang import (Atom, Constant, Literal, Program, ProximityRef, Rule
                             parse_program, unify)
 from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, consequence,
                           parse_proximity_file)
-from mvdatalog.query import Goal, answer, build_tree, parse_goal, parse_level
+from mvdatalog.query import Goal, SearchTree, answer, build_tree, parse_goal, parse_level
 
 from conftest import load_kb
 from helpers import (children, head_only_variables, random_bk, random_level, random_phi,
@@ -779,7 +779,9 @@ def test_search_index_starts_over_past_its_goal_predicate_bound(monkeypatch):
 
 def test_answer_grows_no_tree_until_it_is_read(monkeypatch):
     """`answer` grows the tree of a goal on the first read of its rows or
-    of its truncation, once, and refuses a depth limit below 3 at once."""
+    of its truncation, once, and refuses a depth limit below 3 at once.
+    Reading any other attribute grows nothing and keeps the builder; a
+    tree built from its rows is grown already and equals the grown one."""
     grown = []
     grow = query._TreeBuilder.grow
 
@@ -792,6 +794,10 @@ def test_answer_grows_no_tree_until_it_is_read(monkeypatch):
     results = [answer(kb, goal, depth_limit) for goal, depth_limit in cases]
     for result in results:
         outcome(result)
+        with pytest.raises(AttributeError):
+            result.tree.unknown
+        assert not hasattr(result.tree, "unknown")
+        assert "_builder" in vars(result.tree)
     assert grown == []
     truncated = [reference_build_tree(kb, *case).truncated for case in cases]
     assert any(truncated)
@@ -800,6 +806,10 @@ def test_answer_grows_no_tree_until_it_is_read(monkeypatch):
         assert result.tree.truncated == truncated[n], cases[n]
         result.tree.nodes, list(result.tree.walk()), repr(result.tree)
         assert len(grown) == n + 1
+        built = SearchTree(list(result.tree.nodes), truncated[n], cases[n][1])
+        assert vars(built).keys() == vars(result.tree).keys() == {
+            "nodes", "truncated", "depth_limit"}
+        assert built == result.tree
     with pytest.raises(ValueError):
         answer(kb, INDEX_GOALS[0], depth_limit=2)
     assert len(grown) == len(results)
