@@ -45,34 +45,25 @@ _PHI_FILE_NAMES = {"meet": PHI_MEET, "meet-product": PHI_MEET_PRODUCT, "product"
 
 @dataclass
 class ProximityRelation:
-    """Symmetric map (symbol, symbol) -> value; the diagonal is top.  An
-    entry a ~ a given explicitly is kept in pairs, for `validate_proximity`
-    to check, and is left out of the neighbour map."""
+    """Symmetric map (symbol, symbol) -> value; the diagonal is top.
+    `set_pair` is its one writer, `pairs=` included, so keys are canonical.
+    An entry a ~ a stays in pairs, for `validate_proximity`, not in neighbours."""
 
     domain: str                      # "terms" | "predicates"
     system: Optional[str] = None
     pairs: dict = field(default_factory=dict)   # canonical (min, max) key
     symbols: set = field(default_factory=set)
-    # symbol -> {other symbol: value}, in pair insertion order; mirrors pairs
+    # symbol -> {other symbol: value}, in pair insertion order, as set_pair left it
     neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for pair in self.pairs:
-            self.symbols.update(pair)
-        self.reindex()
+        given, self.pairs = self.pairs, {}
+        for (a, b), value in given.items():
+            self.set_pair(a, b, value)
 
     @staticmethod
     def _key(a: str, b: str):
         return (a, b) if a <= b else (b, a)
-
-    def reindex(self) -> None:
-        """Rebuild the neighbour map; call after replacing pairs."""
-        self.neighbours = {}
-        for (a, b), v in self.pairs.items():
-            if a == b:
-                continue
-            self.neighbours.setdefault(a, {})[b] = v
-            self.neighbours.setdefault(b, {})[a] = v
 
     def set_pair(self, a: str, b: str, value) -> None:
         self.symbols.add(a)
@@ -242,7 +233,8 @@ def parse_phi_file(text: str) -> PhiSpec:
 
 def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
              phi: Optional[PhiSpec] = None) -> KnowledgeBase:
-    """Assemble and validate a knowledge base around a parsed program."""
+    """Assemble a knowledge base around a parsed program after checking its
+    inputs, which it never writes."""
     bk = bk or BackgroundKnowledge.empty()
     phi = phi or PhiSpec()
     sys = program.system
@@ -272,11 +264,6 @@ def build_kb(program: Program, bk: Optional[BackgroundKnowledge] = None,
             problems.append(f"phi {name}/{arity} = product is admissible only for ivs programs")
     if problems:
         raise ParseError("; ".join(problems))
-    # drop bottom-valued proximity entries: they cannot produce stored atoms
-    is_bottom = V.lattice(sys).is_bottom
-    for rel in (bk.term_prox, bk.pred_prox):
-        rel.pairs = {k: v for k, v in rel.pairs.items() if not is_bottom(v)}
-        rel.reindex()
     return KnowledgeBase(bk, program, phi)
 
 

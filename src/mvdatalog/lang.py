@@ -625,20 +625,19 @@ def parse_program(text: str, safety: str = "strict") -> Program:
 
 
 def _parse_impl(p: _Parser, system: str):
+    tok = p.tok
     if p.at("punct", "("):
-        tok = p.next()
+        p.next()
         a = p.expect("ident")[1]
         p.expect("punct", ",")
         b = p.expect("ident")[1]
         p.expect("punct", ")")
         impl = (a, b)
-        if not Imp.is_compatible(impl, system):
-            p.fail(f"implication pair ({a}, {b}) is not valid for the {system} system", tok)
-        return impl
-    tok = p.expect("ident")
-    impl = tok[1]
+    else:
+        impl = p.expect("ident")[1]
     if not Imp.is_compatible(impl, system):
-        p.fail(f"implication {impl!r} is not valid for the {system} system", tok)
+        text = f"pair ({impl[0]}, {impl[1]})" if isinstance(impl, tuple) else repr(impl)
+        p.fail(f"implication {text} is not valid for the {system} system", tok)
     return impl
 
 

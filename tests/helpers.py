@@ -149,6 +149,14 @@ def random_phi(rng: random.Random, program: Program) -> PhiSpec:
     return spec
 
 
+def relation_contents(rel: ProximityRelation) -> tuple:
+    """What a proximity relation holds, in a form that compares exactly: the
+    pairs and the neighbour map item by item in order.  `==` on relations
+    reads neither order nor the neighbour map."""
+    return (rel.domain, rel.system, list(rel.pairs.items()), rel.symbols,
+            [(s, list(others.items())) for s, others in rel.neighbours.items()])
+
+
 def grid(step: float = 0.05):
     n = int(round(1.0 / step))
     return [round(i * step, 10) for i in range(n + 1)]

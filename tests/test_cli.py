@@ -213,10 +213,10 @@ def test_query_tree_of_every_predicate_matches_the_reference(capsys, name):
                 "nodes": _reference_json_nodes(reference)}, (text, depth_limit)
 
 
-def test_goal_on_a_predicate_only_the_proximity_file_names_has_its_arity(capsys):
+def test_goal_on_a_predicate_only_the_proximity_file_names_has_its_arity(tmp_path, capsys):
     """A goal predicate that only the proximity file names has the arity of
-    its neighbours in the program, and a goal of another arity is the same
-    parse error as one on a program predicate."""
+    its neighbours in the program, a bottom-valued neighbour too, and a goal
+    of another arity is the same parse error as one on a program predicate."""
     argv = ["query", DATA / "ex23.mvd", "--prox", DATA / "ex23.prox", "--phi", DATA / "ex23.phi"]
     for pred in ("lo", "li"):
         assert invoke(capsys, *argv, "--goal", f"{pred}(M, X, Y)") == (
@@ -227,6 +227,13 @@ def test_goal_on_a_predicate_only_the_proximity_file_names_has_its_arity(capsys)
     code, out, _ = invoke(capsys, "query", DATA / "ex17.mvd", "--prox", DATA / "ex17.prox",
                           "--goal", "s(X)")
     assert (code, out) == (0, "s(a) = (0.6, 0.3)\ns(b) = (0.6, 0.3)\n")
+    program, prox = tmp_path / "p.mvd", tmp_path / "p.prox"
+    program.write_text("%system fuzzy.\nfact p(a) = 0.5.\n")
+    prox.write_text("%domain predicates.\np ~ z = 0.0.\n")
+    assert invoke(capsys, "query", program, "--prox", prox, "--goal", "z(X, Y)") == (
+        2, "", "error: line 1, col 1: goal predicate 'z' has arity 1, goal uses 2\n")
+    code, _, err = invoke(capsys, "query", program, "--prox", prox, "--goal", "z(X)")
+    assert (code, err) == (0, "")
 
 
 def test_query_threshold_filters_everything(capsys):

@@ -15,7 +15,7 @@ from mvdatalog.kb import (BackgroundKnowledge, PhiSpec, ProximityRelation,
 
 from conftest import load_kb, load_program, read
 from helpers import (_reference_phi_apply, random_bk, random_level, random_phi,
-                     random_program, valid_pairs)
+                     random_program, relation_contents, valid_pairs)
 
 A = lambda p, *args: Atom(p, tuple(Constant(c) for c in args))
 
@@ -119,6 +119,15 @@ def test_is_similarity():
     assert not is_similarity(built, V.IVS)
     assert not is_similarity(
         ProximityRelation("terms", V.FUZZY, {("a", "b"): 0.5, ("b", "c"): 0.5}), V.FUZZY)
+    # pairs given with their symbols in either order hold what set_pair makes
+    # of them, canonical keys included
+    reversed_keys = ProximityRelation("terms", V.FUZZY, {("b", "a"): 0.5, ("b", "c"): 0.5})
+    by_set_pair = ProximityRelation("terms", V.FUZZY)
+    by_set_pair.set_pair("b", "a", 0.5)
+    by_set_pair.set_pair("b", "c", 0.5)
+    assert not is_similarity(reversed_keys, V.FUZZY)
+    assert reversed_keys.value_of("a", "b", V.FUZZY) == 0.5
+    assert relation_contents(reversed_keys) == relation_contents(by_set_pair)
     # so the universe and the consequence do not depend on how a relation
     # was built: u(a, z) is 0.9 by Y ranging over z, not 0.7 by a ~ z alone
     prog = parse_program("%system fuzzy.\nfact p(a) = 0.9.\n")
@@ -166,11 +175,28 @@ def test_proximity_set_follows_pair_order():
     symbols = sorted(rel.symbols) + ["z"]
     for d in symbols:
         assert proximity_set(rel, d, V.FUZZY) == _scanned_proximity_set(rel, d, V.FUZZY)
+    before = relation_contents(rel)
     build_kb(parse_program("%system fuzzy.\nfact p(a) = 0.5.\n"),
              BackgroundKnowledge(rel, ProximityRelation("predicates")))
-    assert ("a", "c") not in rel.pairs and "c" not in rel.neighbours["a"]
+    # build_kb writes no relation, and proximity_set still skips a ~ c
+    assert relation_contents(rel) == before
+    assert "c" not in dict(proximity_set(rel, "a", V.FUZZY))
     for d in symbols:
         assert proximity_set(rel, d, V.FUZZY) == _scanned_proximity_set(rel, d, V.FUZZY)
+
+
+def test_a_relation_read_by_one_system_gives_another_its_pairs():
+    """a ~ b = (0.0, 1.0) is bottom in ifs, not in ivs: after an ifs
+    knowledge base is built on a relation, an ivs one built on the same
+    relation has the consequence of a freshly parsed copy."""
+    text = "%domain terms.\na ~ b = (0.0, 1.0).\n"
+    bk = BackgroundKnowledge(*parse_proximity_file(text)[:2])
+    build_kb(parse_program("%system ifs.\nfact p(a) = (0.9, 0.1).\n"), bk)
+    ivs = parse_program("%system ivs.\nfact p(a) = (0.9, 1.0).\n")
+    reused, fresh = (consequence(build_kb(ivs, b)).interpretation.entries
+                     for b in (bk, BackgroundKnowledge(*parse_proximity_file(text)[:2])))
+    assert reused == fresh
+    assert fresh[A("p", "b")] == (0.0, 1.0)
 
 
 def test_arity_mismatch_rejected():
