@@ -649,7 +649,7 @@ def is_model(program: Program, interp: Interpretation, extra_constants=()):
                 head_val = lattice.bottom
             lhs = implication(acc, head_val)
             if not lattice.leq(level, lhs):
-                g = decode_instance(table, instance, rule.impl)
+                g = decode_instance(table.atom, instance, rule.impl)
                 violations.append(
                     f"rule instance {g.head} <- {', '.join(str(b) for b in g.body) or 'true'}: "
                     f"I({V.fmt(acc)}, {V.fmt(head_val)}) = {V.fmt(lhs)} "

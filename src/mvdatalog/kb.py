@@ -34,7 +34,7 @@ from functools import partial
 from typing import Optional
 
 from . import values as V
-from .lang import _LEVEL_TAIL, ParseError, Program, _Parser, _written_level, ground
+from .lang import _LEVEL_TAIL, ParseError, Program, _Parser, _tup, _written_level, ground
 from .engine import EvalOrder, FixpointReport, Interpretation, _evaluate, _fired, _on_objects
 
 PHI_MEET = "meet"
@@ -46,8 +46,9 @@ _PHI_FILE_NAMES = {"meet": PHI_MEET, "meet-product": PHI_MEET_PRODUCT, "product"
 @dataclass
 class ProximityRelation:
     """Symmetric map (symbol, symbol) -> value; the diagonal is top.
-    `set_pair` is its one writer, `pairs=` included, so keys are canonical.
-    An entry a ~ a stays in pairs, for `validate_proximity`, not in neighbours."""
+    `set_pair` is its one writer, on copies of the given `pairs=` and
+    `symbols=`, so keys are canonical.  An entry a ~ a stays in pairs, for
+    `validate_proximity`, not in neighbours."""
 
     domain: str                      # "terms" | "predicates"
     system: Optional[str] = None
@@ -57,7 +58,7 @@ class ProximityRelation:
     neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        given, self.pairs = self.pairs, {}
+        given, self.pairs, self.symbols = self.pairs, {}, set(self.symbols)
         for (a, b), value in given.items():
             self.set_pair(a, b, value)
 
@@ -333,15 +334,15 @@ def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
     proximity set, ids being q's map in the atom table and entries its
     list of (pred, key).  For each head it reads the key from entries and
     each argument's (symbol, lambda) pairs from terms (an `_Options`), and
-    computes start(alpha).  A head of arity n != 1 lists the (key, lambdas)
-    of its argument synonyms once, in one nested loop per argument, the
-    first varying slowest: product keeps each argument lambda, and meet
-    and meet_product fold them prefix by prefix into one.  A unary head's
-    list is its constant's pairs.  Per target the kernel folds lambda_q
-    into start, then walks the list: meet and meet_product meet that
-    prefix with the fold, which is exact, as min and max are; product
-    multiplies the prefix by each argument lambda in turn, in the operand
-    order of `phi_apply`.  So every level is the one `phi_apply` gives.
+    computes start(alpha).  Each head lists the (key, lambdas) of its
+    argument synonyms once, key being the tuple of their names, in one
+    nested loop per argument, the first varying slowest: product keeps
+    each argument lambda, and meet and meet_product fold them prefix by
+    prefix into one.  Per target the kernel folds lambda_q into start,
+    then walks the list: meet and meet_product meet that prefix with the
+    fold, which is exact, as min and max are; product multiplies the
+    prefix by each argument lambda in turn, in the operand order of
+    `phi_apply`.  So every level is the one `phi_apply` gives.
 
     A synonym q(key) with no id in ids is interned in place, as the join
     kernels do: appended to entries, to levels at bottom and to ids.  Its
@@ -375,33 +376,30 @@ def _spread_source(lattice: V.Lattice, phi_id: str, n: int) -> str:
              "    append, grow = log.append, levels.append",
              "    for head, alpha in run:"]
     if n:
-        lines.append(f"        {', '.join(f'k{k}' for k in range(n))} = entries[head][1]")
+        lines.append(f"        {_tup(f'k{k}' for k in range(n))} = entries[head][1]")
         lines += [f"        _, pairs{k} = terms[k{k}]" for k in range(n)]
     lines.append(f"        {display(alpha)} = alpha")
     assign("        ", start, alpha if multiply else fold(top, alpha))  # a product starts at alpha
     # the lambdas listed with each key: each argument's for product, their fold otherwise
     listed = lambdas if multiply or n < 2 else [folds[-1]]
-    if n == 1:
-        walk = f"key, {display(listed[0])} in pairs0"
-    else:
-        pad = "        "
-        lines += [f"{pad}synonyms = []", f"{pad}add = synonyms.append"]
-        for group in groups:
-            binds = [f"n{k}, {display(lambdas[k])}" for k in group]
-            sources = [f"pairs{k}" for k in group]
-            lines.append(f"{pad}for {binds[0]} in {sources[0]}:" if len(group) == 1 else
-                         f"{pad}for ({'), ('.join(binds)}) in product({', '.join(sources)}):")
-            pad += "    "
-            for k in group:
-                if k and not multiply:
-                    # meet_product multiplies each lambda in on the left, as phi_apply
-                    current = lambdas[0] if k == 1 else folds[k - 1]
-                    assign(pad, folds[k], fold(current, lambdas[k]) if phi_id != PHI_MEET_PRODUCT
-                           else [f"{b} * {a}" for a, b in zip(current, lambdas[k])])
-        fields = [c for lam in listed for c in lam]
-        key = f"({', '.join(f'n{k}' for k in range(n))})"
-        lines.append(f"{pad}add(({', '.join([key, *fields])},))")
-        walk = f"{', '.join(['key', *fields])}, in synonyms"
+    pad = "        "
+    lines += [f"{pad}synonyms = []", f"{pad}add = synonyms.append"]
+    for group in groups:
+        binds = [f"n{k}, {display(lambdas[k])}" for k in group]
+        sources = [f"pairs{k}" for k in group]
+        lines.append(f"{pad}for {binds[0]} in {sources[0]}:" if len(group) == 1 else
+                     f"{pad}for ({'), ('.join(binds)}) in product({', '.join(sources)}):")
+        pad += "    "
+        for k in group:
+            if k and not multiply:
+                # meet_product multiplies each lambda in on the left, as phi_apply
+                current = lambdas[0] if k == 1 else folds[k - 1]
+                assign(pad, folds[k], fold(current, lambdas[k]) if phi_id != PHI_MEET_PRODUCT
+                       else [f"{b} * {a}" for a, b in zip(current, lambdas[k])])
+    fields = [c for lam in listed for c in lam]
+    key = _tup(f"n{k}" for k in range(n))
+    lines.append(f"{pad}add(({', '.join([key, *fields])},))")
+    walk = f"{', '.join(['key', *fields])}, in synonyms"
     lines += ["        for q, lam_q, ids in targets:", f"            {display(lam_q)} = lam_q"]
     assign("            ", prefix, fold(start, lam_q))
     lines += ["            get = ids.get", f"            for {walk}:"]

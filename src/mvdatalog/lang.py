@@ -712,56 +712,50 @@ def substitute(atom: Atom, theta: dict) -> Atom:
 
 
 class AtomTable:
-    """Ground atoms interned to dense int ids, 0, 1, 2, .. in order of entry.
+    """Ground atoms numbered by dense int ids, 0, 1, 2, .. in order of entry.
 
-    An atom is entered by its predicate and key: the argument name of a
-    unary atom and the tuple of argument names otherwise; the arity of a
-    predicate is fixed, so the keys of one predicate never mix the two
-    forms.  An atom is entered by `intern_atom` or, in place, by the join
-    kernels and the fan-out kernels (`kb._spread_source`).
-    `Atom` objects are built only on request, once per id, with their hash
-    set (as by `_ground_atom`), and share their `Constant`s.
+    Each atom is keyed by its predicate and the tuple of its argument names,
+    at every arity: the row format of the crisp relations and of the
+    widening.  Atoms are entered by `intern_atom` or, in place, by the join
+    kernels and the fan-out kernels (`kb._spread_source`).  The table holds
+    no `Atom`: `atoms` builds new ones on request, on the table's shared
+    `Constant`s.
     """
 
     def __init__(self):
         self.ids = {}          # pred -> {key: id}
         self.entries = []      # id -> (pred, key)
-        self._atoms = {}       # id -> Atom, as built by `atoms` or given to `intern_atom`
         self._constants = _Constants()
 
     def __len__(self):
         return len(self.entries)
 
     def intern_atom(self, atom: Atom) -> int:
-        """The id of a ground Atom, entered when it has none; `atom` returns
-        this object for it."""
+        """The id of a ground Atom, entered when it has none."""
         key = _key(atom)
         ids = self.ids.setdefault(atom.pred, {})
         aid = ids.get(key)
         if aid is None:
             aid = ids[key] = len(self.entries)
             self.entries.append((atom.pred, key))
-        self._atoms.setdefault(aid, atom)
         return aid
 
     def atom(self, aid: int) -> Atom:
         return self.atoms((aid,))[0]
 
     def atoms(self, ids) -> list:
-        """The Atom of each id, in the order given, built as `_ground_atom` does."""
-        built, entries = self._atoms, self.entries
-        constant = self._constants.__getitem__
+        """A new Atom for each id, in the order given, built as `_ground_atom`
+        builds one, with no call per atom."""
+        entries, constant = self.entries, self._constants.__getitem__
         new, set_pred, set_args, set_hash = _new, _set_pred, _set_args, _set_hash
         out = []
         for aid in ids:
-            atom = built.get(aid)
-            if atom is None:
-                pred, key = entries[aid]
-                args = (constant(key),) if key.__class__ is str else tuple(map(constant, key))
-                atom = built[aid] = new(Atom)
-                set_pred(atom, pred)
-                set_args(atom, args)
-                set_hash(atom, hash((pred, args)))
+            pred, key = entries[aid]
+            args = tuple(map(constant, key))
+            atom = new(Atom)
+            set_pred(atom, pred)
+            set_args(atom, args)
+            set_hash(atom, hash((pred, args)))
             out.append(atom)
         return out
 
@@ -787,10 +781,9 @@ def _ground_atom(pred: str, args: tuple) -> Atom:
 _new = object.__new__
 
 
-def _key(atom: Atom):
-    """The key of a ground atom in an `AtomTable`."""
-    args = atom.args
-    return args[0].name if len(args) == 1 else tuple(t.name for t in args)
+def _key(atom: Atom) -> tuple:
+    """The key of a ground atom in an `AtomTable`: its argument names."""
+    return tuple(t.name for t in atom.args)
 
 
 def _rule_slots(rule: Rule):
@@ -817,11 +810,10 @@ def _rule_slots(rule: Rule):
     return len(variables), tuple(constants), head, body
 
 
-def decode_instance(table: AtomTable, instance, impl) -> GroundRule:
-    """The GroundRule an interned instance of `ground` stands for; impl is
-    the implication of its rule."""
+def decode_instance(atom, instance, impl) -> GroundRule:
+    """The GroundRule an interned instance of `ground` stands for: atom maps
+    an id to its Atom, and impl is the implication of its rule."""
     head, body, _, level, rule_pos = instance
-    atom = table.atom
     literals = tuple(Literal(atom(aid)) if aid >= 0 else Literal(atom(~aid), True)
                      for aid in body)
     return GroundRule(atom(head), literals, impl, level, rule_pos)
@@ -926,10 +918,10 @@ def _kernel_source(shape, first: int = 0) -> str:
     rest range over names.  A complete binding whose substitution (the
     tuple of variable values) is not in the dict seen is emitted: with
     widening, the head's names are added to the set new; the head and body
-    atoms are interned in place, A holding the (pred, `AtomTable.ids` of
-    pred) of each and E the table's `entries`, which a missing atom is
-    appended to; and seen maps the substitution to (head id, body ids) + I,
-    with ~id for a negated atom.  After `_STEPS_PER_KERNEL` steps the
+    atoms are interned in place by the tuple of their names, A holding the
+    (pred, `AtomTable.ids` of pred) of each and E the table's `entries`,
+    which a missing atom is appended to; and seen maps the substitution to
+    (head id, body ids) + I, with ~id for a negated atom.  After `_STEPS_PER_KERNEL` steps the
     bindings go on to the kernel of the later steps, `tail`.
     """
     preset, steps, rest, nvars, head, body, widening = shape
@@ -968,7 +960,7 @@ def _kernel_source(shape, first: int = 0) -> str:
         bound = _values(_tail_preset(preset, steps, first, last))
         lines.append(f"{pad}tail(R, {bound}, {_PARAMS})")
         return "\n".join(lines) + "\n"
-    keys = [f"v{slots[0]}" if len(slots) == 1 else _values(slots) for slots in atoms]
+    keys = [_values(slots) for slots in atoms]
     if rest:
         lines.append(f"{pad}for {_values(rest)} in product(names, repeat={len(rest)}):")
         pad += "    "
@@ -977,8 +969,7 @@ def _kernel_source(shape, first: int = 0) -> str:
     if widening:
         lines += [f"{pad}h = {'s' if head == tuple(range(nvars)) else _values(head)}",
                   f"{pad}new.add(h)"]
-        if len(head) != 1:
-            keys[0] = "h"
+        keys[0] = "h"
     for j, key in enumerate(keys):
         lines += [f"{pad}a{j} = i{j}.get({key})",
                   f"{pad}if a{j} is None:",
@@ -1113,7 +1104,7 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     for pos, (rule, seen, level_fn) in enumerate(zip(program.rules, seens, level_fns)):
         if not rule.body and not rule.head.variables():
             seen[()] = (table.intern_atom(rule.head), (), level_fn, rule.level, pos)
-            heads[rule.head.pred].add(tuple(t.name for t in rule.head.args))
+            heads[rule.head.pred].add(_key(rule.head))
             continue
         join = _RuleJoin(rule, universe, names, table, seen, (level_fn, rule.level, pos),
                          widen is not None)
@@ -1148,7 +1139,7 @@ def _instances(program: Program, names: list, table: AtomTable, system, widen, p
     elif present is not None:
         for atom in present:
             if arity.get(atom.pred) == len(atom.args) and atom.is_ground():
-                found[atom.pred].add(tuple(t.name for t in atom.args))
+                found[atom.pred].add(_key(atom))
     first = True
     while found:
         delta, found = found, defaultdict(set)
@@ -1212,7 +1203,8 @@ def ground(program: Program, universe=None, widen=None, table=None, present=None
                           widen, present)
     if not decode:
         return grounded
-    return [[decode_instance(table, g, r.impl) for g in rules]
+    atom = table.atoms(range(len(table))).__getitem__   # built once, so shared
+    return [[decode_instance(atom, g, r.impl) for g in rules]
             for rules, r in zip(grounded, program.rules)]
 
 

@@ -157,6 +157,16 @@ def relation_contents(rel: ProximityRelation) -> tuple:
             [(s, list(others.items())) for s, others in rel.neighbours.items()])
 
 
+def check_table(table) -> None:
+    """The kernels enter atoms without `AtomTable.intern_atom`: ids stay
+    dense, each entry's id is the one its predicate's map holds, and every
+    key, at every arity, is the tuple of the atom's argument names."""
+    assert sum(map(len, table.ids.values())) == len(table.entries)
+    for aid, (pred, key) in enumerate(table.entries):
+        assert table.ids[pred][key] == aid
+        assert key == tuple(t.name for t in table.atom(aid).args)
+
+
 def grid(step: float = 0.05):
     n = int(round(1.0 / step))
     return [round(i * step, 10) for i in range(n + 1)]

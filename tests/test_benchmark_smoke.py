@@ -3,7 +3,8 @@ whose self-checks need every span they expect (`engine.dt_step` and
 `engine.nt_step` on closure, `kb.mod_step` and `kb.proximity_set` on
 proximity and query, and on query the `query.*` spans) to fire, the same
 counts in the phase and counter passes, and every output to match its
-recorded digest.  No timing is asserted.
+recorded digest; and one short run of `tools/ab_pools.py`.  No timing is
+asserted.
 
 The pass also pins the seed-1 counts of work and results that an
 evaluation change must not move: instances grounded, step calls and the
@@ -68,3 +69,17 @@ def test_every_hook_target_but_the_known_missing_resolves(monkeypatch):
         if not callable(getattr(target, attr, None)):
             missing.add(f"{target.__name__}.{attr}")
     assert missing == MISSING_HOOKS
+
+
+def test_ab_pools_runs_a_tree_against_itself():
+    """`tools/ab_pools.py` loads one source tree under two names, checks
+    both sides' warm-up pass against the digests and times alternating
+    passes."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_pools.py"), str(ROOT / "src"),
+         str(ROOT / "src"), "--workload", "query", "--rounds", "2"],
+        capture_output=True, text=True, timeout=600, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "query: 48 ops a pass, 2 rounds, first side alternating"
+    assert sum(int(line.split()[4]) for line in lines[2:4]) == 2

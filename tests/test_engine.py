@@ -329,15 +329,13 @@ def test_result_atoms_keep_the_atom_contract():
                          (fixpoint(program, "nondet"), program),
                          (consequence(kb), kb.program)):
         entries = report.interpretation.entries
-        heads = {r.head: r.head for r in prog.rules if r.is_fact}
+        heads = {r.head for r in prog.rules if r.is_fact}
         for atom in entries:
             parsed = Atom(atom.pred, tuple(Constant(t.name) for t in atom.args))
             assert atom == parsed and hash(atom) == hash(parsed)
             assert repr(atom) == repr(parsed) and str(atom) == str(parsed)
             assert atom.__getstate__() == {"pred": atom.pred, "args": atom.args}
-            # a fact head is the parsed object itself
-            assert atom is heads.get(atom, atom)
-        assert heads.keys() <= entries.keys()
+        assert heads <= entries.keys()
         copied = copy.deepcopy(entries)
         assert copied == entries and list(copied) == list(entries)
         assert all(hash(a) == hash(b) for a, b in zip(copied, entries))

@@ -17,7 +17,7 @@ from mvdatalog.engine import applicable, fixpoint
 from mvdatalog.kb import build_kb, consequence
 from mvdatalog.lang import Atom, Constant, GroundRule, Literal, Program, Rule, Variable
 
-from helpers import random_bk, random_phi, random_program, reference_fixpoint
+from helpers import check_table, random_bk, random_phi, random_program, reference_fixpoint
 
 SYSTEMS = (V.FUZZY, V.IFS, V.IVS, V.BIPOLAR_A, V.BIPOLAR_B)
 TRIALS = 200
@@ -25,7 +25,7 @@ TRIALS = 200
 
 def _decoded(table, program, grounded):
     """The GroundRule lists that interned grounded stands for."""
-    return [[lang.decode_instance(table, g, rule.impl) for g in rules]
+    return [[lang.decode_instance(table.atom, g, rule.impl) for g in rules]
             for rules, rule in zip(grounded, program.rules)]
 
 
@@ -193,6 +193,11 @@ def test_ground_without_widen_is_full_grounding(ex1):
     assert [len(rules) for rules in full] == [1, 1, 9, 9, 9]
     alone = lang.ground(Program(ex1.system, [ex1.rules[2]]), universe)[0]
     assert full[2] == [dataclasses.replace(g, rule_pos=2) for g in alone]
+    # equal ground atoms are one object across all the instances
+    shared = {}
+    for g in (g for rules in full for g in rules):
+        for atom in [g.head] + [lit.atom for lit in g.body]:
+            assert shared.setdefault(atom, atom) is atom
 
 
 def _redundant_widening(universe):
@@ -243,8 +248,8 @@ def _check_against_definition(program, knowledge=None):
     widening that returns names more than once, and for the plain engine's
     widening, both as itself and as an equal function; returns the last of
     them.  Every grounding joins each row once, and the spread answers
-    alike when asked twice.  After each tabled grounding, the table's ids
-    are dense and each entry's id is the one its predicate's map holds.
+    alike when asked twice.  After each tabled grounding, the table passes
+    `check_table`.
     Also ground with present, over atoms that a knowledge-base consequence
     derives and atoms that no instance can hold, against the full
     grounding filtered."""
@@ -261,10 +266,7 @@ def _check_against_definition(program, knowledge=None):
             assert lang.ground(program, universe, widen=widening) == expected
             interned = lang.ground(program, universe, widen=widening, table=table)
         assert _decoded(table, program, interned) == expected
-        # the kernels enter atoms without `AtomTable.intern_atom`: ids stay dense
-        assert sum(map(len, table.ids.values())) == len(table.entries)
-        for aid, (pred, key) in enumerate(table.entries):
-            assert table.ids[pred][key] == aid
+        check_table(table)
     present = set(consequence(knowledge).interpretation.entries)
     present |= {Atom(a.pred, a.args + (Constant("a"),)) for a in present}
     present |= {Atom(a.pred, (Variable("X"),) + a.args[1:]) for a in present if a.args}

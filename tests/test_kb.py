@@ -128,6 +128,11 @@ def test_is_similarity():
     assert not is_similarity(reversed_keys, V.FUZZY)
     assert reversed_keys.value_of("a", "b", V.FUZZY) == 0.5
     assert relation_contents(reversed_keys) == relation_contents(by_set_pair)
+    # the symbols given are copied, never written: set_pair adds to the copy
+    given = {"x"}
+    copied = ProximityRelation("terms", None, {("a", "b"): 0.5}, given)
+    copied.set_pair("c", "d", 0.4)
+    assert given == {"x"} and copied.symbols == {"x", "a", "b", "c", "d"}
     # so the universe and the consequence do not depend on how a relation
     # was built: u(a, z) is 0.9 by Y ranging over z, not 0.7 by a ~ z alone
     prog = parse_program("%system fuzzy.\nfact p(a) = 0.9.\n")

@@ -23,7 +23,7 @@ from mvdatalog.kb import (BackgroundKnowledge, build_kb, consequence, parse_phi_
 from mvdatalog.lang import Atom, Constant, Variable, parse_program
 from mvdatalog.engine import fixpoint
 
-from helpers import (random_bk, random_phi, random_program, reference_consequence,
+from helpers import (check_table, random_bk, random_phi, random_program, reference_consequence,
                      reference_dt_step, reference_fixpoint, reference_mod_nt_step,
                      reference_nt_step)
 
@@ -385,8 +385,10 @@ def test_fan_out_matches_reference_mod_step_on_binary_and_wider_heads(monkeypatc
             assert len([a for a in entries if a.pred == "y101"]) == 3 * 3
             assert kb._NESTED_LOOPS < 11
             assert _atom("s1", "a2") in entries and _atom("r2", "k", "a1") in entries
-            # a synonym driven to bottom is interned in the table, never stored
+            # a synonym driven to bottom is interned in the table, never stored;
+            # the synonyms of unary heads, s1(a2) among them, are keyed by tuples
             table = tables[-1]
+            check_table(table)
             interned = [table.atom(aid) for aid in range(len(table))]
             if any("t0" in [t.name for t in a.args] and a not in entries for a in interned):
                 bottomed.add((system, phi))
