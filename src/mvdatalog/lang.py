@@ -52,8 +52,8 @@ import itertools
 import operator
 import re
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import values as V
 from . import implications as Imp
@@ -78,50 +78,24 @@ class SafetyError(ParseError):
 
 @dataclass(frozen=True)
 class Variable:
+    """A rule or goal variable.  Like `ProximityRef` it is a frozen
+    dataclass, equal only to its own class: as named tuples, `Variable("X")`,
+    `Constant("X")` and `ProximityRef("X")` would all be ("X",), and `unify`,
+    `query._pattern` and `query._TreeBuilder._fact_candidates` need them apart."""
+
     name: str
 
     def __str__(self):
         return self.name
 
 
-def _frozen(self, name, value=None):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+class Constant(NamedTuple):
+    """A constant symbol, the named tuple (name,): equal, hashed and ordered as that tuple."""
 
-
-class Constant:
-    """A constant symbol.  Immutable, and equal, hashed and printed as a
-    frozen dataclass with the one field `name` is; the hash is computed
-    once, and left out of the pickled state (see `Atom`)."""
-
-    __slots__ = ("name", "_hash")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_constant_hash(self, hash((name,)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Constant(name={self.name!r})"
+    name: str
 
     def __str__(self):
         return self.name
-
-    def __getstate__(self):
-        return {"name": self.name}
-
-    def __setstate__(self, state):
-        self.__init__(state["name"])
-
-
-_set_name, _set_constant_hash = Constant.name.__set__, Constant._hash.__set__
 
 
 @dataclass(frozen=True)
@@ -137,47 +111,18 @@ class ProximityRef:
 Term = Union[Variable, Constant, ProximityRef]
 
 
-class Atom:
-    """An atom pred(args).  Immutable, and equal, hashed and printed as a
-    frozen dataclass with the fields `pred` and `args` is.  Its hash is
-    computed once and kept in the `_hash` slot, which pickling leaves out:
-    string hashes differ between processes."""
+class Atom(NamedTuple):
+    """An atom pred(args), the named tuple (pred, args): equal, hashed and
+    ordered as that tuple.  It caches no hash, so a pickle read in a
+    process with other string hashes hashes afresh there."""
 
-    __slots__ = ("pred", "args", "_hash")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, pred: str, args: tuple = ()):
-        _set_pred(self, pred)
-        _set_args(self, args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pred == other.pred and self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        # atoms key every interpretation and index: hash once per object
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.pred, self.args))
-            _set_hash(self, value)
-            return value
-
-    def __repr__(self):
-        return f"Atom(pred={self.pred!r}, args={self.args!r})"
+    pred: str
+    args: tuple = ()
 
     def __str__(self):
         if not self.args:
             return self.pred
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
-
-    def __getstate__(self):
-        return {"pred": self.pred, "args": self.args}
-
-    def __setstate__(self, state):
-        _set_pred(self, state["pred"])
-        _set_args(self, state["args"])
 
     @property
     def functor(self):
@@ -188,9 +133,6 @@ class Atom:
 
     def variables(self):
         return [a for a in self.args if isinstance(a, Variable)]
-
-
-_set_pred, _set_args, _set_hash = Atom.pred.__set__, Atom.args.__set__, Atom._hash.__set__
 
 
 @dataclass(frozen=True)
@@ -553,7 +495,7 @@ def parse_program(text: str, safety: str = "strict") -> Program:
                 and (not arg_text or arg_text.islower()
                      or all(n in declared or not n[0].isupper() for n in names))
                 and arities.setdefault(pred, len(names)) == len(names)):
-            head = _ground_atom(pred, tuple(map(constants.__getitem__, names)))
+            head = Atom(pred, tuple(map(constants.__getitem__, names)))
             rules.append(Rule(head, (), fact_impl, lvl, p.line(m.start())))
             return True
         return False
@@ -744,20 +686,10 @@ class AtomTable:
         return self.atoms((aid,))[0]
 
     def atoms(self, ids) -> list:
-        """A new Atom for each id, in the order given, built as `_ground_atom`
-        builds one, with no call per atom."""
+        """A new Atom for each id, in the order given."""
         entries, constant = self.entries, self._constants.__getitem__
-        new, set_pred, set_args, set_hash = _new, _set_pred, _set_args, _set_hash
-        out = []
-        for aid in ids:
-            pred, key = entries[aid]
-            args = tuple(map(constant, key))
-            atom = new(Atom)
-            set_pred(atom, pred)
-            set_args(atom, args)
-            set_hash(atom, hash((pred, args)))
-            out.append(atom)
-        return out
+        return [Atom(pred, tuple(map(constant, key)))
+                for pred, key in map(entries.__getitem__, ids)]
 
 
 class _Constants(dict):
@@ -766,19 +698,6 @@ class _Constants(dict):
     def __missing__(self, name):
         constant = self[name] = Constant(name)
         return constant
-
-
-def _ground_atom(pred: str, args: tuple) -> Atom:
-    """Atom(pred, args) with the hash that `Atom.__hash__` caches on first
-    use already set."""
-    atom = _new(Atom)
-    _set_pred(atom, pred)
-    _set_args(atom, args)
-    _set_hash(atom, hash((pred, args)))
-    return atom
-
-
-_new = object.__new__
 
 
 def _key(atom: Atom) -> tuple:

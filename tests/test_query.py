@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
 import sys
@@ -270,6 +271,14 @@ def tree_rows(tree):
             for n in tree.walk()]
 
 
+def _plain(atom):
+    """An atom, or a row's None, as `dataclasses.asdict` gives it back:
+    each variable or proximity reference among its arguments becomes a
+    dict."""
+    return atom and atom._replace(args=tuple(
+        dataclasses.asdict(t) if dataclasses.is_dataclass(t) else t for t in atom.args))
+
+
 def test_deep_tree_prints_copies_and_pickles():
     """A tree deeper than the recursion limit prints, converts to a dict,
     and deep-copies and pickles row for row, read or not: each of these
@@ -300,8 +309,10 @@ def test_deep_tree_prints_copies_and_pickles():
         as_dict = dataclasses.asdict(fresh())
         assert (as_dict["truncated"], as_dict["depth_limit"]) == (False, 100000)
         assert as_dict["nodes"] == [
-            node._replace(literals=tuple(map(dataclasses.asdict, node.literals)))
+            node._replace(atom=_plain(node.atom), literals=tuple(
+                {"atom": _plain(lit.atom), "negated": lit.negated} for lit in node.literals))
             for node in tree.nodes]
+        assert json.loads(json.dumps(as_dict))["nodes"][0][3] == ["p0", [{"name": "X"}]]
 
         assert b"KnowledgeBase" not in pickle.dumps(fresh())
         for copied in (copy.copy(fresh()), copy.deepcopy(fresh()),
