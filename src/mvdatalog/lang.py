@@ -265,10 +265,11 @@ _TOKEN_RE = re.compile(
 
 # `= level.` ending a statement on one line, and what follows it up to
 # the next statement.  Its groups are the scalar level or the two numbers
-# of a pair, which `_written_level` reads; a number has at most nine
-# decimals.  Each piece reads as `_TOKEN_RE` would read it.
+# of a pair, which `_written_level` reads; a number, `_NUM`, has at most
+# nine decimals.  Each piece reads as `_TOKEN_RE` would read it.
+_NUM = r"(?:[0-9]+\.[0-9]{1,9}|[0-9]+|\.[0-9]{1,9})(?!\d)"
 _LEVEL_TAIL = (r"=[ \t]*(?:(NUM)|\([ \t]*(NUM)[ \t]*,[ \t]*(NUM)[ \t]*\))[ \t]*\.(?!\d)"
-               .replace("NUM", r"(?:[0-9]+\.[0-9]{1,9}|[0-9]+|\.[0-9]{1,9})(?!\d)") + _SKIP)
+               .replace("NUM", _NUM) + _SKIP)
 
 
 def _written_level(scalar, m1, m2):

@@ -35,24 +35,29 @@ The depth limit bounds the tree alone; the answers do not depend on it.
 Every goal reads one search index of its knowledge base, kept on it: the
 facts and proper rules by head predicate, and, filled as goals are
 answered, the predicates' proximity sets (a `kb._Options`), the cones
-met and the restricted consequences.  A tree reads the rules, the facts
-and those proximity sets off the index as it grows, and those of terms
-off an `_Options` of its own; it keeps nothing but its rows: it unifies
-each sub-goal with the renamed heads of its predicate's rules, and finds
-the fact candidates of each sub-goal pattern anew, as within one tree a
-pattern is expanded at most once per phase.
+met, their starting facts and the restricted consequences.  A tree reads
+the rules, the facts and those proximity sets off the index as it grows,
+and those of terms off an `_Options` of its own; it keeps nothing but its
+rows: it unifies each sub-goal with the renamed heads of its predicate's
+rules, and finds the fact candidates of each sub-goal pattern anew, as
+within one tree a pattern is expanded at most once per phase.
+
+A goal and a level are each read by one regular expression, and by the
+general parser when that rejects the text, the goal's arity or the level:
+every error comes from the general parser.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import values as V
-from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _Parser,
-                   substitute, unify)
+from .lang import (Atom, Constant, Literal, Program, ProximityRef, Variable, _NUM, _Parser,
+                   _written_level, substitute, unify)
 from .engine import FixpointReport, _item_key
 from .kb import KnowledgeBase, _Options, consequence, modified_universe
 
@@ -121,7 +126,8 @@ class _SearchIndex:
     """What every goal reads of one knowledge base: the fact atoms and the
     proper rules by head predicate, each rule with its position among the
     proper rules, and their count; then the tables filled as goals are
-    answered."""
+    answered: proximity sets, cones, the starting facts of each cone and
+    the restricted consequences."""
 
     def __init__(self, kb: KnowledgeBase):
         self.rules, self.facts, self.proper = {}, {}, 0
@@ -134,6 +140,7 @@ class _SearchIndex:
                 self.facts.setdefault(head.pred, []).append(head)
         self.preds = _Options(kb.bk.pred_prox, kb.program.system)   # proximity sets
         self.cones = {}          # predicate -> frozenset of the predicates of its cone
+        self.starting = {}       # cone -> its `starting_facts`, never handed out
         # (fact predicates of a cone, max_iters) -> (report, atoms by functor),
         # least recently used first
         self.consequences = OrderedDict()
@@ -328,9 +335,20 @@ def build_tree(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64) -> SearchTr
     return tree
 
 
-def starting_facts(cone, program: Program):
+def starting_facts(cone, program: Program, _index: Optional[_SearchIndex] = None):
     """The program facts of the cone's predicates, with their levels
-    (joined over repeated facts), in `_item_key` order."""
+    (joined over repeated facts), in `_item_key` order.  Given the search
+    index of program's knowledge base, the list is computed once per cone
+    and kept on the index, and each call gets a copy."""
+    if _index is None:
+        return _cone_facts(cone, program)
+    stored = _index.starting.get(cone)
+    if stored is None:
+        stored = _index.starting[cone] = _cone_facts(cone, program)
+    return list(stored)
+
+
+def _cone_facts(cone, program: Program) -> list:
     join = V.lattice(program.system).join
     levels = {}
     for rule in program.rules:
@@ -361,7 +379,7 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     tree = build_tree(kb, goal, depth_limit)
     index = _search_index(kb)
     cone = index.cone(goal.atom.pred)
-    x0 = starting_facts(cone, kb.program)
+    x0 = starting_facts(cone, kb.program, _index=index)
     # the restricted consequence: every proper rule and the facts of the
     # cone, so it is reused across the goals answered on kb whose cones have
     # the same fact predicates, with its atoms by functor in answer order;
@@ -407,31 +425,65 @@ def answer(kb: KnowledgeBase, goal: Goal, depth_limit: int = 64,
     return QueryResult(answers, x0, tree, report)
 
 
-def _last_arity(program: Program, pred: str):
-    """The arity of pred's last occurrence, as `Program.predicates` has it."""
-    for rule in reversed(program.rules):
-        for lit in reversed(rule.body):
-            if lit.atom.pred == pred:
-                return len(lit.atom.args)
-        if rule.head.pred == pred:
-            return len(rule.head.args)
+# A goal and a level as whole texts, each piece read as `lang._TOKEN_RE`
+# reads it.  Between two pieces `_GAP` reads what `lang._SKIP` reads; its
+# comment runs to the end of the line, so that no backtracking ends one
+# early, at a `)` inside it.  The groups are a goal's predicate and argument
+# text, and a level's scalar or the two numbers of its pair, which
+# `lang._written_level` reads.
+_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+_IDENT = r"[A-Za-z][A-Za-z0-9_-]*"
+_GOAL_RE = re.compile(fr"{_GAP}({_IDENT}){_GAP}"
+                      fr"(?:\({_GAP}({_IDENT}(?:{_GAP},{_GAP}{_IDENT})*){_GAP}\){_GAP})?\Z")
+_ARG_RE = re.compile(fr"\#[^\n]*|({_IDENT})")    # the names of an argument text
+_LEVEL_RE = re.compile(fr"{_GAP}(?:({_NUM})|\({_GAP}({_NUM}){_GAP},{_GAP}({_NUM}){_GAP}\))"
+                       fr"{_GAP}\Z")
+
+def _goal_arity(program: Program, pred: str, kb: Optional[KnowledgeBase]):
+    """The arity of pred's last occurrence in program, as
+    `Program.predicates` has it.  Given the knowledge base, a predicate that
+    only its predicate proximity names takes the arity `kb.build_kb` gives
+    it: that of its first neighbour in the program.  The arities are kept
+    on the program with the rules they were read from, as an attribute and
+    no field, so that `==`, `repr` and `asdict` of a Program never see them."""
+    rules = tuple(program.rules)
+    stored = getattr(program, "_goal_arities", None)
+    if stored is None or stored[0] != rules:
+        arities = {}
+        for rule in rules:
+            arities[rule.head.pred] = len(rule.head.args)
+            for lit in rule.body:
+                arities[lit.atom.pred] = len(lit.atom.args)
+        stored = program._goal_arities = (rules, arities)
+    arities = stored[1]
+    arity = arities.get(pred)
+    if arity is None and kb is not None:
+        for q in kb.bk.pred_prox.neighbours.get(pred, ()):
+            arity = arities.get(q)
+            if arity is not None:
+                break
+    return arity
 
 
 def parse_goal(text: str, program: Program, _kb: Optional[KnowledgeBase] = None) -> Atom:
     """Goal syntax is a single atom; the program's declared constants keep
-    their constant reading inside goals.  Given the knowledge base, a goal
-    predicate that only its predicate proximity names takes the arity
-    `kb.build_kb` gives it: that of its neighbours in the program."""
+    their constant reading inside goals.  The goal takes the arity
+    `_goal_arity` finds for its predicate, given the knowledge base or not.
+    A goal `_GOAL_RE` reads in that arity is built from the match; every
+    other text, and every error, is read by the general parser."""
+    m = _GOAL_RE.match(text)
+    if m is not None:
+        pred, arg_text = m.groups()
+        declared = program.declared_constants
+        args = tuple(Variable(n) if n[0].isupper() and n not in declared else Constant(n)
+                     for n in _ARG_RE.findall(arg_text or "") if n)
+        if _goal_arity(program, pred, _kb) in (None, len(args)):
+            return Atom(pred, args)
     p = _Parser(text, program.declared_constants)
     start = p.tok
     atom = p.atom()
     p.end("goal must be a single atom")
-    arity = _last_arity(program, atom.pred)
-    if arity is None and _kb is not None:
-        for q in _kb.bk.pred_prox.neighbours.get(atom.pred, ()):
-            arity = _last_arity(program, q)
-            if arity is not None:
-                break
+    arity = _goal_arity(program, atom.pred, _kb)
     if arity is not None and arity != len(atom.args):
         p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
                f"goal uses {len(atom.args)}", start)
@@ -439,6 +491,14 @@ def parse_goal(text: str, program: Program, _kb: Optional[KnowledgeBase] = None)
 
 
 def parse_level(text: str, system: str):
+    """A level as its system's values are written.  A level `_LEVEL_RE`
+    reads that is valid in the system is built from the match; every other
+    text, and every error, is read by the general parser."""
+    m = _LEVEL_RE.match(text)
+    if m is not None:
+        lvl = _written_level(*m.groups())
+        if V.validate_input(system, lvl) is None:
+            return lvl
     p = _Parser(text)
     start = p.tok
     lvl = p.level()

@@ -11,7 +11,7 @@ from mvdatalog import values as V
 from mvdatalog.engine import (EvalOrder, FixpointReport, Interpretation, _item_key, _raised,
                               _stratum_rule_lists, _unwidened, applicable, order_from_directive)
 from mvdatalog.lang import (Atom, Constant, GroundRule, Literal, Program, ProximityRef, Rule,
-                            Variable, ground, substitute, unify)
+                            Variable, _Parser, ground, substitute, unify)
 from mvdatalog.kb import (PHI_MEET, PHI_MEET_PRODUCT, PHI_PRODUCT,
                           BackgroundKnowledge, PhiSpec, ProximityRelation,
                           _pair_product, _Spread, modified_universe, proximity_set)
@@ -806,3 +806,44 @@ def reference_answers(report: FixpointReport, goal, system: str) -> list:
                    and all(atom.args[i].name == name for i, name in names)
                    and all(atom.args[i] == atom.args[j] for i, j in repeats)
                    and (goal.level is None or V.leq(system, goal.level, val))), key=_item_key)
+
+
+def _reference_last_arity(program: Program, pred: str):
+    """The arity of pred's last occurrence, as `Program.predicates` has it."""
+    for rule in reversed(program.rules):
+        for lit in reversed(rule.body):
+            if lit.atom.pred == pred:
+                return len(lit.atom.args)
+        if rule.head.pred == pred:
+            return len(rule.head.args)
+
+
+def reference_parse_goal(text: str, program: Program, _kb=None) -> Atom:
+    """`query.parse_goal` as the general parser alone reads a goal, with
+    each arity found by scanning the rules backwards."""
+    p = _Parser(text, program.declared_constants)
+    start = p.tok
+    atom = p.atom()
+    p.end("goal must be a single atom")
+    arity = _reference_last_arity(program, atom.pred)
+    if arity is None and _kb is not None:
+        for q in _kb.bk.pred_prox.neighbours.get(atom.pred, ()):
+            arity = _reference_last_arity(program, q)
+            if arity is not None:
+                break
+    if arity is not None and arity != len(atom.args):
+        p.fail(f"goal predicate {atom.pred!r} has arity {arity}, "
+               f"goal uses {len(atom.args)}", start)
+    return atom
+
+
+def reference_parse_level(text: str, system: str):
+    """`query.parse_level` as the general parser alone reads a level."""
+    p = _Parser(text)
+    start = p.tok
+    lvl = p.level()
+    p.end("trailing input after level")
+    err = V.validate_input(system, lvl)
+    if err is not None:
+        p.fail(f"invalid level: {err}", start)
+    return lvl

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import mvdatalog
 from mvdatalog import query
 from mvdatalog import values as V
 from mvdatalog.engine import _item_key
@@ -16,7 +17,7 @@ from mvdatalog.kb import (PHI_MEET_PRODUCT, BackgroundKnowledge, build_kb, conse
                           parse_proximity_file)
 from mvdatalog.query import Goal, SearchTree, answer, build_tree, parse_goal, parse_level
 
-from conftest import load_kb
+from conftest import load_kb, load_workloads
 from helpers import (children, head_only_variables, random_bk, random_level, random_phi,
                      random_program, reference_answers, reference_build_tree, reference_cone,
                      reference_facts, reference_starting_facts, walk_rows, write_constants)
@@ -782,6 +783,49 @@ def test_search_index_starts_over_past_its_goal_predicate_bound(monkeypatch):
     for n in range(20):
         assert answer(kb, Goal(Atom(f"zz{n}", (X,)))).answers == []
         assert 1 <= len(kb._search_index[1].cones) <= 7
+
+
+def query_pool_kb():
+    W = load_workloads()
+    texts = W.query_input(W.query_variant(1))
+    return W, W.load_kb(mvdatalog, texts.program, texts.prox, texts.phi)
+
+
+def test_starting_facts_kept_on_the_index_equal_their_definition():
+    """On the query workload's knowledge base, the starting facts of every
+    goal, cold on a fresh knowledge base and warm on one that answered every
+    goal before, are the facts the goal's tree harvests and those that
+    `starting_facts` finds without the index."""
+    W, kb = query_pool_kb()
+    program = kb.program
+    goals = [Goal(parse_goal(text, program)) for text, _ in W.query_goals()]
+    for goal in goals:
+        answer(kb, goal)
+    for goal in goals:
+        cone = reference_cone(kb, goal.atom.pred)
+        expected = query.starting_facts(cone, program)
+        for result in (answer(query_pool_kb()[1], goal), answer(kb, goal)):
+            assert result.starting == expected, goal
+            assert result.starting == reference_starting_facts(result.tree, program), goal
+    assert len(kb._search_index[1].starting) == 4
+
+
+def test_starting_facts_are_copies_and_follow_the_program():
+    """A caller that changes one result's starting facts changes no later
+    result, and a changed fact level shows in the next answer."""
+    _, kb = query_pool_kb()
+    goal = Goal(parse_goal("t0(X, Y)", kb.program))
+    first = answer(kb, goal).starting
+    expected = list(first)
+    first.clear()
+    second = answer(kb, goal).starting
+    assert second == expected
+    second.append(second[0])
+    assert expected[0][1] != (0.55, 0.65)
+    rules = kb.program.rules
+    k = next(k for k, rule in enumerate(rules) if rule.head == expected[0][0])
+    rules[k] = dataclasses.replace(rules[k], level=(0.55, 0.65))
+    assert answer(kb, goal).starting == [(expected[0][0], (0.55, 0.65))] + expected[1:]
 
 
 # ----------------------------------------------------------------------
